@@ -211,6 +211,16 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _worker_count(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"need a whole number of at least 1, got {raw!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hdnorm",
@@ -240,8 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run a simulation experiment spec")
     p_sim.add_argument("spec")
     p_sim.add_argument("--out", default="results")
-    p_sim.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: HDNORM_THREADS or cpu count)")
+    p_sim.add_argument("--threads", type=_worker_count, default=None,
+                       help="worker processes, at most one per usable CPU "
+                            "(default: HDNORM_THREADS or cpu count)")
     p_sim.set_defaults(func=cmd_simulate)
     return parser
 

@@ -6,7 +6,11 @@ count and one or more decision methods ("composite" for the radii test,
 same data draws).  Replication r of cell c draws its data from the substream
 keyed by (master seed, c, r), and the Monte-Carlo rejection band of cell c is
 keyed by (master seed, c), so results are independent of how the work is
-partitioned across threads.
+partitioned across worker processes.
+
+With more than one worker, work units run in processes started with the
+``spawn`` method, each with BLAS limited to one thread, so that workers neither
+contend for the interpreter lock nor oversubscribe the CPUs with BLAS threads.
 """
 
 from __future__ import annotations
@@ -15,8 +19,9 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import rng
@@ -28,6 +33,9 @@ from .radii import radial_summary
 VALID_METHODS = ("composite", "squared")
 
 _CI_Z = 1.959963984540054  # two-sided 95% normal quantile
+
+# Thread-count variables read by OpenBLAS, OpenMP and MKL when they load.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -69,6 +77,19 @@ def default_threads() -> int:
         except ValueError:
             pass
     return os.cpu_count() or 1
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def worker_count(threads: int, units: int, cpus: int) -> int:
+    """Workers to start: the requested count capped by the work units and CPUs, at least 1."""
+    return max(1, min(threads, units, cpus))
 
 
 def binomial_ci(count: int, total: int) -> Tuple[float, float]:
@@ -116,30 +137,73 @@ def _run_unit(exp: Experiment, cell_index: int, lo: int, hi: int):
     return cell_index, rejections, failures, time.perf_counter() - start
 
 
+@contextmanager
+def _one_blas_thread():
+    """Set the BLAS thread-count variables to "1" inside the block, then restore them.
+
+    Only processes started inside the block see the change.
+    """
+    saved = {k: os.environ.get(k) for k in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for k, v in saved.items():
+            if v is None:
+                del os.environ[k]
+            else:
+                os.environ[k] = v
+
+
+def _process_map(fn, args: Sequence[tuple], workers: int) -> list:
+    """``[fn(*a) for a in args]`` computed in ``workers`` spawned processes.
+
+    ``fn`` must be picklable.  Each worker runs BLAS on one thread.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+        with _one_blas_thread():
+            # map() submits every task at once; each submit starts a worker
+            # until there are ``workers``, so all of them start in the block.
+            pending = pool.map(fn, *zip(*args))
+        return list(pending)
+
+
 def run_experiment(exp: Experiment, threads: Optional[int] = None) -> List[CellResult]:
     """Run every cell; deterministic given the experiment seed.
+
+    ``threads`` is the requested worker count, capped by the number of work
+    units and of usable CPUs.  One worker runs in this process; more run in
+    ``spawn``-started processes, so a script that calls this with more than
+    one worker needs an ``if __name__ == "__main__":`` guard.
 
     Per-replication errors are tallied as failures rather than aborting the
     sweep; the empirical rate is taken over the completed replications.
     """
     if threads is None:
         threads = default_threads()
+    if threads < 1:
+        raise ValueError(f"need at least one worker, got threads={threads}")
+    cpus = usable_cpus()
     units = []
     for ci, cell in enumerate(exp.cells):
         if cell.replications < 1:
             raise ValueError(f"cell {ci} has no replications")
-        chunk = max(1, min(64, -(-cell.replications // (threads * 4))))
+        chunk = max(1, min(64, -(-cell.replications // (min(threads, cpus) * 4))))
         for lo in range(0, cell.replications, chunk):
             units.append((ci, lo, min(lo + chunk, cell.replications)))
 
     rejections: Dict[int, Dict[str, int]] = {}
     failures: Dict[int, Dict[str, int]] = {}
     elapsed: Dict[int, float] = {}
-    if threads == 1:
+    workers = worker_count(threads, len(units), cpus)
+    if workers == 1:
         outcomes = [_run_unit(exp, *u) for u in units]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(lambda u: _run_unit(exp, *u), units))
+        outcomes = _process_map(partial(_run_unit, exp), units, workers)
     for ci, rej, fail, dt in outcomes:
         cell_rej = rejections.setdefault(ci, {m: 0 for m in exp.cells[ci].methods})
         cell_fail = failures.setdefault(ci, {m: 0 for m in exp.cells[ci].methods})
@@ -178,7 +242,7 @@ def summarize(results: Sequence[CellResult]) -> str:
     """CSV summary keyed by (family, covariance, n, d, method), sorted.
 
     Wall times are deliberately not included so that reruns with different
-    thread counts produce byte-identical files.
+    worker counts produce byte-identical files.
     """
     if not results:
         raise ValueError("no results to summarize")

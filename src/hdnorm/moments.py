@@ -201,8 +201,14 @@ def _dispersion_from_parts(
     n: int, tr1: float, tr2: float, r4: float, used_gramian: bool
 ) -> DispersionEstimate:
     that = _tr_sigma_sq_from_parts(n, tr1, tr2, r4)
+    # Moments of data near the float range overflow to inf, and inf - inf is
+    # NaN; NaN compares false, so without these checks a verdict would follow.
+    if not math.isfinite(tr1):
+        raise NonPositiveDispersion(f"tr of sample covariance is {tr1!r}; data too large")
     if tr1 <= 0.0:
         raise NonPositiveDispersion(f"tr of sample covariance is {tr1!r}; data degenerate")
+    if not math.isfinite(that):
+        raise NonPositiveDispersion(f"tr(Sigma^2) estimate is {that!r}; data too large")
     if that <= 0.0:
         raise NonPositiveDispersion(f"tr(Sigma^2) estimate is {that!r}; test cannot proceed")
     return DispersionEstimate(

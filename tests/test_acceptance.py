@@ -49,7 +49,7 @@ def run_bundled(spec_name: str):
 
 @pytest.fixture(scope="session")
 def table1_cli_run(tmp_path_factory):
-    """CLI run of the bundled type-I-error grid with 8 worker threads."""
+    """CLI run of the bundled type-I-error grid asking for 8 worker processes."""
     out = tmp_path_factory.mktemp("table1_t8")
     start = time.perf_counter()
     code = main(["simulate", str(TABLES / "table1_desk.json"),

@@ -83,6 +83,14 @@ class TestCmdTest:
         assert main(["test", str(path)]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_overflowing_data_exits_one(self, tmp_path, capsys):
+        # Squared radii of data this large overflow; no verdict may follow.
+        path = write_csv(tmp_path / "huge.csv", 1e150 * gaussian_data(8, 50, 100).values)
+        out = tmp_path / "r.json"
+        assert main(["test", str(path), "--mc", "1000", "--out", str(out)]) == 1
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_chisq_marginals_rejected(self, tmp_path):
         # Heavy-tailed iid chi-square coordinates at n=250, d=2000 are far
         # from Gaussian; the composite test must reject.
@@ -184,6 +192,15 @@ class TestCmdSimulate:
         main(["simulate", str(spec), "--out", str(tmp_path / "b"), "--threads", "4"])
         assert (tmp_path / "a" / "summary.csv").read_bytes() == \
                (tmp_path / "b" / "summary.csv").read_bytes()
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_worker_count_below_one_is_usage_error(self, tmp_path, threads, capsys):
+        spec = self.make_spec(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", str(spec), "--out", str(tmp_path / "res"), "--threads", threads])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "res").exists()
 
     def test_empty_grid_errors(self, tmp_path, capsys):
         path = tmp_path / "empty.json"

@@ -2,12 +2,14 @@ import csv
 import io
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 from hdnorm import CovSpec, Scenario
 from hdnorm.harness import (
+    BLAS_THREAD_VARS,
     CellSpec,
     Experiment,
     binomial_ci,
@@ -19,6 +21,9 @@ from hdnorm.harness import (
     scenario_from_json,
     scenario_to_json,
     summarize,
+    usable_cpus,
+    worker_count,
+    _process_map,
     _run_unit,
 )
 
@@ -35,6 +40,11 @@ def small_experiment(methods=("composite",), seed=42):
             CellSpec(Scenario("cov_mixture", 40, 30, ident, {"gap": 0.8}), 60, methods),
         ),
     )
+
+
+def blas_vars(_):
+    """Runs in a worker process: its pid and BLAS thread-count variables."""
+    return os.getpid(), {k: os.environ.get(k) for k in BLAS_THREAD_VARS}
 
 
 class TestRunExperiment:
@@ -91,6 +101,32 @@ class TestThreadResolution:
         assert default_threads() >= 1
         monkeypatch.delenv("HDNORM_THREADS")
         assert default_threads() >= 1
+
+    def test_worker_count_caps(self):
+        assert worker_count(4, 100, 2) == 2
+        assert worker_count(2, 100, 8) == 2
+        assert worker_count(8, 1, 2) == 1
+        assert worker_count(10**9, 50, 2) == 2
+        assert worker_count(3, 0, 2) == 1
+
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(ValueError, match="at least one worker"):
+            run_experiment(small_experiment(), threads=threads)
+
+
+class TestWorkerProcesses:
+    def test_workers_run_one_blas_thread_and_parent_env_is_kept(self, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        workers = min(2, usable_cpus())
+        reports = _process_map(blas_vars, [(i,) for i in range(8)], workers)
+        assert len(reports) == 8
+        pids = {pid for pid, _ in reports}
+        assert os.getpid() not in pids and len(pids) <= workers
+        assert all(env == dict.fromkeys(BLAS_THREAD_VARS, "1") for _, env in reports)
+        assert dict(os.environ) == before
 
 
 class TestBinomialCi:

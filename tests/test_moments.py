@@ -9,9 +9,11 @@ from conftest import gaussian_data, random_orthogonal, similarity_transform
 from hdnorm import (
     DataMatrix,
     DegenerateDataWarning,
+    McSettings,
     NonPositiveDispersion,
     OracleSizeExceeded,
     TooFewSamples,
+    composite_test,
     delta_hat,
     sigma_hat_d,
     tr_sigma_sq_hat,
@@ -138,6 +140,15 @@ class TestDeltaHat:
         X = dm(np.zeros((5, 3)))
         with pytest.raises(NonPositiveDispersion):
             delta_hat(X)
+
+    def test_overflow_raises_instead_of_nan(self):
+        # At this scale the Gramian overflows and the tr(Sigma^2) estimate is
+        # inf - inf = NaN; the composite test must not turn that into a verdict.
+        X = dm(1e150 * gaussian_data(8, 50, 100).values)
+        with pytest.raises(NonPositiveDispersion, match="nan"):
+            delta_hat(X)
+        with pytest.raises(NonPositiveDispersion):
+            composite_test(X, McSettings(replications=1000, seed=1, alpha=0.05))
 
     def test_records_path(self, rng_fixture):
         tall = dm(rng_fixture.normal(size=(12, 3)))
