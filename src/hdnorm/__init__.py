@@ -49,14 +49,12 @@ from .moments import (
 from .montecarlo import (
     Decision,
     McSettings,
-    McStream,
     TestReport,
     composite_test,
     decide_iqr,
     decide_range,
     mc_quantiles,
     null_quasi_range_draws,
-    sample_null_quasi_range,
 )
 from .radii import RadialSummary, radial_summary, radii, standardized_radii
 from .teststats import (
@@ -89,7 +87,6 @@ __all__ = [
     "InvalidQuantileOrder",
     "InvalidScenarioParams",
     "McSettings",
-    "McStream",
     "NonPositiveDispersion",
     "NormConstants",
     "NotPSD",
@@ -118,7 +115,6 @@ __all__ = [
     "radii",
     "range_statistic",
     "run_experiment",
-    "sample_null_quasi_range",
     "sample_scenario",
     "scenario_covariance",
     "sigma_hat_d",

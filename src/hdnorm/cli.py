@@ -12,7 +12,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import pdist
 from scipy.special import ndtri
 
 from . import rng
@@ -135,6 +134,9 @@ def _pair_indices(n: int, k: int, gen) -> np.ndarray:
 
 
 def _interpoint_distances(values: np.ndarray, max_pairs: int, seed: int) -> np.ndarray:
+    # Imported here: ``hdnorm test`` never needs scipy.spatial.
+    from scipy.spatial.distance import pdist
+
     n = values.shape[0]
     total = n * (n - 1) // 2
     if total <= max_pairs:

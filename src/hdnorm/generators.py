@@ -37,7 +37,6 @@ from functools import lru_cache
 from typing import Mapping, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from . import rng
 from .errors import InvalidScenarioParams, NotPSD, ZeroMatrix
@@ -119,7 +118,8 @@ def build_covariance(spec: CovSpec) -> np.ndarray:
     if spec.kind == "ar1":
         if spec.rho is None or not abs(spec.rho) < 1.0:
             raise InvalidScenarioParams(f"ar1 needs |rho| < 1, got {spec.rho}")
-        cov = toeplitz(spec.rho ** np.arange(spec.d))
+        lags = np.arange(spec.d)
+        cov = (spec.rho ** lags)[abs(lags[:, None] - lags)]
     elif spec.kind == "sparse_random":
         star, delta = sparse_random_components(spec)
         cov = (star + delta * np.eye(spec.d)) / (1.0 + delta)

@@ -6,7 +6,9 @@ count and one or more decision methods ("composite" for the radii test,
 same data draws).  Replication r of cell c draws its data from the substream
 keyed by (master seed, c, r), and the Monte-Carlo rejection band of cell c is
 keyed by (master seed, c), so results are independent of how the work is
-partitioned across worker processes.
+partitioned across worker processes.  Every cell's band is built once, in the
+calling process, before any worker starts; workers receive the finished band
+edges and never draw a null sample themselves.
 
 With more than one worker, work units run in processes started with the
 ``spawn`` method, each with BLAS limited to one thread, so that workers neither
@@ -20,14 +22,22 @@ import math
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import rng
 from .errors import HdnormError
 from .generators import CovSpec, Scenario, sample_scenario
-from .montecarlo import McSettings, composite_from_summary
+from .montecarlo import (
+    Band,
+    BandKey,
+    McSettings,
+    composite_from_summary,
+    install_bands,
+    mc_quantiles,
+    usable_cpus,
+)
 from .radii import radial_summary
 
 VALID_METHODS = ("composite", "squared")
@@ -69,22 +79,21 @@ class CellResult:
 
 
 def default_threads() -> int:
-    """Worker count: the HDNORM_THREADS environment variable, else cpu count."""
+    """Worker count: the HDNORM_THREADS environment variable, else cpu count.
+
+    Raises ``ValueError`` when the variable holds anything but a whole number
+    of at least 1.
+    """
     raw = os.environ.get("HDNORM_THREADS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
+    if not raw:
         return os.cpu_count() or 1
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"HDNORM_THREADS must be a whole number of at least 1, got {raw!r}")
+    return value
 
 
 def worker_count(threads: int, units: int, cpus: int) -> int:
@@ -108,6 +117,25 @@ def _cell_settings(exp: Experiment, cell_index: int) -> McSettings:
         seed=rng.derive_seed(exp.seed, rng.DOMAIN_NULL_RANGE, cell_index),
         alpha=exp.alpha,
     )
+
+
+def _cell_bands(exp: Experiment) -> Dict[BandKey, Band]:
+    """Every cell's range band, keyed as ``mc_quantiles`` memoises it.
+
+    All methods of a cell decide their range sub-test against one band: q = 1
+    at level alpha/2 (see ``composite_from_summary``).  A cell whose band
+    cannot be built is left out, so its replications fail in ``_run_unit``
+    like any other decision error.
+    """
+    bands = {}
+    for ci, cell in enumerate(exp.cells):
+        settings = _cell_settings(exp, ci)
+        key = (cell.scenario.n, 1, replace(settings, alpha=settings.alpha / 2.0))
+        try:
+            bands[key] = mc_quantiles(*key)
+        except HdnormError:
+            continue
+    return bands
 
 
 def _run_unit(exp: Experiment, cell_index: int, lo: int, hi: int):
@@ -155,16 +183,20 @@ def _one_blas_thread():
                 os.environ[k] = v
 
 
-def _process_map(fn, args: Sequence[tuple], workers: int) -> list:
+def _process_map(fn, args: Sequence[tuple], workers: int,
+                 initializer=None, initargs: tuple = ()) -> list:
     """``[fn(*a) for a in args]`` computed in ``workers`` spawned processes.
 
-    ``fn`` must be picklable.  Each worker runs BLAS on one thread.
+    ``fn``, ``initializer`` and ``initargs`` must be picklable; each worker
+    calls ``initializer(*initargs)`` once before its first task.  Each worker
+    runs BLAS on one thread.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     context = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context,
+                             initializer=initializer, initargs=initargs) as pool:
         with _one_blas_thread():
             # map() submits every task at once; each submit starts a worker
             # until there are ``workers``, so all of them start in the block.
@@ -178,7 +210,8 @@ def run_experiment(exp: Experiment, threads: Optional[int] = None) -> List[CellR
     ``threads`` is the requested worker count, capped by the number of work
     units and of usable CPUs.  One worker runs in this process; more run in
     ``spawn``-started processes, so a script that calls this with more than
-    one worker needs an ``if __name__ == "__main__":`` guard.
+    one worker needs an ``if __name__ == "__main__":`` guard.  The cells'
+    Monte-Carlo bands are built here first and handed to the workers.
 
     Per-replication errors are tallied as failures rather than aborting the
     sweep; the empirical rate is taken over the completed replications.
@@ -199,11 +232,13 @@ def run_experiment(exp: Experiment, threads: Optional[int] = None) -> List[CellR
     rejections: Dict[int, Dict[str, int]] = {}
     failures: Dict[int, Dict[str, int]] = {}
     elapsed: Dict[int, float] = {}
+    bands = _cell_bands(exp)
     workers = worker_count(threads, len(units), cpus)
     if workers == 1:
         outcomes = [_run_unit(exp, *u) for u in units]
     else:
-        outcomes = _process_map(partial(_run_unit, exp), units, workers)
+        outcomes = _process_map(partial(_run_unit, exp), units, workers,
+                                initializer=install_bands, initargs=(bands,))
     for ci, rej, fail, dt in outcomes:
         cell_rej = rejections.setdefault(ci, {m: 0 for m in exp.cells[ci].methods})
         cell_fail = failures.setdefault(ci, {m: 0 for m in exp.cells[ci].methods})

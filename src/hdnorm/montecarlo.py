@@ -11,16 +11,18 @@ with standard deviation sigma_star, so its rejection band is closed form.
 Null draws are organized in fixed-size chunks, each tied to its own keyed
 substream: draw j is a pure function of (seed, n, q, j), so any batching or
 parallel partition reproduces the same sample bitwise.  Quantile bands are
-cached per (n, q, replications, seed); the cache only short-circuits an
-identical recomputation and never changes results.
+memoised per (n, q, settings); the memo only short-circuits an identical
+recomputation and never changes results.  A process can be handed bands built
+elsewhere (``install_bands``), so that sweep workers decide without drawing.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 from scipy.special import ndtri
@@ -64,8 +66,22 @@ class McSettings:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _null_chunk(n: int, q: int, seed: int, chunk_index: int, count: int) -> np.ndarray:
-    """Draws [0, count) of chunk ``chunk_index`` of the U_{n,q} sample."""
+    """Draws [0, count) of chunk ``chunk_index`` of the U_{n,q} sample.
+
+    Row i is the contrast of row i of ``rng.standard_normal(gen, (count, n))``.
+    The order statistics are picked among the uniforms and only they are
+    passed through ``ndtri``: the normal quantile function is non-decreasing,
+    so it maps the k-th smallest uniform to exactly the k-th smallest normal.
+    """
     gen = rng.substream(seed, rng.DOMAIN_NULL_RANGE, n, q, chunk_index)
     c = norm_constants(n)
     out = np.empty(count)
@@ -73,9 +89,13 @@ def _null_chunk(n: int, q: int, seed: int, chunk_index: int, count: int) -> np.n
     filled = 0
     while filled < count:
         b = min(rows, count - filled)
-        S = rng.standard_normal(gen, (b, n))
-        part = np.partition(S, (q - 1, n - q), axis=1)
-        contrast = part[:, n - q] - part[:, q - 1]
+        u = rng.uniform(gen, (b, n))
+        if q == 1:
+            low, high = u.min(axis=1), u.max(axis=1)
+        else:
+            part = np.partition(u, (q - 1, n - q), axis=1)
+            low, high = part[:, q - 1], part[:, n - q]
+        contrast = ndtri(high) - ndtri(low)
         out[filled:filled + b] = c.a_n * contrast - 2.0 * c.a_n * c.b_n
         filled += b
     return out
@@ -88,55 +108,28 @@ def _validate_nq(n: int, q: int) -> None:
         raise InvalidQuantileOrder(f"q={q} outside [1, {n // 2}] for n={n}")
 
 
-class McStream:
-    """Sequential view of the null sample for one (n, q, seed) triple.
-
-    ``draw()`` returns the next value; two streams with identical parameters
-    yield identical sequences.
-    """
-
-    def __init__(self, n: int, q: int, seed: int):
-        _validate_nq(n, q)
-        self.n = int(n)
-        self.q = int(q)
-        self.seed = int(seed)
-        self._position = 0
-        self._buffer: Optional[np.ndarray] = None
-        self._buffer_chunk = -1
-
-    def draw(self) -> float:
-        chunk_index, offset = divmod(self._position, CHUNK)
-        if chunk_index != self._buffer_chunk:
-            self._buffer = _null_chunk(self.n, self.q, self.seed, chunk_index, CHUNK)
-            self._buffer_chunk = chunk_index
-        self._position += 1
-        return float(self._buffer[offset])
-
-
-def sample_null_quasi_range(n: int, q: int, stream: McStream) -> float:
-    """One draw of U_{n,q} from the given stream."""
-    if (n, q) != (stream.n, stream.q):
-        raise ValueError(f"stream is keyed to (n={stream.n}, q={stream.q}), asked for ({n}, {q})")
-    return stream.draw()
-
-
 def null_quasi_range_draws(n: int, q: int, m: int, seed: int) -> np.ndarray:
-    """The first ``m`` draws of the U_{n,q} sample for this seed."""
+    """The first ``m`` draws of the U_{n,q} sample for this seed.
+
+    Chunks are drawn on one thread per usable CPU (the random fill and the
+    reductions release the interpreter lock) and joined in chunk order, so
+    the result does not depend on the thread count.
+    """
     _validate_nq(n, q)
     if m < 1:
         raise ValueError(f"need at least one draw, got m={m}")
-    parts = []
-    for chunk_index in range(-(-m // CHUNK)):
-        count = min(CHUNK, m - chunk_index * CHUNK)
-        parts.append(_null_chunk(n, q, seed, chunk_index, count))
-    return np.concatenate(parts)
+    chunks = -(-m // CHUNK)
 
+    def chunk(chunk_index: int) -> np.ndarray:
+        return _null_chunk(n, q, seed, chunk_index, min(CHUNK, m - chunk_index * CHUNK))
 
-@lru_cache(maxsize=32)
-def _sorted_null_sample(n: int, q: int, m: int, seed: int) -> np.ndarray:
-    sample = np.sort(null_quasi_range_draws(n, q, m, seed))
-    sample.setflags(write=False)
-    return sample
+    threads = min(chunks, usable_cpus())
+    if threads == 1:
+        return np.concatenate([chunk(i) for i in range(chunks)])
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return np.concatenate(list(pool.map(chunk, range(chunks))))
 
 
 def empirical_quantile(sorted_values: np.ndarray, level: float) -> float:
@@ -153,14 +146,42 @@ def empirical_quantile(sorted_values: np.ndarray, level: float) -> float:
     return float(sorted_values[k - 1])
 
 
-def mc_quantiles(n: int, q: int, settings: McSettings) -> Tuple[float, float]:
-    """Empirical (alpha/2, 1 - alpha/2) quantiles of the U_{n,q} null sample."""
-    sample = _sorted_null_sample(n, q, settings.replications, settings.seed)
-    return (
-        empirical_quantile(sample, settings.alpha / 2.0),
-        empirical_quantile(sample, 1.0 - settings.alpha / 2.0),
-    )
+Band = Tuple[float, float]
+BandKey = Tuple[int, int, McSettings]
 
+# Range bands by (n, q, settings), filled by ``mc_quantiles`` and by
+# ``install_bands``.  Each entry is a few hundred bytes; the bound only keeps a
+# long-lived caller that walks through many seeds from growing without limit.
+_BANDS: Dict[BandKey, Band] = {}
+_MAX_BANDS = 1 << 16
+
+
+def mc_quantiles(n: int, q: int, settings: McSettings) -> Band:
+    """Empirical (alpha/2, 1 - alpha/2) quantiles of the U_{n,q} null sample.
+
+    Memoised per ``(n, q, settings)``.
+    """
+    key = (n, q, settings)
+    band = _BANDS.get(key)
+    if band is None:
+        sample = np.sort(null_quasi_range_draws(n, q, settings.replications, settings.seed))
+        band = (
+            empirical_quantile(sample, settings.alpha / 2.0),
+            empirical_quantile(sample, 1.0 - settings.alpha / 2.0),
+        )
+        if len(_BANDS) >= _MAX_BANDS:
+            _BANDS.clear()
+        _BANDS[key] = band
+    return band
+
+
+def install_bands(bands: Mapping[BandKey, Band]) -> None:
+    """Make ``mc_quantiles`` return these precomputed bands without drawing.
+
+    ``bands`` maps ``(n, q, settings)`` to the ``mc_quantiles`` value built
+    elsewhere, for instance by the parent of a worker process.
+    """
+    _BANDS.update(bands)
 
 @dataclass(frozen=True)
 class Decision:
@@ -197,6 +218,13 @@ def decide_range(stat: TestStatistic, n: int, settings: McSettings,
     return Decision(statistic=stat, level=level, lower=lower, upper=upper, reject=bool(reject))
 
 
+@lru_cache(maxsize=64)
+def _iqr_band(level: float) -> Band:
+    """Closed-form (level/2, 1 - level/2) band of the IQR statistic."""
+    s = sigma_star()
+    return s * float(ndtri(level / 2.0)), s * float(ndtri(1.0 - level / 2.0))
+
+
 def decide_iqr(stat: TestStatistic, settings: McSettings,
                level: Optional[float] = None) -> Decision:
     """Closed-form normal band decision for IQR-type statistics."""
@@ -207,9 +235,7 @@ def decide_iqr(stat: TestStatistic, settings: McSettings,
         raise ValueError(f"decide_iqr cannot handle a {stat.kind.value} statistic")
     if level is None:
         level = settings.alpha
-    s = sigma_star()
-    lower = s * float(ndtri(level / 2.0))
-    upper = s * float(ndtri(1.0 - level / 2.0))
+    lower, upper = _iqr_band(level)
     reject = stat.value < lower or stat.value > upper
     return Decision(statistic=stat, level=level, lower=lower, upper=upper, reject=bool(reject))
 

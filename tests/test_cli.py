@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -202,6 +205,13 @@ class TestCmdSimulate:
         assert "--threads" in capsys.readouterr().err
         assert not (tmp_path / "res").exists()
 
+    def test_bad_worker_count_variable_exits_one(self, tmp_path, monkeypatch, capsys):
+        spec = self.make_spec(tmp_path)
+        monkeypatch.setenv("HDNORM_THREADS", "abc")
+        assert main(["simulate", str(spec), "--out", str(tmp_path / "res")]) == 1
+        assert "HDNORM_THREADS" in capsys.readouterr().err
+        assert not (tmp_path / "res").exists()
+
     def test_empty_grid_errors(self, tmp_path, capsys):
         path = tmp_path / "empty.json"
         path.write_text(json.dumps({"cells": []}))
@@ -217,3 +227,14 @@ class TestCmdSimulate:
         tables = Path(__file__).resolve().parents[1] / "tables"
         for spec in sorted(tables.glob("*.json")):
             jsonschema.validate(json.loads(spec.read_text()), EXPERIMENT_SCHEMA)
+
+
+def test_cli_import_leaves_out_scipy_linalg_and_spatial():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, hdnorm.cli; print(sorted(m for m in sys.modules"
+            " if m.startswith(('scipy.linalg', 'scipy.spatial'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from hdnorm import CovSpec, Scenario
+from hdnorm import CovSpec, Scenario, harness, montecarlo
 from hdnorm.harness import (
     BLAS_THREAD_VARS,
     CellSpec,
@@ -47,6 +47,18 @@ def blas_vars(_):
     return os.getpid(), {k: os.environ.get(k) for k in BLAS_THREAD_VARS}
 
 
+def unit_without_draws(exp, ci, lo, hi):
+    """Runs in a worker process: one work unit with null draws made an error.
+
+    Returns the unit's outcome and the bands the worker holds afterwards.
+    """
+    def no_draws(*args):
+        raise AssertionError(f"worker drew a null sample for {args}")
+
+    montecarlo.null_quasi_range_draws = no_draws
+    return _run_unit(exp, ci, lo, hi), dict(montecarlo._BANDS)
+
+
 class TestRunExperiment:
     def test_empty_grid_returns_empty_list(self):
         exp = Experiment(name="none", seed=1, alpha=0.05, mc_replications=500, cells=())
@@ -81,6 +93,13 @@ class TestRunExperiment:
         results = run_experiment(small_experiment(methods=("composite", "squared")), threads=2)
         assert [r.method for r in results] == ["composite", "squared"] * 2
 
+    def test_cell_whose_band_fails_is_left_out_of_prebuilt_bands(self):
+        tiny = Scenario("null_gaussian", 2, 10, CovSpec.identity(10))
+        good = Scenario("null_gaussian", 20, 10, CovSpec.identity(10))
+        exp = Experiment(name="tiny", seed=3, alpha=0.05, mc_replications=500,
+                         cells=(CellSpec(tiny, 10), CellSpec(good, 10)))
+        assert [key[0] for key in harness._cell_bands(exp)] == [20]
+
     def test_failing_cell_counted_not_fatal(self):
         bad = Scenario("mixed_marginals", 20, 10, CovSpec.ar1(10, 0.5))
         good = Scenario("null_gaussian", 20, 10, CovSpec.identity(10))
@@ -97,8 +116,10 @@ class TestThreadResolution:
 
         monkeypatch.setenv("HDNORM_THREADS", "3")
         assert default_threads() == 3
-        monkeypatch.setenv("HDNORM_THREADS", "not-a-number")
-        assert default_threads() >= 1
+        for bad in ("not-a-number", "0", "-3", "1.5"):
+            monkeypatch.setenv("HDNORM_THREADS", bad)
+            with pytest.raises(ValueError, match=f"HDNORM_THREADS .*{bad!r}"):
+                default_threads()
         monkeypatch.delenv("HDNORM_THREADS")
         assert default_threads() >= 1
 
@@ -127,6 +148,40 @@ class TestWorkerProcesses:
         assert os.getpid() not in pids and len(pids) <= workers
         assert all(env == dict.fromkeys(BLAS_THREAD_VARS, "1") for _, env in reports)
         assert dict(os.environ) == before
+
+
+class TestBandsBuiltOnce:
+    def test_parent_draws_each_cell_band_once_and_workers_only_read(self, monkeypatch):
+        drawn = []
+        real_draws = montecarlo.null_quasi_range_draws
+
+        def counting_draws(n, q, m, seed):
+            drawn.append((n, q, m, seed))
+            return real_draws(n, q, m, seed)
+
+        monkeypatch.setattr(montecarlo, "null_quasi_range_draws", counting_draws)
+        monkeypatch.setattr(montecarlo, "_BANDS", {})
+        monkeypatch.setattr(harness, "usable_cpus", lambda: 2)
+        seen = {}
+
+        def spy(fn, args, workers, initializer=None, initargs=()):
+            seen.update(workers=workers, initializer=initializer, bands=initargs[0])
+            outcomes = _process_map(unit_without_draws, [(fn.args[0], *a) for a in args],
+                                    workers, initializer, initargs)
+            seen["worker_bands"] = [bands for _, bands in outcomes]
+            return [outcome for outcome, _ in outcomes]
+
+        monkeypatch.setattr(harness, "_process_map", spy)
+        exp = small_experiment(methods=("composite", "squared"))
+        results = run_experiment(exp, threads=2)
+
+        assert seen["workers"] == 2 and seen["initializer"] is montecarlo.install_bands
+        assert len(drawn) == len(exp.cells) == len(set(drawn))
+        assert len(seen["bands"]) == len(exp.cells)
+        assert all(bands == seen["bands"] for bands in seen["worker_bands"])
+        strip = lambda rs: [(r.cell_index, r.method, r.rejections, r.failures) for r in rs]
+        assert strip(results) == strip(run_experiment(exp, threads=1))
+        assert len(drawn) == len(exp.cells)
 
 
 class TestBinomialCi:

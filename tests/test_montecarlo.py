@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from conftest import gaussian_data, null_scenario, rejection_rate
 from hdnorm import (
     CovSpec,
     McSettings,
-    McStream,
     Scenario,
     composite_test,
     decide_iqr,
@@ -20,10 +20,12 @@ from hdnorm import (
     null_quasi_range_draws,
     radial_summary,
     range_statistic,
-    sample_null_quasi_range,
     sigma_star,
 )
-from hdnorm.montecarlo import empirical_quantile
+from hdnorm import InvalidQuantileOrder
+from hdnorm import montecarlo
+from hdnorm import rng as hrng
+from hdnorm.montecarlo import CHUNK, empirical_quantile
 from hdnorm.teststats import StatKind
 from hdnorm.teststats import TestStatistic as Statistic
 
@@ -54,25 +56,21 @@ class TestNullSample:
         assert not np.array_equal(a, null_quasi_range_draws(60, 2, 9000, seed=5))
 
     def test_stream_matches_batch(self):
-        stream = McStream(50, 3, seed=11)
-        singles = [sample_null_quasi_range(50, 3, stream) for _ in range(200)]
+        # Requesting one more draw at a time yields the batch, draw by draw.
+        singles = [null_quasi_range_draws(50, 3, j + 1, seed=11)[j] for j in range(200)]
         batch = null_quasi_range_draws(50, 3, 200, seed=11)
         assert np.array_equal(np.asarray(singles), batch)
-        with pytest.raises(ValueError):
-            sample_null_quasi_range(51, 3, stream)
+        with pytest.raises(InvalidQuantileOrder):
+            null_quasi_range_draws(50, 26, 200, seed=11)
 
     def test_partition_independence_across_chunks(self):
         # Draw j is a pure function of (seed, j): a longer request must extend
         # a shorter one without disturbing it, including across the chunk edge.
-        from hdnorm.montecarlo import CHUNK
-
         short = null_quasi_range_draws(20, 1, CHUNK, seed=13)
         longer = null_quasi_range_draws(20, 1, CHUNK + 17, seed=13)
         assert np.array_equal(longer[:CHUNK], short)
-        stream = McStream(20, 1, seed=13)
         for j in range(CHUNK - 3, CHUNK + 3):
-            stream._position = j
-            assert stream.draw() == longer[j]
+            assert null_quasi_range_draws(20, 1, j + 1, seed=13)[j] == longer[j]
 
     def test_gumbel_convolution_limit(self):
         # The normalized range converges to the convolution of two standard
@@ -92,6 +90,43 @@ class TestNullSample:
         draws = null_quasi_range_draws(n, 1, 200, seed=17)
         se = float(draws.std()) / math.sqrt(len(draws))
         assert abs(float(draws.mean()) - exact) <= 4.0 * se
+
+
+class TestGoldenValues:
+    """The Philox-substream contract pinned to recorded values."""
+
+    def test_bands(self):
+        assert mc_quantiles(100, 1, McSettings(10000, seed=0, alpha=0.025)) == (
+            -2.7245287299102205, 5.628659672899053)
+        assert mc_quantiles(60, 3, McSettings(10000, seed=7, alpha=0.05)) == (
+            -4.70167613138563, -0.31390029603002034)
+
+    @pytest.mark.parametrize("args,digest", [
+        ((100, 1, 10000, 0),
+         "8496db90502d0f81005637c865d8745468bb360da4636d1bca6df80c39bc87c5"),
+        ((50, 3, 2 * CHUNK + 17, 11),
+         "652cc1ff78be1aa7c477dc84aa785f18a6bf67077be5389c1f917573265559c5"),
+    ])
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_draw_digests_at_any_thread_count(self, monkeypatch, args, digest, cpus):
+        monkeypatch.setattr(montecarlo, "usable_cpus", lambda: cpus)
+        draws = null_quasi_range_draws(*args)
+        assert hashlib.sha256(draws.tobytes()).hexdigest() == digest
+
+    # (3000, 1) splits each chunk into several generation batches.
+    @pytest.mark.parametrize("n,q,tail", [(100, 1, 100), (50, 3, 100), (3000, 1, 5)])
+    def test_draws_match_partition_reference(self, n, q, tail):
+        # The reference partitions the normals themselves; the sampler selects
+        # among the uniforms first and must give the same bits.
+        seed = 21
+        c = norm_constants(n)
+        parts = []
+        for chunk_index, count in enumerate((CHUNK, tail)):
+            gen = hrng.substream(seed, hrng.DOMAIN_NULL_RANGE, n, q, chunk_index)
+            part = np.partition(hrng.standard_normal(gen, (count, n)), (q - 1, n - q), axis=1)
+            parts.append(c.a_n * (part[:, n - q] - part[:, q - 1]) - 2.0 * c.a_n * c.b_n)
+        draws = null_quasi_range_draws(n, q, CHUNK + tail, seed)
+        assert np.array_equal(draws, np.concatenate(parts))
 
 
 class TestQuantiles:
@@ -119,6 +154,21 @@ class TestQuantiles:
         lows, highs = zip(*pairs)
         assert max(lows) - min(lows) <= 0.05
         assert max(highs) - min(highs) <= 0.05
+
+    def test_band_is_memoised_and_installable(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_BANDS", {})
+        settings = McSettings(replications=1000, seed=41, alpha=0.05)
+        band = mc_quantiles(30, 1, settings)
+        assert montecarlo._BANDS == {(30, 1, settings): band}
+
+        def no_draws(*args):
+            raise AssertionError("a memoised band was drawn again")
+
+        monkeypatch.setattr(montecarlo, "null_quasi_range_draws", no_draws)
+        assert mc_quantiles(30, 1, settings) == band
+        other = McSettings(replications=1000, seed=42, alpha=0.05)
+        montecarlo.install_bands({(30, 1, other): (-1.0, 1.0)})
+        assert mc_quantiles(30, 1, other) == (-1.0, 1.0)
 
     def test_quantile_error_decays_with_m(self):
         m = 1000
