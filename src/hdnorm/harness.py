@@ -27,6 +27,7 @@ from functools import partial
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import rng
+from ._blas import BLAS_THREAD_VARS
 from .errors import HdnormError
 from .generators import CovSpec, Scenario, sample_scenario
 from .montecarlo import (
@@ -43,9 +44,6 @@ from .radii import radial_summary
 VALID_METHODS = ("composite", "squared")
 
 _CI_Z = 1.959963984540054  # two-sided 95% normal quantile
-
-# Thread-count variables read by OpenBLAS, OpenMP and MKL when they load.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)

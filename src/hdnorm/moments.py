@@ -74,8 +74,11 @@ def _core(X: DataMatrix):
     Returns (r2, tr1, tr2, r4, used_gramian) where r2[i] = ||X_i - mean||^2,
     tr1 = tr(S), tr2 = tr(S^2) for S the sample covariance (n > d) or the
     centered Gramian (n <= d), and r4 = sum_i r2[i]^2 accumulated exactly.
+    Every estimator built on it divides by (n - 2)(n - 3), so it needs n >= 4.
     """
     n, d = X.n, X.d
+    if n < 4:
+        raise TooFewSamples(f"the moment estimators need n >= 4, got n={n}")
     Xc = _centered(X)
     r2 = np.einsum("ij,ij->i", Xc, Xc)
     tr1 = float(r2.sum()) / (n - 1)
@@ -86,7 +89,11 @@ def _core(X: DataMatrix):
         M = Xc.T @ Xc
     # tr(S^2) = ||M||_F^2 / (n-1)^2; cyclic trace makes both paths agree.
     tr2 = float(np.einsum("ij,ij->", M, M)) / (n - 1) ** 2
-    r4 = math.fsum(float(v) * float(v) for v in r2)
+    # fsum rounds the exact sum of the squares once.  A square beyond the
+    # float range is inf, which the dispersion checks report, so numpy's
+    # overflow warning would only repeat it.
+    with np.errstate(over="ignore"):
+        r4 = math.fsum((r2 * r2).tolist())
     return r2, tr1, tr2, r4, used_gramian
 
 
@@ -117,8 +124,6 @@ def tr_sigma_sq_hat(X: DataMatrix) -> float:
     May be negative in pathological finite samples; callers decide whether
     that is an error (``delta_hat`` treats it as one).
     """
-    if X.n < 4:
-        raise TooFewSamples(f"tr_sigma_sq_hat needs n >= 4, got n={X.n}")
     _, tr1, tr2, r4, _ = _core(X)
     return _tr_sigma_sq_from_parts(X.n, tr1, tr2, r4)
 
@@ -191,8 +196,6 @@ def delta_hat(X: DataMatrix) -> DispersionEstimate:
     non-positive: clamping instead would silently bias every downstream
     statistic on degenerate input.
     """
-    if X.n < 4:
-        raise TooFewSamples(f"delta_hat needs n >= 4, got n={X.n}")
     _, tr1, tr2, r4, used_gramian = _core(X)
     return _dispersion_from_parts(X.n, tr1, tr2, r4, used_gramian)
 

@@ -314,6 +314,4 @@ def composite_from_summary(rs: RadialSummary, settings: McSettings,
 
 def composite_test(X: DataMatrix, settings: McSettings, squared: bool = False) -> TestReport:
     """Run the composite (range + IQR, Bonferroni) normality test on a sample."""
-    if X.n < 4:
-        raise TooFewSamples(f"composite test needs n >= 4, got n={X.n}")
     return composite_from_summary(radial_summary(X), settings, squared=squared)

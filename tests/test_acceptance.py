@@ -36,6 +36,11 @@ from hdnorm.harness import experiment_from_json, run_experiment
 ROOT = Path(__file__).resolve().parents[1]
 TABLES = ROOT / "tables"
 
+# One recorded row of the table1_desk summary.csv.  It moves if the Philox
+# substreams, the inverse-CDF normals, the covariance draws or the band do.
+TABLE1_GOLDEN_ROW = ("null_gaussian,wishart,100,300,composite,2000,87,0,0.043499999999999997,"
+                     "0.034560356320111632,0.052439643679888362")
+
 
 def record(num: int, name: str, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {num:02d} {name}: {'PASS' if ok else 'FAIL'} ({detail})")
@@ -56,6 +61,7 @@ def table1_cli_run(tmp_path_factory):
                  "--out", str(out), "--threads", "8"])
     elapsed = time.perf_counter() - start
     assert code == 0
+    assert TABLE1_GOLDEN_ROW in (out / "summary.csv").read_text().splitlines()
     return out / "summary.csv", elapsed
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import gaussian_data
 from hdnorm import rng as hrng
+from hdnorm._blas import BLAS_THREAD_VARS, default_to_one_blas_thread
 from hdnorm.cli import main
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "hdnorm" / "schemas"
@@ -229,12 +230,73 @@ class TestCmdSimulate:
             jsonschema.validate(json.loads(spec.read_text()), EXPERIMENT_SCHEMA)
 
 
-def test_cli_import_leaves_out_scipy_linalg_and_spatial():
+def fresh_python(code, *args, **env):
+    """stdout of ``python -c code *args`` in a new process on these sources.
+
+    The BLAS thread-count variables are unset unless given in ``env``.
+    """
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code, *args], env={**base, **env},
+                         capture_output=True, text=True, check=True, timeout=120)
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_out_scipy_linalg_and_spatial():
     code = ("import sys, hdnorm.cli; print(sorted(m for m in sys.modules"
             " if m.startswith(('scipy.linalg', 'scipy.spatial'))))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    assert fresh_python(code) == "[]"
+
+
+class TestLazyPackage:
+    def test_import_loads_no_numpy(self):
+        assert fresh_python("import sys, hdnorm; print('numpy' in sys.modules)") == "False"
+
+    def test_every_public_name_resolves_after_its_submodule_loads(self):
+        # hdnorm.radii is loaded first, as the CLI's imports do: the package
+        # must still export the function radii, not the module.
+        code = ("import json, sys, types, hdnorm.radii, hdnorm\n"
+                "from hdnorm import *\n"
+                "print(json.dumps({\n"
+                "    'modules': [n for n in hdnorm.__all__\n"
+                "                if isinstance(getattr(hdnorm, n), types.ModuleType)],\n"
+                "    'radii': hdnorm.radii is sys.modules['hdnorm.radii'].radii,\n"
+                "    'public': [n for n in dir(hdnorm) if not n.startswith('_')],\n"
+                "    'all': hdnorm.__all__}))")
+        got = json.loads(fresh_python(code))
+        assert got["modules"] == [] and got["radii"]
+        submodules = ["errors", "generators", "harness", "moments", "montecarlo", "radii",
+                      "rng", "teststats"]
+        assert got["public"] == sorted({*got["all"], *submodules})
+
+
+class TestBlasThreads:
+    REPORT_VARS = ("import json, os, sys\n"
+                   "from hdnorm.cli import main\n"
+                   "code = main(sys.argv[1:])\n"
+                   "print(json.dumps([code, {k: os.environ.get(k) for k in %r}]))"
+                   % (BLAS_THREAD_VARS,))
+
+    def run_test(self, csv, tmp_path, **env):
+        args = ["test", str(csv), "--mc", "500", "--out", str(tmp_path / "r.json")]
+        # The last line; the verdict line precedes it.
+        return json.loads(fresh_python(self.REPORT_VARS, *args, **env).splitlines()[-1])
+
+    def test_cli_process_sets_one_thread(self, null_csv, tmp_path):
+        code, env = self.run_test(null_csv, tmp_path)
+        assert code in (0, 3)
+        assert env == dict.fromkeys(BLAS_THREAD_VARS, "1")
+
+    def test_caller_setting_is_kept(self, null_csv, tmp_path):
+        _, env = self.run_test(null_csv, tmp_path, OPENBLAS_NUM_THREADS="3")
+        assert env == {**dict.fromkeys(BLAS_THREAD_VARS, "1"), "OPENBLAS_NUM_THREADS": "3"}
+
+    def test_process_with_numpy_loaded_is_left_alone(self, null_csv, tmp_path, monkeypatch):
+        for var in BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        before = dict(os.environ)
+        default_to_one_blas_thread()
+        assert main(["test", str(null_csv), "--mc", "500",
+                     "--out", str(tmp_path / "r.json")]) in (0, 3)
+        assert dict(os.environ) == before

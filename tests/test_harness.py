@@ -100,6 +100,16 @@ class TestRunExperiment:
                          cells=(CellSpec(tiny, 10), CellSpec(good, 10)))
         assert [key[0] for key in harness._cell_bands(exp)] == [20]
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_cell_with_three_rows_fails_every_replication(self, threads):
+        tiny = Scenario("null_gaussian", 3, 10, CovSpec.identity(10))
+        good = Scenario("null_gaussian", 20, 10, CovSpec.identity(10))
+        exp = Experiment(name="tiny", seed=3, alpha=0.05, mc_replications=500,
+                         cells=(CellSpec(tiny, 10), CellSpec(good, 10)))
+        results = run_experiment(exp, threads=threads)
+        assert results[0].failures == 10 and math.isnan(results[0].rate)
+        assert results[1].failures == 0
+
     def test_failing_cell_counted_not_fatal(self):
         bad = Scenario("mixed_marginals", 20, 10, CovSpec.ar1(10, 0.5))
         good = Scenario("null_gaussian", 20, 10, CovSpec.identity(10))

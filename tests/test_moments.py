@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hdnorm import (
     tr_sigma_sq_oracle,
 )
 from hdnorm import rng as hrng
+from hdnorm.moments import _core
 
 
 def dm(rows) -> DataMatrix:
@@ -116,6 +118,14 @@ class TestTrSigmaSqOracle:
             tr_sigma_sq_oracle(dm(np.random.default_rng(0).normal(size=(9, 2))), max_n=8)
 
 
+class TestFourthPowerSum:
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+    def test_equals_exact_sum_of_python_float_squares(self, scale):
+        # At 1e-150 the squares underflow to 0, at 1e150 they overflow to inf.
+        r2, _, _, r4, _ = _core(dm(scale * gaussian_data(8, 50, 100).values))
+        assert r4 == math.fsum(float(v) * float(v) for v in r2)
+
+
 class TestDeltaHat:
     def test_isotropic_high_dimension(self):
         # Population value is 2 tr(Sigma^2)/tr(Sigma) = 2 for the identity.
@@ -149,6 +159,13 @@ class TestDeltaHat:
             delta_hat(X)
         with pytest.raises(NonPositiveDispersion):
             composite_test(X, McSettings(replications=1000, seed=1, alpha=0.05))
+
+    def test_overflow_raises_without_a_warning(self):
+        X = dm(1e150 * gaussian_data(8, 50, 100).values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonPositiveDispersion):
+                delta_hat(X)
 
     def test_records_path(self, rng_fixture):
         tall = dm(rng_fixture.normal(size=(12, 3)))

@@ -5,7 +5,14 @@ import pytest
 from scipy.stats import kstest
 
 from conftest import gaussian_data, random_orthogonal, similarity_transform
-from hdnorm import DataMatrix, NonPositiveDispersion, radial_summary, radii, standardized_radii
+from hdnorm import (
+    DataMatrix,
+    NonPositiveDispersion,
+    TooFewSamples,
+    radial_summary,
+    radii,
+    standardized_radii,
+)
 from hdnorm import rng as hrng
 
 
@@ -68,6 +75,12 @@ class TestRadialSummary:
     def test_degenerate_propagates(self):
         with pytest.raises(NonPositiveDispersion):
             radial_summary(dm(np.zeros((6, 2))))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_too_few_rows(self, rng_fixture, n):
+        # The tr(Sigma^2) estimate divides by (n - 2)(n - 3).
+        with pytest.raises(TooFewSamples):
+            radial_summary(dm(rng_fixture.normal(size=(n, 5))))
 
 
 class TestStandardizedRadii:
