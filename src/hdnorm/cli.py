@@ -21,24 +21,27 @@ from scipy.special import ndtri
 
 from . import rng
 from .errors import HdnormError
-from .harness import experiment_from_json, results_jsonl, run_experiment, summarize
+from .harness import (
+    _fmt,
+    experiment_from_json,
+    results_jsonl,
+    run_experiment,
+    summarize,
+    whole_number,
+)
 from .moments import DataMatrix
 from .montecarlo import (
     McSettings,
     composite_test,
     decide_iqr,
     decide_range,
-    decision_to_dict,
+    report_dict,
 )
 from .radii import radial_summary, radii as compute_radii
 from .teststats import iqr_statistic, quasi_range_statistic, range_statistic
 
 SCHEMA_VERSION = 1
 DEFAULT_MAX_PAIRS = 1_000_000
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _load_matrix(path: str, header: bool) -> DataMatrix:
@@ -101,19 +104,7 @@ def cmd_test(args) -> int:
         else:
             decision = decide_range(quasi_range_statistic(rs, q), X.n, settings)
             key = "quasi_range"
-        doc = {
-            "n": X.n,
-            "d": X.d,
-            "alpha": settings.alpha,
-            "mc_replications": settings.replications,
-            "seed": settings.seed,
-            "squared": False,
-            "delta_hat": rs.dispersion.delta_hat,
-            "tr_sigma_d": rs.dispersion.tr_sigma_d,
-            "tr_sigma_sq_hat": rs.dispersion.tr_sigma_sq_hat,
-            "used_gramian": rs.dispersion.used_gramian,
-            key: decision_to_dict(decision),
-        }
+        doc = report_dict(X.n, X.d, settings, rs.dispersion, False, {key: decision})
         reject = decision.reject
         detail = f"{key} statistic {decision.statistic.value:.4f}"
 
@@ -201,7 +192,7 @@ def cmd_simulate(args) -> int:
         raise SystemExit2(f"{args.spec} is not valid JSON: {exc}")
     try:
         exp = experiment_from_json(doc)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, HdnormError) as exc:
         raise SystemExit2(f"bad experiment spec: {exc}")
 
     results = run_experiment(exp, threads=args.threads)
@@ -215,12 +206,9 @@ def cmd_simulate(args) -> int:
 
 def _worker_count(raw: str) -> int:
     try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"need a whole number of at least 1, got {raw!r}")
-    return value
+        return whole_number(raw)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"need {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -232,8 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_test = sub.add_parser("test", help="test a CSV dataset (rows = observations)")
     p_test.add_argument("file")
-    p_test.add_argument("--alpha", type=float, default=0.05)
-    p_test.add_argument("--mc", type=int, default=10000, help="Monte-Carlo replications")
+    p_test.add_argument("--alpha", type=float, default=McSettings.alpha)
+    p_test.add_argument("--mc", type=int, default=McSettings.replications,
+                        help="Monte-Carlo replications")
     p_test.add_argument("--seed", type=int, default=0)
     p_test.add_argument("--header", action="store_true", help="skip one header line")
     p_test.add_argument("--out", default="report.json")

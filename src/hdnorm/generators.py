@@ -22,6 +22,9 @@ Scenario families
 ``bai_sarandasa``            factor model with a shared random sign coupling
 ``mixed_marginals``          Gaussian coordinates with a t-distributed block
 
+Each family's parameters and their defaults are listed once, in ``FAMILIES``,
+and each covariance kind's in ``COV_KINDS``.
+
 Samplers are pure functions of an explicit generator stream.  Non-Gaussian
 drivers are pushed through the symmetric square root (or the eigenvector
 factor, for the leptokurtic family) rather than a Cholesky factor, since for
@@ -34,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Mapping, Optional, Tuple
+from typing import Dict, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -44,10 +47,24 @@ from .moments import DataMatrix
 
 _PSD_TOL = 1e-8
 
+# Each covariance kind's parameters and their defaults; None means required.
+COV_KINDS: Dict[str, Dict[str, Optional[float]]] = {
+    "identity": {},
+    "ar1": {"rho": None},
+    "sparse_random": {"density": 0.02, "jitter": 0.05},
+    "wishart": {},
+    "geom_decay": {"rate": 0.93},
+}
+COV_PARAMS = ("rho", "density", "jitter", "rate")
+
 
 @dataclass(frozen=True)
 class CovSpec:
-    """A covariance structure specification; hashable so factors can be cached."""
+    """A covariance structure specification; hashable so factors can be cached.
+
+    Parameters left as None take their kind's default from ``COV_KINDS``;
+    ``seed`` keys the stream of the stochastic kinds.
+    """
 
     kind: str
     d: int
@@ -57,27 +74,23 @@ class CovSpec:
     rate: Optional[float] = None
     seed: int = 0
 
-    @classmethod
-    def identity(cls, d: int) -> "CovSpec":
-        return cls(kind="identity", d=d)
-
-    @classmethod
-    def ar1(cls, d: int, rho: float) -> "CovSpec":
-        return cls(kind="ar1", d=d, rho=float(rho))
-
-    @classmethod
-    def sparse_random(cls, d: int, density: float = 0.02, jitter: float = 0.05,
-                      seed: int = 0) -> "CovSpec":
-        return cls(kind="sparse_random", d=d, density=float(density),
-                   jitter=float(jitter), seed=seed)
-
-    @classmethod
-    def wishart(cls, d: int, seed: int = 0) -> "CovSpec":
-        return cls(kind="wishart", d=d, seed=seed)
-
-    @classmethod
-    def geom_decay(cls, d: int, rate: float = 0.93) -> "CovSpec":
-        return cls(kind="geom_decay", d=d, rate=float(rate))
+    def __post_init__(self):
+        takes = COV_KINDS.get(self.kind)
+        if takes is None:
+            raise InvalidScenarioParams(
+                f"unknown covariance kind {self.kind!r}; choose from {', '.join(COV_KINDS)}")
+        if self.d < 1:
+            raise InvalidScenarioParams(f"dimension must be positive, got {self.d}")
+        for name in COV_PARAMS:
+            value = getattr(self, name)
+            if value is not None and name not in takes:
+                raise InvalidScenarioParams(f"{self.kind} covariance takes no {name!r}")
+            value = takes.get(name) if value is None else float(value)
+            object.__setattr__(self, name, value)
+        if self.kind == "ar1" and not (self.rho is not None and abs(self.rho) < 1.0):
+            raise InvalidScenarioParams(f"ar1 needs |rho| < 1, got {self.rho}")
+        if self.kind == "geom_decay" and not self.rate > 0.0:
+            raise InvalidScenarioParams(f"geom_decay needs a positive rate, got {self.rate}")
 
 
 def _cov_diagonal(spec: CovSpec) -> Optional[np.ndarray]:
@@ -85,8 +98,6 @@ def _cov_diagonal(spec: CovSpec) -> Optional[np.ndarray]:
     if spec.kind == "identity":
         return np.ones(spec.d)
     if spec.kind == "geom_decay":
-        if spec.rate is None or not 0.0 < spec.rate:
-            raise InvalidScenarioParams(f"geom_decay needs a positive rate, got {spec.rate}")
         return spec.rate ** np.arange(1, spec.d + 1)
     return None
 
@@ -108,27 +119,19 @@ def sparse_random_components(spec: CovSpec) -> Tuple[np.ndarray, float]:
 
 def build_covariance(spec: CovSpec) -> np.ndarray:
     """Materialize the covariance matrix for a specification."""
-    if spec.d < 1:
-        raise InvalidScenarioParams(f"dimension must be positive, got {spec.d}")
     diag = _cov_diagonal(spec)
     if diag is not None:
-        if diag.min() < -_PSD_TOL:
-            raise NotPSD(f"diagonal covariance has entry {diag.min()}")
         return np.diag(diag)
     if spec.kind == "ar1":
-        if spec.rho is None or not abs(spec.rho) < 1.0:
-            raise InvalidScenarioParams(f"ar1 needs |rho| < 1, got {spec.rho}")
         lags = np.arange(spec.d)
         cov = (spec.rho ** lags)[abs(lags[:, None] - lags)]
     elif spec.kind == "sparse_random":
         star, delta = sparse_random_components(spec)
         cov = (star + delta * np.eye(spec.d)) / (1.0 + delta)
-    elif spec.kind == "wishart":
+    else:  # wishart
         gen = rng.substream(spec.seed, rng.DOMAIN_COV, _COV_KIND_TAG["wishart"], spec.d)
         W = rng.standard_normal(gen, (spec.d, spec.d))
         cov = (W @ W.T) / spec.d
-    else:
-        raise InvalidScenarioParams(f"unknown covariance kind {spec.kind!r}")
     eigs = np.linalg.eigvalsh(cov)
     if eigs[0] < -_PSD_TOL * max(1.0, eigs[-1]):
         raise NotPSD(f"covariance {spec.kind!r} has eigenvalue {eigs[0]}")
@@ -182,93 +185,122 @@ class Scenario:
     cov: CovSpec
     params: Mapping[str, object] = field(default_factory=dict)
 
-    def param(self, key: str, default=None):
-        return self.params.get(key, default)
+
+class PowerOfD(NamedTuple):
+    """A default of ``coeff * d**exponent``; a spec may give the value itself,
+    or ``<key>_coeff`` and ``<key>_exponent`` in place of either factor."""
+
+    coeff: float
+    exponent: float
 
 
-def _scaled_param(s: Scenario, key: str, default_coeff: float,
-                  default_exponent: float) -> float:
-    """Resolve a parameter given either directly or as coeff * d^exponent."""
-    if key in s.params:
-        return float(s.params[key])
-    coeff = float(s.param(f"{key}_coeff", default_coeff))
-    exponent = float(s.param(f"{key}_exponent", default_exponent))
-    return coeff * float(s.d) ** exponent
+# Each family's parameters and their defaults.
+FAMILIES: Dict[str, Dict[str, object]] = {
+    "null_gaussian": {},
+    "loc_mixture": {"shift": PowerOfD(2.15, -0.25), "weights": (0.5, 0.5)},
+    "cov_mixture": {"gap": PowerOfD(1.4, -0.5), "weights": (0.5, 0.5)},
+    "multivariate_t": {"dof": PowerOfD(1.0, 1.0)},
+    "chisq_marginals": {"dof": 6.0, "standardize": False},
+    "elliptical_uniform_scale": {"sigma0": 1.0, "delta": 0.0},
+    "leptokurtic": {"excess_kurtosis": 1.0},
+    "bai_sarandasa": {},
+    "mixed_marginals": {"t_fraction": 0.5, "t_dof": 25.0},
+}
 
 
-def _weights(s: Scenario) -> Tuple[float, float]:
-    w = s.param("weights", (0.5, 0.5))
-    w1, w2 = float(w[0]), float(w[1])
-    if not (0.0 < w1 < 1.0 and 0.0 < w2 < 1.0 and abs(w1 + w2 - 1.0) < 1e-12):
+def _params(s: Scenario) -> Dict[str, object]:
+    """The scenario's parameters, with its family's defaults filled in and checked.
+
+    The only reader of ``s.params``, so the sampler, the population covariance
+    and the spec parser accept and reject the same scenarios.  Mixed marginals
+    also get ``t_columns``, the width of the t block.
+    """
+    fam, n, d = s.family, s.n, s.d
+    if n < 1 or s.cov.d != d:
+        raise InvalidScenarioParams(f"need n >= 1 and a covariance of dimension d={d}, "
+                                    f"got n={n} and dimension {s.cov.d}")
+    if fam not in FAMILIES:
+        raise InvalidScenarioParams(
+            f"unknown scenario family {fam!r}; choose from {', '.join(FAMILIES)}")
+    given, p = dict(s.params), {}
+    try:
+        for key, default in FAMILIES[fam].items():
+            if isinstance(default, PowerOfD):
+                coeff = float(given.pop(f"{key}_coeff", default.coeff))
+                exponent = float(given.pop(f"{key}_exponent", default.exponent))
+                default = coeff * float(d) ** exponent
+            value = given.pop(key, default)
+            p[key] = (tuple(float(w) for w in value) if isinstance(default, tuple)
+                      else type(default)(value))  # the weights, or a float or a bool
+    except (TypeError, ValueError) as exc:
+        raise InvalidScenarioParams(f"{fam} has a malformed parameter: {exc}") from None
+    if given:
+        raise InvalidScenarioParams(f"{fam} has no parameter {sorted(given)[0]!r}")
+
+    w = p.get("weights")
+    if w is not None and not (len(w) == 2 and 0.0 < w[0] < 1.0 and 0.0 < w[1] < 1.0
+                              and abs(w[0] + w[1] - 1.0) < 1e-12):
         raise InvalidScenarioParams(f"mixture weights must lie in (0,1) and sum to 1, got {w}")
-    return w1, w2
-
-
-def _require_identity_cov(s: Scenario, why: str) -> None:
-    if s.cov.kind != "identity":
-        raise InvalidScenarioParams(f"{s.family} {why}; use an identity covariance spec")
+    if not 0.0 <= p.get("gap", 0.0) < 1.0:
+        raise InvalidScenarioParams(f"scale gap must lie in [0, 1), got {p['gap']}")
+    for key in ("dof", "t_dof", "sigma0"):
+        if not p.get(key, 1.0) > 0.0:
+            raise InvalidScenarioParams(f"{fam} needs {key} > 0, got {p[key]}")
+    if not p.get("delta", 0.0) >= 0.0:
+        raise InvalidScenarioParams(f"{fam} needs delta >= 0, got {p['delta']}")
+    if not 0.0 <= p.get("excess_kurtosis", 0.0) <= 3.0:
+        raise InvalidScenarioParams("excess kurtosis must lie in [0, 3] for the two-point "
+                                    f"calibration, got {p['excess_kurtosis']}")
+    if fam == "mixed_marginals":
+        p["t_columns"] = k = int(round(p["t_fraction"] * d))
+        if not 0.0 < p["t_fraction"] < 1.0 or not 1 <= k <= d - 1:
+            raise InvalidScenarioParams(f"t_fraction {p['t_fraction']} leaves no room at d={d}")
+    untransported = fam == "mixed_marginals" or (fam == "chisq_marginals" and not p["standardize"])
+    if untransported and s.cov.kind != "identity":
+        raise InvalidScenarioParams(f"{fam} draws untransported coordinates; "
+                                    "use an identity covariance spec")
+    return p
 
 
 def sample_scenario(s: Scenario, gen: np.random.Generator) -> DataMatrix:
     """Draw an n x d sample from the scenario using the provided stream."""
-    n, d = s.n, s.d
-    if n < 1 or d < 1:
-        raise InvalidScenarioParams(f"need positive n and d, got n={n}, d={d}")
-    if s.cov.d != d:
-        raise InvalidScenarioParams(f"covariance dimension {s.cov.d} != scenario d={d}")
-    fam = s.family
+    p = _params(s)
+    n, d, fam = s.n, s.d, s.family
 
     if fam == "null_gaussian":
         X = _apply_factor(rng.standard_normal(gen, (n, d)), _factor(s.cov, "chol"))
 
     elif fam == "loc_mixture":
-        shift = _scaled_param(s, "shift", 2.15, -0.25)
-        w1, _ = _weights(s)
-        second = gen.random(n) >= w1
+        second = gen.random(n) >= p["weights"][0]
         X = _apply_factor(rng.standard_normal(gen, (n, d)), _factor(s.cov, "chol"))
-        X = X + np.where(second, shift, 0.0)[:, None]
+        X = X + np.where(second, p["shift"], 0.0)[:, None]
 
     elif fam == "cov_mixture":
-        gap = _scaled_param(s, "gap", 1.4, -0.5)
-        if not 0.0 <= gap < 1.0:
-            raise InvalidScenarioParams(f"scale gap must lie in [0, 1), got {gap}")
-        w1, _ = _weights(s)
-        second = gen.random(n) >= w1
+        gap = p["gap"]
+        second = gen.random(n) >= p["weights"][0]
         scale = np.where(second, math.sqrt(1.0 - gap), math.sqrt(1.0 + gap))
         X = _apply_factor(rng.standard_normal(gen, (n, d)), _factor(s.cov, "chol"))
         X = X * scale[:, None]
 
     elif fam == "multivariate_t":
-        dof = _scaled_param(s, "dof", 1.0, 1.0)
-        if dof <= 0:
-            raise InvalidScenarioParams(f"t needs dof > 0, got {dof}")
+        dof = p["dof"]
         X = _apply_factor(rng.standard_normal(gen, (n, d)), _factor(s.cov, "chol"))
         g = rng.chi_square(gen, dof, n)
         X = X / np.sqrt(g / dof)[:, None]
 
     elif fam == "chisq_marginals":
-        dof = float(s.param("dof", 6.0))
-        if dof <= 0:
-            raise InvalidScenarioParams(f"chi-square needs dof > 0, got {dof}")
-        Y = rng.chi_square(gen, dof, (n, d))
-        if s.param("standardize", False):
-            X = _apply_factor((Y - dof) / math.sqrt(2.0 * dof), _factor(s.cov, "sym"))
-        else:
-            _require_identity_cov(s, "draws raw chi-square coordinates")
-            X = Y
+        dof = p["dof"]
+        X = rng.chi_square(gen, dof, (n, d))
+        if p["standardize"]:
+            X = _apply_factor((X - dof) / math.sqrt(2.0 * dof), _factor(s.cov, "sym"))
 
     elif fam == "elliptical_uniform_scale":
-        sigma0 = float(s.param("sigma0", 1.0))
-        delta = float(s.param("delta", 0.0))
-        if sigma0 <= 0 or delta < 0:
-            raise InvalidScenarioParams(f"need sigma0 > 0 and delta >= 0, got ({sigma0}, {delta})")
         X = _apply_factor(rng.standard_normal(gen, (n, d)), _factor(s.cov, "chol"))
-        eps = sigma0 + delta * gen.random(n)
+        eps = p["sigma0"] + p["delta"] * gen.random(n)
         X = X * eps[:, None]
 
     elif fam == "leptokurtic":
-        excess = float(s.param("excess_kurtosis", 1.0))
-        a2, b2 = _leptokurtic_variances(excess)
+        a2, b2 = _leptokurtic_variances(p["excess_kurtosis"])
         Z = rng.standard_normal(gen, (n, d))
         Z = Z * np.where(gen.random((n, d)) < 0.5, math.sqrt(a2), math.sqrt(b2))
         X = _apply_factor(Z, _factor(s.cov, "eigen"))
@@ -280,20 +312,12 @@ def sample_scenario(s: Scenario, gen: np.random.Generator) -> DataMatrix:
         u = rng.rademacher(gen, n)
         X = _apply_factor(u[:, None] * T, _factor(s.cov, "sym"))
 
-    elif fam == "mixed_marginals":
-        frac = float(s.param("t_fraction", 0.5))
-        t_dof = float(s.param("t_dof", 25.0))
-        k = int(round(frac * d))
-        if not 0.0 < frac < 1.0 or not 1 <= k <= d - 1:
-            raise InvalidScenarioParams(f"t_fraction {frac} leaves no room at d={d}")
-        _require_identity_cov(s, "concatenates standard blocks")
+    else:  # mixed_marginals
+        k, t_dof = p["t_columns"], p["t_dof"]
         Zg = rng.standard_normal(gen, (n, d - k))
         Zt = rng.standard_normal(gen, (n, k))
         g = rng.chi_square(gen, t_dof, n)
         X = np.concatenate([Zg, Zt / np.sqrt(g / t_dof)[:, None]], axis=1)
-
-    else:
-        raise InvalidScenarioParams(f"unknown scenario family {fam!r}")
 
     return DataMatrix.from_array(X)
 
@@ -304,10 +328,6 @@ def _leptokurtic_variances(excess: float) -> Tuple[float, float]:
     Each coordinate is a balanced mixture of N(0, a2) and N(0, b2) with
     a2 = 1 + sqrt(excess/3), b2 = 1 - sqrt(excess/3); feasible for excess in [0, 3].
     """
-    if not 0.0 <= excess <= 3.0:
-        raise InvalidScenarioParams(
-            f"excess kurtosis must lie in [0, 3] for the two-point calibration, got {excess}"
-        )
     root = math.sqrt(excess / 3.0)
     a2, b2 = 1.0 + root, 1.0 - root
     assert abs(0.5 * (a2 + b2) - 1.0) <= 1e-10
@@ -317,41 +337,30 @@ def _leptokurtic_variances(excess: float) -> Tuple[float, float]:
 
 def scenario_covariance(s: Scenario) -> np.ndarray:
     """The population covariance implied by a scenario (for moment checks)."""
+    p = _params(s)
     cov = build_covariance(s.cov)
     fam = s.family
-    if fam in ("null_gaussian", "leptokurtic", "bai_sarandasa"):
-        return cov
     if fam == "loc_mixture":
-        shift = _scaled_param(s, "shift", 2.15, -0.25)
-        w1, w2 = _weights(s)
+        (w1, w2), shift = p["weights"], p["shift"]
         return cov + w1 * w2 * shift * shift * np.ones((s.d, s.d))
     if fam == "cov_mixture":
-        gap = _scaled_param(s, "gap", 1.4, -0.5)
-        w1, w2 = _weights(s)
+        (w1, w2), gap = p["weights"], p["gap"]
         return (w1 * (1.0 + gap) + w2 * (1.0 - gap)) * cov
-    if fam == "multivariate_t":
-        dof = _scaled_param(s, "dof", 1.0, 1.0)
+    if fam in ("multivariate_t", "mixed_marginals"):
+        dof = p["dof"] if fam == "multivariate_t" else p["t_dof"]
         if dof <= 2:
             raise InvalidScenarioParams(f"t covariance finite only for dof > 2, got {dof}")
-        return dof / (dof - 2.0) * cov
-    if fam == "chisq_marginals":
-        dof = float(s.param("dof", 6.0))
-        if s.param("standardize", False):
-            return cov
-        return 2.0 * dof * np.eye(s.d)
-    if fam == "elliptical_uniform_scale":
-        sigma0 = float(s.param("sigma0", 1.0))
-        delta = float(s.param("delta", 0.0))
-        second_moment = sigma0 * sigma0 + sigma0 * delta + delta * delta / 3.0
-        return second_moment * cov
-    if fam == "mixed_marginals":
-        frac = float(s.param("t_fraction", 0.5))
-        t_dof = float(s.param("t_dof", 25.0))
-        k = int(round(frac * s.d))
+        if fam == "multivariate_t":
+            return dof / (dof - 2.0) * cov
         diag = np.ones(s.d)
-        diag[s.d - k:] = t_dof / (t_dof - 2.0)
+        diag[s.d - p["t_columns"]:] = dof / (dof - 2.0)
         return np.diag(diag)
-    raise InvalidScenarioParams(f"unknown scenario family {fam!r}")
+    if fam == "chisq_marginals":
+        return cov if p["standardize"] else 2.0 * p["dof"] * np.eye(s.d)
+    if fam == "elliptical_uniform_scale":
+        sigma0, delta = p["sigma0"], p["delta"]
+        return (sigma0 * sigma0 + sigma0 * delta + delta * delta / 3.0) * cov
+    return cov  # null_gaussian, leptokurtic, bai_sarandasa
 
 
 @dataclass(frozen=True)

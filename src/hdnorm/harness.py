@@ -21,6 +21,7 @@ import json
 import math
 import os
 import time
+from collections import Counter, defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
@@ -29,7 +30,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from . import rng
 from ._blas import BLAS_THREAD_VARS
 from .errors import HdnormError
-from .generators import CovSpec, Scenario, sample_scenario
+from .generators import COV_PARAMS, CovSpec, Scenario, _params, sample_scenario
 from .montecarlo import (
     Band,
     BandKey,
@@ -86,11 +87,19 @@ def default_threads() -> int:
     if not raw:
         return os.cpu_count() or 1
     try:
+        return whole_number(raw)
+    except ValueError as exc:
+        raise ValueError(f"HDNORM_THREADS must be {exc}") from None
+
+
+def whole_number(raw: str) -> int:
+    """``raw`` as a whole number of at least 1, else ``ValueError``."""
+    try:
         value = int(raw)
     except ValueError:
         value = 0
     if value < 1:
-        raise ValueError(f"HDNORM_THREADS must be a whole number of at least 1, got {raw!r}")
+        raise ValueError(f"a whole number of at least 1, got {raw!r}")
     return value
 
 
@@ -227,9 +236,9 @@ def run_experiment(exp: Experiment, threads: Optional[int] = None) -> List[CellR
         for lo in range(0, cell.replications, chunk):
             units.append((ci, lo, min(lo + chunk, cell.replications)))
 
-    rejections: Dict[int, Dict[str, int]] = {}
-    failures: Dict[int, Dict[str, int]] = {}
-    elapsed: Dict[int, float] = {}
+    rejections: Dict[int, Counter] = defaultdict(Counter)
+    failures: Dict[int, Counter] = defaultdict(Counter)
+    elapsed: Dict[int, float] = defaultdict(float)
     bands = _cell_bands(exp)
     workers = worker_count(threads, len(units), cpus)
     if workers == 1:
@@ -238,13 +247,9 @@ def run_experiment(exp: Experiment, threads: Optional[int] = None) -> List[CellR
         outcomes = _process_map(partial(_run_unit, exp), units, workers,
                                 initializer=install_bands, initargs=(bands,))
     for ci, rej, fail, dt in outcomes:
-        cell_rej = rejections.setdefault(ci, {m: 0 for m in exp.cells[ci].methods})
-        cell_fail = failures.setdefault(ci, {m: 0 for m in exp.cells[ci].methods})
-        for m, v in rej.items():
-            cell_rej[m] += v
-        for m, v in fail.items():
-            cell_fail[m] += v
-        elapsed[ci] = elapsed.get(ci, 0.0) + dt
+        rejections[ci].update(rej)
+        failures[ci].update(fail)
+        elapsed[ci] += dt
 
     results: List[CellResult] = []
     for ci, cell in enumerate(exp.cells):
@@ -268,7 +273,7 @@ def run_experiment(exp: Experiment, threads: Optional[int] = None) -> List[CellR
 
 
 def _fmt(x: float) -> str:
-    return format(x, ".17g")
+    return format(float(x), ".17g")
 
 
 def summarize(results: Sequence[CellResult]) -> str:
@@ -322,30 +327,18 @@ def results_jsonl(results: Sequence[CellResult]) -> str:
 # --- JSON (de)serialization of experiment specifications -------------------
 
 def cov_from_json(doc: Mapping) -> CovSpec:
-    kind = doc.get("kind")
-    d = doc.get("d")
+    kind, d = doc.get("kind"), doc.get("d")
     if not isinstance(kind, str) or not isinstance(d, int):
         raise ValueError(f"covariance spec needs a string 'kind' and integer 'd': {doc}")
-    kwargs = {}
-    for key in ("rho", "density", "jitter", "rate"):
-        if key in doc:
-            kwargs[key] = float(doc[key])
-    if "seed" in doc:
-        kwargs["seed"] = int(doc["seed"])
-    if kind == "sparse_random":
-        kwargs.setdefault("density", 0.02)
-        kwargs.setdefault("jitter", 0.05)
-    if kind == "geom_decay":
-        kwargs.setdefault("rate", 0.93)
-    return CovSpec(kind=kind, d=d, **kwargs)
+    unknown = sorted(set(doc) - {"kind", "d", "seed", *COV_PARAMS})
+    if unknown:
+        raise ValueError(f"covariance spec has unknown key {unknown[0]!r}")
+    return CovSpec(kind=kind, d=d, **{k: doc[k] for k in (*COV_PARAMS, "seed") if k in doc})
 
 
 def cov_to_json(spec: CovSpec) -> dict:
     doc = {"kind": spec.kind, "d": spec.d}
-    for key in ("rho", "density", "jitter", "rate"):
-        value = getattr(spec, key)
-        if value is not None:
-            doc[key] = value
+    doc.update((k, getattr(spec, k)) for k in COV_PARAMS if getattr(spec, k) is not None)
     if spec.seed:
         doc["seed"] = spec.seed
     return doc
@@ -360,23 +353,22 @@ def scenario_from_json(doc: Mapping) -> Scenario:
         raise ValueError(f"scenario params must be an object, got {params!r}")
     params = dict(params)
     if "weights" in params:
-        params["weights"] = tuple(float(w) for w in params["weights"])
-    return Scenario(
+        params["weights"] = tuple(params["weights"])  # as a Scenario built in Python holds them
+    scenario = Scenario(
         family=str(doc["family"]),
         n=int(doc["n"]),
         d=int(doc["d"]),
         cov=cov_from_json(doc["cov"]),
         params=params,
     )
+    _params(scenario)  # reject a bad scenario before any work starts
+    return scenario
 
 
 def scenario_to_json(s: Scenario) -> dict:
     doc = {"family": s.family, "n": s.n, "d": s.d, "cov": cov_to_json(s.cov)}
     if s.params:
-        params = dict(s.params)
-        if "weights" in params:
-            params["weights"] = list(params["weights"])
-        doc["params"] = params
+        doc["params"] = dict(s.params)  # JSON writes the weights tuple as a list
     return doc
 
 
@@ -399,7 +391,7 @@ def experiment_from_json(doc: Mapping) -> Experiment:
     return Experiment(
         name=str(doc.get("name", "experiment")),
         seed=int(doc.get("seed", 0)),
-        alpha=float(doc.get("alpha", 0.05)),
-        mc_replications=int(doc.get("mc_replications", 10000)),
+        alpha=float(doc.get("alpha", McSettings.alpha)),
+        mc_replications=int(doc.get("mc_replications", McSettings.replications)),
         cells=tuple(cells),
     )

@@ -268,21 +268,28 @@ class TestReport:
     composite_reject: bool
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "alpha": self.alpha,
-            "mc_replications": self.settings.replications,
-            "seed": self.settings.seed,
-            "squared": self.squared,
-            "delta_hat": self.dispersion.delta_hat,
-            "tr_sigma_d": self.dispersion.tr_sigma_d,
-            "tr_sigma_sq_hat": self.dispersion.tr_sigma_sq_hat,
-            "used_gramian": self.dispersion.used_gramian,
-            "range": decision_to_dict(self.range_decision),
-            "iqr": decision_to_dict(self.iqr_decision),
-            "composite": {"reject": self.composite_reject},
-        }
+        doc = report_dict(self.n, self.d, self.settings, self.dispersion, self.squared,
+                          {"range": self.range_decision, "iqr": self.iqr_decision})
+        return {**doc, "composite": {"reject": self.composite_reject}}
+
+
+def report_dict(n: int, d: int, settings: McSettings, dispersion: DispersionEstimate,
+                squared: bool, decisions: Mapping[str, Decision]) -> dict:
+    """A report's fields: the sample shape, the Monte-Carlo settings, the
+    dispersion estimate, then one entry per sub-test decision, in order."""
+    return {
+        "n": n,
+        "d": d,
+        "alpha": settings.alpha,
+        "mc_replications": settings.replications,
+        "seed": settings.seed,
+        "squared": squared,
+        "delta_hat": dispersion.delta_hat,
+        "tr_sigma_d": dispersion.tr_sigma_d,
+        "tr_sigma_sq_hat": dispersion.tr_sigma_sq_hat,
+        "used_gramian": dispersion.used_gramian,
+        **{key: decision_to_dict(decision) for key, decision in decisions.items()},
+    }
 
 
 def composite_from_summary(rs: RadialSummary, settings: McSettings,

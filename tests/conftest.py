@@ -48,7 +48,7 @@ def rejection_rate(scenario: Scenario, replications: int, settings: McSettings,
 
 
 def null_scenario(n: int, d: int) -> Scenario:
-    return Scenario(family="null_gaussian", n=n, d=d, cov=CovSpec.identity(d))
+    return Scenario(family="null_gaussian", n=n, d=d, cov=CovSpec("identity", d))
 
 
 @pytest.fixture

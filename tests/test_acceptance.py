@@ -6,6 +6,7 @@ lines as they complete).  The heavy simulation grids are bundled as JSON specs
 under tables/ and shared across criteria through session fixtures.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -31,7 +32,7 @@ from hdnorm import (
 )
 from hdnorm import rng as hrng
 from hdnorm.cli import main
-from hdnorm.harness import experiment_from_json, run_experiment
+from hdnorm.harness import experiment_from_json, run_experiment, summarize
 
 ROOT = Path(__file__).resolve().parents[1]
 TABLES = ROOT / "tables"
@@ -41,15 +42,31 @@ TABLES = ROOT / "tables"
 TABLE1_GOLDEN_ROW = ("null_gaussian,wishart,100,300,composite,2000,87,0,0.043499999999999997,"
                      "0.034560356320111632,0.052439643679888362")
 
+# sha256 of each bundled spec's summary.csv, recorded before the scenario
+# registry replaced the per-family parameter code.  They also move with the
+# alternative samplers and their parameter defaults.
+SUMMARY_SHA256 = {
+    "table1_desk": "a39efb5d3256fa1ef85a261d81c6e81735dcdbdebc44053e66bb108839ede4da",
+    "power_desk": "4f0e4ca0799ad2731a442732f5f61f25a415089fec5b105ff914756dd6eb2f1b",
+    "highdim_desk": "c818e692e4279346defa39b97816f87c11cd971426df008271f772ea3c0d2a0d",
+    "squared_contrast_desk": "ec8d706169649dc3684480c765c3f9dde1bc059f895b821da1963161f94ec5ee",
+}
+
 
 def record(num: int, name: str, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {num:02d} {name}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"criterion {num} ({name}): {detail}"
 
 
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def run_bundled(spec_name: str):
-    doc = json.loads((TABLES / spec_name).read_text())
-    return run_experiment(experiment_from_json(doc))
+    doc = json.loads((TABLES / f"{spec_name}.json").read_text())
+    results = run_experiment(experiment_from_json(doc))
+    assert sha256(summarize(results)) == SUMMARY_SHA256[spec_name]
+    return results
 
 
 @pytest.fixture(scope="session")
@@ -61,23 +78,25 @@ def table1_cli_run(tmp_path_factory):
                  "--out", str(out), "--threads", "8"])
     elapsed = time.perf_counter() - start
     assert code == 0
-    assert TABLE1_GOLDEN_ROW in (out / "summary.csv").read_text().splitlines()
+    text = (out / "summary.csv").read_text()
+    assert TABLE1_GOLDEN_ROW in text.splitlines()
+    assert sha256(text) == SUMMARY_SHA256["table1_desk"]
     return out / "summary.csv", elapsed
 
 
 @pytest.fixture(scope="session")
 def power_results():
-    return run_bundled("power_desk.json")
+    return run_bundled("power_desk")
 
 
 @pytest.fixture(scope="session")
 def highdim_results():
-    return run_bundled("highdim_desk.json")
+    return run_bundled("highdim_desk")
 
 
 @pytest.fixture(scope="session")
 def squared_results():
-    return run_bundled("squared_contrast_desk.json")
+    return run_bundled("squared_contrast_desk")
 
 
 def test_criterion_01_type_i_error_table1(table1_cli_run):

@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from conftest import gaussian_data
+from hdnorm import generators
 from hdnorm import rng as hrng
 from hdnorm._blas import BLAS_THREAD_VARS, default_to_one_blas_thread
 from hdnorm.cli import main
+from hdnorm.harness import experiment_from_json
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "hdnorm" / "schemas"
 REPORT_SCHEMA = json.loads((SCHEMA_DIR / "report-v1.schema.json").read_text())
@@ -57,6 +59,17 @@ class TestCmdTest:
         assert code in (0, 3)
         if stats == "quasi:2":
             assert doc["quasi_range"]["q"] == 2
+
+    def test_single_statistic_report_has_the_composite_shape(self, null_csv, tmp_path):
+        docs = {}
+        for stats in ("composite", "range"):
+            out = tmp_path / f"{stats}.json"
+            main(["test", str(null_csv), "--mc", "1000", "--stats", stats, "--out", str(out)])
+            docs[stats] = json.loads(out.read_text())
+        single, composite = docs["range"], docs["composite"]
+        head = list(single)[:list(single).index("range")]
+        assert head == list(composite)[:len(head)]
+        assert all(single[k] == composite[k] for k in head if k != "statistics")
 
     def test_header_flag(self, tmp_path):
         X = gaussian_data(11, 30, 8)
@@ -224,10 +237,40 @@ class TestCmdSimulate:
         path.write_text("{not json")
         assert main(["simulate", str(path)]) == 1
 
+    @pytest.mark.parametrize("field, value, named", [
+        ("family", "loc_mixtur", "'loc_mixtur'"),
+        ("cov", {"kind": "identty", "d": 20}, "'identty'"),
+        ("params", {"shfit": 5.0}, "'shfit'"),
+    ])
+    def test_unknown_name_exits_one_before_any_work(self, tmp_path, capsys, field, value,
+                                                    named):
+        doc = json.loads(self.make_spec(tmp_path).read_text())
+        scenario = doc["cells"][1]["scenario"]
+        scenario.update(family="loc_mixture", params={})
+        scenario[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path), "--out", str(tmp_path / "res")]) == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "res").exists()
+
     def test_bundled_specs_validate(self):
-        tables = Path(__file__).resolve().parents[1] / "tables"
-        for spec in sorted(tables.glob("*.json")):
-            jsonschema.validate(json.loads(spec.read_text()), EXPERIMENT_SCHEMA)
+        root = Path(__file__).resolve().parents[1]
+        specs = sorted(root.glob("tables/*.json")) + sorted(root.glob("perfbench/specs/*.json"))
+        assert len(specs) >= 7
+        for spec in specs:
+            doc = json.loads(spec.read_text())
+            jsonschema.validate(doc, EXPERIMENT_SCHEMA)
+            experiment_from_json(doc)
+
+    def test_schema_enums_match_the_registry(self):
+        scenario = EXPERIMENT_SCHEMA["$defs"]["scenario"]["properties"]
+        cov = EXPERIMENT_SCHEMA["$defs"]["cov"]["properties"]
+        assert scenario["family"]["enum"] == list(generators.FAMILIES)
+        assert cov["kind"]["enum"] == list(generators.COV_KINDS)
+        assert set(cov) == {"kind", "d", "seed", *generators.COV_PARAMS}
+        for name in (*generators.FAMILIES, *generators.COV_KINDS):
+            assert f"``{name}``" in generators.__doc__
 
 
 def fresh_python(code, *args, **env):

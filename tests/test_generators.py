@@ -16,6 +16,7 @@ from hdnorm import (
     sample_scenario,
     scenario_covariance,
 )
+from hdnorm import generators
 from hdnorm import rng as hrng
 from hdnorm.generators import sparse_random_components
 
@@ -26,24 +27,24 @@ def draw(scenario, seed=0, rep=0):
 
 class TestBuildCovariance:
     def test_identity(self):
-        np.testing.assert_array_equal(build_covariance(CovSpec.identity(5)), np.eye(5))
+        np.testing.assert_array_equal(build_covariance(CovSpec("identity", 5)), np.eye(5))
 
     def test_ar1_small(self):
-        cov = build_covariance(CovSpec.ar1(3, 0.5))
+        cov = build_covariance(CovSpec("ar1", 3, rho=0.5))
         np.testing.assert_allclose(
             cov, [[1.0, 0.5, 0.25], [0.5, 1.0, 0.5], [0.25, 0.5, 1.0]], rtol=1e-15)
 
     def test_ar1_requires_contraction(self):
         with pytest.raises(InvalidScenarioParams):
-            build_covariance(CovSpec.ar1(4, 1.0))
+            build_covariance(CovSpec("ar1", 4, rho=1.0))
 
     def test_geom_decay_diagonal(self):
-        cov = build_covariance(CovSpec.geom_decay(4, rate=0.93))
+        cov = build_covariance(CovSpec("geom_decay", 4, rate=0.93))
         np.testing.assert_allclose(np.diag(cov), 0.93 ** np.arange(1, 5), rtol=1e-15)
         assert np.all(cov[~np.eye(4, dtype=bool)] == 0.0)
 
     def test_sparse_random_min_eigenvalue_bound(self):
-        spec = CovSpec.sparse_random(60, seed=3)
+        spec = CovSpec("sparse_random", 60, seed=3)
         _, delta = sparse_random_components(spec)
         cov = build_covariance(spec)
         lam_min = float(np.linalg.eigvalsh(cov)[0])
@@ -51,16 +52,35 @@ class TestBuildCovariance:
 
     def test_sparse_random_not_psd_with_negative_jitter(self):
         with pytest.raises(NotPSD):
-            build_covariance(CovSpec.sparse_random(40, density=0.5, jitter=-10.0, seed=1))
+            build_covariance(CovSpec("sparse_random", 40, density=0.5, jitter=-10.0, seed=1))
 
     def test_wishart_is_symmetric_psd(self):
-        cov = build_covariance(CovSpec.wishart(30, seed=4))
+        cov = build_covariance(CovSpec("wishart", 30, seed=4))
         np.testing.assert_allclose(cov, cov.T, rtol=1e-12)
         assert np.linalg.eigvalsh(cov)[0] >= -1e-10
 
     def test_unknown_kind(self):
         with pytest.raises(InvalidScenarioParams):
             build_covariance(CovSpec(kind="magic", d=3))
+
+    def test_kind_defaults_fill_unset_parameters(self):
+        spec = CovSpec("sparse_random", 6)
+        assert spec == CovSpec("sparse_random", 6, density=0.02, jitter=0.05)
+        np.testing.assert_array_equal(
+            build_covariance(spec),
+            build_covariance(CovSpec("sparse_random", 6, density=0.02, jitter=0.05)))
+        assert CovSpec("geom_decay", 3) == CovSpec("geom_decay", 3, rate=0.93)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"kind": "identity", "d": 4, "rho": 0.5},
+        {"kind": "ar1", "d": 4},
+        {"kind": "ar1", "d": 4, "rate": 0.9, "rho": 0.5},
+        {"kind": "geom_decay", "d": 4, "rate": 0.0},
+        {"kind": "wishart", "d": 0},
+    ])
+    def test_bad_spec_rejected_on_construction(self, kwargs):
+        with pytest.raises(InvalidScenarioParams):
+            CovSpec(**kwargs)
 
 
 class TestEffectiveRanks:
@@ -104,8 +124,8 @@ class TestEffectiveRanks:
 
 def scenario_cases():
     d = 10
-    ar = CovSpec.ar1(d, 0.5)
-    ident = CovSpec.identity(d)
+    ar = CovSpec("ar1", d, rho=0.5)
+    ident = CovSpec("identity", d)
     return [
         Scenario("null_gaussian", 50_000, d, ar),
         Scenario("loc_mixture", 50_000, d, ident),
@@ -113,7 +133,7 @@ def scenario_cases():
         Scenario("multivariate_t", 50_000, d, ar, {"dof": 10.0}),
         Scenario("chisq_marginals", 50_000, d, ident, {"dof": 6.0}),
         Scenario("chisq_marginals", 50_000, d,
-                 CovSpec.sparse_random(d, seed=5), {"dof": 6.0, "standardize": True}),
+                 CovSpec("sparse_random", d, seed=5), {"dof": 6.0, "standardize": True}),
         Scenario("elliptical_uniform_scale", 50_000, d, ar, {"sigma0": 1.0, "delta": 0.5}),
         Scenario("leptokurtic", 50_000, d, ar, {"excess_kurtosis": 1.0}),
         Scenario("bai_sarandasa", 50_000, d, ar),
@@ -137,87 +157,132 @@ class TestSamplerMoments:
             assert np.max(np.abs(sample_cov - target)) <= 0.05
 
     def test_loc_mixture_mean(self):
-        s = Scenario("loc_mixture", 50_000, 10, CovSpec.identity(10))
+        s = Scenario("loc_mixture", 50_000, 10, CovSpec("identity", 10))
         X = draw(s, seed=101)
         shift = 2.15 * 10 ** -0.25
         np.testing.assert_allclose(X.values.mean(axis=0), 0.5 * shift * np.ones(10),
                                    atol=0.03)
 
     def test_deterministic_given_stream(self):
-        s = Scenario("multivariate_t", 200, 30, CovSpec.ar1(30, 0.5), {"dof": 15.0})
+        s = Scenario("multivariate_t", 200, 30, CovSpec("ar1", 30, rho=0.5), {"dof": 15.0})
         assert np.array_equal(draw(s, seed=7).values, draw(s, seed=7).values)
         assert not np.array_equal(draw(s, seed=7).values, draw(s, seed=8).values)
 
 
 class TestLeptokurtic:
     def test_pooled_fourth_moment(self):
-        s = Scenario("leptokurtic", 20_000, 10, CovSpec.identity(10),
+        s = Scenario("leptokurtic", 20_000, 10, CovSpec("identity", 10),
                      {"excess_kurtosis": 1.5})
         Z = draw(s, seed=9).values.ravel()
         assert float(np.mean(Z ** 2)) == pytest.approx(1.0, abs=0.02)
         assert float(np.mean(Z ** 4)) == pytest.approx(4.5, abs=0.15)
 
     def test_excess_kurtosis_bounds(self):
-        s = Scenario("leptokurtic", 10, 4, CovSpec.identity(4), {"excess_kurtosis": 3.5})
+        s = Scenario("leptokurtic", 10, 4, CovSpec("identity", 4), {"excess_kurtosis": 3.5})
         with pytest.raises(InvalidScenarioParams):
             draw(s)
 
 
 class TestScenarioGuards:
     def test_bad_weights(self):
-        s = Scenario("loc_mixture", 10, 4, CovSpec.identity(4),
+        s = Scenario("loc_mixture", 10, 4, CovSpec("identity", 4),
                      {"weights": (0.7, 0.7)})
         with pytest.raises(InvalidScenarioParams):
             draw(s)
 
     def test_bad_dof(self):
-        s = Scenario("multivariate_t", 10, 4, CovSpec.identity(4), {"dof": -1.0})
+        s = Scenario("multivariate_t", 10, 4, CovSpec("identity", 4), {"dof": -1.0})
         with pytest.raises(InvalidScenarioParams):
             draw(s)
 
     def test_raw_chisq_needs_identity(self):
-        s = Scenario("chisq_marginals", 10, 4, CovSpec.ar1(4, 0.5), {"dof": 6.0})
+        s = Scenario("chisq_marginals", 10, 4, CovSpec("ar1", 4, rho=0.5), {"dof": 6.0})
         with pytest.raises(InvalidScenarioParams):
             draw(s)
 
     def test_mixed_marginals_needs_identity_and_room(self):
         with pytest.raises(InvalidScenarioParams):
-            draw(Scenario("mixed_marginals", 10, 4, CovSpec.ar1(4, 0.5)))
+            draw(Scenario("mixed_marginals", 10, 4, CovSpec("ar1", 4, rho=0.5)))
         with pytest.raises(InvalidScenarioParams):
-            draw(Scenario("mixed_marginals", 10, 4, CovSpec.identity(4),
+            draw(Scenario("mixed_marginals", 10, 4, CovSpec("identity", 4),
                           {"t_fraction": 0.01}))
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidScenarioParams):
-            draw(Scenario("null_gaussian", 10, 4, CovSpec.identity(5)))
+            draw(Scenario("null_gaussian", 10, 4, CovSpec("identity", 5)))
 
     def test_unknown_family(self):
         with pytest.raises(InvalidScenarioParams):
-            draw(Scenario("mystery", 10, 4, CovSpec.identity(4)))
+            draw(Scenario("mystery", 10, 4, CovSpec("identity", 4)))
+
+    @pytest.mark.parametrize("scenario", [
+        Scenario("cov_mixture", 10, 4, CovSpec("identity", 4), {"gap": 1.5}),
+        Scenario("elliptical_uniform_scale", 10, 4, CovSpec("identity", 4), {"sigma0": -1.0}),
+        Scenario("mixed_marginals", 10, 4, CovSpec("identity", 4), {"t_fraction": 0.01}),
+        Scenario("chisq_marginals", 10, 4, CovSpec("ar1", 4, rho=0.5)),
+        Scenario("mixed_marginals", 10, 4, CovSpec("ar1", 4, rho=0.5)),
+        Scenario("mixed_marginals", 10, 4, CovSpec("identity", 4), {"t_dof": 0.0}),
+        Scenario("mixed_marginals", 10, 4, CovSpec("identity", 4), {"t_dof": -1.0}),
+    ], ids=lambda s: s.family)
+    def test_population_covariance_rejects_what_the_sampler_rejects(self, scenario):
+        with pytest.raises(InvalidScenarioParams):
+            draw(scenario)
+        with pytest.raises(InvalidScenarioParams):
+            scenario_covariance(scenario)
+
+    @pytest.mark.parametrize("params", [
+        {"shfit": 1.0},
+        {"gap": 0.3},
+        {"shift": "wide"},
+        {"weights": (0.5, 0.5, 0.0)},
+        {"weights": 0.5},
+    ])
+    def test_unknown_or_malformed_param_rejected(self, params):
+        s = Scenario("loc_mixture", 10, 4, CovSpec("identity", 4), params)
+        with pytest.raises(InvalidScenarioParams):
+            draw(s)
+        with pytest.raises(InvalidScenarioParams):
+            scenario_covariance(s)
+
+    def test_t_block_covariance_needs_more_than_two_dof(self):
+        s = Scenario("mixed_marginals", 10, 4, CovSpec("identity", 4), {"t_dof": 2.0})
+        draw(s)
+        with pytest.raises(InvalidScenarioParams):
+            scenario_covariance(s)
+
+    def test_power_of_d_default_takes_coeff_and_exponent(self):
+        def shift(params):
+            s = Scenario("loc_mixture", 10, 16, CovSpec("identity", 16), params)
+            return generators._params(s)["shift"]
+
+        assert shift({}) == 2.15 * 16.0 ** -0.25
+        assert shift({"shift_coeff": 3.0}) == 3.0 * 16.0 ** -0.25
+        assert shift({"shift_exponent": -0.5}) == 2.15 * 16.0 ** -0.5
+        assert shift({"shift": 0.7, "shift_coeff": 3.0}) == 0.7
 
 
 class TestScenarioPower:
     def test_degenerate_loc_mixture_keeps_size(self):
-        s = Scenario("loc_mixture", 100, 100, CovSpec.identity(100), {"shift": 0.0})
+        s = Scenario("loc_mixture", 100, 100, CovSpec("identity", 100), {"shift": 0.0})
         settings = McSettings(replications=4000, seed=21, alpha=0.05)
         rate = rejection_rate(s, 500, settings, seed=300)
         assert rate == pytest.approx(0.05, abs=0.025)
 
     def test_near_gaussian_t_keeps_size(self):
-        s = Scenario("multivariate_t", 100, 100, CovSpec.identity(100), {"dof": 1e6})
+        s = Scenario("multivariate_t", 100, 100, CovSpec("identity", 100), {"dof": 1e6})
         settings = McSettings(replications=10000, seed=22, alpha=0.05)
         rate = rejection_rate(s, 2000, settings, seed=301)
         assert rate == pytest.approx(0.05, abs=0.02)
 
     def test_scale_mixture_power(self):
-        s = Scenario("cov_mixture", 100, 100, CovSpec.identity(100),
+        s = Scenario("cov_mixture", 100, 100, CovSpec("identity", 100),
                      {"gap_coeff": 1.8, "gap_exponent": -0.5})
         settings = McSettings(replications=10000, seed=23, alpha=0.05)
         rate = rejection_rate(s, 1000, settings, seed=302)
         assert rate >= 0.99
 
     def test_mixed_marginals_power(self):
-        s = Scenario("mixed_marginals", 100, 100, CovSpec.identity(100),
+        s = Scenario("mixed_marginals", 100, 100, CovSpec("identity", 100),
                      {"t_fraction": 0.5})
         settings = McSettings(replications=4000, seed=24, alpha=0.05)
         rate = rejection_rate(s, 300, settings, seed=303)
@@ -226,7 +291,7 @@ class TestScenarioPower:
     def test_mixed_marginals_partial_fraction_anchor(self):
         # Regression anchor: a 0.3 fraction of heavy-tailed coordinates at
         # n=d=100 rejects at roughly a half rate (0.49 in a 10k reference run).
-        s = Scenario("mixed_marginals", 100, 100, CovSpec.identity(100),
+        s = Scenario("mixed_marginals", 100, 100, CovSpec("identity", 100),
                      {"t_fraction": 0.3})
         settings = McSettings(replications=4000, seed=25, alpha=0.05)
         rate = rejection_rate(s, 400, settings, seed=304)
@@ -235,7 +300,7 @@ class TestScenarioPower:
     def test_unbalanced_loc_mixture_power(self):
         # A 5% contaminating component shifted by 1 in every coordinate is
         # caught by the extreme radii nearly always at n=d=100.
-        s = Scenario("loc_mixture", 100, 100, CovSpec.identity(100),
+        s = Scenario("loc_mixture", 100, 100, CovSpec("identity", 100),
                      {"shift": 1.0, "weights": (0.95, 0.05)})
         settings = McSettings(replications=4000, seed=26, alpha=0.05)
         rate = rejection_rate(s, 300, settings, seed=305)

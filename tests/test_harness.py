@@ -29,7 +29,7 @@ from hdnorm.harness import (
 
 
 def small_experiment(methods=("composite",), seed=42):
-    ident = CovSpec.identity(30)
+    ident = CovSpec("identity", 30)
     return Experiment(
         name="unit",
         seed=seed,
@@ -94,16 +94,16 @@ class TestRunExperiment:
         assert [r.method for r in results] == ["composite", "squared"] * 2
 
     def test_cell_whose_band_fails_is_left_out_of_prebuilt_bands(self):
-        tiny = Scenario("null_gaussian", 2, 10, CovSpec.identity(10))
-        good = Scenario("null_gaussian", 20, 10, CovSpec.identity(10))
+        tiny = Scenario("null_gaussian", 2, 10, CovSpec("identity", 10))
+        good = Scenario("null_gaussian", 20, 10, CovSpec("identity", 10))
         exp = Experiment(name="tiny", seed=3, alpha=0.05, mc_replications=500,
                          cells=(CellSpec(tiny, 10), CellSpec(good, 10)))
         assert [key[0] for key in harness._cell_bands(exp)] == [20]
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_cell_with_three_rows_fails_every_replication(self, threads):
-        tiny = Scenario("null_gaussian", 3, 10, CovSpec.identity(10))
-        good = Scenario("null_gaussian", 20, 10, CovSpec.identity(10))
+        tiny = Scenario("null_gaussian", 3, 10, CovSpec("identity", 10))
+        good = Scenario("null_gaussian", 20, 10, CovSpec("identity", 10))
         exp = Experiment(name="tiny", seed=3, alpha=0.05, mc_replications=500,
                          cells=(CellSpec(tiny, 10), CellSpec(good, 10)))
         results = run_experiment(exp, threads=threads)
@@ -111,8 +111,8 @@ class TestRunExperiment:
         assert results[1].failures == 0
 
     def test_failing_cell_counted_not_fatal(self):
-        bad = Scenario("mixed_marginals", 20, 10, CovSpec.ar1(10, 0.5))
-        good = Scenario("null_gaussian", 20, 10, CovSpec.identity(10))
+        bad = Scenario("mixed_marginals", 20, 10, CovSpec("ar1", 10, rho=0.5))
+        good = Scenario("null_gaussian", 20, 10, CovSpec("identity", 10))
         exp = Experiment(name="mixed", seed=3, alpha=0.05, mc_replications=500,
                          cells=(CellSpec(bad, 10), CellSpec(good, 10)))
         results = run_experiment(exp, threads=2)
@@ -216,8 +216,8 @@ class TestSummarize:
         assert len(lines) == 2
 
     def test_rows_sorted_by_key(self):
-        ident20 = CovSpec.identity(20)
-        ident10 = CovSpec.identity(10)
+        ident20 = CovSpec("identity", 20)
+        ident10 = CovSpec("identity", 10)
         exp = Experiment(
             name="sorted", seed=9, alpha=0.05, mc_replications=500,
             cells=(
@@ -255,13 +255,13 @@ class TestSummarize:
 
 class TestJsonSpecs:
     def test_cov_round_trip(self):
-        for spec in (CovSpec.identity(8), CovSpec.ar1(8, 0.9),
-                     CovSpec.sparse_random(8, seed=3), CovSpec.wishart(8, seed=2),
-                     CovSpec.geom_decay(8, rate=0.9)):
+        for spec in (CovSpec("identity", 8), CovSpec("ar1", 8, rho=0.9),
+                     CovSpec("sparse_random", 8, seed=3), CovSpec("wishart", 8, seed=2),
+                     CovSpec("geom_decay", 8, rate=0.9)):
             assert cov_from_json(cov_to_json(spec)) == spec
 
     def test_scenario_round_trip(self):
-        s = Scenario("loc_mixture", 50, 20, CovSpec.identity(20),
+        s = Scenario("loc_mixture", 50, 20, CovSpec("identity", 20),
                      {"shift_coeff": 2.15, "shift_exponent": -0.25,
                       "weights": (0.3, 0.7)})
         back = scenario_from_json(json.loads(json.dumps(scenario_to_json(s))))
@@ -288,7 +288,7 @@ class TestPowerMonotone:
     def test_loc_mixture_power_monotone_in_separation(self):
         full_shift = 2.15 * 300 ** -0.25
         cells = tuple(
-            CellSpec(Scenario("loc_mixture", 100, 300, CovSpec.identity(300),
+            CellSpec(Scenario("loc_mixture", 100, 300, CovSpec("identity", 300),
                               {"shift": s}), 250)
             for s in (0.0, 0.5 * full_shift, full_shift)
         )

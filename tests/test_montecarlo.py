@@ -250,7 +250,7 @@ class TestComposite:
 
     def test_null_size_ar1_covariance(self):
         scenario = Scenario(family="null_gaussian", n=100, d=100,
-                            cov=CovSpec.ar1(100, 0.5))
+                            cov=CovSpec("ar1", 100, rho=0.5))
         settings = McSettings(replications=10000, seed=8, alpha=0.05)
         rate = rejection_rate(scenario, 2000, settings, seed=81)
         assert rate == pytest.approx(0.049, abs=0.015)
