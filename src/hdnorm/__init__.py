@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 # Every public name, by the submodule that defines it.
 _EXPORTS = {
     "errors": ("DegenerateData", "DegenerateDataWarning", "HdnormError", "InvalidQuantileOrder",
-               "InvalidScenarioParams", "NonPositiveDispersion", "NotPSD",
+               "InvalidScenarioParams", "NonFiniteData", "NonPositiveDispersion", "NotPSD",
                "OracleSizeExceeded", "TooFewSamples", "ZeroMatrix"),
     "generators": ("CovSpec", "EffectiveRanks", "Scenario", "build_covariance",
                    "effective_ranks", "sample_scenario", "scenario_covariance"),

@@ -20,7 +20,8 @@ import numpy as np  # noqa: E402
 from scipy.special import ndtri
 
 from . import rng
-from .errors import HdnormError
+from ._csvparse import load_csv
+from .errors import HdnormError, NonFiniteData
 from .harness import (
     _fmt,
     experiment_from_json,
@@ -45,23 +46,22 @@ DEFAULT_MAX_PAIRS = 1_000_000
 
 
 def _load_matrix(path: str, header: bool) -> DataMatrix:
+    skip = 1 if header else 0
     try:
-        values = np.loadtxt(path, delimiter=",", skiprows=1 if header else 0, ndmin=2)
+        values = load_csv(path, skip)
     except OSError as exc:
         raise SystemExit2(f"cannot read {path}: {exc}")
     except ValueError as exc:
         raise SystemExit2(f"cannot parse {path} as a numeric CSV: {exc}")
     if values.size == 0:
         raise SystemExit2(f"{path} contains no data rows")
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        r, c = bad[0]
-        line = int(r) + 1 + (1 if header else 0)
+    try:
+        return DataMatrix.from_array(values)
+    except NonFiniteData as exc:
         raise SystemExit2(
-            f"non-finite value in {path} at data row {int(r) + 1}, column {int(c) + 1}"
-            f" (file line {line})"
+            f"non-finite value in {path} at data row {exc.row}, column {exc.column}"
+            f" (file line {exc.row + skip})"
         )
-    return DataMatrix.from_array(values)
 
 
 class SystemExit2(Exception):

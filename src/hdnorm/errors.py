@@ -13,6 +13,22 @@ class DegenerateData(HdnormError):
     """Raised when the sample carries no usable variation."""
 
 
+class NonFiniteData(HdnormError, ValueError):
+    """Raised when a sample matrix holds a NaN or an infinity.
+
+    ``row`` and ``column`` locate the first one in row-major order, counting
+    from 1.  It is also a ``ValueError``, which callers caught before it had a
+    type of its own.
+    """
+
+    def __init__(self, row: int, column: int):
+        super().__init__(row, column)
+        self.row, self.column = row, column
+
+    def __str__(self) -> str:
+        return f"non-finite entry at row {self.row}, column {self.column}"
+
+
 class NonPositiveDispersion(HdnormError):
     """Raised when the dispersion-index estimate is not strictly positive.
 

@@ -326,13 +326,29 @@ def results_jsonl(results: Sequence[CellResult]) -> str:
 
 # --- JSON (de)serialization of experiment specifications -------------------
 
+# The keys each object of an experiment spec may hold, as its JSON schema lists them.
+SPEC_KEYS = {
+    "experiment": ("name", "seed", "alpha", "mc_replications", "replications", "cells"),
+    "cell": ("scenario", "replications", "methods"),
+    "scenario": ("family", "n", "d", "cov", "params"),
+    "cov": ("kind", "d", "seed", *COV_PARAMS),
+}
+
+
+def _check_keys(doc, kind: str, what: str) -> None:
+    """Reject a spec object that is not a JSON object or holds a key outside SPEC_KEYS."""
+    if not isinstance(doc, Mapping):
+        raise ValueError(f"{what} must be a JSON object, got {doc!r}")
+    unknown = sorted(set(doc) - set(SPEC_KEYS[kind]))
+    if unknown:
+        raise ValueError(f"{what} has unknown key {unknown[0]!r}")
+
+
 def cov_from_json(doc: Mapping) -> CovSpec:
+    _check_keys(doc, "cov", "covariance spec")
     kind, d = doc.get("kind"), doc.get("d")
     if not isinstance(kind, str) or not isinstance(d, int):
         raise ValueError(f"covariance spec needs a string 'kind' and integer 'd': {doc}")
-    unknown = sorted(set(doc) - {"kind", "d", "seed", *COV_PARAMS})
-    if unknown:
-        raise ValueError(f"covariance spec has unknown key {unknown[0]!r}")
     return CovSpec(kind=kind, d=d, **{k: doc[k] for k in (*COV_PARAMS, "seed") if k in doc})
 
 
@@ -345,6 +361,7 @@ def cov_to_json(spec: CovSpec) -> dict:
 
 
 def scenario_from_json(doc: Mapping) -> Scenario:
+    _check_keys(doc, "scenario", "scenario")
     for key in ("family", "n", "d", "cov"):
         if key not in doc:
             raise ValueError(f"scenario is missing {key!r}: {doc}")
@@ -373,12 +390,14 @@ def scenario_to_json(s: Scenario) -> dict:
 
 
 def experiment_from_json(doc: Mapping) -> Experiment:
+    _check_keys(doc, "experiment", "experiment")
     cells_doc = doc.get("cells")
     if not cells_doc:
         raise ValueError("empty grid: experiment needs at least one cell")
     default_reps = int(doc.get("replications", 1000))
     cells = []
-    for cell_doc in cells_doc:
+    for ci, cell_doc in enumerate(cells_doc):
+        _check_keys(cell_doc, "cell", f"cell {ci}")
         methods = tuple(cell_doc.get("methods", ("composite",)))
         for m in methods:
             if m not in VALID_METHODS:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     DegenerateDataWarning,
+    NonFiniteData,
     NonPositiveDispersion,
     OracleSizeExceeded,
     TooFewSamples,
@@ -30,8 +31,9 @@ DEFAULT_ORACLE_CAP = 64
 class DataMatrix:
     """An n x d sample matrix with rows as observations.
 
-    All entries must be finite.  Most estimators additionally require n >= 4
-    (they divide by (n - 2)(n - 3)); those checks live on the operations.
+    All entries must be finite, else ``from_array`` raises ``NonFiniteData``.
+    Most estimators additionally require n >= 4 (they divide by
+    (n - 2)(n - 3)); those checks live on the operations.
     """
 
     values: np.ndarray
@@ -46,10 +48,8 @@ class DataMatrix:
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"empty sample matrix of shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
-            bad = np.argwhere(~np.isfinite(arr))[0]
-            raise ValueError(
-                f"non-finite entry at row {bad[0] + 1}, column {bad[1] + 1}"
-            )
+            row, column = np.argwhere(~np.isfinite(arr))[0] + 1
+            raise NonFiniteData(int(row), int(column))
         return cls(values=arr, n=arr.shape[0], d=arr.shape[1])
 
 

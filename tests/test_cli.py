@@ -14,7 +14,7 @@ from hdnorm import generators
 from hdnorm import rng as hrng
 from hdnorm._blas import BLAS_THREAD_VARS, default_to_one_blas_thread
 from hdnorm.cli import main
-from hdnorm.harness import experiment_from_json
+from hdnorm.harness import SPEC_KEYS, experiment_from_json
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "hdnorm" / "schemas"
 REPORT_SCHEMA = json.loads((SCHEMA_DIR / "report-v1.schema.json").read_text())
@@ -237,6 +237,12 @@ class TestCmdSimulate:
         path.write_text("{not json")
         assert main(["simulate", str(path)]) == 1
 
+    def test_spec_that_is_not_an_object_errors(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1]")
+        assert main(["simulate", str(path)]) == 1
+        assert "must be a JSON object" in capsys.readouterr().err
+
     @pytest.mark.parametrize("field, value, named", [
         ("family", "loc_mixtur", "'loc_mixtur'"),
         ("cov", {"kind": "identty", "d": 20}, "'identty'"),
@@ -268,7 +274,35 @@ class TestCmdSimulate:
         cov = EXPERIMENT_SCHEMA["$defs"]["cov"]["properties"]
         assert scenario["family"]["enum"] == list(generators.FAMILIES)
         assert cov["kind"]["enum"] == list(generators.COV_KINDS)
-        assert set(cov) == {"kind", "d", "seed", *generators.COV_PARAMS}
+        assert set(SPEC_KEYS["cov"]) >= set(generators.COV_PARAMS)
+
+    def test_schema_keys_are_the_parsers(self):
+        properties = {
+            "experiment": EXPERIMENT_SCHEMA["properties"],
+            "cell": EXPERIMENT_SCHEMA["properties"]["cells"]["items"]["properties"],
+            "scenario": EXPERIMENT_SCHEMA["$defs"]["scenario"]["properties"],
+            "cov": EXPERIMENT_SCHEMA["$defs"]["cov"]["properties"],
+        }
+        assert {kind: sorted(keys) for kind, keys in properties.items()} == \
+               {kind: sorted(keys) for kind, keys in SPEC_KEYS.items()}
+
+    @pytest.mark.parametrize("where, key", [
+        ("experiment", "mc_replicatons"),
+        ("cell", "replicatons"),
+        ("scenario", "parms"),
+    ])
+    def test_unknown_key_exits_one_before_any_work(self, tmp_path, capsys, where, key):
+        doc = json.loads(self.make_spec(tmp_path).read_text())
+        target = {"experiment": doc, "cell": doc["cells"][1],
+                  "scenario": doc["cells"][1]["scenario"]}[where]
+        target[key] = 5
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, EXPERIMENT_SCHEMA)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path), "--out", str(tmp_path / "res")]) == 1
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "res").exists()
         for name in (*generators.FAMILIES, *generators.COV_KINDS):
             assert f"``{name}``" in generators.__doc__
 

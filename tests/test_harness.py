@@ -120,6 +120,18 @@ class TestRunExperiment:
         assert results[1].failures == 0
 
 
+    def test_overflowing_sampler_counts_failures(self):
+        # dof 0.001 puts infinities in the t draws: each is a failed replication.
+        bad = Scenario("multivariate_t", 50, 5, CovSpec("identity", 5), {"dof": 0.001})
+        good = Scenario("null_gaussian", 20, 10, CovSpec("identity", 10))
+        exp = Experiment(name="t", seed=3, alpha=0.05, mc_replications=500,
+                         cells=(CellSpec(bad, 20), CellSpec(good, 10)))
+        with np.errstate(divide="ignore"):
+            results = run_experiment(exp, threads=1)
+        assert results[0].failures == 20 and math.isnan(results[0].rate)
+        assert results[1].failures == 0
+
+
 class TestThreadResolution:
     def test_env_var_caps_workers(self, monkeypatch):
         from hdnorm.harness import default_threads

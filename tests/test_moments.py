@@ -10,7 +10,9 @@ from conftest import gaussian_data, random_orthogonal, similarity_transform
 from hdnorm import (
     DataMatrix,
     DegenerateDataWarning,
+    HdnormError,
     McSettings,
+    NonFiniteData,
     NonPositiveDispersion,
     OracleSizeExceeded,
     TooFewSamples,
@@ -32,6 +34,10 @@ class TestDataMatrix:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="row 2, column 1"):
             dm([[1.0, 2.0], [np.nan, 0.0]])
+        with pytest.raises(NonFiniteData) as exc:
+            dm([[1.0, 2.0], [3.0, 0.0], [4.0, -np.inf]])
+        assert isinstance(exc.value, HdnormError)
+        assert (exc.value.row, exc.value.column) == (3, 2)
         with pytest.raises(ValueError, match="row 1, column 2"):
             dm([[1.0, np.inf]])
 
