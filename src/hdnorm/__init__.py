@@ -14,25 +14,22 @@ BLAS thread count before numpy does (see ``hdnorm._blas``).
 """
 
 import importlib as _importlib
-import sys as _sys
-import types as _types
 
 __version__ = "0.1.0"
 
 # Every public name, by the submodule that defines it.
 _EXPORTS = {
-    "errors": ("DegenerateData", "DegenerateDataWarning", "HdnormError", "InvalidQuantileOrder",
-               "InvalidScenarioParams", "NonFiniteData", "NonPositiveDispersion", "NotPSD",
-               "OracleSizeExceeded", "TooFewSamples", "ZeroMatrix"),
+    "errors": ("HdnormError", "InvalidQuantileOrder", "InvalidScenarioParams", "NonFiniteData",
+               "NonPositiveDispersion", "NotPSD", "OracleSizeExceeded", "TooFewSamples",
+               "ZeroMatrix"),
     "generators": ("CovSpec", "EffectiveRanks", "Scenario", "build_covariance",
                    "effective_ranks", "sample_scenario", "scenario_covariance"),
     "harness": ("CellResult", "CellSpec", "Experiment", "experiment_from_json",
                 "run_experiment", "summarize"),
-    "moments": ("DataMatrix", "DispersionEstimate", "delta_hat", "sigma_hat_d",
-                "tr_sigma_sq_hat", "tr_sigma_sq_oracle"),
+    "moments": ("DataMatrix", "DispersionEstimate", "tr_sigma_sq_hat", "tr_sigma_sq_oracle"),
     "montecarlo": ("Decision", "McSettings", "TestReport", "composite_test", "decide_iqr",
                    "decide_range", "mc_quantiles", "null_quasi_range_draws"),
-    "radii": ("RadialSummary", "radial_summary", "radii", "standardized_radii"),
+    "radii": ("RadialSummary", "radial_summary"),
     "teststats": ("NormConstants", "StatKind", "TestStatistic", "central_quantile_statistic",
                   "iqr_statistic", "norm_constants", "quasi_range_statistic",
                   "range_statistic", "sigma_star", "squared_radii_statistics"),
@@ -59,14 +56,3 @@ def __dir__():
     loaded = (n for n in globals() if n.startswith("__") or not n.startswith("_"))
     return sorted({*loaded, *__all__, *_SUBMODULES})
 
-
-class _Package(_types.ModuleType):
-    def __setattr__(self, name, value):
-        # Loading a submodule binds it on the package.  The function ``radii``
-        # keeps that name over the module ``hdnorm.radii``.
-        if name in _SOURCE and isinstance(value, _types.ModuleType):
-            value = getattr(value, name)
-        super().__setattr__(name, value)
-
-
-_sys.modules[__name__].__class__ = _Package

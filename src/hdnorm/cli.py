@@ -30,7 +30,7 @@ from .harness import (
     summarize,
     whole_number,
 )
-from .moments import DataMatrix
+from .moments import DataMatrix, _moments
 from .montecarlo import (
     McSettings,
     composite_test,
@@ -38,7 +38,7 @@ from .montecarlo import (
     decide_range,
     report_dict,
 )
-from .radii import radial_summary, radii as compute_radii
+from .radii import radial_summary
 from .teststats import iqr_statistic, quasi_range_statistic, range_statistic
 
 SCHEMA_VERSION = 1
@@ -60,8 +60,22 @@ def _load_matrix(path: str, header: bool) -> DataMatrix:
     except NonFiniteData as exc:
         raise SystemExit2(
             f"non-finite value in {path} at data row {exc.row}, column {exc.column}"
-            f" (file line {exc.row + skip})"
+            f" (file line {_file_line(path, skip, exc.row)})"
         )
+
+
+def _file_line(path: str, skip: int, row: int) -> int:
+    """The file line of data row ``row``, counting the lines np.loadtxt skips.
+
+    Those are the first ``skip`` lines, then every line empty but for a ``#``
+    comment.  latin-1 decodes every byte; newlines are universal, as loadtxt's.
+    """
+    with open(path, encoding="latin-1") as f:
+        for number, line in enumerate(f, 1):
+            if number > skip and line.split("#", 1)[0].rstrip("\n"):
+                row -= 1
+                if row == 0:
+                    return number
 
 
 class SystemExit2(Exception):
@@ -161,19 +175,20 @@ def cmd_diagnose(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    r = np.sort(compute_radii(X))
-    _write_csv(outdir / "radii.csv", "radius", [r])
-
     wrote_qq = False
     try:
         rs = radial_summary(X)
     except HdnormError as exc:
         print(f"skipping QQ data: {exc}", file=sys.stderr)
+        # The radii need no dispersion estimate, nor n >= 4.
+        sorted_radii = np.sort(np.sqrt(_moments(X).sq_radii))
     else:
+        sorted_radii = rs.sorted_radii
         positions = ndtri((np.arange(1, X.n + 1) - 0.5) / X.n)
         _write_csv(outdir / "qq.csv", "position,standardized_radius",
                    [positions, np.sort(rs.standardized)])
         wrote_qq = True
+    _write_csv(outdir / "radii.csv", "radius", [sorted_radii])
 
     distances = _interpoint_distances(X.values, args.max_pairs, args.seed)
     _write_csv(outdir / "interpoint.csv", "distance", [distances])

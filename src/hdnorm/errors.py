@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class HdnormError(Exception):
@@ -7,10 +7,6 @@ class HdnormError(Exception):
 
 class TooFewSamples(HdnormError):
     """Raised when an operation needs more observations than provided."""
-
-
-class DegenerateData(HdnormError):
-    """Raised when the sample carries no usable variation."""
 
 
 class NonFiniteData(HdnormError, ValueError):
@@ -55,7 +51,3 @@ class NotPSD(HdnormError):
 
 class ZeroMatrix(HdnormError):
     """Raised when a matrix argument is identically zero where it must not be."""
-
-
-class DegenerateDataWarning(UserWarning):
-    """Emitted when every observation is identical; downstream estimators will fail."""

@@ -11,13 +11,11 @@ the cost at O(n d (n ^ d)) instead of O(n d^2).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    DegenerateDataWarning,
     NonFiniteData,
     NonPositiveDispersion,
     OracleSizeExceeded,
@@ -60,78 +58,87 @@ class DispersionEstimate:
     delta_hat: float
     tr_sigma_d: float
     tr_sigma_sq_hat: float
-    radii_fourth_sum: float
     used_gramian: bool
 
 
-def _centered(X: DataMatrix) -> np.ndarray:
-    return X.values - X.values.mean(axis=0)
+@dataclass(frozen=True)
+class _Moments:
+    """What one centring of the sample gives every moment estimator.
 
-
-def _core(X: DataMatrix):
-    """Shared moment computation.
-
-    Returns (r2, tr1, tr2, r4, used_gramian) where r2[i] = ||X_i - mean||^2,
-    tr1 = tr(S), tr2 = tr(S^2) for S the sample covariance (n > d) or the
-    centered Gramian (n <= d), and r4 = sum_i r2[i]^2 accumulated exactly.
-    Every estimator built on it divides by (n - 2)(n - 3), so it needs n >= 4.
+    ``sq_radii[i]`` is ||X_i - mean||^2, in input order.  ``trace`` and
+    ``trace_sq`` are tr(M) and tr(M^2) for M the centred Gramian Xc Xc^T
+    (n <= d, ``used_gramian``) or Xc^T Xc (n > d); the cyclic trace makes
+    the two paths agree.  ``fourth_sum`` is the sum of the squared
+    ``sq_radii``.
     """
-    n, d = X.n, X.d
-    if n < 4:
-        raise TooFewSamples(f"the moment estimators need n >= 4, got n={n}")
-    Xc = _centered(X)
+
+    sq_radii: np.ndarray
+    trace: float
+    trace_sq: float
+    fourth_sum: float
+    used_gramian: bool
+
+    def traces(self) -> tuple:
+        """tr of the sample covariance and the unbiased tr(Sigma^2) estimate.
+
+        The estimate divides by (n - 2)(n - 3), so it needs n >= 4.
+        """
+        n = len(self.sq_radii)
+        if n < 4:
+            raise TooFewSamples(f"the moment estimators need n >= 4, got n={n}")
+        tr1 = self.trace / (n - 1)
+        tr2 = self.trace_sq / (n - 1) ** 2
+        return tr1, (n - 1) / (n * (n - 2) * (n - 3)) * (
+            (n - 1) * (n - 2) * tr2 + tr1 * tr1 - n / (n - 1) * self.fourth_sum
+        )
+
+    def dispersion(self) -> DispersionEstimate:
+        """Estimate the dispersion index 2 tr(Sigma^2) / tr(Sigma).
+
+        Raises :class:`NonPositiveDispersion` when either ingredient is
+        non-positive: clamping instead would silently bias every downstream
+        statistic on degenerate input.
+        """
+        tr1, that = self.traces()
+        # Moments of data near the float range overflow to inf, and inf - inf is
+        # NaN; NaN compares false, so without these checks a verdict would follow.
+        if not math.isfinite(tr1):
+            raise NonPositiveDispersion(f"tr of sample covariance is {tr1!r}; data too large")
+        if tr1 <= 0.0:
+            raise NonPositiveDispersion(f"tr of sample covariance is {tr1!r}; data degenerate")
+        if not math.isfinite(that):
+            raise NonPositiveDispersion(f"tr(Sigma^2) estimate is {that!r}; data too large")
+        if that <= 0.0:
+            raise NonPositiveDispersion(f"tr(Sigma^2) estimate is {that!r}; test cannot proceed")
+        return DispersionEstimate(
+            delta_hat=2.0 * that / tr1,
+            tr_sigma_d=tr1,
+            tr_sigma_sq_hat=that,
+            used_gramian=self.used_gramian,
+        )
+
+
+def _moments(X: DataMatrix) -> _Moments:
+    """Centre the sample once and take every moment from the centred matrix."""
+    Xc = X.values - X.values.mean(axis=0)
     r2 = np.einsum("ij,ij->i", Xc, Xc)
-    tr1 = float(r2.sum()) / (n - 1)
-    used_gramian = n <= d
-    if used_gramian:
-        M = Xc @ Xc.T
-    else:
-        M = Xc.T @ Xc
-    # tr(S^2) = ||M||_F^2 / (n-1)^2; cyclic trace makes both paths agree.
-    tr2 = float(np.einsum("ij,ij->", M, M)) / (n - 1) ** 2
+    used_gramian = X.n <= X.d
+    M = Xc @ Xc.T if used_gramian else Xc.T @ Xc
     # fsum rounds the exact sum of the squares once.  A square beyond the
     # float range is inf, which the dispersion checks report, so numpy's
     # overflow warning would only repeat it.
     with np.errstate(over="ignore"):
         r4 = math.fsum((r2 * r2).tolist())
-    return r2, tr1, tr2, r4, used_gramian
-
-
-def sigma_hat_d(X: DataMatrix) -> np.ndarray:
-    """Sample covariance (n > d) or centered Gramian (n <= d).
-
-    The two share all spectral traces, so downstream code never needs to know
-    which was produced.  If every row of ``X`` is identical the zero matrix is
-    returned and a :class:`DegenerateDataWarning` is emitted; estimators that
-    need positive dispersion will then raise.
-    """
-    n = X.n
-    if n < 2:
-        raise TooFewSamples(f"need at least 2 observations, got {n}")
-    Xc = _centered(X)
-    if n <= X.d:
-        M = (Xc @ Xc.T) / (n - 1)
-    else:
-        M = (Xc.T @ Xc) / (n - 1)
-    if not np.any(Xc):
-        warnings.warn("all observations identical; covariance is zero", DegenerateDataWarning)
-    return M
+    return _Moments(r2, float(r2.sum()), float(np.einsum("ij,ij->", M, M)), r4, used_gramian)
 
 
 def tr_sigma_sq_hat(X: DataMatrix) -> float:
     """Unbiased estimate of tr(Sigma^2) from centered second and fourth moments.
 
     May be negative in pathological finite samples; callers decide whether
-    that is an error (``delta_hat`` treats it as one).
+    that is an error (``radial_summary`` treats it as one).
     """
-    _, tr1, tr2, r4, _ = _core(X)
-    return _tr_sigma_sq_from_parts(X.n, tr1, tr2, r4)
-
-
-def _tr_sigma_sq_from_parts(n: int, tr1: float, tr2: float, r4: float) -> float:
-    return (n - 1) / (n * (n - 2) * (n - 3)) * (
-        (n - 1) * (n - 2) * tr2 + tr1 * tr1 - n / (n - 1) * r4
-    )
+    return _moments(X).traces()[1]
 
 
 def tr_sigma_sq_oracle(X: DataMatrix, max_n: int = DEFAULT_ORACLE_CAP) -> float:
@@ -188,36 +195,3 @@ def tr_sigma_sq_oracle(X: DataMatrix, max_n: int = DEFAULT_ORACLE_CAP) -> float:
         + quads / (n * (n - 1) * (n - 2) * (n - 3))
     )
 
-
-def delta_hat(X: DataMatrix) -> DispersionEstimate:
-    """Estimate the dispersion index 2 tr(Sigma^2) / tr(Sigma).
-
-    Raises :class:`NonPositiveDispersion` when either ingredient is
-    non-positive: clamping instead would silently bias every downstream
-    statistic on degenerate input.
-    """
-    _, tr1, tr2, r4, used_gramian = _core(X)
-    return _dispersion_from_parts(X.n, tr1, tr2, r4, used_gramian)
-
-
-def _dispersion_from_parts(
-    n: int, tr1: float, tr2: float, r4: float, used_gramian: bool
-) -> DispersionEstimate:
-    that = _tr_sigma_sq_from_parts(n, tr1, tr2, r4)
-    # Moments of data near the float range overflow to inf, and inf - inf is
-    # NaN; NaN compares false, so without these checks a verdict would follow.
-    if not math.isfinite(tr1):
-        raise NonPositiveDispersion(f"tr of sample covariance is {tr1!r}; data too large")
-    if tr1 <= 0.0:
-        raise NonPositiveDispersion(f"tr of sample covariance is {tr1!r}; data degenerate")
-    if not math.isfinite(that):
-        raise NonPositiveDispersion(f"tr(Sigma^2) estimate is {that!r}; data too large")
-    if that <= 0.0:
-        raise NonPositiveDispersion(f"tr(Sigma^2) estimate is {that!r}; test cannot proceed")
-    return DispersionEstimate(
-        delta_hat=2.0 * that / tr1,
-        tr_sigma_d=tr1,
-        tr_sigma_sq_hat=that,
-        radii_fourth_sum=r4,
-        used_gramian=used_gramian,
-    )

@@ -6,55 +6,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import DataMatrix, DispersionEstimate, _core, _dispersion_from_parts
+from .moments import DataMatrix, DispersionEstimate, _moments
 
 
 @dataclass(frozen=True)
 class RadialSummary:
-    """Radii of a sample along with everything the test statistics need.
+    """Sorted radii of a sample along with everything the test statistics need.
 
-    ``sorted_radii`` is the non-decreasing rearrangement of ``radii`` (stable:
-    ties keep their original order, recorded in ``order``).  ``standardized``
-    holds 2 * delta_hat^{-1/2} * (R_i - sqrt(tr of sample covariance)), which
-    is approximately standard normal under the Gaussian null and drives the
-    QQ diagnostics.
+    ``sorted_radii`` holds the radii ||X_i - mean|| in non-decreasing order.
+    ``standardized`` holds, in input order,
+    2 * delta_hat^{-1/2} * (R_i - sqrt(tr of sample covariance)), which is
+    approximately standard normal under the Gaussian null and drives the QQ
+    diagnostics.
     """
 
-    radii: np.ndarray
     sorted_radii: np.ndarray
-    order: np.ndarray
     standardized: np.ndarray
     dispersion: DispersionEstimate
     n: int
     d: int
 
 
-def radii(X: DataMatrix) -> np.ndarray:
-    """Euclidean norms of the mean-centered rows, in input order."""
-    Xc = X.values - X.values.mean(axis=0)
-    return np.sqrt(np.einsum("ij,ij->i", Xc, Xc))
-
-
-def standardized_radii(X: DataMatrix) -> np.ndarray:
-    """Radii centered at sqrt(tr) and scaled to unit variance under the null."""
-    return radial_summary(X).standardized
-
-
 def radial_summary(X: DataMatrix) -> RadialSummary:
-    """Compute radii, their order statistics and the dispersion estimate.
+    """Compute the sorted radii, the standardized radii and the dispersion estimate.
 
-    One shared pass over the data: the radii, tr of the covariance/Gramian and
-    the fourth-power sum all come from the same centered matrix.
+    All of them come from the one centring in :func:`hdnorm.moments._moments`.
     """
-    r2, tr1, tr2, r4, used_gramian = _core(X)
-    dispersion = _dispersion_from_parts(X.n, tr1, tr2, r4, used_gramian)
-    r = np.sqrt(r2)
-    order = np.argsort(r, kind="stable")
-    standardized = 2.0 / np.sqrt(dispersion.delta_hat) * (r - np.sqrt(tr1))
+    moments = _moments(X)
+    dispersion = moments.dispersion()
+    r = np.sqrt(moments.sq_radii)
+    standardized = 2.0 / np.sqrt(dispersion.delta_hat) * (r - np.sqrt(dispersion.tr_sigma_d))
     return RadialSummary(
-        radii=r,
-        sorted_radii=r[order],
-        order=order,
+        sorted_radii=np.sort(r),
         standardized=standardized,
         dispersion=dispersion,
         n=X.n,

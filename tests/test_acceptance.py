@@ -19,14 +19,12 @@ from conftest import gaussian_data, random_orthogonal, similarity_transform
 from hdnorm import (
     DataMatrix,
     central_quantile_statistic,
-    delta_hat,
     effective_ranks,
     iqr_statistic,
     quasi_range_statistic,
     radial_summary,
     range_statistic,
     squared_radii_statistics,
-    standardized_radii,
     tr_sigma_sq_hat,
     tr_sigma_sq_oracle,
 )
@@ -183,7 +181,7 @@ def test_criterion_08_invariance_suite():
     sq = squared_radii_statistics(rs)
     base["sq_range"], base["sq_iqr"] = sq[0].value, sq[1].value
     base_delta = rs.dispersion.delta_hat
-    base_v = standardized_radii(X)
+    base_v = rs.standardized
 
     G = hrng.standard_normal(hrng.substream(808, 9), (40, 40))
     cov = G @ G.T
@@ -210,7 +208,7 @@ def test_criterion_08_invariance_suite():
             worst = max(worst, abs(value - base[key]) / (1.0 + abs(base[key])))
         worst = max(worst, abs(mrs.dispersion.delta_hat - sigma * sigma * base_delta)
                     / (sigma * sigma * base_delta))
-        v = standardized_radii(moved)
+        v = mrs.standardized
         worst = max(worst, float(np.max(np.abs(v - base_v) / (1.0 + np.abs(base_v)))))
 
         Vc = random_orthogonal(gen, 40)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -19,6 +20,23 @@ from hdnorm.harness import SPEC_KEYS, experiment_from_json
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "hdnorm" / "schemas"
 REPORT_SCHEMA = json.loads((SCHEMA_DIR / "report-v1.schema.json").read_text())
 EXPERIMENT_SCHEMA = json.loads((SCHEMA_DIR / "experiment-v1.schema.json").read_text())
+
+# (n, d) of the pinned reports' samples: the Gramian path and the covariance path.
+REPORT_SHAPES = {"wide": (40, 60), "tall": (120, 15)}
+# sha256 of report.json from `hdnorm test --mc 1000 --stats ...`, recorded
+# before the moment estimators were merged into one pass.
+REPORT_SHA256 = {
+    ("wide", "composite"): "e8984f740c6c3dc0e019b1866ca8262bf0227aa0945ec15ecbfcd87414a42129",
+    ("wide", "range"): "615873944d3f641a4bb089ab0448803101b16041e597e1348faf1a210f0c015c",
+    ("wide", "iqr"): "4957dea7796558a23d84aba6f1cf93c8ef3f45b51ef6df47260245f016df6d53",
+    ("wide", "quasi:2"): "5592a947b10b722c5ccb37a18e5ed6b4ccefa193ba081dbab688ba51a4827c94",
+    ("wide", "squared"): "0442b6bad369159323f02ce8b057f0302237e49ea6d723648c39fad171bc30f5",
+    ("tall", "composite"): "9cee8fc6ad2e72c40b879eea4fdfffd649773abe19809379e3d730f2f3958cd4",
+    ("tall", "range"): "7cda8bece4a0939852b58263999ab7ab9523feef8768bf01b1f0085e52b95d41",
+    ("tall", "iqr"): "2422579957239f3f78bbb9b8a3f4210212a19e4d500478c619944f80a7ab13b1",
+    ("tall", "quasi:2"): "60fcbca0ba6eb43e5d5801577b7f8c88f8f4be2270081dbd9cb17e9676eb82a4",
+    ("tall", "squared"): "967aeea1674975d0385a4542cce603fe0ea67c7360b26faf1cbbd2726f8c5794",
+}
 
 
 def write_csv(path: Path, values: np.ndarray, header: bool = False) -> Path:
@@ -79,6 +97,18 @@ class TestCmdTest:
                      "--out", str(out)]) in (0, 3)
         assert json.loads(out.read_text())["n"] == 30
 
+    @pytest.mark.parametrize("header", [False, True], ids=["no_header", "header"])
+    @pytest.mark.parametrize("command", ["test", "diagnose"])
+    def test_nan_after_blank_and_comment_lines_names_its_file_line(
+            self, tmp_path, capsys, command, header):
+        lines = ["1,2", "", "# c", "3,4", "5,nan"]
+        path = tmp_path / "gaps.csv"
+        path.write_text("\n".join(["a,b"] * header + lines) + "\n")
+        args = [command, str(path), "--out", str(tmp_path / "out")] + ["--header"] * header
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert f"data row 3, column 2 (file line {5 + header})" in err
+
     def test_nan_cell_names_position(self, tmp_path, capsys):
         X = gaussian_data(12, 10, 5).values.copy()
         X[3, 2] = np.nan
@@ -121,6 +151,18 @@ class TestCmdTest:
         with pytest.raises(SystemExit) as exc:
             main(["test"])  # missing file argument
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("stats", ["composite", "range", "iqr", "quasi:2", "squared"])
+    @pytest.mark.parametrize("shape", ["wide", "tall"])
+    def test_report_bytes_are_pinned(self, tmp_path, monkeypatch, shape, stats):
+        # The report echoes the input path, so the file is named relative to
+        # the working directory.
+        n, d = REPORT_SHAPES[shape]
+        write_csv(tmp_path / "data.csv", gaussian_data(77, n, d).values)
+        monkeypatch.chdir(tmp_path)
+        main(["test", "data.csv", "--mc", "1000", "--stats", stats, "--out", "report.json"])
+        digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+        assert digest == REPORT_SHA256[shape, stats]
 
 
 class TestCmdDiagnose:
@@ -331,14 +373,14 @@ class TestLazyPackage:
         assert fresh_python("import sys, hdnorm; print('numpy' in sys.modules)") == "False"
 
     def test_every_public_name_resolves_after_its_submodule_loads(self):
-        # hdnorm.radii is loaded first, as the CLI's imports do: the package
-        # must still export the function radii, not the module.
+        # hdnorm.radii is loaded first, as the CLI's imports do; no public
+        # name is shadowed by a submodule, and hdnorm.radii is the module.
         code = ("import json, sys, types, hdnorm.radii, hdnorm\n"
                 "from hdnorm import *\n"
                 "print(json.dumps({\n"
                 "    'modules': [n for n in hdnorm.__all__\n"
                 "                if isinstance(getattr(hdnorm, n), types.ModuleType)],\n"
-                "    'radii': hdnorm.radii is sys.modules['hdnorm.radii'].radii,\n"
+                "    'radii': hdnorm.radii is sys.modules['hdnorm.radii'],\n"
                 "    'public': [n for n in dir(hdnorm) if not n.startswith('_')],\n"
                 "    'all': hdnorm.__all__}))")
         got = json.loads(fresh_python(code))

@@ -190,16 +190,21 @@ def bad_last_slice(tmp_path, kind, header):
     return path, text.encode("utf-8").rindex(bad.encode("utf-8"))
 
 
-def parent_stderr(path, header):
-    """What ``hdnorm test`` printed before the parser was sliced: loadtxt's own error."""
+def parent_stderr(path, header, offset=None):
+    """What ``hdnorm test`` prints when np.loadtxt parses the whole file.
+
+    That is loadtxt's own error, or the position of the first non-finite
+    value, whose line starts at byte ``offset``.
+    """
     skip = 1 if header else 0
     try:
         values = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
     except ValueError as exc:
         return f"error: cannot parse {path} as a numeric CSV: {exc}\n"
     r, c = np.argwhere(~np.isfinite(values))[0]
+    line = Path(path).read_bytes()[:offset].count(b"\n") + 1
     return (f"error: non-finite value in {path} at data row {r + 1}, column {c + 1}"
-            f" (file line {r + 1 + skip})\n")
+            f" (file line {line})\n")
 
 
 class TestErrorsInTheLastSlice:
@@ -213,7 +218,7 @@ class TestErrorsInTheLastSlice:
         args = ["test", path, "--out", str(tmp_path / "r.json")] + (["--header"] if header
                                                                      else [])
         assert main(args) == 1
-        assert capsys.readouterr().err == parent_stderr(path, header)
+        assert capsys.readouterr().err == parent_stderr(path, header, offset)
         assert not (tmp_path / "r.json").exists()
         assert_reaped(forked)
 

