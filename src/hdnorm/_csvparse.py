@@ -19,6 +19,7 @@ other threads, is the whole file read by ``np.loadtxt(path)``.
 
 from __future__ import annotations
 
+import importlib
 import io
 import os
 import signal
@@ -33,7 +34,7 @@ from .montecarlo import usable_cpus
 # Below this many bytes a slice costs more in fork and copy than it saves.
 MIN_SLICE_BYTES = 4 << 20
 # numpy decompresses files with these suffixes, so their bytes are not lines.
-_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+_DECOMPRESSORS = {".gz": "gzip", ".bz2": "bz2", ".xz": "lzma", ".lzma": "lzma"}
 _SHAPE = struct.Struct("<qq")
 
 
@@ -65,7 +66,7 @@ def _cuts(path: str) -> list:
     slices = min(usable_cpus(), size // MIN_SLICE_BYTES)
     # fork is unsafe in a process that runs other threads.
     if (slices < 2 or not hasattr(os, "fork") or threading.active_count() > 1
-            or path.endswith(_COMPRESSED)):
+            or os.path.splitext(path)[1] in _DECOMPRESSORS):
         return [0, None]
     cuts = [0]
     with open(path, "rb") as f:
@@ -75,6 +76,14 @@ def _cuts(path: str) -> list:
                 break
             cuts.append(cut)
     return cuts + [size] if len(cuts) > 1 else [0, None]
+
+
+def open_text(path: str):
+    """The file's lines as ``np.loadtxt`` reads them: decompressed by suffix,
+    with universal newlines; latin-1 decodes every byte."""
+    module = _DECOMPRESSORS.get(os.path.splitext(path)[1])
+    opener = importlib.import_module(module).open if module else open
+    return opener(path, "rt", encoding="latin-1")
 
 
 def _after_newline(f, pos: int) -> int:

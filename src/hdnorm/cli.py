@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 from pathlib import Path
 
 from ._blas import default_to_one_blas_thread
@@ -20,7 +21,7 @@ import numpy as np  # noqa: E402
 from scipy.special import ndtri
 
 from . import rng
-from ._csvparse import load_csv
+from ._csvparse import load_csv, open_text
 from .errors import HdnormError, NonFiniteData
 from .harness import (
     _fmt,
@@ -31,15 +32,8 @@ from .harness import (
     whole_number,
 )
 from .moments import DataMatrix, _moments
-from .montecarlo import (
-    McSettings,
-    composite_test,
-    decide_iqr,
-    decide_range,
-    report_dict,
-)
+from .montecarlo import METHODS, McSettings, composite_test, lookup_method
 from .radii import radial_summary
-from .teststats import iqr_statistic, quasi_range_statistic, range_statistic
 
 SCHEMA_VERSION = 1
 DEFAULT_MAX_PAIRS = 1_000_000
@@ -52,7 +46,7 @@ def _load_matrix(path: str, header: bool) -> DataMatrix:
     except OSError as exc:
         raise SystemExit2(f"cannot read {path}: {exc}")
     except ValueError as exc:
-        raise SystemExit2(f"cannot parse {path} as a numeric CSV: {exc}")
+        raise SystemExit2(f"cannot parse {path} as a numeric CSV: {_bad_line(path, skip) or exc}")
     if values.size == 0:
         raise SystemExit2(f"{path} contains no data rows")
     try:
@@ -64,71 +58,57 @@ def _load_matrix(path: str, header: bool) -> DataMatrix:
         )
 
 
-def _file_line(path: str, skip: int, row: int) -> int:
-    """The file line of data row ``row``, counting the lines np.loadtxt skips.
-
-    Those are the first ``skip`` lines, then every line empty but for a ``#``
-    comment.  latin-1 decodes every byte; newlines are universal, as loadtxt's.
-    """
-    with open(path, encoding="latin-1") as f:
+def _data_lines(path: str, skip: int):
+    """(file line, text before any ``#``) of each line np.loadtxt reads as a row:
+    it skips the first ``skip`` lines, then every line empty but for a comment."""
+    with open_text(path) as f:
         for number, line in enumerate(f, 1):
-            if number > skip and line.split("#", 1)[0].rstrip("\n"):
-                row -= 1
-                if row == 0:
-                    return number
+            text = line.split("#", 1)[0].rstrip("\n")
+            if number > skip and text:
+                yield number, text
+
+
+def _file_line(path: str, skip: int, row: int) -> int:
+    """The file line of data row ``row`` (1-based)."""
+    return next(islice(_data_lines(path, skip), row - 1, None))[0]
+
+
+def _bad_line(path: str, skip: int):
+    """What is wrong with the first data line that holds a field ``float()``
+    rejects, or whose field count differs from the first data line's, naming
+    its file line; None if there is no such line."""
+    width = None
+    for number, text in _data_lines(path, skip):
+        try:
+            row = [float(field) for field in text.split(",")]
+        except ValueError as exc:
+            return f"file line {number}: {exc}"
+        width = width or len(row)
+        if len(row) != width:
+            return f"file line {number} has {len(row)} fields, the first data line {width}"
+    return None
 
 
 class SystemExit2(Exception):
     """Internal error carrier; converted to exit status 1 with a message."""
 
 
-def _parse_stats(raw: str):
-    if raw in ("composite", "range", "iqr", "squared"):
-        return raw, None
-    if raw.startswith("quasi:"):
-        try:
-            q = int(raw.split(":", 1)[1])
-        except ValueError:
-            raise SystemExit2(f"bad quasi-range order in --stats {raw!r}")
-        return "quasi", q
-    raise SystemExit2(f"unknown --stats value {raw!r}")
-
-
 def cmd_test(args) -> int:
+    lookup_method(args.stats)  # a bad name fails before the file is read
     X = _load_matrix(args.file, args.header)
     settings = McSettings(replications=args.mc, seed=args.seed, alpha=args.alpha)
-    stats, q = _parse_stats(args.stats)
+    report = composite_test(X, settings, args.stats)
 
-    if stats in ("composite", "squared"):
-        report = composite_test(X, settings, squared=(stats == "squared"))
-        doc = report.to_dict()
-        reject = report.composite_reject
-        detail = (
-            f"range {'reject' if report.range_decision.reject else 'accept'}, "
-            f"iqr {'reject' if report.iqr_decision.reject else 'accept'}"
-        )
-    else:
-        rs = radial_summary(X)
-        if stats == "range":
-            decision = decide_range(range_statistic(rs), X.n, settings)
-            key = "range"
-        elif stats == "iqr":
-            decision = decide_iqr(iqr_statistic(rs), settings)
-            key = "iqr"
-        else:
-            decision = decide_range(quasi_range_statistic(rs, q), X.n, settings)
-            key = "quasi_range"
-        doc = report_dict(X.n, X.d, settings, rs.dispersion, False, {key: decision})
-        reject = decision.reject
-        detail = f"{key} statistic {decision.statistic.value:.4f}"
-
-    doc = {"schema_version": SCHEMA_VERSION, "statistics": stats, "input": str(args.file),
-           **doc, "reject": reject}
+    # The report names a quasi-range method "quasi"; its order is in the decision.
+    doc = {"schema_version": SCHEMA_VERSION, "statistics": args.stats.split(":")[0],
+           "input": str(args.file), **report.to_dict()}
     out = Path(args.out)
     out.write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n", encoding="utf-8")
-    verdict = "rejected" if reject else "not rejected"
+    verdict = "rejected" if report.reject else "not rejected"
+    detail = ", ".join(f"{key} {'reject' if decision.reject else 'accept'}"
+                       for key, decision in report.decisions.items())
     print(f"H0 {verdict} at alpha={settings.alpha:g} ({detail}); report: {out}")
-    return 3 if reject else 0
+    return 3 if report.reject else 0
 
 
 def _pair_indices(n: int, k: int, gen) -> np.ndarray:
@@ -219,7 +199,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _worker_count(raw: str) -> int:
+def _whole_number_arg(raw: str) -> int:
     try:
         return whole_number(raw)
     except ValueError as exc:
@@ -242,21 +222,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--header", action="store_true", help="skip one header line")
     p_test.add_argument("--out", default="report.json")
     p_test.add_argument("--stats", default="composite",
-                        help="composite|range|iqr|quasi:q|squared")
+                        help="decision method: " + "|".join([*METHODS, "quasi:q"]))
     p_test.set_defaults(func=cmd_test)
 
     p_diag = sub.add_parser("diagnose", help="emit radii / QQ / interpoint-distance data")
     p_diag.add_argument("file")
     p_diag.add_argument("--header", action="store_true")
     p_diag.add_argument("--seed", type=int, default=0)
-    p_diag.add_argument("--max-pairs", type=int, default=DEFAULT_MAX_PAIRS)
+    p_diag.add_argument("--max-pairs", type=_whole_number_arg, default=DEFAULT_MAX_PAIRS)
     p_diag.add_argument("--out", default="diagnostics")
     p_diag.set_defaults(func=cmd_diagnose)
 
     p_sim = sub.add_parser("simulate", help="run a simulation experiment spec")
     p_sim.add_argument("spec")
     p_sim.add_argument("--out", default="results")
-    p_sim.add_argument("--threads", type=_worker_count, default=None,
+    p_sim.add_argument("--threads", type=_whole_number_arg, default=None,
                        help="worker processes, at most one per usable CPU "
                             "(default: HDNORM_THREADS or cpu count); hdnorm runs "
                             "BLAS on one thread unless OPENBLAS_NUM_THREADS, "

@@ -1,14 +1,15 @@
 """Simulation experiment runner: empirical size and power over scenario grids.
 
 An experiment is a list of cells, each pairing a scenario with a replication
-count and one or more decision methods ("composite" for the radii test,
-"squared" for the squared-radii contrast; both methods in one cell share the
-same data draws).  Replication r of cell c draws its data from the substream
-keyed by (master seed, c, r), and the Monte-Carlo rejection band of cell c is
-keyed by (master seed, c), so results are independent of how the work is
-partitioned across worker processes.  Every cell's band is built once, in the
-calling process, before any worker starts; workers receive the finished band
-edges and never draw a null sample themselves.
+count and one or more decision methods, named as in the one method table
+``montecarlo.METHODS`` ("composite" for the radii test; "squared", "range",
+"iqr" or "quasi:q" for its contrasts; all methods of a cell share the same
+data draws).  Replication r of cell c draws its data from the substream keyed
+by (master seed, c, r), and the Monte-Carlo bands of cell c are keyed by
+(master seed, c), so results are independent of how the work is partitioned
+across worker processes.  Every band a cell's methods need is built once, in
+the calling process, before any worker starts; workers receive the finished
+band edges and never draw a null sample themselves.
 
 With more than one worker, work units run in processes started with the
 ``spawn`` method, each with BLAS limited to one thread, so that workers neither
@@ -22,8 +23,8 @@ import math
 import os
 import time
 from collections import Counter, defaultdict
-from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from contextlib import contextmanager, suppress
+from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -37,12 +38,11 @@ from .montecarlo import (
     McSettings,
     composite_from_summary,
     install_bands,
+    lookup_method,
     mc_quantiles,
     usable_cpus,
 )
 from .radii import radial_summary
-
-VALID_METHODS = ("composite", "squared")
 
 _CI_Z = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -61,6 +61,9 @@ class Experiment:
     alpha: float
     mc_replications: int
     cells: Tuple[CellSpec, ...]
+
+    def __post_init__(self):
+        McSettings(self.mc_replications, self.seed, self.alpha)  # raises on bad settings
 
 
 @dataclass(frozen=True)
@@ -127,21 +130,19 @@ def _cell_settings(exp: Experiment, cell_index: int) -> McSettings:
 
 
 def _cell_bands(exp: Experiment) -> Dict[BandKey, Band]:
-    """Every cell's range band, keyed as ``mc_quantiles`` memoises it.
+    """Every Monte-Carlo band the cells' methods decide against, keyed as
+    ``mc_quantiles`` memoises it.
 
-    All methods of a cell decide their range sub-test against one band: q = 1
-    at level alpha/2 (see ``composite_from_summary``).  A cell whose band
-    cannot be built is left out, so its replications fail in ``_run_unit``
-    like any other decision error.
+    A band that cannot be built is left out, so the replications that need it
+    fail in ``_run_unit`` like any other decision error.
     """
     bands = {}
     for ci, cell in enumerate(exp.cells):
         settings = _cell_settings(exp, ci)
-        key = (cell.scenario.n, 1, replace(settings, alpha=settings.alpha / 2.0))
-        try:
-            bands[key] = mc_quantiles(*key)
-        except HdnormError:
-            continue
+        for m in cell.methods:
+            for key in lookup_method(m).band_keys(cell.scenario.n, settings):
+                with suppress(HdnormError):
+                    bands[key] = mc_quantiles(*key)
     return bands
 
 
@@ -155,20 +156,16 @@ def _run_unit(exp: Experiment, cell_index: int, lo: int, hi: int):
     for r in range(lo, hi):
         gen = rng.substream(exp.seed, rng.DOMAIN_DATA, cell_index, r)
         try:
-            X = sample_scenario(cell.scenario, gen)
-            rs = radial_summary(X)
+            rs = radial_summary(sample_scenario(cell.scenario, gen))
         except HdnormError:
             for m in cell.methods:
                 failures[m] += 1
             continue
         for m in cell.methods:
             try:
-                report = composite_from_summary(rs, settings, squared=(m == "squared"))
+                rejections[m] += composite_from_summary(rs, settings, m).reject
             except HdnormError:
                 failures[m] += 1
-                continue
-            if report.composite_reject:
-                rejections[m] += 1
     return cell_index, rejections, failures, time.perf_counter() - start
 
 
@@ -307,20 +304,8 @@ def summarize(results: Sequence[CellResult]) -> str:
 
 def results_jsonl(results: Sequence[CellResult]) -> str:
     """One JSON object per cell result, including scenario echo and wall time."""
-    lines = []
-    for r in results:
-        lines.append(json.dumps({
-            "cell_index": r.cell_index,
-            "scenario": scenario_to_json(r.scenario),
-            "method": r.method,
-            "replications": r.replications,
-            "rejections": r.rejections,
-            "failures": r.failures,
-            "rate": r.rate,
-            "ci_low": r.ci_low,
-            "ci_high": r.ci_high,
-            "wall_time": r.wall_time,
-        }, sort_keys=True))
+    lines = [json.dumps({**vars(r), "scenario": scenario_to_json(r.scenario)}, sort_keys=True)
+             for r in results]
     return "\n".join(lines) + "\n"
 
 
@@ -398,14 +383,17 @@ def experiment_from_json(doc: Mapping) -> Experiment:
     cells = []
     for ci, cell_doc in enumerate(cells_doc):
         _check_keys(cell_doc, "cell", f"cell {ci}")
-        methods = tuple(cell_doc.get("methods", ("composite",)))
-        for m in methods:
-            if m not in VALID_METHODS:
-                raise ValueError(f"unknown method {m!r}; choose from {VALID_METHODS}")
+        methods = cell_doc.get("methods", ["composite"])
+        if not isinstance(methods, list) or not methods:
+            raise ValueError(f"cell {ci} methods must be a non-empty list, got {methods!r}")
+        for i, m in enumerate(methods):
+            lookup_method(m)
+            if m in methods[:i]:
+                raise ValueError(f"cell {ci} lists method {m!r} twice")
         cells.append(CellSpec(
             scenario=scenario_from_json(cell_doc["scenario"]),
             replications=int(cell_doc.get("replications", default_reps)),
-            methods=methods,
+            methods=tuple(methods),
         ))
     return Experiment(
         name=str(doc.get("name", "experiment")),

@@ -14,15 +14,19 @@ parallel partition reproduces the same sample bitwise.  Quantile bands are
 memoised per (n, q, settings); the memo only short-circuits an identical
 recomputation and never changes results.  A process can be handed bands built
 elsewhere (``install_bands``), so that sweep workers decide without drawing.
+
+Each decision method, the composite test and each of its contrasts, is one
+entry of ``METHODS``: the names ``hdnorm test --stats`` and ``simulate`` take.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+import re
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 from scipy.special import ndtri
@@ -36,6 +40,7 @@ from .teststats import (
     TestStatistic,
     iqr_statistic,
     norm_constants,
+    quasi_range_statistic,
     range_statistic,
     sigma_star,
     squared_radii_statistics,
@@ -197,6 +202,17 @@ class Decision:
     upper: float
     reject: bool
 
+    def to_dict(self) -> dict:
+        q = {} if self.statistic.q is None else {"q": self.statistic.q}
+        return {"value": self.statistic.value, "level": self.level, "lower": self.lower,
+                "upper": self.upper, "reject": self.reject, **q}
+
+
+def _decide(stat: TestStatistic, level: float, band: Band) -> Decision:
+    lower, upper = band
+    reject = stat.value < lower or stat.value > upper
+    return Decision(statistic=stat, level=level, lower=lower, upper=upper, reject=bool(reject))
+
 
 _RANGE_KINDS = (StatKind.RANGE, StatKind.QUASI_RANGE, StatKind.SQUARED_RANGE)
 _IQR_KINDS = (StatKind.IQR, StatKind.SQUARED_IQR)
@@ -210,12 +226,8 @@ def decide_range(stat: TestStatistic, n: int, settings: McSettings,
     """
     if stat.kind not in _RANGE_KINDS:
         raise ValueError(f"decide_range cannot handle a {stat.kind.value} statistic")
-    if level is None:
-        level = settings.alpha
-    q = stat.q if stat.q is not None else 1
-    lower, upper = mc_quantiles(n, q, replace(settings, alpha=level))
-    reject = stat.value < lower or stat.value > upper
-    return Decision(statistic=stat, level=level, lower=lower, upper=upper, reject=bool(reject))
+    level = settings.alpha if level is None else level
+    return _decide(stat, level, mc_quantiles(n, stat.q or 1, replace(settings, alpha=level)))
 
 
 @lru_cache(maxsize=64)
@@ -233,92 +245,107 @@ def decide_iqr(stat: TestStatistic, settings: McSettings,
     )
     if not ok:
         raise ValueError(f"decide_iqr cannot handle a {stat.kind.value} statistic")
-    if level is None:
-        level = settings.alpha
-    lower, upper = _iqr_band(level)
-    reject = stat.value < lower or stat.value > upper
-    return Decision(statistic=stat, level=level, lower=lower, upper=upper, reject=bool(reject))
+    level = settings.alpha if level is None else level
+    return _decide(stat, level, _iqr_band(level))
 
 
-def decision_to_dict(decision: Decision) -> dict:
-    out = {
-        "value": decision.statistic.value,
-        "level": decision.level,
-        "lower": decision.lower,
-        "upper": decision.upper,
-        "reject": decision.reject,
-    }
-    if decision.statistic.q is not None:
-        out["q"] = decision.statistic.q
-    return out
+@dataclass(frozen=True)
+class Method:
+    """A decision method: one statistic per sub-test, each decided against a band.
+
+    ``keys`` names the sub-tests in the report, ``statistics`` computes their
+    statistics from a radial summary, and ``bands`` gives each one's band: the
+    Monte-Carlo band of the quasi-range of order q, or None for the
+    closed-form IQR band.  With k sub-tests each runs at alpha/k (Bonferroni)
+    and the method rejects iff any sub-test does.
+    """
+
+    keys: Tuple[str, ...]
+    statistics: Callable[[RadialSummary], Tuple[TestStatistic, ...]]
+    bands: Tuple[Optional[int], ...]
+
+    def band_keys(self, n: int, settings: McSettings) -> Tuple[BandKey, ...]:
+        """The ``mc_quantiles`` keys of this method's Monte-Carlo bands."""
+        level = replace(settings, alpha=settings.alpha / len(self.bands))
+        return tuple((n, q, level) for q in self.bands if q is not None)
+
+
+#: Every decision method by name; ``lookup_method`` adds ``quasi:q``.  The
+#: entries call the statistics through this module's globals at call time, so
+#: a wrapper installed on those names sees every call.
+METHODS: Dict[str, Method] = {
+    "composite": Method(("range", "iqr"),
+                        lambda rs: (range_statistic(rs), iqr_statistic(rs)), (1, None)),
+    "squared": Method(("range", "iqr"), lambda rs: squared_radii_statistics(rs), (1, None)),
+    "range": Method(("range",), lambda rs: (range_statistic(rs),), (1,)),
+    "iqr": Method(("iqr",), lambda rs: (iqr_statistic(rs),), (None,)),
+}
+_QUASI = re.compile(r"quasi:([1-9][0-9]*)")
+
+
+def lookup_method(name) -> Method:
+    """The method named ``name``: a key of ``METHODS`` or ``quasi:q``, else ``ValueError``."""
+    if isinstance(name, str):
+        if name in METHODS:
+            return METHODS[name]
+        match = _QUASI.fullmatch(name)
+        if match:
+            q = int(match[1])
+            return Method(("quasi_range",), lambda rs: (quasi_range_statistic(rs, q),), (q,))
+    raise ValueError(f"unknown method {name!r}; choose from {', '.join(METHODS)} or quasi:q")
 
 
 @dataclass(frozen=True)
 class TestReport:
-    """Full outcome of the composite test on one dataset."""
+    """Outcome of one decision method on one dataset."""
 
+    method: str
     n: int
     d: int
-    alpha: float
     settings: McSettings
     dispersion: DispersionEstimate
-    squared: bool
-    range_decision: Decision
-    iqr_decision: Decision
-    composite_reject: bool
+    decisions: Mapping[str, Decision]
+    reject: bool
 
     def to_dict(self) -> dict:
-        doc = report_dict(self.n, self.d, self.settings, self.dispersion, self.squared,
-                          {"range": self.range_decision, "iqr": self.iqr_decision})
-        return {**doc, "composite": {"reject": self.composite_reject}}
-
-
-def report_dict(n: int, d: int, settings: McSettings, dispersion: DispersionEstimate,
-                squared: bool, decisions: Mapping[str, Decision]) -> dict:
-    """A report's fields: the sample shape, the Monte-Carlo settings, the
-    dispersion estimate, then one entry per sub-test decision, in order."""
-    return {
-        "n": n,
-        "d": d,
-        "alpha": settings.alpha,
-        "mc_replications": settings.replications,
-        "seed": settings.seed,
-        "squared": squared,
-        "delta_hat": dispersion.delta_hat,
-        "tr_sigma_d": dispersion.tr_sigma_d,
-        "tr_sigma_sq_hat": dispersion.tr_sigma_sq_hat,
-        "used_gramian": dispersion.used_gramian,
-        **{key: decision_to_dict(decision) for key, decision in decisions.items()},
-    }
+        """The report's fields: the sample shape, the Monte-Carlo settings, the
+        dispersion estimate, each sub-test's decision, then the verdict."""
+        doc = {
+            "n": self.n,
+            "d": self.d,
+            "alpha": self.settings.alpha,
+            "mc_replications": self.settings.replications,
+            "seed": self.settings.seed,
+            "squared": self.method == "squared",
+            **asdict(self.dispersion),
+            **{key: decision.to_dict() for key, decision in self.decisions.items()},
+        }
+        if len(self.decisions) > 1:
+            doc["composite"] = {"reject": self.reject}
+        return {**doc, "reject": self.reject}
 
 
 def composite_from_summary(rs: RadialSummary, settings: McSettings,
-                           squared: bool = False) -> TestReport:
-    """Composite decision from a precomputed radial summary.
-
-    Each sub-test runs at alpha/2 (plain Bonferroni split); the composite
-    rejects iff either sub-test rejects.
-    """
-    half = settings.alpha / 2.0
-    if squared:
-        t_range, t_iqr = squared_radii_statistics(rs)
-    else:
-        t_range, t_iqr = range_statistic(rs), iqr_statistic(rs)
-    range_decision = decide_range(t_range, rs.n, settings, level=half)
-    iqr_decision = decide_iqr(t_iqr, settings, level=half)
+                           method: str = "composite") -> TestReport:
+    """Decide ``method`` (see ``METHODS``) on a precomputed radial summary."""
+    entry = lookup_method(method)
+    level = settings.alpha / len(entry.bands)
+    decisions = {
+        key: (decide_iqr(stat, settings, level) if q is None
+              else decide_range(stat, rs.n, settings, level))
+        for key, stat, q in zip(entry.keys, entry.statistics(rs), entry.bands)
+    }
     return TestReport(
+        method=method,
         n=rs.n,
         d=rs.d,
-        alpha=settings.alpha,
         settings=settings,
         dispersion=rs.dispersion,
-        squared=squared,
-        range_decision=range_decision,
-        iqr_decision=iqr_decision,
-        composite_reject=range_decision.reject or iqr_decision.reject,
+        decisions=decisions,
+        reject=any(decision.reject for decision in decisions.values()),
     )
 
 
-def composite_test(X: DataMatrix, settings: McSettings, squared: bool = False) -> TestReport:
-    """Run the composite (range + IQR, Bonferroni) normality test on a sample."""
-    return composite_from_summary(radial_summary(X), settings, squared=squared)
+def composite_test(X: DataMatrix, settings: McSettings, method: str = "composite") -> TestReport:
+    """Run a decision method on a sample, by default the composite (range + IQR) test."""
+    return composite_from_summary(radial_summary(X), settings, method)

@@ -47,8 +47,6 @@ class TestStatistic:
     kind: StatKind
     value: float
     n: int
-    constants: Optional[NormConstants] = None
-    sigma_star: Optional[float] = None
     q: Optional[int] = None
     percentiles: Optional[Tuple[float, ...]] = None
 
@@ -86,7 +84,6 @@ def range_statistic(rs: RadialSummary) -> TestStatistic:
         kind=StatKind.RANGE,
         value=_extreme_value(rs, 1, constants),
         n=rs.n,
-        constants=constants,
     )
 
 
@@ -107,7 +104,6 @@ def quasi_range_statistic(rs: RadialSummary, q) -> TestStatistic:
         kind=StatKind.QUASI_RANGE,
         value=_extreme_value(rs, q, constants),
         n=rs.n,
-        constants=constants,
         q=q,
     )
 
@@ -149,7 +145,6 @@ def central_quantile_statistic(rs: RadialSummary, percentiles: Sequence[float]) 
         kind=StatKind.CENTRAL_QUANTILE,
         value=_central_value(rs, ps),
         n=rs.n,
-        sigma_star=sigma_star(),
         percentiles=ps,
     )
 
@@ -162,7 +157,6 @@ def iqr_statistic(rs: RadialSummary) -> TestStatistic:
         kind=StatKind.IQR,
         value=_central_value(rs, (0.75,)),
         n=rs.n,
-        sigma_star=sigma_star(),
     )
 
 
@@ -188,6 +182,6 @@ def squared_radii_statistics(rs: RadialSummary) -> Tuple[TestStatistic, TestStat
         inv_scale * (r2[math.floor(0.75 * n) - 1] - r2[math.floor(0.25 * n) - 1]) - 2.0 * q34
     )
     return (
-        TestStatistic(kind=StatKind.SQUARED_RANGE, value=float(t_range), n=n, constants=constants),
-        TestStatistic(kind=StatKind.SQUARED_IQR, value=float(t_iqr), n=n, sigma_star=sigma_star()),
+        TestStatistic(kind=StatKind.SQUARED_RANGE, value=float(t_range), n=n),
+        TestStatistic(kind=StatKind.SQUARED_IQR, value=float(t_iqr), n=n),
     )

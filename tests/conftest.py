@@ -35,14 +35,14 @@ def similarity_transform(values: np.ndarray, sigma: float, V: np.ndarray,
 
 
 def rejection_rate(scenario: Scenario, replications: int, settings: McSettings,
-                   seed: int, squared: bool = False) -> float:
-    """Empirical rejection rate of the composite test over fresh data draws."""
+                   seed: int, method: str = "composite") -> float:
+    """Empirical rejection rate of a decision method over fresh data draws."""
     rejected = 0
     for r in range(replications):
         gen = hrng.substream(seed, hrng.DOMAIN_DATA, 0, r)
         X = sample_scenario(scenario, gen)
         rs = radial_summary(X)
-        if composite_from_summary(rs, settings, squared=squared).composite_reject:
+        if composite_from_summary(rs, settings, method).reject:
             rejected += 1
     return rejected / replications
 

@@ -16,6 +16,7 @@ from hdnorm import rng as hrng
 from hdnorm._blas import BLAS_THREAD_VARS, default_to_one_blas_thread
 from hdnorm.cli import main
 from hdnorm.harness import SPEC_KEYS, experiment_from_json
+from hdnorm.montecarlo import METHODS
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "hdnorm" / "schemas"
 REPORT_SCHEMA = json.loads((SCHEMA_DIR / "report-v1.schema.json").read_text())
@@ -109,6 +110,35 @@ class TestCmdTest:
         err = capsys.readouterr().err
         assert f"data row 3, column 2 (file line {5 + header})" in err
 
+    @pytest.mark.parametrize("command", ["test", "diagnose"])
+    @pytest.mark.parametrize("bad, line", [("3,abc", 4), ("3,4\n5", 5)], ids=["token", "short"])
+    def test_parse_error_names_its_file_line(self, tmp_path, capsys, command, bad, line):
+        path = tmp_path / "gaps.csv"
+        path.write_text(f"1,2\n\n# c\n{bad}\n")
+        assert main([command, str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"cannot parse {path} as a numeric CSV: file line {line}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("bad, message", [
+        ("3,abc", "file line 2: could not convert string to float: 'abc'"),
+        ("3,nan", "data row 2, column 2 (file line 2)"),
+    ], ids=["token", "nan"])
+    def test_compressed_file_errors_name_the_decompressed_line(self, tmp_path, capsys, bad,
+                                                                message):
+        import gzip
+
+        path = tmp_path / "x.csv.gz"
+        with gzip.open(path, "wt") as f:
+            f.write(f"1,2\n{bad}\n5,6\n7,8\n")
+        assert main(["test", str(path), "--out", str(tmp_path / "r.json")]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_unknown_method_exits_one_before_reading(self, tmp_path, capsys):
+        assert main(["test", str(tmp_path / "absent.csv"), "--stats", "quasi:0"]) == 1
+        err = capsys.readouterr().err
+        assert "unknown method 'quasi:0'" in err and "absent.csv" not in err
+
     def test_nan_cell_names_position(self, tmp_path, capsys):
         X = gaussian_data(12, 10, 5).values.copy()
         X[3, 2] = np.nan
@@ -176,6 +206,14 @@ class TestCmdDiagnose:
         assert r1 == pytest.approx(np.linalg.norm(rows[0] - rows[1]) / 2, rel=1e-12)
         assert r1 == r2
         assert "skipping QQ" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pairs", ["-3", "0", "1.5"])
+    def test_max_pairs_below_one_is_usage_error(self, null_csv, tmp_path, capsys, pairs):
+        with pytest.raises(SystemExit) as exc:
+            main(["diagnose", str(null_csv), "--out", str(tmp_path / "d"), "--max-pairs", pairs])
+        assert exc.value.code == 2
+        assert "--max-pairs" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
     def test_qq_rows_and_positions(self, null_csv, tmp_path):
         assert main(["diagnose", str(null_csv), "--out", str(tmp_path / "d")]) == 0
@@ -302,6 +340,47 @@ class TestCmdSimulate:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "res").exists()
 
+    @pytest.mark.parametrize("where, key, value, named", [
+        ("cell", "methods", ["composite", "composite"], "'composite' twice"),
+        ("cell", "methods", [], "non-empty list"),
+        ("cell", "methods", "composite", "non-empty list"),
+        ("cell", "methods", ["quasi:0"], "unknown method 'quasi:0'"),
+        ("experiment", "seed", -1, "seed must be non-negative"),
+        ("experiment", "mc_replications", 50, "at least 100"),
+        ("experiment", "alpha", 1.5, "alpha must lie in (0, 1)"),
+    ], ids=["duplicate", "empty", "string", "quasi0", "seed", "mc", "alpha"])
+    def test_spec_the_schema_forbids_exits_one_before_any_work(self, tmp_path, capsys, where,
+                                                               key, value, named):
+        doc = json.loads(self.make_spec(tmp_path).read_text())
+        {"experiment": doc, "cell": doc["cells"][1]}[where][key] = value
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, EXPERIMENT_SCHEMA)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path), "--out", str(tmp_path / "res")]) == 1
+        err = capsys.readouterr().err
+        assert "bad experiment spec" in err and named in err
+        assert not (tmp_path / "res").exists()
+
+    def test_a_cell_runs_every_method_the_cli_tests(self, tmp_path, null_csv):
+        # The same names select a cell's methods and a report's statistics.
+        doc = json.loads(self.make_spec(tmp_path).read_text())
+        doc["cells"] = doc["cells"][:1]
+        doc["cells"][0]["methods"] = [*METHODS, "quasi:2"]
+        jsonschema.validate(doc, EXPERIMENT_SCHEMA)
+        path = tmp_path / "all.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path), "--out", str(tmp_path / "res")]) == 0
+        rows = (tmp_path / "res" / "summary.csv").read_text().strip().split("\n")[1:]
+        assert sorted(row.split(",")[4] for row in rows) == sorted(doc["cells"][0]["methods"])
+        for name in doc["cells"][0]["methods"]:
+            out = tmp_path / "r.json"
+            code = main(["test", str(null_csv), "--mc", "500", "--stats", name, "--out", str(out)])
+            report = json.loads(out.read_text())
+            jsonschema.validate(report, REPORT_SCHEMA)
+            assert report["statistics"] == name.split(":")[0]
+            assert code == (3 if report["reject"] else 0)
+
     def test_bundled_specs_validate(self):
         root = Path(__file__).resolve().parents[1]
         specs = sorted(root.glob("tables/*.json")) + sorted(root.glob("perfbench/specs/*.json"))
@@ -317,6 +396,11 @@ class TestCmdSimulate:
         assert scenario["family"]["enum"] == list(generators.FAMILIES)
         assert cov["kind"]["enum"] == list(generators.COV_KINDS)
         assert set(SPEC_KEYS["cov"]) >= set(generators.COV_PARAMS)
+        methods = EXPERIMENT_SCHEMA["properties"]["cells"]["items"]["properties"]["methods"]
+        names, quasi = methods["items"]["anyOf"]
+        assert names["enum"] == list(METHODS)
+        assert quasi["pattern"] == "^quasi:[1-9][0-9]*$"
+        assert REPORT_SCHEMA["properties"]["statistics"]["enum"] == [*METHODS, "quasi"]
 
     def test_schema_keys_are_the_parsers(self):
         properties = {

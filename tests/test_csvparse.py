@@ -190,19 +190,20 @@ def bad_last_slice(tmp_path, kind, header):
     return path, text.encode("utf-8").rindex(bad.encode("utf-8"))
 
 
-def parent_stderr(path, header, offset=None):
-    """What ``hdnorm test`` prints when np.loadtxt parses the whole file.
+def parent_stderr(path, header, offset, fault=""):
+    """What ``hdnorm test`` prints when np.loadtxt parses the whole file, for a
+    file whose first fault is on the line that starts at byte ``offset``.
 
-    That is loadtxt's own error, or the position of the first non-finite
-    value, whose line starts at byte ``offset``.
+    A line that loadtxt cannot parse is named by its file line, followed by
+    ``fault``; a non-finite value by its data row, column and file line.
     """
     skip = 1 if header else 0
+    line = Path(path).read_bytes()[:offset].count(b"\n") + 1
     try:
         values = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
-    except ValueError as exc:
-        return f"error: cannot parse {path} as a numeric CSV: {exc}\n"
+    except ValueError:
+        return f"error: cannot parse {path} as a numeric CSV: file line {line}{fault}\n"
     r, c = np.argwhere(~np.isfinite(values))[0]
-    line = Path(path).read_bytes()[:offset].count(b"\n") + 1
     return (f"error: non-finite value in {path} at data row {r + 1}, column {c + 1}"
             f" (file line {line})\n")
 
@@ -218,7 +219,9 @@ class TestErrorsInTheLastSlice:
         args = ["test", path, "--out", str(tmp_path / "r.json")] + (["--header"] if header
                                                                      else [])
         assert main(args) == 1
-        assert capsys.readouterr().err == parent_stderr(path, header, offset)
+        fault = {"ragged": " has 4 fields, the first data line 5",
+                 "token": ": could not convert string to float: 'abc'"}.get(kind, "")
+        assert capsys.readouterr().err == parent_stderr(path, header, offset, fault)
         assert not (tmp_path / "r.json").exists()
         assert_reaped(forked)
 
@@ -258,6 +261,7 @@ def test_slices_that_disagree_on_width(tmp_path, monkeypatch, forked, capsys, wi
     cut = len(top.encode("utf-8"))
     monkeypatch.setattr(_csvparse, "_cuts", lambda path: [0, cut, os.path.getsize(path)])
     assert main(["test", path, "--out", str(tmp_path / "r.json")]) == 1
-    assert capsys.readouterr().err == parent_stderr(path, False)
+    fault = f" has {widths[1]} fields, the first data line {widths[0]}"
+    assert capsys.readouterr().err == parent_stderr(path, False, cut, fault)
     assert len(forked) == 1
     assert_reaped(forked)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -7,7 +8,8 @@ import os
 import numpy as np
 import pytest
 
-from hdnorm import CovSpec, Scenario, harness, montecarlo
+from hdnorm import CovSpec, Scenario, harness, montecarlo, radial_summary, sample_scenario
+from hdnorm import rng as hrng
 from hdnorm.harness import (
     BLAS_THREAD_VARS,
     CellSpec,
@@ -195,15 +197,29 @@ class TestBandsBuiltOnce:
 
         monkeypatch.setattr(harness, "_process_map", spy)
         exp = small_experiment(methods=("composite", "squared"))
+        single = CellSpec(exp.cells[0].scenario, 60, ("range", "iqr", "quasi:2"))
+        exp = dataclasses.replace(exp, cells=exp.cells + (single,))
         results = run_experiment(exp, threads=2)
 
+        # The composite and squared cells share one band, q = 1 at alpha/2;
+        # the third cell needs q = 1 for "range" and q = 2 for "quasi:2", both
+        # at alpha.  The IQR band is closed form.
         assert seen["workers"] == 2 and seen["initializer"] is montecarlo.install_bands
-        assert len(drawn) == len(exp.cells) == len(set(drawn))
-        assert len(seen["bands"]) == len(exp.cells)
+        assert sorted((n, q) for n, q, _, _ in drawn) == [(40, 1), (40, 1), (40, 1), (40, 2)]
+        assert len(drawn) == len(set(drawn)) == len(seen["bands"])
         assert all(bands == seen["bands"] for bands in seen["worker_bands"])
         strip = lambda rs: [(r.cell_index, r.method, r.rejections, r.failures) for r in rs]
         assert strip(results) == strip(run_experiment(exp, threads=1))
-        assert len(drawn) == len(exp.cells)
+        assert len(drawn) == len(seen["bands"])
+
+        # Each tally is the method's own decision summed over the cell's draws.
+        for r in results:
+            settings = harness._cell_settings(exp, r.cell_index)
+            reports = [montecarlo.composite_from_summary(radial_summary(sample_scenario(
+                r.scenario, hrng.substream(exp.seed, hrng.DOMAIN_DATA, r.cell_index, i))),
+                settings, r.method) for i in range(r.replications)]
+            assert r.failures == 0 and r.rejections == sum(rep.reject for rep in reports)
+        assert len(drawn) == len(seen["bands"])
 
 
 class TestBinomialCi:
@@ -294,6 +310,16 @@ class TestJsonSpecs:
         doc["cells"][0]["methods"] = ["bogus"]
         with pytest.raises(ValueError, match="unknown method"):
             experiment_from_json(doc)
+
+    def test_cells_take_every_method_name(self):
+        doc = {"cells": [{"scenario": {"family": "null_gaussian", "n": 20, "d": 10,
+                                       "cov": {"kind": "identity", "d": 10}},
+                          "methods": [*montecarlo.METHODS, "quasi:3"]}]}
+        assert experiment_from_json(doc).cells[0].methods == (*montecarlo.METHODS, "quasi:3")
+        for bad in ("quasi:0", "quasi:x", "quasi:02", "quasi"):
+            doc["cells"][0]["methods"] = [bad]
+            with pytest.raises(ValueError, match="unknown method"):
+                experiment_from_json(doc)
 
 
 class TestPowerMonotone:

@@ -20,7 +20,6 @@ from hdnorm import (
     null_quasi_range_draws,
     radial_summary,
     range_statistic,
-    sigma_star,
 )
 from hdnorm import InvalidQuantileOrder
 from hdnorm import montecarlo
@@ -183,12 +182,11 @@ class TestDecisions:
     def test_boundary_hits_accept(self):
         settings = McSettings(replications=1000, seed=6, alpha=0.05)
         lower, upper = mc_quantiles(40, 1, settings)
-        c = norm_constants(40)
-        at_upper = Statistic(kind=StatKind.RANGE, value=upper, n=40, constants=c)
-        at_lower = Statistic(kind=StatKind.RANGE, value=lower, n=40, constants=c)
+        at_upper = Statistic(kind=StatKind.RANGE, value=upper, n=40)
+        at_lower = Statistic(kind=StatKind.RANGE, value=lower, n=40)
         assert not decide_range(at_upper, 40, settings).reject
         assert not decide_range(at_lower, 40, settings).reject
-        huge = Statistic(kind=StatKind.RANGE, value=1e6, n=40, constants=c)
+        huge = Statistic(kind=StatKind.RANGE, value=1e6, n=40)
         assert decide_range(huge, 40, settings).reject
 
     def test_quasi_range_decision_uses_matching_null_sample(self, rng_fixture):
@@ -202,7 +200,7 @@ class TestDecisions:
 
     def test_kind_guards(self):
         settings = McSettings(replications=1000, seed=6, alpha=0.05)
-        iqr_stat = Statistic(kind=StatKind.IQR, value=0.0, n=40, sigma_star=sigma_star())
+        iqr_stat = Statistic(kind=StatKind.IQR, value=0.0, n=40)
         with pytest.raises(ValueError):
             decide_range(iqr_stat, 40, settings)
         range_stat = Statistic(kind=StatKind.RANGE, value=0.0, n=40)
@@ -211,7 +209,7 @@ class TestDecisions:
 
     def test_iqr_band_is_symmetric_sigma_star_scaled(self):
         settings = McSettings(replications=1000, seed=1, alpha=0.05)
-        zero = Statistic(kind=StatKind.IQR, value=0.0, n=50, sigma_star=sigma_star())
+        zero = Statistic(kind=StatKind.IQR, value=0.0, n=50)
         decision = decide_iqr(zero, settings)
         assert not decision.reject
         assert decision.upper == pytest.approx(3.083871111053238, abs=1e-12)
@@ -244,9 +242,10 @@ class TestComposite:
         r1 = composite_test(X, settings)
         r2 = composite_test(X, settings)
         assert r1 == r2
-        assert r1.composite_reject == (r1.range_decision.reject or r1.iqr_decision.reject)
-        assert r1.range_decision.level == pytest.approx(0.025)
-        assert r1.iqr_decision.level == pytest.approx(0.025)
+        assert list(r1.decisions) == ["range", "iqr"]
+        assert r1.reject == (r1.decisions["range"].reject or r1.decisions["iqr"].reject)
+        assert r1.decisions["range"].level == pytest.approx(0.025)
+        assert r1.decisions["iqr"].level == pytest.approx(0.025)
 
     def test_null_size_ar1_covariance(self):
         scenario = Scenario(family="null_gaussian", n=100, d=100,
@@ -259,7 +258,7 @@ class TestComposite:
         # The squared-radii composite over-rejects in small dimension even
         # with an identity covariance (reported near 0.07 at n=100, d=20).
         settings = McSettings(replications=10000, seed=12, alpha=0.05)
-        rate = rejection_rate(null_scenario(100, 20), 10000, settings, seed=90, squared=True)
+        rate = rejection_rate(null_scenario(100, 20), 10000, settings, seed=90, method="squared")
         assert 0.055 <= rate <= 0.09
 
     def test_settings_validation(self):
