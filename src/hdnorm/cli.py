@@ -74,19 +74,32 @@ def _file_line(path: str, skip: int, row: int) -> int:
 
 
 def _bad_line(path: str, skip: int):
-    """What is wrong with the first data line that holds a field ``float()``
+    """What is wrong with the first data line that holds a field np.loadtxt
     rejects, or whose field count differs from the first data line's, naming
     its file line; None if there is no such line."""
     width = None
     for number, text in _data_lines(path, skip):
-        try:
-            row = [float(field) for field in text.split(",")]
-        except ValueError as exc:
-            return f"file line {number}: {exc}"
-        width = width or len(row)
-        if len(row) != width:
-            return f"file line {number} has {len(row)} fields, the first data line {width}"
+        fields = text.split(",")
+        if not _parses(text):
+            bad = next((field for field in fields if not _parses(field)), text)
+            return f"file line {number}: could not convert string to float: {bad!r}"
+        width = width or len(fields)
+        if len(fields) != width:
+            return f"file line {number} has {len(fields)} fields, the first data line {width}"
     return None
+
+
+def _parses(text: str) -> bool:
+    """Whether np.loadtxt reads ``text`` as a row of floats.
+
+    numpy's parser, not ``float()``, is the reference: ``float()`` also takes
+    digit separators such as ``1_000`` and non-ASCII digits.
+    """
+    try:
+        np.loadtxt([text], delimiter=",")
+    except ValueError:
+        return False
+    return True
 
 
 class SystemExit2(Exception):
@@ -238,7 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", default="results")
     p_sim.add_argument("--threads", type=_whole_number_arg, default=None,
                        help="worker processes, at most one per usable CPU "
-                            "(default: HDNORM_THREADS or cpu count); hdnorm runs "
+                            "(default: HDNORM_THREADS or cpu count), forked from "
+                            "this process when it runs one OS thread and spawned "
+                            "otherwise; hdnorm runs "
                             "BLAS on one thread unless OPENBLAS_NUM_THREADS, "
                             "OMP_NUM_THREADS or MKL_NUM_THREADS is set, so its "
                             "parallelism comes only from these workers and the "

@@ -11,9 +11,12 @@ across worker processes.  Every band a cell's methods need is built once, in
 the calling process, before any worker starts; workers receive the finished
 band edges and never draw a null sample themselves.
 
-With more than one worker, work units run in processes started with the
-``spawn`` method, each with BLAS limited to one thread, so that workers neither
-contend for the interpreter lock nor oversubscribe the CPUs with BLAS threads.
+With more than one worker, work units run in worker processes, each with BLAS
+limited to one thread, so that workers neither contend for the interpreter
+lock nor oversubscribe the CPUs with BLAS threads.  The workers are forked
+when the calling process runs a single OS thread, as every ``hdnorm`` command
+does, and so start with its modules already imported; otherwise they are
+started with ``spawn``.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .montecarlo import (
     composite_from_summary,
     install_bands,
     lookup_method,
-    mc_quantiles,
+    mc_bands,
     usable_cpus,
 )
 from .radii import radial_summary
@@ -138,11 +141,14 @@ def _cell_bands(exp: Experiment) -> Dict[BandKey, Band]:
     """
     bands = {}
     for ci, cell in enumerate(exp.cells):
-        settings = _cell_settings(exp, ci)
+        n, settings = cell.scenario.n, _cell_settings(exp, ci)
+        levels = defaultdict(set)  # by q; the methods of a cell decide at alpha or alpha/2
         for m in cell.methods:
-            for key in lookup_method(m).band_keys(cell.scenario.n, settings):
-                with suppress(HdnormError):
-                    bands[key] = mc_quantiles(*key)
+            for _, q, level in lookup_method(m).band_keys(n, settings):
+                levels[q].add(level)
+        for q, qs in levels.items():
+            with suppress(HdnormError):
+                bands.update(mc_bands(n, q, qs))
     return bands
 
 
@@ -187,23 +193,44 @@ def _one_blas_thread():
                 os.environ[k] = v
 
 
+def _start_method() -> str:
+    """The worker start method: "fork" when this process runs exactly one OS
+    thread, else "spawn".
+
+    A forked child gets a copy of every lock in the state it had at the fork,
+    so forking is safe only when no other thread can hold one.  OS threads are
+    counted, not Python ones, because BLAS runs threads of its own; where
+    ``/proc/self/task`` cannot be read, they cannot be counted.
+    """
+    if hasattr(os, "fork"):
+        with suppress(OSError):
+            if len(os.listdir("/proc/self/task")) == 1:
+                return "fork"
+    return "spawn"
+
+
 def _process_map(fn, args: Sequence[tuple], workers: int,
                  initializer=None, initargs: tuple = ()) -> list:
-    """``[fn(*a) for a in args]`` computed in ``workers`` spawned processes.
+    """``[fn(*a) for a in args]`` computed in ``workers`` worker processes.
 
     ``fn``, ``initializer`` and ``initargs`` must be picklable; each worker
     calls ``initializer(*initargs)`` once before its first task.  Each worker
-    runs BLAS on one thread.
+    runs BLAS on one thread.  The workers are forked from this process when it
+    runs one OS thread (``_start_method``), and otherwise spawned: they then
+    import ``fn``'s module afresh, and BLAS reads its thread count anew.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    context = multiprocessing.get_context("spawn")
+    context = multiprocessing.get_context(_start_method())
     with ProcessPoolExecutor(max_workers=workers, mp_context=context,
                              initializer=initializer, initargs=initargs) as pool:
         with _one_blas_thread():
-            # map() submits every task at once; each submit starts a worker
-            # until there are ``workers``, so all of them start in the block.
+            # map() submits every task at once.  A spawn pool starts a worker
+            # on each submit until there are ``workers``; a fork pool starts
+            # all of them on the first, before its manager thread, so this
+            # process still runs one thread when it forks.  Either way every
+            # worker starts in the block.
             pending = pool.map(fn, *zip(*args))
         return list(pending)
 
@@ -213,9 +240,11 @@ def run_experiment(exp: Experiment, threads: Optional[int] = None) -> List[CellR
 
     ``threads`` is the requested worker count, capped by the number of work
     units and of usable CPUs.  One worker runs in this process; more run in
-    ``spawn``-started processes, so a script that calls this with more than
-    one worker needs an ``if __name__ == "__main__":`` guard.  The cells'
-    Monte-Carlo bands are built here first and handed to the workers.
+    worker processes, forked when this process runs one OS thread and spawned
+    otherwise (see ``_process_map``).  On the spawn path a script that calls
+    this with more than one worker needs an ``if __name__ == "__main__":``
+    guard.  The cells' Monte-Carlo bands are built here first and handed to
+    the workers.
 
     Per-replication errors are tallied as failures rather than aborting the
     sweep; the empirical rate is taken over the completed replications.

@@ -12,7 +12,8 @@ Null draws are organized in fixed-size chunks, each tied to its own keyed
 substream: draw j is a pure function of (seed, n, q, j), so any batching or
 parallel partition reproduces the same sample bitwise.  Quantile bands are
 memoised per (n, q, settings); the memo only short-circuits an identical
-recomputation and never changes results.  A process can be handed bands built
+recomputation and never changes results; the bands of one sample at several
+levels come from one draw.  A process can be handed bands built
 elsewhere (``install_bands``), so that sweep workers decide without drawing.
 
 Each decision method, the composite test and each of its contrasts, is one
@@ -26,7 +27,7 @@ import re
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 from scipy.special import ndtri
@@ -154,7 +155,7 @@ def empirical_quantile(sorted_values: np.ndarray, level: float) -> float:
 Band = Tuple[float, float]
 BandKey = Tuple[int, int, McSettings]
 
-# Range bands by (n, q, settings), filled by ``mc_quantiles`` and by
+# Range bands by (n, q, settings), filled by ``mc_bands`` and by
 # ``install_bands``.  Each entry is a few hundred bytes; the bound only keeps a
 # long-lived caller that walks through many seeds from growing without limit.
 _BANDS: Dict[BandKey, Band] = {}
@@ -166,18 +167,32 @@ def mc_quantiles(n: int, q: int, settings: McSettings) -> Band:
 
     Memoised per ``(n, q, settings)``.
     """
-    key = (n, q, settings)
-    band = _BANDS.get(key)
-    if band is None:
-        sample = np.sort(null_quasi_range_draws(n, q, settings.replications, settings.seed))
-        band = (
-            empirical_quantile(sample, settings.alpha / 2.0),
-            empirical_quantile(sample, 1.0 - settings.alpha / 2.0),
-        )
-        if len(_BANDS) >= _MAX_BANDS:
-            _BANDS.clear()
-        _BANDS[key] = band
-    return band
+    return mc_bands(n, q, (settings,))[(n, q, settings)]
+
+
+def mc_bands(n: int, q: int, levels: Iterable[McSettings]) -> Dict[BandKey, Band]:
+    """``mc_quantiles(n, q, s)`` for each ``s`` in ``levels``, keyed as it is memoised.
+
+    Settings that differ only in alpha take their bands from one sorted null
+    sample, which is drawn only if one of them is not memoised yet.
+    """
+    bands, samples = {}, {}
+    for settings in levels:
+        key = (n, q, settings)
+        band = _BANDS.get(key)
+        if band is None:
+            draw = (settings.replications, settings.seed)
+            if draw not in samples:
+                samples[draw] = np.sort(null_quasi_range_draws(n, q, *draw))
+            band = (
+                empirical_quantile(samples[draw], settings.alpha / 2.0),
+                empirical_quantile(samples[draw], 1.0 - settings.alpha / 2.0),
+            )
+            if len(_BANDS) >= _MAX_BANDS:
+                _BANDS.clear()
+            _BANDS[key] = band
+        bands[key] = band
+    return bands
 
 
 def install_bands(bands: Mapping[BandKey, Band]) -> None:

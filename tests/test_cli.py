@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import jsonschema
@@ -111,7 +112,8 @@ class TestCmdTest:
         assert f"data row 3, column 2 (file line {5 + header})" in err
 
     @pytest.mark.parametrize("command", ["test", "diagnose"])
-    @pytest.mark.parametrize("bad, line", [("3,abc", 4), ("3,4\n5", 5)], ids=["token", "short"])
+    @pytest.mark.parametrize("bad, line", [("3,abc", 4), ("3,4\n5", 5), ("3,1_000", 4)],
+                             ids=["token", "short", "separator"])
     def test_parse_error_names_its_file_line(self, tmp_path, capsys, command, bad, line):
         path = tmp_path / "gaps.csv"
         path.write_text(f"1,2\n\n# c\n{bad}\n")
@@ -287,6 +289,53 @@ class TestCmdSimulate:
         spec = self.make_spec(tmp_path)
         main(["simulate", str(spec), "--out", str(tmp_path / "a"), "--threads", "1"])
         main(["simulate", str(spec), "--out", str(tmp_path / "b"), "--threads", "4"])
+        assert (tmp_path / "a" / "summary.csv").read_bytes() == \
+               (tmp_path / "b" / "summary.csv").read_bytes()
+
+    # Runs ``main`` with argv after the log path, on two usable CPUs, and prints
+    # its exit code, the start methods asked of multiprocessing, the warnings
+    # raised and its pid; each work unit appends its process's pid and BLAS
+    # variables to the log.
+    RECORD_WORKERS = textwrap.dedent("""\
+        import json, multiprocessing, os, sys, warnings
+        from hdnorm.cli import main
+        from hdnorm import harness
+
+        log, argv = sys.argv[1], sys.argv[2:]
+        methods, get_context, run_unit = [], multiprocessing.get_context, harness._run_unit
+
+        def recording_get_context(method=None):
+            methods.append(method)
+            return get_context(method)
+
+        def reporting_unit(*args):
+            with open(log, "a") as f:
+                env = {k: os.environ.get(k) for k in %r}
+                f.write(json.dumps([os.getpid(), env]) + "\\n")
+            return run_unit(*args)
+
+        multiprocessing.get_context = recording_get_context
+        harness._run_unit = reporting_unit
+        harness.usable_cpus = lambda: 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        print(json.dumps([code, methods, [str(w.message) for w in caught], os.getpid()]))
+        """) % (BLAS_THREAD_VARS,)
+
+    def test_cli_forks_its_workers(self, tmp_path):
+        spec, log = self.make_spec(tmp_path), tmp_path / "units.jsonl"
+        args = [str(log), "simulate", str(spec), "--threads", "2", "--out", str(tmp_path / "b")]
+        code, methods, caught, pid = json.loads(
+            fresh_python(self.RECORD_WORKERS, *args).splitlines()[-1])
+        # Python 3.12 and later warn when a process with other threads forks.
+        # Under -W error os.fork drops that warning instead of raising it, so
+        # the warnings are recorded.
+        assert code == 0 and methods == ["fork"] and caught == []
+        units = [json.loads(line) for line in log.read_text().splitlines()]
+        assert len(units) == 16 and pid not in {unit_pid for unit_pid, _ in units}
+        assert all(env == dict.fromkeys(BLAS_THREAD_VARS, "1") for _, env in units)
+        assert main(["simulate", str(spec), "--threads", "1", "--out", str(tmp_path / "a")]) == 0
         assert (tmp_path / "a" / "summary.csv").read_bytes() == \
                (tmp_path / "b" / "summary.csv").read_bytes()
 

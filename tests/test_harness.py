@@ -3,7 +3,9 @@ import dataclasses
 import io
 import json
 import math
+import multiprocessing
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -173,18 +175,47 @@ class TestWorkerProcesses:
         assert all(env == dict.fromkeys(BLAS_THREAD_VARS, "1") for _, env in reports)
         assert dict(os.environ) == before
 
+    def test_process_with_a_second_thread_spawns(self, monkeypatch):
+        methods = []
+        get_context = multiprocessing.get_context
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method=None: methods.append(method) or get_context(method))
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            reports = _process_map(blas_vars, [(i,) for i in range(4)], 2)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive() and methods == ["spawn"]
+        assert all(env == dict.fromkeys(BLAS_THREAD_VARS, "1") for _, env in reports)
+
+    def test_threads_that_cannot_be_counted_mean_spawn(self, monkeypatch):
+        def unreadable(path):
+            raise FileNotFoundError(path)
+
+        monkeypatch.setattr(os, "listdir", unreadable)
+        assert harness._start_method() == "spawn"
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """The (n, q, m, seed) of every null sample drawn, starting from no memoised band."""
+    drawn = []
+    real_draws = montecarlo.null_quasi_range_draws
+
+    def counting_draws(n, q, m, seed):
+        drawn.append((n, q, m, seed))
+        return real_draws(n, q, m, seed)
+
+    monkeypatch.setattr(montecarlo, "null_quasi_range_draws", counting_draws)
+    monkeypatch.setattr(montecarlo, "_BANDS", {})
+    return drawn
+
 
 class TestBandsBuiltOnce:
-    def test_parent_draws_each_cell_band_once_and_workers_only_read(self, monkeypatch):
-        drawn = []
-        real_draws = montecarlo.null_quasi_range_draws
-
-        def counting_draws(n, q, m, seed):
-            drawn.append((n, q, m, seed))
-            return real_draws(n, q, m, seed)
-
-        monkeypatch.setattr(montecarlo, "null_quasi_range_draws", counting_draws)
-        monkeypatch.setattr(montecarlo, "_BANDS", {})
+    def test_parent_draws_each_cell_band_once_and_workers_only_read(self, monkeypatch, drawn):
         monkeypatch.setattr(harness, "usable_cpus", lambda: 2)
         seen = {}
 
@@ -220,6 +251,14 @@ class TestBandsBuiltOnce:
                 settings, r.method) for i in range(r.replications)]
             assert r.failures == 0 and r.rejections == sum(rep.reject for rep in reports)
         assert len(drawn) == len(seen["bands"])
+
+    def test_levels_of_a_cell_share_one_draw(self, drawn):
+        # "composite" decides its range at alpha/2, "range" at alpha.
+        bands = harness._cell_bands(small_experiment(methods=("composite", "range")))
+        assert len(bands) == 4 and len(drawn) == len(set(drawn)) == 2
+        montecarlo._BANDS.clear()
+        assert bands == {key: montecarlo.mc_quantiles(*key) for key in bands}
+        assert len(drawn) == 6
 
 
 class TestBinomialCi:
