@@ -14,7 +14,8 @@ that dies or cannot be started) or the slices disagree on the column count,
 the whole file is parsed again in this process, so every error is
 ``loadtxt``'s own, row numbers included.  One slice, which is all a small or
 compressed file gets, and all a process gets that has one usable CPU or runs
-other threads, is the whole file read by ``np.loadtxt(path)``.
+other OS threads (BLAS threads count), is the whole file read by
+``np.loadtxt(path)``.
 """
 
 from __future__ import annotations
@@ -24,12 +25,11 @@ import io
 import os
 import signal
 import struct
-import threading
 import warnings
 
 import numpy as np
 
-from .montecarlo import usable_cpus
+from .montecarlo import fork_is_safe, usable_cpus
 
 # Below this many bytes a slice costs more in fork and copy than it saves.
 MIN_SLICE_BYTES = 4 << 20
@@ -64,8 +64,7 @@ def _cuts(path: str) -> list:
     except OSError:
         return [0, None]  # np.loadtxt reports it
     slices = min(usable_cpus(), size // MIN_SLICE_BYTES)
-    # fork is unsafe in a process that runs other threads.
-    if (slices < 2 or not hasattr(os, "fork") or threading.active_count() > 1
+    if (slices < 2 or not fork_is_safe()
             or os.path.splitext(path)[1] in _DECOMPRESSORS):
         return [0, None]
     cuts = [0]
@@ -79,11 +78,12 @@ def _cuts(path: str) -> list:
 
 
 def open_text(path: str):
-    """The file's lines as ``np.loadtxt`` reads them: decompressed by suffix,
-    with universal newlines; latin-1 decodes every byte."""
+    """The file's lines as ``np.loadtxt(path)`` reads them: decompressed by
+    suffix, with universal newlines, in the locale's encoding; a byte that
+    does not decode reads as U+FFFD instead of raising."""
     module = _DECOMPRESSORS.get(os.path.splitext(path)[1])
     opener = importlib.import_module(module).open if module else open
-    return opener(path, "rt", encoding="latin-1")
+    return opener(path, "rt", encoding=None, errors="replace")
 
 
 def _after_newline(f, pos: int) -> int:

@@ -18,7 +18,6 @@ from ._blas import default_to_one_blas_thread
 default_to_one_blas_thread()
 
 import numpy as np  # noqa: E402
-from scipy.special import ndtri
 
 from . import rng
 from ._csvparse import load_csv, open_text
@@ -34,6 +33,7 @@ from .harness import (
 from .moments import DataMatrix, _moments
 from .montecarlo import METHODS, McSettings, composite_test, lookup_method
 from .radii import radial_summary
+from .rng import ndtri
 
 SCHEMA_VERSION = 1
 DEFAULT_MAX_PAIRS = 1_000_000

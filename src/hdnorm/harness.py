@@ -40,6 +40,7 @@ from .montecarlo import (
     BandKey,
     McSettings,
     composite_from_summary,
+    fork_is_safe,
     install_bands,
     lookup_method,
     mc_bands,
@@ -195,18 +196,8 @@ def _one_blas_thread():
 
 def _start_method() -> str:
     """The worker start method: "fork" when this process runs exactly one OS
-    thread, else "spawn".
-
-    A forked child gets a copy of every lock in the state it had at the fork,
-    so forking is safe only when no other thread can hold one.  OS threads are
-    counted, not Python ones, because BLAS runs threads of its own; where
-    ``/proc/self/task`` cannot be read, they cannot be counted.
-    """
-    if hasattr(os, "fork"):
-        with suppress(OSError):
-            if len(os.listdir("/proc/self/task")) == 1:
-                return "fork"
-    return "spawn"
+    thread (``fork_is_safe``), else "spawn"."""
+    return "fork" if fork_is_safe() else "spawn"
 
 
 def _process_map(fn, args: Sequence[tuple], workers: int,

@@ -30,12 +30,12 @@ from functools import lru_cache
 from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import rng
 from .errors import InvalidQuantileOrder, TooFewSamples
 from .moments import DataMatrix, DispersionEstimate
 from .radii import RadialSummary, radial_summary
+from .rng import ndtri
 from .teststats import (
     StatKind,
     TestStatistic,
@@ -78,6 +78,20 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+def fork_is_safe() -> bool:
+    """Whether this process may fork: it has ``os.fork`` and runs exactly one OS thread.
+
+    A forked child gets a copy of every lock in the state it had at the fork,
+    so forking is safe only when no other thread can hold one.  OS threads are
+    counted, not Python ones, because BLAS runs threads of its own; where
+    ``/proc/self/task`` cannot be read, they cannot be counted.
+    """
+    try:
+        return hasattr(os, "fork") and len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
 
 
 def _null_chunk(n: int, q: int, seed: int, chunk_index: int, count: int) -> np.ndarray:

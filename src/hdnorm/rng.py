@@ -9,13 +9,53 @@ of the work across threads or processes produces bitwise-identical results.
 Continuous variates are produced by inverse-CDF transforms of the uniform
 stream (no rejection sampling), which keeps the draw count per variate fixed
 and the values stable across platforms.
+
+The two transforms, ``ndtri`` and ``gammaincinv``, are the only scipy
+functions the package calls, and every other module takes them from here.
+They are scipy.special's compiled ufuncs, loaded from
+``scipy.special._ufuncs`` without running the package's ``__init__``, whose
+array-API wrappers cost most of a CLI process's start-up (see ``_ufuncs``).
+They are the very objects ``scipy.special`` exports, so the values do not
+depend on how they were loaded.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+import threading
+
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
-from scipy.special import gammaincinv, ndtri
+
+
+def _ufuncs():
+    """scipy.special's compiled ufunc module, or the package where that is unsafe.
+
+    A module for the package is made from its spec but not executed, and is
+    in ``sys.modules`` only while ``scipy.special._ufuncs`` imports under it.
+    Another thread could import scipy.special in that window and get the
+    empty package, so this is done only when no other Python thread runs.
+    A later ``import scipy.special`` initialises the package in full and
+    reuses the loaded ``_ufuncs``.
+    """
+    if "scipy.special" not in sys.modules and threading.active_count() == 1:
+        try:
+            spec = importlib.util.find_spec("scipy.special")
+            sys.modules["scipy.special"] = importlib.util.module_from_spec(spec)
+            try:
+                return importlib.import_module("scipy.special._ufuncs")
+            finally:
+                del sys.modules["scipy.special"]
+        except (ImportError, AttributeError):
+            pass
+    import scipy.special
+    return scipy.special
+
+
+_special = _ufuncs()
+ndtri = _special.ndtri
+gammaincinv = _special.gammaincinv
 
 # Path domain tags.  Each top-level consumer of randomness uses its own tag so
 # streams never collide across subsystems.

@@ -19,10 +19,9 @@ from enum import Enum
 from numbers import Integral
 from typing import Optional, Sequence, Tuple
 
-from scipy.special import ndtri
-
 from .errors import InvalidQuantileOrder, NonPositiveDispersion, TooFewSamples
 from .radii import RadialSummary
+from .rng import ndtri
 
 
 class StatKind(str, Enum):

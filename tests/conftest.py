@@ -1,5 +1,10 @@
 """Shared helpers for the test suite."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +17,7 @@ from hdnorm import (
     sample_scenario,
 )
 from hdnorm import rng as hrng
+from hdnorm._blas import BLAS_THREAD_VARS
 from hdnorm.montecarlo import composite_from_summary
 from hdnorm.radii import radial_summary
 
@@ -26,6 +32,19 @@ def random_orthogonal(gen: np.random.Generator, d: int) -> np.ndarray:
     """Haar-ish orthogonal matrix via QR with a fixed sign convention."""
     Q, R = np.linalg.qr(gen.standard_normal((d, d)))
     return Q * np.sign(np.diag(R))
+
+
+def fresh_python(code, *args, **env):
+    """stdout of ``python -c code *args`` in a new process on these sources.
+
+    The BLAS thread-count variables are unset unless given in ``env``.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code, *args], env={**base, **env},
+                         capture_output=True, text=True, check=True, timeout=120)
+    return out.stdout.strip()
 
 
 def similarity_transform(values: np.ndarray, sigma: float, V: np.ndarray,

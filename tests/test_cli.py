@@ -1,9 +1,8 @@
 import hashlib
 import json
+import locale
 import math
 import os
-import subprocess
-import sys
 import textwrap
 from pathlib import Path
 
@@ -11,7 +10,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from conftest import gaussian_data
+from conftest import fresh_python, gaussian_data
 from hdnorm import generators
 from hdnorm import rng as hrng
 from hdnorm._blas import BLAS_THREAD_VARS, default_to_one_blas_thread
@@ -121,6 +120,14 @@ class TestCmdTest:
         err = capsys.readouterr().err
         assert f"cannot parse {path} as a numeric CSV: file line {line}" in err
         assert not (tmp_path / "out").exists()
+
+    def test_non_ascii_token_is_named_as_written(self, tmp_path, capsys):
+        # Decoded as np.loadtxt decodes it, in the locale's encoding.
+        path = tmp_path / "digits.csv"
+        path.write_text("1,2\n3,\u0661\n", encoding=locale.getpreferredencoding(False))
+        assert main(["test", str(path), "--out", str(tmp_path / "r.json")]) == 1
+        assert (f"cannot parse {path} as a numeric CSV: file line 2:"
+                " could not convert string to float: '\u0661'") in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad, message", [
         ("3,abc", "file line 2: could not convert string to float: 'abc'"),
@@ -482,23 +489,63 @@ class TestCmdSimulate:
             assert f"``{name}``" in generators.__doc__
 
 
-def fresh_python(code, *args, **env):
-    """stdout of ``python -c code *args`` in a new process on these sources.
-
-    The BLAS thread-count variables are unset unless given in ``env``.
-    """
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
-    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code, *args], env={**base, **env},
-                         capture_output=True, text=True, check=True, timeout=120)
-    return out.stdout.strip()
-
-
 def test_cli_import_leaves_out_scipy_linalg_and_spatial():
+    # Nor the scipy.special package, whose array-API wrappers load numpy.f2py.
     code = ("import sys, hdnorm.cli; print(sorted(m for m in sys.modules"
-            " if m.startswith(('scipy.linalg', 'scipy.spatial'))))")
+            " if m.startswith(('scipy.linalg', 'scipy.spatial'))"
+            " or m in ('scipy.special', 'scipy._lib._array_api', 'numpy.f2py')))")
     assert fresh_python(code) == "[]"
+
+
+class TestUfuncLoader:
+    # After ``import hdnorm.rng``: whether the scipy.special package and its
+    # array-API wrappers are loaded; then, after ``import scipy.special``,
+    # whether hdnorm's transforms are its exports and the package works.
+    REPORT = ("import hdnorm.rng\n"
+              "loaded = [m in sys.modules for m in ('scipy.special', 'scipy._lib._array_api')]\n"
+              "import scipy.special\n"
+              "print(json.dumps([loaded, scipy.special.ndtri is hdnorm.rng.ndtri,\n"
+              "                  scipy.special.gammaincinv is hdnorm.rng.gammaincinv,\n"
+              "                  scipy.special._ufuncs is sys.modules['scipy.special._ufuncs'],\n"
+              "                  float(scipy.special.erf(0.0)), float(hdnorm.rng.ndtri(0.5))]))\n")
+
+    def loaded(self, setup=""):
+        got = json.loads(fresh_python("import json, sys\n" + textwrap.dedent(setup)
+                                      + self.REPORT))
+        assert got[1:] == [True, True, True, 0.0, 0.0]
+        return got[0]
+
+    def test_alone_it_loads_only_the_ufuncs(self):
+        assert self.loaded() == [False, False]
+
+    @pytest.mark.parametrize("setup", [
+        "import scipy.special\n",
+        """\
+        import threading
+        stop = threading.Event()
+        threading.Thread(target=stop.wait, daemon=True).start()
+        """,
+        """\
+        import importlib.util
+        def missing(name, package=None):
+            raise ModuleNotFoundError(name)
+        importlib.util.find_spec = missing
+        """,
+        "import importlib.util\nimportlib.util.find_spec = lambda name, package=None: None\n",
+    ], ids=["package_loaded", "second_thread", "find_spec_raises", "no_spec"])
+    def test_otherwise_the_package_is_imported(self, setup):
+        assert self.loaded(setup) == [True, True]
+
+    def test_diagnose_in_a_fresh_process(self, null_csv, tmp_path):
+        # scipy.spatial imports scipy.special in full after the ufuncs loaded.
+        code = ("import sys\nfrom hdnorm.cli import main\ncode = main(sys.argv[1:])\n"
+                "print(code, 'scipy._lib._array_api' in sys.modules)")
+        fresh = fresh_python(code, "diagnose", str(null_csv), "--out", str(tmp_path / "fresh"))
+        assert fresh.splitlines()[-1] == "0 True"
+        assert main(["diagnose", str(null_csv), "--out", str(tmp_path / "here")]) == 0
+        for name in ("qq.csv", "radii.csv", "interpoint.csv"):
+            assert ((tmp_path / "fresh" / name).read_bytes()
+                    == (tmp_path / "here" / name).read_bytes())
 
 
 class TestLazyPackage:

@@ -5,8 +5,6 @@ as many slices as the patched CPU count allows.
 """
 
 import os
-import subprocess
-import sys
 import threading
 import warnings
 from pathlib import Path
@@ -14,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import gaussian_data
+from conftest import fresh_python, gaussian_data
 from hdnorm import _csvparse
 from hdnorm.cli import main
 
@@ -25,6 +23,9 @@ FLOOR = 64
 def cpus(request, monkeypatch):
     monkeypatch.setattr(_csvparse, "MIN_SLICE_BYTES", FLOOR)
     monkeypatch.setattr(_csvparse, "usable_cpus", lambda: request.param)
+    # The test process's BLAS threads aside, which idle while these tests fork;
+    # test_fork_needs_one_os_thread counts the real threads.
+    monkeypatch.setattr(_csvparse, "fork_is_safe", lambda: threading.active_count() == 1)
     return request.param
 
 
@@ -227,11 +228,13 @@ class TestErrorsInTheLastSlice:
 
 
 def test_no_child_outlives_a_call(tmp_path):
-    # In a fresh process, which has no other children to confuse waitpid(-1).
+    # In a fresh process, which has no other children to confuse waitpid(-1),
+    # and whose BLAS runs one thread, as in an hdnorm command, so it forks.
     good = write(tmp_path, "plain.csv", CASES["plain"]())
     bad, _ = bad_last_slice(tmp_path, "token", False)
     code = (
         "import os, sys\n"
+        "import hdnorm.cli\n"
         "from hdnorm import _csvparse\n"
         f"_csvparse.MIN_SLICE_BYTES = {FLOOR}\n"
         "_csvparse.usable_cpus = lambda: 4\n"
@@ -245,12 +248,33 @@ def test_no_child_outlives_a_call(tmp_path):
         "    except ChildProcessError:\n"
         "        print('reaped')\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
-        "PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code, good, bad], env=env, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
-    assert out.split("\n") == ["(30, 6)", "reaped", "ValueError", "reaped", ""]
+    assert fresh_python(code, good, bad).split("\n") == ["(30, 6)", "reaped", "ValueError",
+                                                       "reaped"]
+
+
+def test_fork_needs_one_os_thread(tmp_path):
+    # An OS thread that is no Python thread, as a BLAS thread is, stops the
+    # slicing in a fresh process whose BLAS runs one thread.
+    path = write(tmp_path, "plain.csv", CASES["plain"]())
+    code = (
+        "import _thread, sys, threading\n"
+        "import hdnorm.cli\n"
+        "from hdnorm import _csvparse\n"
+        f"_csvparse.MIN_SLICE_BYTES = {FLOOR}\n"
+        "_csvparse.usable_cpus = lambda: 2\n"
+        "print(len(_csvparse._cuts(sys.argv[1])))\n"
+        "started, stop = _thread.allocate_lock(), _thread.allocate_lock()\n"
+        "started.acquire()\n"
+        "stop.acquire()\n"
+        "def hold():\n"
+        "    started.release()\n"
+        "    stop.acquire()\n"
+        "_thread.start_new_thread(hold, ())\n"
+        "started.acquire()\n"
+        "print(threading.active_count(), _csvparse._cuts(sys.argv[1]))\n"
+        "stop.release()\n"
+    )
+    assert fresh_python(code, path).split("\n") == ["3", "1 [0, None]"]
 
 
 @pytest.mark.parametrize("widths", [(4, 5), (5, 4)], ids=["wider_below", "narrower_below"])
