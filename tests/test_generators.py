@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -305,3 +306,113 @@ class TestScenarioPower:
         settings = McSettings(replications=4000, seed=26, alpha=0.05)
         rate = rejection_rate(s, 300, settings, seed=305)
         assert rate >= 0.90
+
+
+# The samplers' draws on one fixed substream, n = 12 and d = 8: every family
+# (raw and standardized chi-square apart) on every covariance kind it
+# accepts.  Each digest is the sha256 of the sample's bytes followed by the
+# population covariance's.  Kinds missing from a family's entry are refused.
+PIN_N, PIN_D = 12, 8
+PIN_COVS = {
+    "identity": CovSpec("identity", PIN_D),
+    "ar1": CovSpec("ar1", PIN_D, rho=0.5),
+    "sparse_random": CovSpec("sparse_random", PIN_D, density=0.3, seed=2),
+    "wishart": CovSpec("wishart", PIN_D, seed=1),
+    "geom_decay": CovSpec("geom_decay", PIN_D, rate=0.8),
+}
+PIN_FAMILIES = {
+    "null_gaussian": ("null_gaussian", {}),
+    "loc_mixture": ("loc_mixture", {}),
+    "cov_mixture": ("cov_mixture", {}),
+    "multivariate_t": ("multivariate_t", {}),
+    "chisq_marginals": ("chisq_marginals", {}),
+    "chisq_marginals+standardize": ("chisq_marginals", {"standardize": True}),
+    "elliptical_uniform_scale": ("elliptical_uniform_scale", {"delta": 0.5}),
+    "leptokurtic": ("leptokurtic", {}),
+    "bai_sarandasa": ("bai_sarandasa", {}),
+    "mixed_marginals": ("mixed_marginals", {}),
+}
+FAMILY_SHA256 = {
+    "null_gaussian": {
+        "identity": "859fa27e59f3d71441df2c9c6bc8bb3446320d38b74b17bb568ee1891ccb9eec",
+        "ar1": "8d3fd5fcf51a2d7b557598cf62e40e18b97dd51777ae27c1c602767a0609cc69",
+        "sparse_random": "df196126edeb2b157d1e402468917798d8121bf127d4c1f7006b35903ba3c3f6",
+        "wishart": "8eb8375cf9ab34e5b29e258cf413473fe88c53f8d78eff11edf1736619a0f8ec",
+        "geom_decay": "3f46c1320e563c94b19fc07c599c5897039c7513048e623dcc7495af136a2b26",
+    },
+    "loc_mixture": {
+        "identity": "8d2603645960822cede1ab3f899d8fad0afcd78b21f35d296dfe2cfd0ea72253",
+        "ar1": "b3000942f2167461c7354493e443de6aff7d1ca6ef8ce0e837c208483710448d",
+        "sparse_random": "848616588ae02a22ba5612143237950075c4bb78610ebbbe40eeef3c6e4eb9f2",
+        "wishart": "1022a8bef4c0ed25f1ee0ecd7bd654f36adadfc88351d71fa2e22c02f0429456",
+        "geom_decay": "899aeb93eb57fb67995003839ac0494a5f82d70e4e70740a85af6fa476e68706",
+    },
+    "cov_mixture": {
+        "identity": "7e22d08216d10fdf57a7adc1621f91ca6a00fb884d649d6e44efb3a5e64d1920",
+        "ar1": "c6d964f8e6c64e8d3df933b0f11109f0bc7a144d9c14b7d33a08f8dac09bc388",
+        "sparse_random": "64ff1948f6a9d1064572fc9955631f6d59ea2529bd64badb9362400db3f7085b",
+        "wishart": "4885798bfef2eb1c65e669f0ebe58f47ee7cd1f48d40aae1c08cf5fc05bf08bc",
+        "geom_decay": "c2c3a8102e7a9ee970e9f15d72f05f17909dd83ce697784f85a461bffb909bfb",
+    },
+    "multivariate_t": {
+        "identity": "d6f993031b6257c5c9443bb1b73e96c62a2fac526e8fc9df08a55a932cb25537",
+        "ar1": "7188f750f65c5614cffc11cd02a0efc8bc4f68a9126f74ddb1aa285359e76f6f",
+        "sparse_random": "a3b2ad1970f51e19fd30246786dd349c5db0539cf7622f90bb7ebb7478631746",
+        "wishart": "90f3080ff894aaf83b81a5e258e347256fb428b1a6f5f096fab7d219d325e938",
+        "geom_decay": "4c13a03cb4f75dbaf8c8b13aae1fffe47b0731d49f6f80f0b9ce66df64d78d41",
+    },
+    "chisq_marginals": {
+        "identity": "5c0aa14700e2a21bcf4a78af593ca7f898306ed0d402b7a578949a3abc263447",
+    },
+    "chisq_marginals+standardize": {
+        "identity": "ade39500baf4057a17c8376d55673834fd35fad59345a11d03e769947121a965",
+        "ar1": "a80f012c96c6f254e79ea410095714d3209a563a4f23680266226cf0f65d0d75",
+        "sparse_random": "e7971130d3a61dac7134283b7bbf2e1f38310105805f27a49ab1b4fa0d315898",
+        "wishart": "0d4327be4311eaeb6c7ee951436af8e11d26d5161dc3674874ddaff2d6a61861",
+        "geom_decay": "55f0e2090a979188d7b8e0b3119678f07e1ebcce5942251491d2077543408a5a",
+    },
+    "elliptical_uniform_scale": {
+        "identity": "71cb0816a516eaefcc480bda0a7a2bd1ba465618dde9ec32ceb6c6284d734c0e",
+        "ar1": "468002a8b014b47d0f0d218185fa0a4ab91f156ef95102ce7effa38957e0e119",
+        "sparse_random": "fb75bdea428d062258833120d9f65780ae421df64cae499f7fb9e9be7c9a2c56",
+        "wishart": "597bbc1d04397ae592e563f0168b0ee8a1d3a8c04a37f2927e823c05a4bc1640",
+        "geom_decay": "81ebd497d01cc3a6d829d156c0f17ba89e5c65b6e28a42c46384bb16e8a6eafe",
+    },
+    "leptokurtic": {
+        "identity": "d01dda69b1ee7c70d882d46af80c63d5691a8c5c94de8a8082be3dd2e3b18140",
+        "ar1": "9def52a942822a88334d701870d9e05fff4878e9edceaa15e76232f2e0b7c6fc",
+        "sparse_random": "d255ab94853c2ddf967b520a80e2149b82c7ec91e2e2edfd9f0ee9c6cb76477e",
+        "wishart": "7505cfd2e69dd233dd02be53000f924153eadb1928792c9fe1e47ec2dddc5fcc",
+        "geom_decay": "efa4189abe76418863ab9233b13d7cf521209de0a9157cf5c721380a59c5e505",
+    },
+    "bai_sarandasa": {
+        "identity": "dd61b5c3ced545701282a292e4e6fb1e3b8e9455d253df5f0bbb1ba773b53f37",
+        "ar1": "d79875c9c773f124fb9c1e166dd10f3f5b956db7a00d3c4dfc5878a183c2866e",
+        "sparse_random": "98cf7f66ab26ba8b9ac0aaa30efb9f5353c74990eec8f5f36ee8fbde4b188fbe",
+        "wishart": "9993e3711628fb0758242c53de29957e6db32c46251097a5a96c49696d973c42",
+        "geom_decay": "d5b45ed757de11d312b8af23d7e4dc66f49c037a96cbf5ef0dc4bcea9b5d1aa0",
+    },
+    "mixed_marginals": {
+        "identity": "1a55512ebb55fd804e0c8353ed7e2dc4d152f8e465b87a4e596c30d7d61bd403",
+    },
+}
+
+
+@pytest.mark.parametrize("kind", PIN_COVS)
+@pytest.mark.parametrize("case", PIN_FAMILIES)
+def test_family_draws_and_covariance_are_pinned(case, kind):
+    family, params = PIN_FAMILIES[case]
+    s = Scenario(family, PIN_N, PIN_D, PIN_COVS[kind], params)
+    if kind not in FAMILY_SHA256[case]:
+        for call in (draw, scenario_covariance):
+            with pytest.raises(InvalidScenarioParams, match="untransported coordinates"):
+                call(s)
+        return
+    digest = hashlib.sha256(draw(s, seed=2024).values.tobytes())
+    digest.update(scenario_covariance(s).tobytes())
+    assert digest.hexdigest() == FAMILY_SHA256[case][kind]
+
+
+def test_family_pins_cover_every_family():
+    assert {family for family, _ in PIN_FAMILIES.values()} == set(generators.FAMILIES)
+    assert list(PIN_COVS) == list(generators.COV_KINDS)
