@@ -20,19 +20,18 @@ __version__ = "0.1.0"
 # Every public name, by the submodule that defines it.
 _EXPORTS = {
     "errors": ("HdnormError", "InvalidQuantileOrder", "InvalidScenarioParams", "NonFiniteData",
-               "NonPositiveDispersion", "NotPSD", "OracleSizeExceeded", "TooFewSamples",
-               "ZeroMatrix"),
-    "generators": ("CovSpec", "EffectiveRanks", "Scenario", "build_covariance",
-                   "effective_ranks", "sample_scenario", "scenario_covariance"),
+               "NonPositiveDispersion", "NotPSD", "TooFewSamples"),
+    "generators": ("CovSpec", "Scenario", "build_covariance", "sample_scenario",
+                   "scenario_covariance"),
     "harness": ("CellResult", "CellSpec", "Experiment", "experiment_from_json",
                 "run_experiment", "summarize"),
-    "moments": ("DataMatrix", "DispersionEstimate", "tr_sigma_sq_hat", "tr_sigma_sq_oracle"),
-    "montecarlo": ("Decision", "McSettings", "TestReport", "composite_test", "decide_iqr",
-                   "decide_range", "mc_quantiles", "null_quasi_range_draws"),
+    "moments": ("DataMatrix", "DispersionEstimate"),
+    "montecarlo": ("Decision", "McSettings", "TestReport", "composite_test", "mc_quantiles",
+                   "null_quasi_range_draws"),
     "radii": ("RadialSummary", "radial_summary"),
-    "teststats": ("NormConstants", "StatKind", "TestStatistic", "central_quantile_statistic",
-                  "iqr_statistic", "norm_constants", "quasi_range_statistic",
-                  "range_statistic", "sigma_star", "squared_radii_statistics"),
+    "teststats": ("NormConstants", "TestStatistic", "iqr_statistic", "norm_constants",
+                  "quasi_range_statistic", "range_statistic", "sigma_star",
+                  "squared_radii_statistics"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 # Submodules that are attributes of the package, loaded on first access.

@@ -107,9 +107,10 @@ class SystemExit2(Exception):
 
 
 def cmd_test(args) -> int:
-    lookup_method(args.stats)  # a bad name fails before the file is read
-    X = _load_matrix(args.file, args.header)
+    # A bad method name or Monte-Carlo setting fails before the file is read.
+    lookup_method(args.stats)
     settings = McSettings(replications=args.mc, seed=args.seed, alpha=args.alpha)
+    X = _load_matrix(args.file, args.header)
     report = composite_test(X, settings, args.stats)
 
     # The report names a quasi-range method "quasi"; its order is in the decision.

@@ -33,10 +33,6 @@ class NonPositiveDispersion(HdnormError):
     """
 
 
-class OracleSizeExceeded(HdnormError):
-    """Raised when the O(n^4) brute-force estimator is asked for too large an n."""
-
-
 class InvalidQuantileOrder(HdnormError):
     """Raised for quantile specifications outside their admissible range."""
 
@@ -47,7 +43,3 @@ class InvalidScenarioParams(HdnormError):
 
 class NotPSD(HdnormError):
     """Raised when a constructed covariance matrix fails the PSD check."""
-
-
-class ZeroMatrix(HdnormError):
-    """Raised when a matrix argument is identically zero where it must not be."""

@@ -1,4 +1,4 @@
-"""Covariance builders, data-generating scenarios, and effective ranks.
+"""Covariance builders and data-generating scenarios.
 
 Covariance structures
 ---------------------
@@ -22,14 +22,18 @@ Scenario families
 ``bai_sarandasa``            factor model with a shared random sign coupling
 ``mixed_marginals``          Gaussian coordinates with a t-distributed block
 
-Each family's parameters and their defaults are listed once, in ``FAMILIES``,
-and each covariance kind's in ``COV_KINDS``.
+Each family is one ``Family`` record in ``FAMILIES``: its parameters and
+their defaults, its sampler ``sample(s, p, gen)`` and its population
+covariance ``covariance(s, p, cov)``.  ``_params`` is the one reader of a
+scenario's parameters; ``sample_scenario`` and ``scenario_covariance`` fill
+them in and call the family's record.  Each covariance kind's parameters and
+their defaults are listed once, in ``COV_KINDS``.
 
-Samplers are pure functions of an explicit generator stream.  Non-Gaussian
-drivers are pushed through the symmetric square root (or the eigenvector
-factor, for the leptokurtic family) rather than a Cholesky factor, since for
-non-Gaussian inputs the two produce different laws; Gaussian drivers use the
-cheaper Cholesky factor.
+Samplers are pure functions of an explicit generator stream, and each names
+the factor of Sigma it transports its draws with.  Gaussian drivers use the
+cheaper Cholesky factor ("chol"); non-Gaussian drivers use the symmetric
+square root ("sym") or, for the leptokurtic family, the eigenvector factor
+("eigen"), since for non-Gaussian inputs the factors produce different laws.
 """
 
 from __future__ import annotations
@@ -37,12 +41,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Mapping, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from . import rng
-from .errors import InvalidScenarioParams, NotPSD, ZeroMatrix
+from .errors import InvalidScenarioParams, NotPSD
 from .moments import DataMatrix
 
 _PSD_TOL = 1e-8
@@ -194,17 +198,130 @@ class PowerOfD(NamedTuple):
     exponent: float
 
 
-# Each family's parameters and their defaults.
-FAMILIES: Dict[str, Dict[str, object]] = {
-    "null_gaussian": {},
-    "loc_mixture": {"shift": PowerOfD(2.15, -0.25), "weights": (0.5, 0.5)},
-    "cov_mixture": {"gap": PowerOfD(1.4, -0.5), "weights": (0.5, 0.5)},
-    "multivariate_t": {"dof": PowerOfD(1.0, 1.0)},
-    "chisq_marginals": {"dof": 6.0, "standardize": False},
-    "elliptical_uniform_scale": {"sigma0": 1.0, "delta": 0.0},
-    "leptokurtic": {"excess_kurtosis": 1.0},
-    "bai_sarandasa": {},
-    "mixed_marginals": {"t_fraction": 0.5, "t_dof": 25.0},
+def _gaussian(s, p, gen):
+    """n rows of N(0, Sigma), through the Cholesky factor."""
+    return _apply_factor(rng.standard_normal(gen, (s.n, s.d)), _factor(s.cov, "chol"))
+
+
+def _loc_mixture(s, p, gen):
+    second = gen.random(s.n) >= p["weights"][0]
+    return _gaussian(s, p, gen) + np.where(second, p["shift"], 0.0)[:, None]
+
+
+def _cov_mixture(s, p, gen):
+    gap = p["gap"]
+    second = gen.random(s.n) >= p["weights"][0]
+    scale = np.where(second, math.sqrt(1.0 - gap), math.sqrt(1.0 + gap))
+    return _gaussian(s, p, gen) * scale[:, None]
+
+
+def _multivariate_t(s, p, gen):
+    X = _gaussian(s, p, gen)
+    g = rng.chi_square(gen, p["dof"], s.n)
+    return X / np.sqrt(g / p["dof"])[:, None]
+
+
+def _chisq_marginals(s, p, gen):
+    dof = p["dof"]
+    X = rng.chi_square(gen, dof, (s.n, s.d))
+    if not p["standardize"]:
+        return X
+    return _apply_factor((X - dof) / math.sqrt(2.0 * dof), _factor(s.cov, "sym"))
+
+
+def _elliptical_uniform_scale(s, p, gen):
+    X = _gaussian(s, p, gen)
+    eps = p["sigma0"] + p["delta"] * gen.random(s.n)
+    return X * eps[:, None]
+
+
+def _leptokurtic(s, p, gen):
+    a2, b2 = _leptokurtic_variances(p["excess_kurtosis"])
+    Z = rng.standard_normal(gen, (s.n, s.d))
+    Z = Z * np.where(gen.random((s.n, s.d)) < 0.5, math.sqrt(a2), math.sqrt(b2))
+    return _apply_factor(Z, _factor(s.cov, "eigen"))
+
+
+def _leptokurtic_variances(excess: float) -> Tuple[float, float]:
+    """Closed-form two-point scale calibration: variance 1, fourth moment 3 + excess.
+
+    Each coordinate is a balanced mixture of N(0, a2) and N(0, b2) with
+    a2 = 1 + sqrt(excess/3), b2 = 1 - sqrt(excess/3); feasible for excess in [0, 3].
+    """
+    root = math.sqrt(excess / 3.0)
+    a2, b2 = 1.0 + root, 1.0 - root
+    assert abs(0.5 * (a2 + b2) - 1.0) <= 1e-10
+    assert abs(3.0 * 0.5 * (a2 * a2 + b2 * b2) - (3.0 + excess)) <= 1e-10
+    return a2, b2
+
+
+def _bai_sarandasa(s, p, gen):
+    # Standardized-exponential factors sharing one random sign per row:
+    # marginally symmetric, jointly dependent, all moments finite.
+    T = rng.exponential(gen, (s.n, s.d)) - 1.0
+    u = rng.rademacher(gen, s.n)
+    return _apply_factor(u[:, None] * T, _factor(s.cov, "sym"))
+
+
+def _mixed_marginals(s, p, gen):
+    k, t_dof = p["t_columns"], p["t_dof"]
+    Zg = rng.standard_normal(gen, (s.n, s.d - k))
+    Zt = rng.standard_normal(gen, (s.n, k))
+    g = rng.chi_square(gen, t_dof, s.n)
+    return np.concatenate([Zg, Zt / np.sqrt(g / t_dof)[:, None]], axis=1)
+
+
+def _t_variance(dof: float) -> float:
+    """Variance of a t coordinate with unit scale, finite only for dof > 2."""
+    if dof <= 2:
+        raise InvalidScenarioParams(f"t covariance finite only for dof > 2, got {dof}")
+    return dof / (dof - 2.0)
+
+
+def _mixed_marginals_covariance(s, p, cov):
+    diag = np.ones(s.d)
+    diag[s.d - p["t_columns"]:] = _t_variance(p["t_dof"])
+    return np.diag(diag)
+
+
+class Family(NamedTuple):
+    """A scenario family: its parameters' defaults; ``sample(s, p, gen)``, which
+    draws the n x d sample from the stream ``gen``; and ``covariance(s, p, cov)``,
+    the population covariance given the covariance spec's matrix ``cov``.  ``p``
+    holds the checked parameters."""
+
+    defaults: Mapping[str, object]
+    sample: Callable[[Scenario, Dict[str, object], np.random.Generator], np.ndarray]
+    covariance: Callable[[Scenario, Dict[str, object], np.ndarray], np.ndarray]
+
+
+def _unchanged(s, p, cov):
+    return cov
+
+
+FAMILIES: Dict[str, Family] = {
+    "null_gaussian": Family({}, _gaussian, _unchanged),
+    "loc_mixture": Family(
+        {"shift": PowerOfD(2.15, -0.25), "weights": (0.5, 0.5)}, _loc_mixture,
+        lambda s, p, cov: cov + (p["weights"][0] * p["weights"][1] * p["shift"] * p["shift"]
+                                 * np.ones((s.d, s.d)))),
+    "cov_mixture": Family(
+        {"gap": PowerOfD(1.4, -0.5), "weights": (0.5, 0.5)}, _cov_mixture,
+        lambda s, p, cov: (p["weights"][0] * (1.0 + p["gap"])
+                           + p["weights"][1] * (1.0 - p["gap"])) * cov),
+    "multivariate_t": Family({"dof": PowerOfD(1.0, 1.0)}, _multivariate_t,
+                             lambda s, p, cov: _t_variance(p["dof"]) * cov),
+    "chisq_marginals": Family(
+        {"dof": 6.0, "standardize": False}, _chisq_marginals,
+        lambda s, p, cov: cov if p["standardize"] else 2.0 * p["dof"] * np.eye(s.d)),
+    "elliptical_uniform_scale": Family(
+        {"sigma0": 1.0, "delta": 0.0}, _elliptical_uniform_scale,
+        lambda s, p, cov: (p["sigma0"] * p["sigma0"] + p["sigma0"] * p["delta"]
+                           + p["delta"] * p["delta"] / 3.0) * cov),
+    "leptokurtic": Family({"excess_kurtosis": 1.0}, _leptokurtic, _unchanged),
+    "bai_sarandasa": Family({}, _bai_sarandasa, _unchanged),
+    "mixed_marginals": Family({"t_fraction": 0.5, "t_dof": 25.0}, _mixed_marginals,
+                              _mixed_marginals_covariance),
 }
 
 
@@ -224,7 +341,7 @@ def _params(s: Scenario) -> Dict[str, object]:
             f"unknown scenario family {fam!r}; choose from {', '.join(FAMILIES)}")
     given, p = dict(s.params), {}
     try:
-        for key, default in FAMILIES[fam].items():
+        for key, default in FAMILIES[fam].defaults.items():
             if isinstance(default, PowerOfD):
                 coeff = float(given.pop(f"{key}_coeff", default.coeff))
                 exponent = float(given.pop(f"{key}_exponent", default.exponent))
@@ -265,130 +382,10 @@ def _params(s: Scenario) -> Dict[str, object]:
 def sample_scenario(s: Scenario, gen: np.random.Generator) -> DataMatrix:
     """Draw an n x d sample from the scenario using the provided stream."""
     p = _params(s)
-    n, d, fam = s.n, s.d, s.family
-
-    if fam == "null_gaussian":
-        X = _apply_factor(rng.standard_normal(gen, (n, d)), _factor(s.cov, "chol"))
-
-    elif fam == "loc_mixture":
-        second = gen.random(n) >= p["weights"][0]
-        X = _apply_factor(rng.standard_normal(gen, (n, d)), _factor(s.cov, "chol"))
-        X = X + np.where(second, p["shift"], 0.0)[:, None]
-
-    elif fam == "cov_mixture":
-        gap = p["gap"]
-        second = gen.random(n) >= p["weights"][0]
-        scale = np.where(second, math.sqrt(1.0 - gap), math.sqrt(1.0 + gap))
-        X = _apply_factor(rng.standard_normal(gen, (n, d)), _factor(s.cov, "chol"))
-        X = X * scale[:, None]
-
-    elif fam == "multivariate_t":
-        dof = p["dof"]
-        X = _apply_factor(rng.standard_normal(gen, (n, d)), _factor(s.cov, "chol"))
-        g = rng.chi_square(gen, dof, n)
-        X = X / np.sqrt(g / dof)[:, None]
-
-    elif fam == "chisq_marginals":
-        dof = p["dof"]
-        X = rng.chi_square(gen, dof, (n, d))
-        if p["standardize"]:
-            X = _apply_factor((X - dof) / math.sqrt(2.0 * dof), _factor(s.cov, "sym"))
-
-    elif fam == "elliptical_uniform_scale":
-        X = _apply_factor(rng.standard_normal(gen, (n, d)), _factor(s.cov, "chol"))
-        eps = p["sigma0"] + p["delta"] * gen.random(n)
-        X = X * eps[:, None]
-
-    elif fam == "leptokurtic":
-        a2, b2 = _leptokurtic_variances(p["excess_kurtosis"])
-        Z = rng.standard_normal(gen, (n, d))
-        Z = Z * np.where(gen.random((n, d)) < 0.5, math.sqrt(a2), math.sqrt(b2))
-        X = _apply_factor(Z, _factor(s.cov, "eigen"))
-
-    elif fam == "bai_sarandasa":
-        # Standardized-exponential factors sharing one random sign per row:
-        # marginally symmetric, jointly dependent, all moments finite.
-        T = rng.exponential(gen, (n, d)) - 1.0
-        u = rng.rademacher(gen, n)
-        X = _apply_factor(u[:, None] * T, _factor(s.cov, "sym"))
-
-    else:  # mixed_marginals
-        k, t_dof = p["t_columns"], p["t_dof"]
-        Zg = rng.standard_normal(gen, (n, d - k))
-        Zt = rng.standard_normal(gen, (n, k))
-        g = rng.chi_square(gen, t_dof, n)
-        X = np.concatenate([Zg, Zt / np.sqrt(g / t_dof)[:, None]], axis=1)
-
-    return DataMatrix.from_array(X)
-
-
-def _leptokurtic_variances(excess: float) -> Tuple[float, float]:
-    """Closed-form two-point scale calibration: variance 1, fourth moment 3 + excess.
-
-    Each coordinate is a balanced mixture of N(0, a2) and N(0, b2) with
-    a2 = 1 + sqrt(excess/3), b2 = 1 - sqrt(excess/3); feasible for excess in [0, 3].
-    """
-    root = math.sqrt(excess / 3.0)
-    a2, b2 = 1.0 + root, 1.0 - root
-    assert abs(0.5 * (a2 + b2) - 1.0) <= 1e-10
-    assert abs(3.0 * 0.5 * (a2 * a2 + b2 * b2) - (3.0 + excess)) <= 1e-10
-    return a2, b2
+    return DataMatrix.from_array(FAMILIES[s.family].sample(s, p, gen))
 
 
 def scenario_covariance(s: Scenario) -> np.ndarray:
     """The population covariance implied by a scenario (for moment checks)."""
     p = _params(s)
-    cov = build_covariance(s.cov)
-    fam = s.family
-    if fam == "loc_mixture":
-        (w1, w2), shift = p["weights"], p["shift"]
-        return cov + w1 * w2 * shift * shift * np.ones((s.d, s.d))
-    if fam == "cov_mixture":
-        (w1, w2), gap = p["weights"], p["gap"]
-        return (w1 * (1.0 + gap) + w2 * (1.0 - gap)) * cov
-    if fam in ("multivariate_t", "mixed_marginals"):
-        dof = p["dof"] if fam == "multivariate_t" else p["t_dof"]
-        if dof <= 2:
-            raise InvalidScenarioParams(f"t covariance finite only for dof > 2, got {dof}")
-        if fam == "multivariate_t":
-            return dof / (dof - 2.0) * cov
-        diag = np.ones(s.d)
-        diag[s.d - p["t_columns"]:] = dof / (dof - 2.0)
-        return np.diag(diag)
-    if fam == "chisq_marginals":
-        return cov if p["standardize"] else 2.0 * p["dof"] * np.eye(s.d)
-    if fam == "elliptical_uniform_scale":
-        sigma0, delta = p["sigma0"], p["delta"]
-        return (sigma0 * sigma0 + sigma0 * delta + delta * delta / 3.0) * cov
-    return cov  # null_gaussian, leptokurtic, bai_sarandasa
-
-
-@dataclass(frozen=True)
-class EffectiveRanks:
-    """Scale-invariant spectral spread measures of a PSD matrix."""
-
-    rho1_sigma: float
-    rho1_sigma_sq: float
-    rho2_sigma: float
-    rho2_sigma_sq: float
-    rho3: float
-
-
-def effective_ranks(cov: np.ndarray) -> EffectiveRanks:
-    """rho_1 = tr/op, rho_2 = tr^2/tr of square, rho_3 = tr^3(S^2)/tr^2(S^3)."""
-    cov = np.asarray(cov, dtype=np.float64)
-    lam = np.linalg.eigvalsh((cov + cov.T) / 2.0)
-    op = float(lam[-1])
-    if op <= 0.0:
-        raise ZeroMatrix("effective ranks need a non-null PSD matrix")
-    t1 = float(lam.sum())
-    t2 = float((lam ** 2).sum())
-    t3 = float((lam ** 3).sum())
-    t4 = float((lam ** 4).sum())
-    return EffectiveRanks(
-        rho1_sigma=t1 / op,
-        rho1_sigma_sq=t2 / (op * op),
-        rho2_sigma=t1 * t1 / t2,
-        rho2_sigma_sq=t2 * t2 / t4,
-        rho3=t2 ** 3 / (t3 * t3),
-    )
+    return FAMILIES[s.family].covariance(s, p, build_covariance(s.cov))

@@ -349,12 +349,28 @@ def _check_keys(doc, kind: str, what: str) -> None:
         raise ValueError(f"{what} has unknown key {unknown[0]!r}")
 
 
+def _integer(doc: Mapping, key: str, minimum: int, default=None, what: str = "") -> int:
+    """``doc[key]``, else ``default``, as the schema reads an integer: a number with
+    no fraction, not a bool, of at least ``minimum``; else ``ValueError`` naming ``what``."""
+    value, what = doc.get(key, default), what or key
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if value < minimum:
+        bound = "non-negative" if minimum == 0 else f"at least {minimum}"
+        raise ValueError(f"{what} must be {bound}, got {value!r}")
+    return value
+
+
 def cov_from_json(doc: Mapping) -> CovSpec:
     _check_keys(doc, "cov", "covariance spec")
-    kind, d = doc.get("kind"), doc.get("d")
-    if not isinstance(kind, str) or not isinstance(d, int):
-        raise ValueError(f"covariance spec needs a string 'kind' and integer 'd': {doc}")
-    return CovSpec(kind=kind, d=d, **{k: doc[k] for k in (*COV_PARAMS, "seed") if k in doc})
+    kind = doc.get("kind")
+    if not isinstance(kind, str):
+        raise ValueError(f"covariance spec needs a string 'kind': {doc}")
+    return CovSpec(kind=kind, d=_integer(doc, "d", 1, what="covariance d"),
+                   seed=_integer(doc, "seed", 0, 0, what="covariance seed"),
+                   **{k: doc[k] for k in COV_PARAMS if k in doc})
 
 
 def cov_to_json(spec: CovSpec) -> dict:
@@ -378,8 +394,8 @@ def scenario_from_json(doc: Mapping) -> Scenario:
         params["weights"] = tuple(params["weights"])  # as a Scenario built in Python holds them
     scenario = Scenario(
         family=str(doc["family"]),
-        n=int(doc["n"]),
-        d=int(doc["d"]),
+        n=_integer(doc, "n", 4, what="scenario n"),
+        d=_integer(doc, "d", 1, what="scenario d"),
         cov=cov_from_json(doc["cov"]),
         params=params,
     )
@@ -399,7 +415,7 @@ def experiment_from_json(doc: Mapping) -> Experiment:
     cells_doc = doc.get("cells")
     if not cells_doc:
         raise ValueError("empty grid: experiment needs at least one cell")
-    default_reps = int(doc.get("replications", 1000))
+    default_reps = _integer(doc, "replications", 1, 1000)
     cells = []
     for ci, cell_doc in enumerate(cells_doc):
         _check_keys(cell_doc, "cell", f"cell {ci}")
@@ -412,13 +428,14 @@ def experiment_from_json(doc: Mapping) -> Experiment:
                 raise ValueError(f"cell {ci} lists method {m!r} twice")
         cells.append(CellSpec(
             scenario=scenario_from_json(cell_doc["scenario"]),
-            replications=int(cell_doc.get("replications", default_reps)),
+            replications=_integer(cell_doc, "replications", 1, default_reps,
+                                  what=f"cell {ci} replications"),
             methods=tuple(methods),
         ))
     return Experiment(
         name=str(doc.get("name", "experiment")),
-        seed=int(doc.get("seed", 0)),
+        seed=_integer(doc, "seed", 0, 0),
         alpha=float(doc.get("alpha", McSettings.alpha)),
-        mc_replications=int(doc.get("mc_replications", McSettings.replications)),
+        mc_replications=_integer(doc, "mc_replications", 100, McSettings.replications),
         cells=tuple(cells),
     )

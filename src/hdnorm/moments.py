@@ -15,14 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NonFiniteData,
-    NonPositiveDispersion,
-    OracleSizeExceeded,
-    TooFewSamples,
-)
-
-DEFAULT_ORACLE_CAP = 64
+from .errors import NonFiniteData, NonPositiveDispersion, TooFewSamples
 
 
 @dataclass(frozen=True)
@@ -130,68 +123,3 @@ def _moments(X: DataMatrix) -> _Moments:
     with np.errstate(over="ignore"):
         r4 = math.fsum((r2 * r2).tolist())
     return _Moments(r2, float(r2.sum()), float(np.einsum("ij,ij->", M, M)), r4, used_gramian)
-
-
-def tr_sigma_sq_hat(X: DataMatrix) -> float:
-    """Unbiased estimate of tr(Sigma^2) from centered second and fourth moments.
-
-    May be negative in pathological finite samples; callers decide whether
-    that is an error (``radial_summary`` treats it as one).
-    """
-    return _moments(X).traces()[1]
-
-
-def tr_sigma_sq_oracle(X: DataMatrix, max_n: int = DEFAULT_ORACLE_CAP) -> float:
-    """Brute-force evaluation of the same tr(Sigma^2) estimator.
-
-    Evaluates the three U-statistic sums over distinct index pairs, triples
-    and quadruples of raw inner products with explicit nested loops.  O(n^4):
-    intended for cross-checking the closed form on small samples only.
-    """
-    n = X.n
-    if n < 4:
-        raise TooFewSamples(f"tr_sigma_sq_oracle needs n >= 4, got n={n}")
-    if n > max_n:
-        raise OracleSizeExceeded(f"n={n} exceeds the oracle cap of {max_n}")
-    G = X.values @ X.values.T
-    g = G.tolist()
-
-    pairs = 0.0
-    for i in range(n):
-        gi = g[i]
-        for j in range(n):
-            if j != i:
-                pairs += gi[j] * gi[j]
-
-    triples = 0.0
-    for j in range(n):
-        gj = g[j]
-        for i in range(n):
-            if i == j:
-                continue
-            gij = gj[i]
-            for k in range(n):
-                if k != i and k != j:
-                    triples += gij * gj[k]
-
-    quads = 0.0
-    for i in range(n):
-        gi = g[i]
-        for j in range(n):
-            if j == i:
-                continue
-            gij = gi[j]
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                gk = g[k]
-                for l in range(n):
-                    if l != i and l != j and l != k:
-                        quads += gij * gk[l]
-
-    return (
-        pairs / (n * (n - 1))
-        - 2.0 * triples / (n * (n - 1) * (n - 2))
-        + quads / (n * (n - 1) * (n - 2) * (n - 3))
-    )
-

@@ -37,7 +37,6 @@ from .moments import DataMatrix, DispersionEstimate
 from .radii import RadialSummary, radial_summary
 from .rng import ndtri
 from .teststats import (
-    StatKind,
     TestStatistic,
     iqr_statistic,
     norm_constants,
@@ -217,6 +216,7 @@ def install_bands(bands: Mapping[BandKey, Band]) -> None:
     """
     _BANDS.update(bands)
 
+
 @dataclass(frozen=True)
 class Decision:
     """One sub-test outcome: the statistic, its band, and the verdict.
@@ -243,39 +243,11 @@ def _decide(stat: TestStatistic, level: float, band: Band) -> Decision:
     return Decision(statistic=stat, level=level, lower=lower, upper=upper, reject=bool(reject))
 
 
-_RANGE_KINDS = (StatKind.RANGE, StatKind.QUASI_RANGE, StatKind.SQUARED_RANGE)
-_IQR_KINDS = (StatKind.IQR, StatKind.SQUARED_IQR)
-
-
-def decide_range(stat: TestStatistic, n: int, settings: McSettings,
-                 level: Optional[float] = None) -> Decision:
-    """Monte-Carlo band decision for range-type statistics.
-
-    Quasi-range statistics are compared against the matching U_{n,q} sample.
-    """
-    if stat.kind not in _RANGE_KINDS:
-        raise ValueError(f"decide_range cannot handle a {stat.kind.value} statistic")
-    level = settings.alpha if level is None else level
-    return _decide(stat, level, mc_quantiles(n, stat.q or 1, replace(settings, alpha=level)))
-
-
 @lru_cache(maxsize=64)
 def _iqr_band(level: float) -> Band:
     """Closed-form (level/2, 1 - level/2) band of the IQR statistic."""
     s = sigma_star()
     return s * float(ndtri(level / 2.0)), s * float(ndtri(1.0 - level / 2.0))
-
-
-def decide_iqr(stat: TestStatistic, settings: McSettings,
-               level: Optional[float] = None) -> Decision:
-    """Closed-form normal band decision for IQR-type statistics."""
-    ok = stat.kind in _IQR_KINDS or (
-        stat.kind is StatKind.CENTRAL_QUANTILE and stat.percentiles == (0.75,)
-    )
-    if not ok:
-        raise ValueError(f"decide_iqr cannot handle a {stat.kind.value} statistic")
-    level = settings.alpha if level is None else level
-    return _decide(stat, level, _iqr_band(level))
 
 
 @dataclass(frozen=True)
@@ -360,8 +332,8 @@ def composite_from_summary(rs: RadialSummary, settings: McSettings,
     entry = lookup_method(method)
     level = settings.alpha / len(entry.bands)
     decisions = {
-        key: (decide_iqr(stat, settings, level) if q is None
-              else decide_range(stat, rs.n, settings, level))
+        key: _decide(stat, level, _iqr_band(level) if q is None
+                     else mc_quantiles(rs.n, q, replace(settings, alpha=level)))
         for key, stat, q in zip(entry.keys, entry.statistics(rs), entry.bands)
     }
     return TestReport(

@@ -6,31 +6,21 @@ Every statistic has the shape
 
 for a symmetric pair of order statistics of the radii.  The extreme contrasts
 (range, quasi-range) use the Gumbel-type normalizing constants ``a_n``, ``b_n``
-below; the central contrasts (IQR, general central quantiles) use a_n = sqrt(n)
-and the corresponding normal quantile as b_n.  Squared-radii variants replace
-R by R^2 and the dispersion estimate by 2 * tr(Sigma^2)-hat.
+below; the central contrast (IQR) uses a_n = sqrt(n) and the normal quartile
+as b_n.  Squared-radii variants replace R by R^2 and the dispersion estimate
+by 2 * tr(Sigma^2)-hat.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from numbers import Integral
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .errors import InvalidQuantileOrder, NonPositiveDispersion, TooFewSamples
 from .radii import RadialSummary
 from .rng import ndtri
-
-
-class StatKind(str, Enum):
-    RANGE = "range"
-    IQR = "iqr"
-    QUASI_RANGE = "quasi_range"
-    CENTRAL_QUANTILE = "central_quantile"
-    SQUARED_RANGE = "squared_range"
-    SQUARED_IQR = "squared_iqr"
 
 
 @dataclass(frozen=True)
@@ -43,11 +33,10 @@ class NormConstants:
 
 @dataclass(frozen=True)
 class TestStatistic:
-    kind: StatKind
+    """A statistic's value, and the order q of a quasi-range (None for the others)."""
+
     value: float
-    n: int
     q: Optional[int] = None
-    percentiles: Optional[Tuple[float, ...]] = None
 
 
 def norm_constants(n) -> NormConstants:
@@ -78,12 +67,7 @@ def _extreme_value(rs: RadialSummary, q: int, constants: NormConstants) -> float
 
 def range_statistic(rs: RadialSummary) -> TestStatistic:
     """Normalized range of the radii."""
-    constants = norm_constants(rs.n)
-    return TestStatistic(
-        kind=StatKind.RANGE,
-        value=_extreme_value(rs, 1, constants),
-        n=rs.n,
-    )
+    return TestStatistic(_extreme_value(rs, 1, norm_constants(rs.n)))
 
 
 def quasi_range_statistic(rs: RadialSummary, q) -> TestStatistic:
@@ -98,65 +82,18 @@ def quasi_range_statistic(rs: RadialSummary, q) -> TestStatistic:
     q = int(q)
     if not 1 <= q <= rs.n // 2:
         raise InvalidQuantileOrder(f"q={q} outside [1, {rs.n // 2}] for n={rs.n}")
-    constants = norm_constants(rs.n)
-    return TestStatistic(
-        kind=StatKind.QUASI_RANGE,
-        value=_extreme_value(rs, q, constants),
-        n=rs.n,
-        q=q,
-    )
-
-
-def _central_value(rs: RadialSummary, percentiles: Sequence[float]) -> float:
-    n = rs.n
-    sorted_r = rs.sorted_radii
-    inv_scale = 1.0 / math.sqrt(rs.dispersion.delta_hat)
-    total = 0.0
-    for p in percentiles:
-        hi = math.floor(p * n)
-        lo = math.floor((1.0 - p) * n)
-        total += inv_scale * (sorted_r[hi - 1] - sorted_r[lo - 1]) - float(ndtri(p))
-    return 2.0 * math.sqrt(n) * total
-
-
-def _validate_percentiles(n: int, percentiles: Sequence[float]) -> Tuple[float, ...]:
-    ps = tuple(float(p) for p in percentiles)
-    if not ps:
-        raise InvalidQuantileOrder("need at least one percentile")
-    prev = 0.5
-    for p in ps:
-        if not prev < p < 1.0:
-            raise InvalidQuantileOrder(
-                f"percentiles must be strictly increasing within (1/2, 1), got {ps}"
-            )
-        prev = p
-        if math.floor((1.0 - p) * n) < 1:
-            raise InvalidQuantileOrder(
-                f"percentile {p} leaves no lower order statistic at n={n}"
-            )
-    return ps
-
-
-def central_quantile_statistic(rs: RadialSummary, percentiles: Sequence[float]) -> TestStatistic:
-    """Unweighted sum of central quantile contrasts at the given upper percentiles."""
-    ps = _validate_percentiles(rs.n, percentiles)
-    return TestStatistic(
-        kind=StatKind.CENTRAL_QUANTILE,
-        value=_central_value(rs, ps),
-        n=rs.n,
-        percentiles=ps,
-    )
+    return TestStatistic(_extreme_value(rs, q, norm_constants(rs.n)), q)
 
 
 def iqr_statistic(rs: RadialSummary) -> TestStatistic:
     """Normalized interquartile range of the radii."""
-    if rs.n < 4:
-        raise TooFewSamples(f"IQR statistic needs n >= 4, got n={rs.n}")
-    return TestStatistic(
-        kind=StatKind.IQR,
-        value=_central_value(rs, (0.75,)),
-        n=rs.n,
-    )
+    n = rs.n
+    if n < 4:
+        raise TooFewSamples(f"IQR statistic needs n >= 4, got n={n}")
+    sorted_r = rs.sorted_radii
+    inv_scale = 1.0 / math.sqrt(rs.dispersion.delta_hat)
+    contrast = sorted_r[math.floor(0.75 * n) - 1] - sorted_r[math.floor(0.25 * n) - 1]
+    return TestStatistic(2.0 * math.sqrt(n) * (inv_scale * contrast - float(ndtri(0.75))))
 
 
 def squared_radii_statistics(rs: RadialSummary) -> Tuple[TestStatistic, TestStatistic]:
@@ -180,7 +117,4 @@ def squared_radii_statistics(rs: RadialSummary) -> Tuple[TestStatistic, TestStat
     t_iqr = math.sqrt(n) * (
         inv_scale * (r2[math.floor(0.75 * n) - 1] - r2[math.floor(0.25 * n) - 1]) - 2.0 * q34
     )
-    return (
-        TestStatistic(kind=StatKind.SQUARED_RANGE, value=float(t_range), n=n),
-        TestStatistic(kind=StatKind.SQUARED_IQR, value=float(t_iqr), n=n),
-    )
+    return TestStatistic(float(t_range)), TestStatistic(float(t_iqr))

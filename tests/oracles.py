@@ -1,0 +1,114 @@
+"""Brute-force and spectral reference computations for the test suite.
+
+They check properties of the package from outside it: the closed-form
+tr(Sigma^2) estimate against its defining U-statistic sums, and the
+similarity invariance and ordering of the effective ranks of a covariance.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from hdnorm import DataMatrix, HdnormError, TooFewSamples
+from hdnorm.moments import _moments
+
+DEFAULT_ORACLE_CAP = 64
+
+
+class OracleSizeExceeded(HdnormError):
+    """Raised when the O(n^4) brute-force estimator is asked for too large an n."""
+
+
+class ZeroMatrix(HdnormError):
+    """Raised when a matrix argument is identically zero where it must not be."""
+
+
+def tr_sigma_sq_hat(X: DataMatrix) -> float:
+    """The package's unbiased tr(Sigma^2) estimate, before any positivity check."""
+    return _moments(X).traces()[1]
+
+
+def tr_sigma_sq_oracle(X: DataMatrix, max_n: int = DEFAULT_ORACLE_CAP) -> float:
+    """Brute-force evaluation of the same tr(Sigma^2) estimator.
+
+    Evaluates the three U-statistic sums over distinct index pairs, triples
+    and quadruples of raw inner products with explicit nested loops.  O(n^4):
+    intended for cross-checking the closed form on small samples only.
+    """
+    n = X.n
+    if n < 4:
+        raise TooFewSamples(f"tr_sigma_sq_oracle needs n >= 4, got n={n}")
+    if n > max_n:
+        raise OracleSizeExceeded(f"n={n} exceeds the oracle cap of {max_n}")
+    G = X.values @ X.values.T
+    g = G.tolist()
+
+    pairs = 0.0
+    for i in range(n):
+        gi = g[i]
+        for j in range(n):
+            if j != i:
+                pairs += gi[j] * gi[j]
+
+    triples = 0.0
+    for j in range(n):
+        gj = g[j]
+        for i in range(n):
+            if i == j:
+                continue
+            gij = gj[i]
+            for k in range(n):
+                if k != i and k != j:
+                    triples += gij * gj[k]
+
+    quads = 0.0
+    for i in range(n):
+        gi = g[i]
+        for j in range(n):
+            if j == i:
+                continue
+            gij = gi[j]
+            for k in range(n):
+                if k == i or k == j:
+                    continue
+                gk = g[k]
+                for l in range(n):
+                    if l != i and l != j and l != k:
+                        quads += gij * gk[l]
+
+    return (
+        pairs / (n * (n - 1))
+        - 2.0 * triples / (n * (n - 1) * (n - 2))
+        + quads / (n * (n - 1) * (n - 2) * (n - 3))
+    )
+
+
+@dataclass(frozen=True)
+class EffectiveRanks:
+    """Scale-invariant spectral spread measures of a PSD matrix."""
+
+    rho1_sigma: float
+    rho1_sigma_sq: float
+    rho2_sigma: float
+    rho2_sigma_sq: float
+    rho3: float
+
+
+def effective_ranks(cov: np.ndarray) -> EffectiveRanks:
+    """rho_1 = tr/op, rho_2 = tr^2/tr of square, rho_3 = tr^3(S^2)/tr^2(S^3)."""
+    cov = np.asarray(cov, dtype=np.float64)
+    lam = np.linalg.eigvalsh((cov + cov.T) / 2.0)
+    op = float(lam[-1])
+    if op <= 0.0:
+        raise ZeroMatrix("effective ranks need a non-null PSD matrix")
+    t1 = float(lam.sum())
+    t2 = float((lam ** 2).sum())
+    t3 = float((lam ** 3).sum())
+    t4 = float((lam ** 4).sum())
+    return EffectiveRanks(
+        rho1_sigma=t1 / op,
+        rho1_sigma_sq=t2 / (op * op),
+        rho2_sigma=t1 * t1 / t2,
+        rho2_sigma_sq=t2 * t2 / t4,
+        rho3=t2 ** 3 / (t3 * t3),
+    )

@@ -13,6 +13,7 @@ import pytest
 from conftest import fresh_python, gaussian_data
 from hdnorm import generators
 from hdnorm import rng as hrng
+from hdnorm import cli
 from hdnorm._blas import BLAS_THREAD_VARS, default_to_one_blas_thread
 from hdnorm.cli import main
 from hdnorm.harness import SPEC_KEYS, experiment_from_json
@@ -147,6 +148,24 @@ class TestCmdTest:
         assert main(["test", str(tmp_path / "absent.csv"), "--stats", "quasi:0"]) == 1
         err = capsys.readouterr().err
         assert "unknown method 'quasi:0'" in err and "absent.csv" not in err
+
+    @pytest.mark.parametrize("option, value, named", [
+        ("--mc", "50", "at least 100 Monte-Carlo replications"),
+        ("--alpha", "1.5", "alpha must lie in (0, 1)"),
+        ("--seed", "-1", "seed must be non-negative"),
+    ])
+    def test_bad_settings_exit_one_before_reading(self, null_csv, tmp_path, capsys,
+                                                  monkeypatch, option, value, named):
+        assert main(["test", str(tmp_path / "absent.csv"), option, value]) == 1
+        err = capsys.readouterr().err
+        assert named in err and "absent.csv" not in err
+
+        def no_read(*args):
+            raise AssertionError("the data file was read")
+
+        monkeypatch.setattr(cli, "_load_matrix", no_read)
+        assert main(["test", str(null_csv), option, value]) == 1
+        assert named in capsys.readouterr().err
 
     def test_nan_cell_names_position(self, tmp_path, capsys):
         X = gaussian_data(12, 10, 5).values.copy()
@@ -404,11 +423,27 @@ class TestCmdSimulate:
         ("experiment", "seed", -1, "seed must be non-negative"),
         ("experiment", "mc_replications", 50, "at least 100"),
         ("experiment", "alpha", 1.5, "alpha must lie in (0, 1)"),
-    ], ids=["duplicate", "empty", "string", "quasi0", "seed", "mc", "alpha"])
+        ("experiment", "seed", 1.9, "seed must be an integer, got 1.9"),
+        ("experiment", "seed", True, "seed must be an integer, got True"),
+        ("experiment", "mc_replications", 500.9, "mc_replications must be an integer"),
+        ("experiment", "replications", 0, "replications must be at least 1"),
+        ("cell", "replications", 3.5, "cell 1 replications must be an integer"),
+        ("cell", "replications", 0, "cell 1 replications must be at least 1"),
+        ("scenario", "n", 20.7, "scenario n must be an integer"),
+        ("scenario", "n", 3, "scenario n must be at least 4"),
+        ("scenario", "d", "20", "scenario d must be an integer"),
+        ("cov", "d", 20.5, "covariance d must be an integer"),
+        ("cov", "seed", -1, "covariance seed must be non-negative"),
+    ], ids=["duplicate", "empty", "string", "quasi0", "seed", "mc", "alpha", "seed_float",
+            "seed_bool", "mc_float", "reps_zero", "cell_reps_float", "cell_reps_zero",
+            "n_float", "n_small", "d_string", "cov_d_float", "cov_seed"])
     def test_spec_the_schema_forbids_exits_one_before_any_work(self, tmp_path, capsys, where,
                                                                key, value, named):
         doc = json.loads(self.make_spec(tmp_path).read_text())
-        {"experiment": doc, "cell": doc["cells"][1]}[where][key] = value
+        scenario = doc["cells"][1]["scenario"]
+        target = {"experiment": doc, "cell": doc["cells"][1], "scenario": scenario,
+                  "cov": scenario["cov"]}[where]
+        target[key] = value
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(doc, EXPERIMENT_SCHEMA)
         path = tmp_path / "bad.json"
@@ -417,6 +452,17 @@ class TestCmdSimulate:
         err = capsys.readouterr().err
         assert "bad experiment spec" in err and named in err
         assert not (tmp_path / "res").exists()
+
+    def test_integral_numbers_read_as_integers(self, tmp_path):
+        # The schema's "integer" takes 40.0 as well as 40, and so does the parser.
+        doc = json.loads(self.make_spec(tmp_path).read_text())
+        doc["seed"], doc["cells"][1]["replications"] = 5.0, 40.0
+        doc["cells"][1]["scenario"]["n"] = 40.0
+        jsonschema.validate(doc, EXPERIMENT_SCHEMA)
+        exp = experiment_from_json(doc)
+        assert (exp.seed, exp.cells[1].replications, exp.cells[1].scenario.n) == (5, 40, 40)
+        assert {type(exp.seed), type(exp.cells[1].replications),
+                type(exp.cells[1].scenario.n)} == {int}
 
     def test_a_cell_runs_every_method_the_cli_tests(self, tmp_path, null_csv):
         # The same names select a cell's methods and a report's statistics.

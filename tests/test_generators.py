@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 
 from conftest import null_scenario, random_orthogonal, rejection_rate
+from oracles import ZeroMatrix, effective_ranks
 from hdnorm import (
     CovSpec,
     InvalidScenarioParams,
     McSettings,
     NotPSD,
     Scenario,
-    ZeroMatrix,
     build_covariance,
-    effective_ranks,
     sample_scenario,
     scenario_covariance,
 )

@@ -7,18 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import gaussian_data, random_orthogonal, similarity_transform
+from oracles import OracleSizeExceeded, tr_sigma_sq_hat, tr_sigma_sq_oracle
 from hdnorm import (
     DataMatrix,
     HdnormError,
     McSettings,
     NonFiniteData,
     NonPositiveDispersion,
-    OracleSizeExceeded,
     TooFewSamples,
     composite_test,
     radial_summary,
-    tr_sigma_sq_hat,
-    tr_sigma_sq_oracle,
 )
 from hdnorm import rng as hrng
 from hdnorm.moments import _moments

@@ -12,20 +12,21 @@ from hdnorm import (
     McSettings,
     Scenario,
     composite_test,
-    decide_iqr,
-    decide_range,
-    iqr_statistic,
     mc_quantiles,
     norm_constants,
     null_quasi_range_draws,
     radial_summary,
-    range_statistic,
 )
 from hdnorm import InvalidQuantileOrder
 from hdnorm import montecarlo
 from hdnorm import rng as hrng
-from hdnorm.montecarlo import CHUNK, empirical_quantile
-from hdnorm.teststats import StatKind
+from hdnorm.montecarlo import (
+    CHUNK,
+    _decide,
+    _iqr_band,
+    composite_from_summary,
+    empirical_quantile,
+)
 from hdnorm.teststats import TestStatistic as Statistic
 
 EULER_GAMMA = 0.5772156649015329
@@ -181,36 +182,22 @@ class TestQuantiles:
 class TestDecisions:
     def test_boundary_hits_accept(self):
         settings = McSettings(replications=1000, seed=6, alpha=0.05)
-        lower, upper = mc_quantiles(40, 1, settings)
-        at_upper = Statistic(kind=StatKind.RANGE, value=upper, n=40)
-        at_lower = Statistic(kind=StatKind.RANGE, value=lower, n=40)
-        assert not decide_range(at_upper, 40, settings).reject
-        assert not decide_range(at_lower, 40, settings).reject
-        huge = Statistic(kind=StatKind.RANGE, value=1e6, n=40)
-        assert decide_range(huge, 40, settings).reject
+        band = mc_quantiles(40, 1, settings)
+        lower, upper = band
+        assert not _decide(Statistic(upper), settings.alpha, band).reject
+        assert not _decide(Statistic(lower), settings.alpha, band).reject
+        assert _decide(Statistic(1e6), settings.alpha, band).reject
 
     def test_quasi_range_decision_uses_matching_null_sample(self, rng_fixture):
-        from hdnorm import quasi_range_statistic
-
         settings = McSettings(replications=2000, seed=14, alpha=0.05)
         rs = radial_summary(gaussian_data(3, 60, 40))
-        decision = decide_range(quasi_range_statistic(rs, 3), 60, settings)
+        decision = composite_from_summary(rs, settings, "quasi:3").decisions["quasi_range"]
         assert (decision.lower, decision.upper) == mc_quantiles(60, 3, settings)
         assert (decision.lower, decision.upper) != mc_quantiles(60, 1, settings)
 
-    def test_kind_guards(self):
-        settings = McSettings(replications=1000, seed=6, alpha=0.05)
-        iqr_stat = Statistic(kind=StatKind.IQR, value=0.0, n=40)
-        with pytest.raises(ValueError):
-            decide_range(iqr_stat, 40, settings)
-        range_stat = Statistic(kind=StatKind.RANGE, value=0.0, n=40)
-        with pytest.raises(ValueError):
-            decide_iqr(range_stat, settings)
-
     def test_iqr_band_is_symmetric_sigma_star_scaled(self):
         settings = McSettings(replications=1000, seed=1, alpha=0.05)
-        zero = Statistic(kind=StatKind.IQR, value=0.0, n=50)
-        decision = decide_iqr(zero, settings)
+        decision = _decide(Statistic(0.0), settings.alpha, _iqr_band(settings.alpha))
         assert not decision.reject
         assert decision.upper == pytest.approx(3.083871111053238, abs=1e-12)
         assert decision.lower == pytest.approx(-decision.upper, abs=1e-12)
@@ -221,7 +208,8 @@ class TestDecisions:
         reps = 10000
         for seed in range(reps):
             rs = radial_summary(gaussian_data(seed, 100, 20))
-            decision = decide_range(range_statistic(rs), 100, settings, level=settings.alpha / 2)
+            decision = composite_from_summary(rs, settings).decisions["range"]
+            assert decision.level == settings.alpha / 2
             rejections += decision.reject
         assert rejections / reps == pytest.approx(0.025, abs=0.008)
 
@@ -231,7 +219,9 @@ class TestDecisions:
         reps = 10000
         for seed in range(reps):
             rs = radial_summary(gaussian_data(10_000_000 + seed, 150, 300))
-            rejections += decide_iqr(iqr_statistic(rs), settings, level=settings.alpha / 2).reject
+            decision = composite_from_summary(rs, settings).decisions["iqr"]
+            assert decision.level == settings.alpha / 2
+            rejections += decision.reject
         assert rejections / reps == pytest.approx(0.025, abs=0.01)
 
 

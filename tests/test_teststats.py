@@ -10,7 +10,6 @@ from hdnorm import (
     InvalidQuantileOrder,
     McSettings,
     TooFewSamples,
-    central_quantile_statistic,
     iqr_statistic,
     mc_quantiles,
     norm_constants,
@@ -156,35 +155,6 @@ class TestQuasiRangeStatistic:
             quasi_range_statistic(rs, 1.5)
 
 
-class TestCentralQuantileStatistic:
-    def test_single_quartile_is_iqr(self, rng_fixture):
-        rs = radial_summary(DataMatrix.from_array(rng_fixture.normal(size=(60, 20))))
-        assert central_quantile_statistic(rs, [0.75]).value == iqr_statistic(rs).value
-
-    def test_constant_radii_value(self):
-        ps = (0.6, 0.75, 0.9)
-        rs = fake_summary(np.full(100, 3.0), delta=1.0)
-        expected = -2.0 * math.sqrt(100) * sum(float(ndtri(p)) for p in ps)
-        assert central_quantile_statistic(rs, ps).value == pytest.approx(expected, rel=1e-12)
-
-    def test_additivity(self, rng_fixture):
-        rs = radial_summary(DataMatrix.from_array(rng_fixture.normal(size=(80, 15))))
-        both = central_quantile_statistic(rs, [0.6, 0.9]).value
-        split = (central_quantile_statistic(rs, [0.6]).value
-                 + central_quantile_statistic(rs, [0.9]).value)
-        assert abs(both - split) <= 1e-12 * (1.0 + abs(both))
-
-    def test_percentile_guards(self, rng_fixture):
-        rs = radial_summary(DataMatrix.from_array(rng_fixture.normal(size=(20, 6))))
-        for bad in ([], [0.5], [0.75, 0.6], [0.6, 0.6], [0.99999, 1.0]):
-            with pytest.raises(InvalidQuantileOrder):
-                central_quantile_statistic(rs, bad)
-        # (1 - p) * n < 1 leaves no lower order statistic
-        small = radial_summary(DataMatrix.from_array(rng_fixture.normal(size=(4, 6))))
-        with pytest.raises(InvalidQuantileOrder):
-            central_quantile_statistic(small, [0.9])
-
-
 class TestContrastMonotonicity:
     def test_values_non_decreasing_in_contrast_given_dispersion(self):
         # Widen the extreme and quartile contrasts while pinning the
@@ -198,7 +168,6 @@ class TestContrastMonotonicity:
             range_statistic,
             iqr_statistic,
             lambda rs: quasi_range_statistic(rs, 5),
-            lambda rs: central_quantile_statistic(rs, [0.6, 0.9]),
             lambda rs: squared_radii_statistics(rs)[0],
             lambda rs: squared_radii_statistics(rs)[1],
         ):
