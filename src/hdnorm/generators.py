@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from numbers import Real
 from typing import Callable, Dict, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -60,6 +61,13 @@ COV_KINDS: Dict[str, Dict[str, Optional[float]]] = {
     "geom_decay": {"rate": 0.93},
 }
 COV_PARAMS = ("rho", "density", "jitter", "rate")
+
+
+def _real(value, *what: str) -> float:
+    """``value`` as a float, if a real number but not a bool; else ``InvalidScenarioParams``."""
+    if type(value) is float or not isinstance(value, bool) and isinstance(value, Real):
+        return float(value)
+    raise InvalidScenarioParams(f"{' '.join(what)} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -89,7 +97,7 @@ class CovSpec:
             value = getattr(self, name)
             if value is not None and name not in takes:
                 raise InvalidScenarioParams(f"{self.kind} covariance takes no {name!r}")
-            value = takes.get(name) if value is None else float(value)
+            value = takes.get(name) if value is None else _real(value, self.kind, name)
             object.__setattr__(self, name, value)
         if self.kind == "ar1" and not (self.rho is not None and abs(self.rho) < 1.0):
             raise InvalidScenarioParams(f"ar1 needs |rho| < 1, got {self.rho}")
@@ -340,17 +348,19 @@ def _params(s: Scenario) -> Dict[str, object]:
         raise InvalidScenarioParams(
             f"unknown scenario family {fam!r}; choose from {', '.join(FAMILIES)}")
     given, p = dict(s.params), {}
-    try:
-        for key, default in FAMILIES[fam].defaults.items():
-            if isinstance(default, PowerOfD):
-                coeff = float(given.pop(f"{key}_coeff", default.coeff))
-                exponent = float(given.pop(f"{key}_exponent", default.exponent))
-                default = coeff * float(d) ** exponent
-            value = given.pop(key, default)
-            p[key] = (tuple(float(w) for w in value) if isinstance(default, tuple)
-                      else type(default)(value))  # the weights, or a float or a bool
-    except (TypeError, ValueError) as exc:
-        raise InvalidScenarioParams(f"{fam} has a malformed parameter: {exc}") from None
+    for key, default in FAMILIES[fam].defaults.items():
+        if isinstance(default, PowerOfD):
+            coeff = _real(given.pop(f"{key}_coeff", default.coeff), fam, f"{key}_coeff")
+            exponent = _real(given.pop(f"{key}_exponent", default.exponent), fam, f"{key}_exponent")
+            default = coeff * float(d) ** exponent
+        value = given.pop(key, default)
+        if isinstance(default, bool) and not isinstance(value, bool):
+            raise InvalidScenarioParams(f"{fam} {key} must be true or false, got {value!r}")
+        if isinstance(default, tuple) and not isinstance(value, (tuple, list)):
+            raise InvalidScenarioParams(f"{fam} {key} must be a list of numbers, got {value!r}")
+        p[key] = (value if isinstance(default, bool)  # standardize, the weights, or a float
+                  else tuple(_real(w, fam, key) for w in value) if isinstance(default, tuple)
+                  else _real(value, fam, key))
     if given:
         raise InvalidScenarioParams(f"{fam} has no parameter {sorted(given)[0]!r}")
 

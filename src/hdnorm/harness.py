@@ -8,8 +8,8 @@ data draws).  Replication r of cell c draws its data from the substream keyed
 by (master seed, c, r), and the Monte-Carlo bands of cell c are keyed by
 (master seed, c), so results are independent of how the work is partitioned
 across worker processes.  Every band a cell's methods need is built once, in
-the calling process, before any worker starts; workers receive the finished
-band edges and never draw a null sample themselves.
+the calling process, before any work unit runs; each unit carries its cell's
+finished bands, so workers never draw a null sample themselves.
 
 With more than one worker, work units run in worker processes, each with BLAS
 limited to one thread, so that workers neither contend for the interpreter
@@ -37,13 +37,10 @@ from .errors import HdnormError
 from .generators import COV_PARAMS, CovSpec, Scenario, _params, sample_scenario
 from .montecarlo import (
     Band,
-    BandKey,
     McSettings,
     composite_from_summary,
     fork_is_safe,
-    install_bands,
     lookup_method,
-    mc_bands,
     usable_cpus,
 )
 from .radii import radial_summary
@@ -133,44 +130,41 @@ def _cell_settings(exp: Experiment, cell_index: int) -> McSettings:
     )
 
 
-def _cell_bands(exp: Experiment) -> Dict[BandKey, Band]:
-    """Every Monte-Carlo band the cells' methods decide against, keyed as
-    ``mc_quantiles`` memoises it.
+def _cell_bands(exp: Experiment) -> List[Dict[str, Tuple[Band, ...]]]:
+    """Each cell's ``{method: bands}``: the bands its methods decide against.
 
-    A band that cannot be built is left out, so the replications that need it
-    fail in ``_run_unit`` like any other decision error.
+    A method whose bands cannot be built is left out, and ``_run_unit`` counts
+    each of its replications as a failure.
     """
-    bands = {}
+    cells = []
     for ci, cell in enumerate(exp.cells):
-        n, settings = cell.scenario.n, _cell_settings(exp, ci)
-        levels = defaultdict(set)  # by q; the methods of a cell decide at alpha or alpha/2
+        settings, bands = _cell_settings(exp, ci), {}
         for m in cell.methods:
-            for _, q, level in lookup_method(m).band_keys(n, settings):
-                levels[q].add(level)
-        for q, qs in levels.items():
             with suppress(HdnormError):
-                bands.update(mc_bands(n, q, qs))
-    return bands
+                bands[m] = lookup_method(m).bands_at(cell.scenario.n, settings)
+        cells.append(bands)
+    return cells
 
 
-def _run_unit(exp: Experiment, cell_index: int, lo: int, hi: int):
-    """Run replications [lo, hi) of one cell; returns per-method tallies."""
+def _run_unit(exp: Experiment, cell_index: int, lo: int, hi: int,
+              bands: Mapping[str, Tuple[Band, ...]]):
+    """Run replications [lo, hi) of one cell against its bands; returns per-method tallies."""
     cell = exp.cells[cell_index]
     settings = _cell_settings(exp, cell_index)
     rejections = {m: 0 for m in cell.methods}
-    failures = {m: 0 for m in cell.methods}
+    failures = {m: 0 if m in bands else hi - lo for m in cell.methods}
     start = time.perf_counter()
     for r in range(lo, hi):
         gen = rng.substream(exp.seed, rng.DOMAIN_DATA, cell_index, r)
         try:
             rs = radial_summary(sample_scenario(cell.scenario, gen))
         except HdnormError:
-            for m in cell.methods:
+            for m in bands:
                 failures[m] += 1
             continue
-        for m in cell.methods:
+        for m in bands:
             try:
-                rejections[m] += composite_from_summary(rs, settings, m).reject
+                rejections[m] += composite_from_summary(rs, settings, m, bands[m]).reject
             except HdnormError:
                 failures[m] += 1
     return cell_index, rejections, failures, time.perf_counter() - start
@@ -194,28 +188,19 @@ def _one_blas_thread():
                 os.environ[k] = v
 
 
-def _start_method() -> str:
-    """The worker start method: "fork" when this process runs exactly one OS
-    thread (``fork_is_safe``), else "spawn"."""
-    return "fork" if fork_is_safe() else "spawn"
-
-
-def _process_map(fn, args: Sequence[tuple], workers: int,
-                 initializer=None, initargs: tuple = ()) -> list:
+def _process_map(fn, args: Sequence[tuple], workers: int) -> list:
     """``[fn(*a) for a in args]`` computed in ``workers`` worker processes.
 
-    ``fn``, ``initializer`` and ``initargs`` must be picklable; each worker
-    calls ``initializer(*initargs)`` once before its first task.  Each worker
-    runs BLAS on one thread.  The workers are forked from this process when it
-    runs one OS thread (``_start_method``), and otherwise spawned: they then
-    import ``fn``'s module afresh, and BLAS reads its thread count anew.
+    ``fn`` and ``args`` must be picklable.  Each worker runs BLAS on one
+    thread.  The workers are forked from this process when it runs one OS
+    thread (``fork_is_safe``), and otherwise spawned: they then import
+    ``fn``'s module afresh, and BLAS reads its thread count anew.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    context = multiprocessing.get_context(_start_method())
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context,
-                             initializer=initializer, initargs=initargs) as pool:
+    context = multiprocessing.get_context("fork" if fork_is_safe() else "spawn")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
         with _one_blas_thread():
             # map() submits every task at once.  A spawn pool starts a worker
             # on each submit until there are ``workers``; a fork pool starts
@@ -234,8 +219,8 @@ def run_experiment(exp: Experiment, threads: Optional[int] = None) -> List[CellR
     worker processes, forked when this process runs one OS thread and spawned
     otherwise (see ``_process_map``).  On the spawn path a script that calls
     this with more than one worker needs an ``if __name__ == "__main__":``
-    guard.  The cells' Monte-Carlo bands are built here first and handed to
-    the workers.
+    guard.  The cells' Monte-Carlo bands are built here first, and each work
+    unit carries its cell's.
 
     Per-replication errors are tallied as failures rather than aborting the
     sweep; the empirical rate is taken over the completed replications.
@@ -252,17 +237,17 @@ def run_experiment(exp: Experiment, threads: Optional[int] = None) -> List[CellR
         chunk = max(1, min(64, -(-cell.replications // (min(threads, cpus) * 4))))
         for lo in range(0, cell.replications, chunk):
             units.append((ci, lo, min(lo + chunk, cell.replications)))
+    bands = _cell_bands(exp)
+    units = [(ci, lo, hi, bands[ci]) for ci, lo, hi in units]
 
     rejections: Dict[int, Counter] = defaultdict(Counter)
     failures: Dict[int, Counter] = defaultdict(Counter)
     elapsed: Dict[int, float] = defaultdict(float)
-    bands = _cell_bands(exp)
     workers = worker_count(threads, len(units), cpus)
     if workers == 1:
         outcomes = [_run_unit(exp, *u) for u in units]
     else:
-        outcomes = _process_map(partial(_run_unit, exp), units, workers,
-                                initializer=install_bands, initargs=(bands,))
+        outcomes = _process_map(partial(_run_unit, exp), units, workers)
     for ci, rej, fail, dt in outcomes:
         rejections[ci].update(rej)
         failures[ci].update(fail)
@@ -435,7 +420,7 @@ def experiment_from_json(doc: Mapping) -> Experiment:
     return Experiment(
         name=str(doc.get("name", "experiment")),
         seed=_integer(doc, "seed", 0, 0),
-        alpha=float(doc.get("alpha", McSettings.alpha)),
+        alpha=doc.get("alpha", McSettings.alpha),
         mc_replications=_integer(doc, "mc_replications", 100, McSettings.replications),
         cells=tuple(cells),
     )

@@ -11,13 +11,13 @@ with standard deviation sigma_star, so its rejection band is closed form.
 Null draws are organized in fixed-size chunks, each tied to its own keyed
 substream: draw j is a pure function of (seed, n, q, j), so any batching or
 parallel partition reproduces the same sample bitwise.  Quantile bands are
-memoised per (n, q, settings); the memo only short-circuits an identical
-recomputation and never changes results; the bands of one sample at several
-levels come from one draw.  A process can be handed bands built
-elsewhere (``install_bands``), so that sweep workers decide without drawing.
+memoised per (n, q, settings) and sorted null samples per (n, q, m, seed), so
+the bands of one sample at several levels come from one draw; the memos never
+change results.
 
 Each decision method, the composite test and each of its contrasts, is one
 entry of ``METHODS``: the names ``hdnorm test --stats`` and ``simulate`` take.
+``Method.bands_at`` resolves its bands, and a decision reads only its arguments.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ import re
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
+from numbers import Integral, Real
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -63,6 +64,11 @@ class McSettings:
     alpha: float = 0.05
 
     def __post_init__(self):
+        for name, kind in (("replications", Integral), ("seed", Integral), ("alpha", Real)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                what = "an integer" if kind is Integral else "a real number"
+                raise ValueError(f"{name} must be {what}, got {value!r}")
         if self.replications < 100:
             raise ValueError(f"need at least 100 Monte-Carlo replications, got {self.replications}")
         if not 0.0 < self.alpha < 1.0:
@@ -166,55 +172,27 @@ def empirical_quantile(sorted_values: np.ndarray, level: float) -> float:
 
 
 Band = Tuple[float, float]
-BandKey = Tuple[int, int, McSettings]
-
-# Range bands by (n, q, settings), filled by ``mc_bands`` and by
-# ``install_bands``.  Each entry is a few hundred bytes; the bound only keeps a
-# long-lived caller that walks through many seeds from growing without limit.
-_BANDS: Dict[BandKey, Band] = {}
-_MAX_BANDS = 1 << 16
 
 
+@lru_cache(maxsize=1 << 16)
 def mc_quantiles(n: int, q: int, settings: McSettings) -> Band:
     """Empirical (alpha/2, 1 - alpha/2) quantiles of the U_{n,q} null sample.
 
-    Memoised per ``(n, q, settings)``.
+    Memoised per ``(n, q, settings)``; the bound only keeps a caller that walks
+    through many seeds from growing without limit.
     """
-    return mc_bands(n, q, (settings,))[(n, q, settings)]
+    sample = _sorted_null(n, q, settings.replications, settings.seed)
+    return (empirical_quantile(sample, settings.alpha / 2.0),
+            empirical_quantile(sample, 1.0 - settings.alpha / 2.0))
 
 
-def mc_bands(n: int, q: int, levels: Iterable[McSettings]) -> Dict[BandKey, Band]:
-    """``mc_quantiles(n, q, s)`` for each ``s`` in ``levels``, keyed as it is memoised.
-
-    Settings that differ only in alpha take their bands from one sorted null
-    sample, which is drawn only if one of them is not memoised yet.
-    """
-    bands, samples = {}, {}
-    for settings in levels:
-        key = (n, q, settings)
-        band = _BANDS.get(key)
-        if band is None:
-            draw = (settings.replications, settings.seed)
-            if draw not in samples:
-                samples[draw] = np.sort(null_quasi_range_draws(n, q, *draw))
-            band = (
-                empirical_quantile(samples[draw], settings.alpha / 2.0),
-                empirical_quantile(samples[draw], 1.0 - settings.alpha / 2.0),
-            )
-            if len(_BANDS) >= _MAX_BANDS:
-                _BANDS.clear()
-            _BANDS[key] = band
-        bands[key] = band
-    return bands
-
-
-def install_bands(bands: Mapping[BandKey, Band]) -> None:
-    """Make ``mc_quantiles`` return these precomputed bands without drawing.
-
-    ``bands`` maps ``(n, q, settings)`` to the ``mc_quantiles`` value built
-    elsewhere, for instance by the parent of a worker process.
-    """
-    _BANDS.update(bands)
+@lru_cache(maxsize=4)
+def _sorted_null(n: int, q: int, m: int, seed: int) -> np.ndarray:
+    """The sorted, read-only ``null_quasi_range_draws(n, q, m, seed)``, kept for
+    the next few bands, so that settings differing only in alpha share a draw."""
+    sample = np.sort(null_quasi_range_draws(n, q, m, seed))
+    sample.flags.writeable = False
+    return sample
 
 
 @dataclass(frozen=True)
@@ -255,20 +233,21 @@ class Method:
     """A decision method: one statistic per sub-test, each decided against a band.
 
     ``keys`` names the sub-tests in the report, ``statistics`` computes their
-    statistics from a radial summary, and ``bands`` gives each one's band: the
-    Monte-Carlo band of the quasi-range of order q, or None for the
-    closed-form IQR band.  With k sub-tests each runs at alpha/k (Bonferroni)
-    and the method rejects iff any sub-test does.
+    statistics from a radial summary, and ``orders`` gives what each one is
+    decided against: the Monte-Carlo band of the quasi-range of order q, or
+    None for the closed-form IQR band.  With k sub-tests each runs at alpha/k
+    (Bonferroni) and the method rejects iff any sub-test does.
     """
 
     keys: Tuple[str, ...]
     statistics: Callable[[RadialSummary], Tuple[TestStatistic, ...]]
-    bands: Tuple[Optional[int], ...]
+    orders: Tuple[Optional[int], ...]
 
-    def band_keys(self, n: int, settings: McSettings) -> Tuple[BandKey, ...]:
-        """The ``mc_quantiles`` keys of this method's Monte-Carlo bands."""
-        level = replace(settings, alpha=settings.alpha / len(self.bands))
-        return tuple((n, q, level) for q in self.bands if q is not None)
+    def bands_at(self, n: int, settings: McSettings) -> Tuple[Band, ...]:
+        """Each sub-test's band for samples of ``n`` rows, at level alpha/k."""
+        level = settings.alpha / len(self.orders)
+        return tuple(_iqr_band(level) if q is None
+                     else mc_quantiles(n, q, replace(settings, alpha=level)) for q in self.orders)
 
 
 #: Every decision method by name; ``lookup_method`` adds ``quasi:q``.  The
@@ -326,16 +305,14 @@ class TestReport:
         return {**doc, "reject": self.reject}
 
 
-def composite_from_summary(rs: RadialSummary, settings: McSettings,
-                           method: str = "composite") -> TestReport:
-    """Decide ``method`` (see ``METHODS``) on a precomputed radial summary."""
+def composite_from_summary(rs: RadialSummary, settings: McSettings, method: str,
+                           bands: Tuple[Band, ...]) -> TestReport:
+    """Decide ``method`` (see ``METHODS``) on a precomputed radial summary,
+    against ``bands``, its ``bands_at(rs.n, settings)``."""
     entry = lookup_method(method)
-    level = settings.alpha / len(entry.bands)
-    decisions = {
-        key: _decide(stat, level, _iqr_band(level) if q is None
-                     else mc_quantiles(rs.n, q, replace(settings, alpha=level)))
-        for key, stat, q in zip(entry.keys, entry.statistics(rs), entry.bands)
-    }
+    level = settings.alpha / len(entry.orders)
+    decisions = {key: _decide(stat, level, band)
+                 for key, stat, band in zip(entry.keys, entry.statistics(rs), bands, strict=True)}
     return TestReport(
         method=method,
         n=rs.n,
@@ -349,4 +326,5 @@ def composite_from_summary(rs: RadialSummary, settings: McSettings,
 
 def composite_test(X: DataMatrix, settings: McSettings, method: str = "composite") -> TestReport:
     """Run a decision method on a sample, by default the composite (range + IQR) test."""
-    return composite_from_summary(radial_summary(X), settings, method)
+    return composite_from_summary(radial_summary(X), settings, method,
+                                  lookup_method(method).bands_at(X.n, settings))

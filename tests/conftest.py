@@ -16,9 +16,10 @@ from hdnorm import (
     composite_test,
     sample_scenario,
 )
+from hdnorm import montecarlo
 from hdnorm import rng as hrng
 from hdnorm._blas import BLAS_THREAD_VARS
-from hdnorm.montecarlo import composite_from_summary
+from hdnorm.montecarlo import composite_from_summary, lookup_method
 from hdnorm.radii import radial_summary
 
 
@@ -56,14 +57,21 @@ def similarity_transform(values: np.ndarray, sigma: float, V: np.ndarray,
 def rejection_rate(scenario: Scenario, replications: int, settings: McSettings,
                    seed: int, method: str = "composite") -> float:
     """Empirical rejection rate of a decision method over fresh data draws."""
+    bands = lookup_method(method).bands_at(scenario.n, settings)
     rejected = 0
     for r in range(replications):
         gen = hrng.substream(seed, hrng.DOMAIN_DATA, 0, r)
         X = sample_scenario(scenario, gen)
         rs = radial_summary(X)
-        if composite_from_summary(rs, settings, method).reject:
+        if composite_from_summary(rs, settings, method, bands).reject:
             rejected += 1
     return rejected / replications
+
+
+def clear_band_memos() -> None:
+    """Forget every memoised band and sorted null sample, so the next band is drawn."""
+    montecarlo.mc_quantiles.cache_clear()
+    montecarlo._sorted_null.cache_clear()
 
 
 def null_scenario(n: int, d: int) -> Scenario:

@@ -415,6 +415,24 @@ class TestCmdSimulate:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "res").exists()
 
+    @pytest.mark.parametrize("family, params, named", [
+        ("chisq_marginals", {"standardize": "false"}, "standardize must be true or false"),
+        ("chisq_marginals", {"dof": True}, "dof must be a number, got True"),
+        ("loc_mixture", {"weights": [0.5, "0.5"]}, "weights must be a number, got '0.5'"),
+    ])
+    def test_param_of_the_wrong_type_exits_one_before_any_work(self, tmp_path, capsys, family,
+                                                               params, named):
+        # The schema leaves params untyped, so the parser types them.
+        doc = json.loads(self.make_spec(tmp_path).read_text())
+        doc["cells"][1]["scenario"].update(family=family, params=params)
+        jsonschema.validate(doc, EXPERIMENT_SCHEMA)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path), "--out", str(tmp_path / "res")]) == 1
+        err = capsys.readouterr().err
+        assert "bad experiment spec" in err and named in err
+        assert not (tmp_path / "res").exists()
+
     @pytest.mark.parametrize("where, key, value, named", [
         ("cell", "methods", ["composite", "composite"], "'composite' twice"),
         ("cell", "methods", [], "non-empty list"),
@@ -434,9 +452,13 @@ class TestCmdSimulate:
         ("scenario", "d", "20", "scenario d must be an integer"),
         ("cov", "d", 20.5, "covariance d must be an integer"),
         ("cov", "seed", -1, "covariance seed must be non-negative"),
+        ("scenario", "cov", {"kind": "geom_decay", "d": 20, "rate": "0.9"},
+         "geom_decay rate must be a number, got '0.9'"),
+        ("experiment", "alpha", "0.05", "alpha must be a real number, got '0.05'"),
     ], ids=["duplicate", "empty", "string", "quasi0", "seed", "mc", "alpha", "seed_float",
             "seed_bool", "mc_float", "reps_zero", "cell_reps_float", "cell_reps_zero",
-            "n_float", "n_small", "d_string", "cov_d_float", "cov_seed"])
+            "n_float", "n_small", "d_string", "cov_d_float", "cov_seed", "rate_string",
+            "alpha_string"])
     def test_spec_the_schema_forbids_exits_one_before_any_work(self, tmp_path, capsys, where,
                                                                key, value, named):
         doc = json.loads(self.make_spec(tmp_path).read_text())

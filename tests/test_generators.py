@@ -244,6 +244,42 @@ class TestScenarioGuards:
         with pytest.raises(InvalidScenarioParams):
             scenario_covariance(s)
 
+    @pytest.mark.parametrize("family, params", [
+        ("chisq_marginals", {"standardize": "false"}),
+        ("chisq_marginals", {"standardize": 0}),
+        ("chisq_marginals", {"dof": True}),
+        ("chisq_marginals", {"dof": "6"}),
+        ("loc_mixture", {"shift": None}),
+        ("loc_mixture", {"shift_coeff": "2.15"}),
+        ("loc_mixture", {"shift_exponent": False}),
+        ("loc_mixture", {"weights": [0.5, "0.5"]}),
+        ("loc_mixture", {"weights": [True, 0.0]}),
+        ("loc_mixture", {"weights": "ab"}),
+    ])
+    def test_param_of_the_wrong_type_rejected(self, family, params):
+        # Read as it converts, "false" would be True, and True would be 1.0.
+        s = Scenario(family, 10, 4, CovSpec("identity", 4), params)
+        with pytest.raises(InvalidScenarioParams, match=f"{family} .* must be"):
+            draw(s)
+        with pytest.raises(InvalidScenarioParams):
+            scenario_covariance(s)
+
+    @pytest.mark.parametrize("kind, params", [
+        ("geom_decay", {"rate": "0.9"}),
+        ("ar1", {"rho": True}),
+        ("sparse_random", {"density": [0.1]}),
+    ])
+    def test_covariance_param_of_the_wrong_type_rejected(self, kind, params):
+        name = next(iter(params))
+        with pytest.raises(InvalidScenarioParams, match=f"{kind} {name} must be a number"):
+            CovSpec(kind, 4, **params)
+
+    def test_numbers_of_any_real_type_are_params(self):
+        s = Scenario("chisq_marginals", 10, 4, CovSpec("geom_decay", 4, rate=np.float32(0.5)),
+                     {"dof": 6, "standardize": True})
+        assert generators._params(s) == {"dof": 6.0, "standardize": True}
+        assert s.cov.rate == 0.5 and type(s.cov.rate) is float
+
     def test_t_block_covariance_needs_more_than_two_dof(self):
         s = Scenario("mixed_marginals", 10, 4, CovSpec("identity", 4), {"t_dof": 2.0})
         draw(s)

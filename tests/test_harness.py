@@ -10,6 +10,7 @@ import threading
 import numpy as np
 import pytest
 
+from conftest import clear_band_memos
 from hdnorm import CovSpec, Scenario, harness, montecarlo, radial_summary, sample_scenario
 from hdnorm import rng as hrng
 from hdnorm.harness import (
@@ -51,16 +52,15 @@ def blas_vars(_):
     return os.getpid(), {k: os.environ.get(k) for k in BLAS_THREAD_VARS}
 
 
-def unit_without_draws(exp, ci, lo, hi):
-    """Runs in a worker process: one work unit with null draws made an error.
-
-    Returns the unit's outcome and the bands the worker holds afterwards.
-    """
+def unit_without_draws(exp, ci, lo, hi, bands):
+    """Runs in a worker process: one work unit with no memoised band and null
+    draws made an error."""
     def no_draws(*args):
         raise AssertionError(f"worker drew a null sample for {args}")
 
+    clear_band_memos()
     montecarlo.null_quasi_range_draws = no_draws
-    return _run_unit(exp, ci, lo, hi), dict(montecarlo._BANDS)
+    return _run_unit(exp, ci, lo, hi, bands)
 
 
 class TestRunExperiment:
@@ -88,7 +88,8 @@ class TestRunExperiment:
     def test_single_cell_rerun_is_bitwise(self):
         exp = small_experiment()
         full = run_experiment(exp, threads=4)
-        ci, rejections, failures, _ = _run_unit(exp, 1, 0, exp.cells[1].replications)
+        bands = harness._cell_bands(exp)[1]
+        ci, rejections, failures, _ = _run_unit(exp, 1, 0, exp.cells[1].replications, bands)
         assert ci == 1
         assert rejections["composite"] == full[1].rejections
         assert failures["composite"] == full[1].failures
@@ -98,11 +99,25 @@ class TestRunExperiment:
         assert [r.method for r in results] == ["composite", "squared"] * 2
 
     def test_cell_whose_band_fails_is_left_out_of_prebuilt_bands(self):
+        # n = 2 has no null sample, and n = 20 no quasi-range of order 11.
         tiny = Scenario("null_gaussian", 2, 10, CovSpec("identity", 10))
         good = Scenario("null_gaussian", 20, 10, CovSpec("identity", 10))
         exp = Experiment(name="tiny", seed=3, alpha=0.05, mc_replications=500,
-                         cells=(CellSpec(tiny, 10), CellSpec(good, 10)))
-        assert [key[0] for key in harness._cell_bands(exp)] == [20]
+                         cells=(CellSpec(tiny, 10), CellSpec(good, 10, ("composite", "quasi:11"))))
+        bands = harness._cell_bands(exp)
+        assert bands[0] == {} and list(bands[1]) == ["composite"]
+        for threads in (1, 2):
+            results = run_experiment(exp, threads=threads)
+            assert [(r.method, r.failures) for r in results] == [
+                ("composite", 10), ("composite", 0), ("quasi:11", 10)]
+
+    def test_cell_without_replications_raises_before_any_draw(self, drawn):
+        exp = small_experiment()
+        exp = dataclasses.replace(
+            exp, cells=(exp.cells[0], dataclasses.replace(exp.cells[1], replications=0)))
+        with pytest.raises(ValueError, match="cell 1 has no replications"):
+            run_experiment(exp, threads=1)
+        assert drawn == []
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_cell_with_three_rows_fails_every_replication(self, threads):
@@ -195,8 +210,13 @@ class TestWorkerProcesses:
         def unreadable(path):
             raise FileNotFoundError(path)
 
+        methods = []
+        get_context = multiprocessing.get_context
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method=None: methods.append(method) or get_context(method))
         monkeypatch.setattr(os, "listdir", unreadable)
-        assert harness._start_method() == "spawn"
+        assert len(_process_map(blas_vars, [(i,) for i in range(2)], 2)) == 2
+        assert methods == ["spawn"]
 
 
 @pytest.fixture
@@ -210,8 +230,9 @@ def drawn(monkeypatch):
         return real_draws(n, q, m, seed)
 
     monkeypatch.setattr(montecarlo, "null_quasi_range_draws", counting_draws)
-    monkeypatch.setattr(montecarlo, "_BANDS", {})
-    return drawn
+    clear_band_memos()
+    yield drawn
+    clear_band_memos()  # drop the bands built from the counted draws
 
 
 class TestBandsBuiltOnce:
@@ -219,12 +240,9 @@ class TestBandsBuiltOnce:
         monkeypatch.setattr(harness, "usable_cpus", lambda: 2)
         seen = {}
 
-        def spy(fn, args, workers, initializer=None, initargs=()):
-            seen.update(workers=workers, initializer=initializer, bands=initargs[0])
-            outcomes = _process_map(unit_without_draws, [(fn.args[0], *a) for a in args],
-                                    workers, initializer, initargs)
-            seen["worker_bands"] = [bands for _, bands in outcomes]
-            return [outcome for outcome, _ in outcomes]
+        def spy(fn, args, workers):
+            seen.update(workers=workers, units=args)
+            return _process_map(unit_without_draws, [(fn.args[0], *a) for a in args], workers)
 
         monkeypatch.setattr(harness, "_process_map", spy)
         exp = small_experiment(methods=("composite", "squared"))
@@ -235,29 +253,37 @@ class TestBandsBuiltOnce:
         # The composite and squared cells share one band, q = 1 at alpha/2;
         # the third cell needs q = 1 for "range" and q = 2 for "quasi:2", both
         # at alpha.  The IQR band is closed form.
-        assert seen["workers"] == 2 and seen["initializer"] is montecarlo.install_bands
+        assert seen["workers"] == 2
         assert sorted((n, q) for n, q, _, _ in drawn) == [(40, 1), (40, 1), (40, 1), (40, 2)]
-        assert len(drawn) == len(set(drawn)) == len(seen["bands"])
-        assert all(bands == seen["bands"] for bands in seen["worker_bands"])
+        assert len(drawn) == len(set(drawn))
+        cell_bands = harness._cell_bands(exp)
+        assert all(bands == cell_bands[ci] for ci, _, _, bands in seen["units"])
+        assert cell_bands[0]["composite"] == cell_bands[0]["squared"]
         strip = lambda rs: [(r.cell_index, r.method, r.rejections, r.failures) for r in rs]
         assert strip(results) == strip(run_experiment(exp, threads=1))
-        assert len(drawn) == len(seen["bands"])
+        assert len(drawn) == 4
 
         # Each tally is the method's own decision summed over the cell's draws.
         for r in results:
             settings = harness._cell_settings(exp, r.cell_index)
+            bands = montecarlo.lookup_method(r.method).bands_at(r.scenario.n, settings)
             reports = [montecarlo.composite_from_summary(radial_summary(sample_scenario(
                 r.scenario, hrng.substream(exp.seed, hrng.DOMAIN_DATA, r.cell_index, i))),
-                settings, r.method) for i in range(r.replications)]
+                settings, r.method, bands) for i in range(r.replications)]
             assert r.failures == 0 and r.rejections == sum(rep.reject for rep in reports)
-        assert len(drawn) == len(seen["bands"])
+        assert len(drawn) == 4
 
     def test_levels_of_a_cell_share_one_draw(self, drawn):
         # "composite" decides its range at alpha/2, "range" at alpha.
-        bands = harness._cell_bands(small_experiment(methods=("composite", "range")))
-        assert len(bands) == 4 and len(drawn) == len(set(drawn)) == 2
-        montecarlo._BANDS.clear()
-        assert bands == {key: montecarlo.mc_quantiles(*key) for key in bands}
+        exp = small_experiment(methods=("composite", "range"))
+        bands = harness._cell_bands(exp)
+        assert len(bands) == 2 and len(drawn) == len(set(drawn)) == 2
+        assert all(cell["composite"][0] != cell["range"][0] for cell in bands)
+        for ci, cell in enumerate(bands):
+            settings = harness._cell_settings(exp, ci)
+            for m, got in cell.items():
+                clear_band_memos()
+                assert got == montecarlo.lookup_method(m).bands_at(40, settings)
         assert len(drawn) == 6
 
 

@@ -1,12 +1,14 @@
+import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import ndtr
 
-from conftest import gaussian_data, null_scenario, rejection_rate
+from conftest import clear_band_memos, gaussian_data, null_scenario, rejection_rate
 from hdnorm import (
     CovSpec,
     McSettings,
@@ -22,10 +24,12 @@ from hdnorm import montecarlo
 from hdnorm import rng as hrng
 from hdnorm.montecarlo import (
     CHUNK,
+    METHODS,
     _decide,
     _iqr_band,
     composite_from_summary,
     empirical_quantile,
+    lookup_method,
 )
 from hdnorm.teststats import TestStatistic as Statistic
 
@@ -155,20 +159,26 @@ class TestQuantiles:
         assert max(lows) - min(lows) <= 0.05
         assert max(highs) - min(highs) <= 0.05
 
-    def test_band_is_memoised_and_installable(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_BANDS", {})
+    def test_band_is_memoised(self, monkeypatch):
+        clear_band_memos()
         settings = McSettings(replications=1000, seed=41, alpha=0.05)
         band = mc_quantiles(30, 1, settings)
-        assert montecarlo._BANDS == {(30, 1, settings): band}
+        assert mc_quantiles.cache_info().currsize == 1
+        assert montecarlo._sorted_null.cache_info().currsize == 1
 
         def no_draws(*args):
             raise AssertionError("a memoised band was drawn again")
 
         monkeypatch.setattr(montecarlo, "null_quasi_range_draws", no_draws)
         assert mc_quantiles(30, 1, settings) == band
-        other = McSettings(replications=1000, seed=42, alpha=0.05)
-        montecarlo.install_bands({(30, 1, other): (-1.0, 1.0)})
-        assert mc_quantiles(30, 1, other) == (-1.0, 1.0)
+        assert mc_quantiles.cache_info().hits == 1
+        # Another level of the same sample is a new band read off the kept sample.
+        sample = montecarlo._sorted_null(30, 1, 1000, 41)
+        assert not sample.flags.writeable
+        other = dataclasses.replace(settings, alpha=0.2)
+        assert mc_quantiles(30, 1, other) == (empirical_quantile(sample, 0.1),
+                                              empirical_quantile(sample, 0.9)) != band
+        assert mc_quantiles.cache_info().currsize == 2
 
     def test_quantile_error_decays_with_m(self):
         m = 1000
@@ -191,7 +201,8 @@ class TestDecisions:
     def test_quasi_range_decision_uses_matching_null_sample(self, rng_fixture):
         settings = McSettings(replications=2000, seed=14, alpha=0.05)
         rs = radial_summary(gaussian_data(3, 60, 40))
-        decision = composite_from_summary(rs, settings, "quasi:3").decisions["quasi_range"]
+        bands = lookup_method("quasi:3").bands_at(60, settings)
+        decision = composite_from_summary(rs, settings, "quasi:3", bands).decisions["quasi_range"]
         assert (decision.lower, decision.upper) == mc_quantiles(60, 3, settings)
         assert (decision.lower, decision.upper) != mc_quantiles(60, 1, settings)
 
@@ -204,22 +215,24 @@ class TestDecisions:
 
     def test_range_subtest_size_at_half_alpha(self):
         settings = McSettings(replications=10000, seed=55, alpha=0.05)
+        bands = METHODS["composite"].bands_at(100, settings)
         rejections = 0
         reps = 10000
         for seed in range(reps):
             rs = radial_summary(gaussian_data(seed, 100, 20))
-            decision = composite_from_summary(rs, settings).decisions["range"]
+            decision = composite_from_summary(rs, settings, "composite", bands).decisions["range"]
             assert decision.level == settings.alpha / 2
             rejections += decision.reject
         assert rejections / reps == pytest.approx(0.025, abs=0.008)
 
     def test_iqr_subtest_size_at_half_alpha(self):
         settings = McSettings(replications=10000, seed=56, alpha=0.05)
+        bands = METHODS["composite"].bands_at(150, settings)
         rejections = 0
         reps = 10000
         for seed in range(reps):
             rs = radial_summary(gaussian_data(10_000_000 + seed, 150, 300))
-            decision = composite_from_summary(rs, settings).decisions["iqr"]
+            decision = composite_from_summary(rs, settings, "composite", bands).decisions["iqr"]
             assert decision.level == settings.alpha / 2
             rejections += decision.reject
         assert rejections / reps == pytest.approx(0.025, abs=0.01)
@@ -258,6 +271,36 @@ class TestComposite:
             McSettings(replications=1000, seed=0, alpha=1.5)
         with pytest.raises(ValueError):
             McSettings(replications=1000, seed=-1, alpha=0.05)
+        # The settings key the band memo, so a value of the wrong type is refused.
+        for field, value, named in [
+            ("replications", 500.5, "replications must be an integer, got 500.5"),
+            ("replications", 1000.0, "replications must be an integer, got 1000.0"),
+            ("replications", True, "replications must be an integer, got True"),
+            ("replications", "1000", "replications must be an integer, got '1000'"),
+            ("seed", 1.5, "seed must be an integer, got 1.5"),
+            ("seed", True, "seed must be an integer, got True"),
+            ("alpha", True, "alpha must be a real number, got True"),
+            ("alpha", "0.05", "alpha must be a real number, got '0.05'"),
+            ("alpha", None, "alpha must be a real number, got None"),
+        ]:
+            fields = {"replications": 1000, "seed": 1, "alpha": 0.05, field: value}
+            with pytest.raises(ValueError, match=re.escape(named)):
+                McSettings(**fields)
+
+    def test_numpy_numbers_are_settings(self):
+        settings = McSettings(np.int64(1000), np.uint32(3), np.float64(0.1))
+        assert settings == McSettings(1000, 3, 0.1)
+        clear_band_memos()
+        band = mc_quantiles(30, 1, settings)
+        clear_band_memos()
+        assert band == mc_quantiles(30, 1, McSettings(1000, 3, 0.1))
+
+    def test_composite_from_summary_needs_a_band_per_sub_test(self):
+        settings = McSettings(replications=1000, seed=1, alpha=0.05)
+        rs = radial_summary(gaussian_data(5, 30, 40))
+        bands = METHODS["range"].bands_at(30, settings)
+        with pytest.raises(ValueError):
+            composite_from_summary(rs, settings, "composite", bands)
 
     def test_needs_four_rows(self):
         from hdnorm import DataMatrix, TooFewSamples
