@@ -66,7 +66,10 @@ COV_PARAMS = ("rho", "density", "jitter", "rate")
 def _real(value, *what: str) -> float:
     """``value`` as a float, if a real number but not a bool; else ``InvalidScenarioParams``."""
     if type(value) is float or not isinstance(value, bool) and isinstance(value, Real):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise InvalidScenarioParams(f"{' '.join(what)} is too large for a float") from None
     raise InvalidScenarioParams(f"{' '.join(what)} must be a number, got {value!r}")
 
 
@@ -352,7 +355,11 @@ def _params(s: Scenario) -> Dict[str, object]:
         if isinstance(default, PowerOfD):
             coeff = _real(given.pop(f"{key}_coeff", default.coeff), fam, f"{key}_coeff")
             exponent = _real(given.pop(f"{key}_exponent", default.exponent), fam, f"{key}_exponent")
-            default = coeff * float(d) ** exponent
+            try:
+                default = coeff * float(d) ** exponent
+            except OverflowError:
+                raise InvalidScenarioParams(
+                    f"{fam} {key} at d={d} is too large for a float") from None
         value = given.pop(key, default)
         if isinstance(default, bool) and not isinstance(value, bool):
             raise InvalidScenarioParams(f"{fam} {key} must be true or false, got {value!r}")

@@ -23,6 +23,7 @@ entry of ``METHODS``: the names ``hdnorm test --stats`` and ``simulate`` take.
 from __future__ import annotations
 
 import os
+import queue
 import re
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
@@ -52,6 +53,10 @@ from .teststats import (
 CHUNK = 4096
 
 # Memory bound for one generation batch (doubles), so huge n stays feasible.
+# Not smaller: freeing a process's first band buffer (3.3 MB at n = 100) is
+# what raises glibc's dynamic mmap and trim thresholds above the 1.6 MB arrays
+# of an n = 100, d = 2000 replication.  At 1 << 16 those arrays are mapped and
+# unmapped again on every replication, with about 40 times the page faults.
 _BATCH_ELEMENTS = 1 << 22
 
 
@@ -99,27 +104,28 @@ def fork_is_safe() -> bool:
         return False
 
 
-def _null_chunk(n: int, q: int, seed: int, chunk_index: int, count: int) -> np.ndarray:
+def _null_chunk(n: int, q: int, seed: int, chunk_index: int, count: int,
+                buffer: np.ndarray) -> np.ndarray:
     """Draws [0, count) of chunk ``chunk_index`` of the U_{n,q} sample.
 
     Row i is the contrast of row i of ``rng.standard_normal(gen, (count, n))``.
-    The order statistics are picked among the uniforms and only they are
+    The uniforms are drawn, ``len(buffer)`` rows at a time, into ``buffer``
+    and the order statistics are picked among them in place; only those are
     passed through ``ndtri``: the normal quantile function is non-decreasing,
     so it maps the k-th smallest uniform to exactly the k-th smallest normal.
     """
     gen = rng.substream(seed, rng.DOMAIN_NULL_RANGE, n, q, chunk_index)
     c = norm_constants(n)
     out = np.empty(count)
-    rows = max(1, _BATCH_ELEMENTS // n)
     filled = 0
     while filled < count:
-        b = min(rows, count - filled)
-        u = rng.uniform(gen, (b, n))
+        b = min(len(buffer), count - filled)
+        u = rng.uniform(gen, (b, n), out=buffer[:b])
         if q == 1:
             low, high = u.min(axis=1), u.max(axis=1)
         else:
-            part = np.partition(u, (q - 1, n - q), axis=1)
-            low, high = part[:, q - 1], part[:, n - q]
+            u.partition((q - 1, n - q), axis=1)
+            low, high = u[:, q - 1], u[:, n - q]
         contrast = ndtri(high) - ndtri(low)
         out[filled:filled + b] = c.a_n * contrast - 2.0 * c.a_n * c.b_n
         filled += b
@@ -138,17 +144,29 @@ def null_quasi_range_draws(n: int, q: int, m: int, seed: int) -> np.ndarray:
 
     Chunks are drawn on one thread per usable CPU (the random fill and the
     reductions release the interpreter lock) and joined in chunk order, so
-    the result does not depend on the thread count.
+    the result does not depend on the thread count.  A chunk task takes one
+    of the caller's batch buffers, one per thread, and puts it back when done.
     """
     _validate_nq(n, q)
     if m < 1:
         raise ValueError(f"need at least one draw, got m={m}")
     chunks = -(-m // CHUNK)
+    threads = min(chunks, usable_cpus())
+    # One batch buffer per thread, allocated here in the calling thread:
+    # batches that a band thread allocated itself would stay resident in its
+    # malloc arena after the draw.
+    buffers = queue.SimpleQueue()
+    for _ in range(threads):
+        buffers.put(np.empty((min(CHUNK, max(1, _BATCH_ELEMENTS // n)), n)))
 
     def chunk(chunk_index: int) -> np.ndarray:
-        return _null_chunk(n, q, seed, chunk_index, min(CHUNK, m - chunk_index * CHUNK))
+        buffer = buffers.get()
+        try:
+            return _null_chunk(n, q, seed, chunk_index, min(CHUNK, m - chunk_index * CHUNK),
+                               buffer)
+        finally:
+            buffers.put(buffer)
 
-    threads = min(chunks, usable_cpus())
     if threads == 1:
         return np.concatenate([chunk(i) for i in range(chunks)])
     from concurrent.futures import ThreadPoolExecutor

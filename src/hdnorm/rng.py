@@ -21,12 +21,42 @@ depend on how they were loaded.
 
 from __future__ import annotations
 
+import importlib.machinery
 import importlib.util
 import sys
 import threading
+import types
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
+
+
+class _BindSubmodules:
+    """Import finder that binds ``submodules`` on scipy.special once it initialises.
+
+    The import system binds a submodule on its package only when it loads the
+    submodule, so those that ``_ufuncs`` loaded before the package would
+    otherwise be in ``sys.modules`` but not attributes of it.
+    """
+
+    def __init__(self, submodules):
+        self.submodules = submodules
+
+    def find_spec(self, name, path=None, target=None):
+        spec = (importlib.machinery.PathFinder.find_spec(name, path, target)
+                if name == "scipy.special" else None)
+        if spec is not None:
+            exec_module = spec.loader.exec_module
+
+            def exec_and_bind(module):
+                exec_module(module)
+                for key, submodule in self.submodules.items():
+                    vars(module).setdefault(key, submodule)
+                if self in sys.meta_path:
+                    sys.meta_path.remove(self)
+
+            spec.loader.exec_module = exec_and_bind
+        return spec
 
 
 def _ufuncs():
@@ -36,17 +66,21 @@ def _ufuncs():
     in ``sys.modules`` only while ``scipy.special._ufuncs`` imports under it.
     Another thread could import scipy.special in that window and get the
     empty package, so this is done only when no other Python thread runs.
-    A later ``import scipy.special`` initialises the package in full and
-    reuses the loaded ``_ufuncs``.
+    A later ``import scipy.special`` initialises the package in full, reuses
+    the loaded ``_ufuncs`` and gets its submodules bound (``_BindSubmodules``).
     """
     if "scipy.special" not in sys.modules and threading.active_count() == 1:
         try:
             spec = importlib.util.find_spec("scipy.special")
-            sys.modules["scipy.special"] = importlib.util.module_from_spec(spec)
+            package = sys.modules["scipy.special"] = importlib.util.module_from_spec(spec)
             try:
-                return importlib.import_module("scipy.special._ufuncs")
+                ufuncs = importlib.import_module("scipy.special._ufuncs")
             finally:
                 del sys.modules["scipy.special"]
+            sys.meta_path.insert(0, _BindSubmodules(
+                {key: value for key, value in vars(package).items()
+                 if isinstance(value, types.ModuleType)}))
+            return ufuncs
         except (ImportError, AttributeError):
             pass
     import scipy.special
@@ -81,9 +115,9 @@ def derive_seed(seed: int, *path: int) -> int:
     return int(state[0])
 
 
-def uniform(gen: Generator, shape) -> np.ndarray:
-    """Uniform draws on (0, 1), never exactly zero."""
-    u = gen.random(shape)
+def uniform(gen: Generator, shape, out: np.ndarray | None = None) -> np.ndarray:
+    """Uniform draws on (0, 1), never exactly zero; written into ``out`` if given."""
+    u = gen.random(shape, out=out)
     np.clip(u, _U_FLOOR, None, out=u)
     return u
 

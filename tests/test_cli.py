@@ -419,6 +419,8 @@ class TestCmdSimulate:
         ("chisq_marginals", {"standardize": "false"}, "standardize must be true or false"),
         ("chisq_marginals", {"dof": True}, "dof must be a number, got True"),
         ("loc_mixture", {"weights": [0.5, "0.5"]}, "weights must be a number, got '0.5'"),
+        ("multivariate_t", {"dof": 10 ** 400}, "multivariate_t dof is too large for a float"),
+        ("multivariate_t", {"dof_exponent": 1000}, "dof at d=20 is too large for a float"),
     ])
     def test_param_of_the_wrong_type_exits_one_before_any_work(self, tmp_path, capsys, family,
                                                                params, named):
@@ -603,6 +605,22 @@ class TestUfuncLoader:
     ], ids=["package_loaded", "second_thread", "find_spec_raises", "no_spec"])
     def test_otherwise_the_package_is_imported(self, setup):
         assert self.loaded(setup) == [True, True]
+
+    def test_package_binds_its_submodules_as_a_plain_import_does(self):
+        # Whether each scipy.special.* module in sys.modules is reachable as an
+        # attribute path from the package, as the import system binds them.
+        code = ("import json, sys\n{}import scipy.special\n"
+                "def bound(name):\n"
+                "    obj = scipy.special\n"
+                "    for part in name.split('.')[2:]:\n"
+                "        obj = getattr(obj, part, None)\n"
+                "    return obj is sys.modules[name]\n"
+                "print(json.dumps({{m: bound(m) for m in sys.modules\n"
+                "                  if m.startswith('scipy.special.')}}))")
+        after_rng = json.loads(fresh_python(code.format("import hdnorm.rng\n")))
+        plain = json.loads(fresh_python(code.format("")))
+        assert "scipy.special._gufuncs" in plain
+        assert after_rng == plain
 
     def test_diagnose_in_a_fresh_process(self, null_csv, tmp_path):
         # scipy.spatial imports scipy.special in full after the ufuncs loaded.

@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import math
 import re
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,10 +114,47 @@ class TestGoldenValues:
          "652cc1ff78be1aa7c477dc84aa785f18a6bf67077be5389c1f917573265559c5"),
     ])
     @pytest.mark.parametrize("cpus", [1, 2, 8])
-    def test_draw_digests_at_any_thread_count(self, monkeypatch, args, digest, cpus):
+    # Batches of one row, of an odd row count, and of the default size.
+    @pytest.mark.parametrize("batch_rows", [1, 37, None])
+    def test_draw_digests_at_any_thread_count(self, monkeypatch, args, digest, cpus,
+                                              batch_rows):
         monkeypatch.setattr(montecarlo, "usable_cpus", lambda: cpus)
+        if batch_rows is not None:
+            n = args[0]
+            monkeypatch.setattr(montecarlo, "_BATCH_ELEMENTS", batch_rows * n + n // 2)
         draws = null_quasi_range_draws(*args)
         assert hashlib.sha256(draws.tobytes()).hexdigest() == digest
+
+    def test_threads_never_share_a_batch_buffer(self, monkeypatch):
+        # Eight band threads on small batches, switching often: a buffer that
+        # two chunks fill at once would mix their uniforms.
+        n, q, m = 50, 2, 16 * CHUNK
+        monkeypatch.setattr(montecarlo, "_BATCH_ELEMENTS", 7 * n)
+        monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 1)
+        expected = null_quasi_range_draws(n, q, m, 3)
+        monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            draws = null_quasi_range_draws(n, q, m, 3)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(draws, expected)
+
+    def test_chunk_works_in_its_buffer(self):
+        # At n = 2000 a chunk takes two batches; the uniforms, the partition
+        # and the order statistics all stay in the buffer.
+        n, q = 2000, 3
+        buffer = np.empty((montecarlo._BATCH_ELEMENTS // n, n))
+        expected = montecarlo._null_chunk(n, q, 5, 0, CHUNK, buffer)
+        tracemalloc.start()
+        try:
+            draws = montecarlo._null_chunk(n, q, 5, 0, CHUNK, buffer)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert np.array_equal(draws, expected)
 
     # (3000, 1) splits each chunk into several generation batches.
     @pytest.mark.parametrize("n,q,tail", [(100, 1, 100), (50, 3, 100), (3000, 1, 5)])
