@@ -29,9 +29,7 @@ _EXPORTS = {
     "montecarlo": ("Decision", "McSettings", "TestReport", "composite_test", "mc_quantiles",
                    "null_quasi_range_draws"),
     "radii": ("RadialSummary", "radial_summary"),
-    "teststats": ("NormConstants", "TestStatistic", "iqr_statistic", "norm_constants",
-                  "quasi_range_statistic", "range_statistic", "sigma_star",
-                  "squared_radii_statistics"),
+    "teststats": ("NormConstants", "TestStatistic", "norm_constants", "sigma_star"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 # Submodules that are attributes of the package, loaded on first access.

@@ -64,12 +64,15 @@ COV_PARAMS = ("rho", "density", "jitter", "rate")
 
 
 def _real(value, *what: str) -> float:
-    """``value`` as a float, if a real number but not a bool; else ``InvalidScenarioParams``."""
+    """``value`` as a float if a finite real number, not a bool; else ``InvalidScenarioParams``."""
     if type(value) is float or not isinstance(value, bool) and isinstance(value, Real):
         try:
-            return float(value)
+            value = float(value)
         except OverflowError:
             raise InvalidScenarioParams(f"{' '.join(what)} is too large for a float") from None
+        if math.isfinite(value):
+            return value
+        raise InvalidScenarioParams(f"{' '.join(what)} must be finite, got {value!r}")
     raise InvalidScenarioParams(f"{' '.join(what)} must be a number, got {value!r}")
 
 

@@ -1,8 +1,9 @@
 """Monte-Carlo null distributions, rejection decisions, and the composite test.
 
-The extreme-contrast statistics are compared against an empirical null sample
+A range-type statistic is compared against an empirical null sample, its
+contrast ``teststats.contrast(n, q)`` of S ~ N(0, I_n) at sd = 1,
 
-    U_{n,q} = a_n * (S_(n-q+1) - S_(q)) - 2 a_n b_n,   S ~ N(0, I_n),
+    U_{n,q} = a_n * (S_(n-q+1) - S_(q)) - 2 a_n b_n,
 
 drawn by simulation (the limiting Gumbel convolution converges far too slowly
 to be usable directly).  The IQR-type statistic has an explicit normal limit
@@ -29,24 +30,15 @@ from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Integral, Real
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from . import rng
-from .errors import InvalidQuantileOrder, TooFewSamples
 from .moments import DataMatrix, DispersionEstimate
 from .radii import RadialSummary, radial_summary
 from .rng import ndtri
-from .teststats import (
-    TestStatistic,
-    iqr_statistic,
-    norm_constants,
-    quasi_range_statistic,
-    range_statistic,
-    sigma_star,
-    squared_radii_statistics,
-)
+from .teststats import TestStatistic, contrast, sigma_star, statistics
 
 #: Number of null draws generated per keyed substream.  Part of the
 #: reproducibility contract: changing it changes which draw lands where.
@@ -115,28 +107,20 @@ def _null_chunk(n: int, q: int, seed: int, chunk_index: int, count: int,
     so it maps the k-th smallest uniform to exactly the k-th smallest normal.
     """
     gen = rng.substream(seed, rng.DOMAIN_NULL_RANGE, n, q, chunk_index)
-    c = norm_constants(n)
+    c = contrast(n, q)
     out = np.empty(count)
     filled = 0
     while filled < count:
         b = min(len(buffer), count - filled)
         u = rng.uniform(gen, (b, n), out=buffer[:b])
-        if q == 1:
+        if c.lower == 1:
             low, high = u.min(axis=1), u.max(axis=1)
         else:
-            u.partition((q - 1, n - q), axis=1)
-            low, high = u[:, q - 1], u[:, n - q]
-        contrast = ndtri(high) - ndtri(low)
-        out[filled:filled + b] = c.a_n * contrast - 2.0 * c.a_n * c.b_n
+            u.partition((c.lower - 1, c.upper - 1), axis=1)
+            low, high = u[:, c.lower - 1], u[:, c.upper - 1]
+        out[filled:filled + b] = c.value(ndtri(low), ndtri(high), 1.0)
         filled += b
     return out
-
-
-def _validate_nq(n: int, q: int) -> None:
-    if n < 3:
-        raise TooFewSamples(f"null range sample needs n >= 3, got n={n}")
-    if not 1 <= q <= n // 2:
-        raise InvalidQuantileOrder(f"q={q} outside [1, {n // 2}] for n={n}")
 
 
 def null_quasi_range_draws(n: int, q: int, m: int, seed: int) -> np.ndarray:
@@ -147,7 +131,7 @@ def null_quasi_range_draws(n: int, q: int, m: int, seed: int) -> np.ndarray:
     the result does not depend on the thread count.  A chunk task takes one
     of the caller's batch buffers, one per thread, and puts it back when done.
     """
-    _validate_nq(n, q)
+    contrast(n, q)  # checks n and q
     if m < 1:
         raise ValueError(f"need at least one draw, got m={m}")
     chunks = -(-m // CHUNK)
@@ -248,18 +232,18 @@ def _iqr_band(level: float) -> Band:
 
 @dataclass(frozen=True)
 class Method:
-    """A decision method: one statistic per sub-test, each decided against a band.
+    """A decision method: one contrast per sub-test, each decided against a band.
 
-    ``keys`` names the sub-tests in the report, ``statistics`` computes their
-    statistics from a radial summary, and ``orders`` gives what each one is
-    decided against: the Monte-Carlo band of the quasi-range of order q, or
-    None for the closed-form IQR band.  With k sub-tests each runs at alpha/k
-    (Bonferroni) and the method rejects iff any sub-test does.
+    ``keys`` names the sub-tests in the report and ``orders`` their contrasts
+    (``teststats.contrast``): the quasi-range of order q with its Monte-Carlo
+    band, or None for the IQR with its closed-form band.  ``squared`` reads the
+    squared radii.  With k sub-tests each runs at alpha/k (Bonferroni) and the
+    method rejects iff any sub-test does.
     """
 
     keys: Tuple[str, ...]
-    statistics: Callable[[RadialSummary], Tuple[TestStatistic, ...]]
     orders: Tuple[Optional[int], ...]
+    squared: bool = False
 
     def bands_at(self, n: int, settings: McSettings) -> Tuple[Band, ...]:
         """Each sub-test's band for samples of ``n`` rows, at level alpha/k."""
@@ -268,15 +252,12 @@ class Method:
                      else mc_quantiles(n, q, replace(settings, alpha=level)) for q in self.orders)
 
 
-#: Every decision method by name; ``lookup_method`` adds ``quasi:q``.  The
-#: entries call the statistics through this module's globals at call time, so
-#: a wrapper installed on those names sees every call.
+#: Every decision method by name; ``lookup_method`` adds ``quasi:q``.
 METHODS: Dict[str, Method] = {
-    "composite": Method(("range", "iqr"),
-                        lambda rs: (range_statistic(rs), iqr_statistic(rs)), (1, None)),
-    "squared": Method(("range", "iqr"), lambda rs: squared_radii_statistics(rs), (1, None)),
-    "range": Method(("range",), lambda rs: (range_statistic(rs),), (1,)),
-    "iqr": Method(("iqr",), lambda rs: (iqr_statistic(rs),), (None,)),
+    "composite": Method(("range", "iqr"), (1, None)),
+    "squared": Method(("range", "iqr"), (1, None), squared=True),
+    "range": Method(("range",), (1,)),
+    "iqr": Method(("iqr",), (None,)),
 }
 _QUASI = re.compile(r"quasi:([1-9][0-9]*)")
 
@@ -288,8 +269,7 @@ def lookup_method(name) -> Method:
             return METHODS[name]
         match = _QUASI.fullmatch(name)
         if match:
-            q = int(match[1])
-            return Method(("quasi_range",), lambda rs: (quasi_range_statistic(rs, q),), (q,))
+            return Method(("quasi_range",), (int(match[1]),))
     raise ValueError(f"unknown method {name!r}; choose from {', '.join(METHODS)} or quasi:q")
 
 
@@ -314,7 +294,7 @@ class TestReport:
             "alpha": self.settings.alpha,
             "mc_replications": self.settings.replications,
             "seed": self.settings.seed,
-            "squared": self.method == "squared",
+            "squared": lookup_method(self.method).squared,
             **asdict(self.dispersion),
             **{key: decision.to_dict() for key, decision in self.decisions.items()},
         }
@@ -329,8 +309,12 @@ def composite_from_summary(rs: RadialSummary, settings: McSettings, method: str,
     against ``bands``, its ``bands_at(rs.n, settings)``."""
     entry = lookup_method(method)
     level = settings.alpha / len(entry.orders)
-    decisions = {key: _decide(stat, level, band)
-                 for key, stat, band in zip(entry.keys, entry.statistics(rs), bands, strict=True)}
+    values = statistics(rs, entry.orders, entry.squared)
+    # A quasi-range reports its order; the range, its q = 1 case, does not.
+    decisions = {key: _decide(TestStatistic(value, q if key == "quasi_range" else None),
+                              level, band)
+                 for key, q, value, band in zip(entry.keys, entry.orders, values, bands,
+                                                strict=True)}
     return TestReport(
         method=method,
         n=rs.n,

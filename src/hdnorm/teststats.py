@@ -1,24 +1,24 @@
 """Test statistics built from quantile contrasts of the radii.
 
-Every statistic has the shape
-
-    2 a_n * delta_hat^{-1/2} * (R_(upper) - R_(lower)) - 2 a_n b_n
-
-for a symmetric pair of order statistics of the radii.  The extreme contrasts
-(range, quasi-range) use the Gumbel-type normalizing constants ``a_n``, ``b_n``
-below; the central contrast (IQR) uses a_n = sqrt(n) and the normal quartile
-as b_n.  Squared-radii variants replace R by R^2 and the dispersion estimate
-by 2 * tr(Sigma^2)-hat.
+Every statistic, and every draw of the range-type null sample, is one
+:class:`Contrast` of two order statistics Y_(lower) <= Y_(upper):
+a * (Y_(upper) - Y_(lower)) / sd - 2 a b.  The range (ranks 1, n) and the
+quasi-range of order q (ranks q, n - q + 1) take the Gumbel-type constants
+``a_n``, ``b_n`` below; the IQR (ranks floor(n/4), floor(3n/4)) takes
+a = sqrt(n) and b = Phi^-1(3/4).  Y is the radius with sd = delta_hat^{1/2} / 2,
+the squared radius with sd = (2 tr(Sigma^2)-hat)^{1/2}, or, in the null draw,
+a standard normal with sd = 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from numbers import Integral
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
-from .errors import InvalidQuantileOrder, NonPositiveDispersion, TooFewSamples
+from .errors import InvalidQuantileOrder, TooFewSamples
 from .radii import RadialSummary
 from .rng import ndtri
 
@@ -58,63 +58,75 @@ def sigma_star() -> float:
     return 1.0 / (2.0 * density)
 
 
-def _extreme_value(rs: RadialSummary, q: int, constants: NormConstants) -> float:
-    sorted_r = rs.sorted_radii
-    contrast = sorted_r[rs.n - q] - sorted_r[q - 1]
-    scale = 2.0 * constants.a_n / math.sqrt(rs.dispersion.delta_hat)
-    return float(scale * contrast - 2.0 * constants.a_n * constants.b_n)
+@dataclass(frozen=True)
+class Contrast:
+    """a (Y_(upper) - Y_(lower)) / sd - 2ab, for the 1-based ranks ``lower`` < ``upper``.
+
+    ``factored`` only picks the rounding: a (delta / sd - 2b) if set, else
+    a / sd * delta - 2ab.  The IQR and the squared radii were recorded with
+    the first, the other contrasts and the null draws with the second.
+    """
+
+    lower: int
+    upper: int
+    a: float
+    b: float
+    factored: bool = False
+
+    def value(self, y_lower, y_upper, sd):
+        """The contrast of ``y_lower`` and ``y_upper`` (floats or arrays) on the scale ``sd``."""
+        delta = y_upper - y_lower
+        if self.factored:
+            return self.a * (1.0 / sd * delta - 2.0 * self.b)
+        return self.a / sd * delta - 2.0 * self.a * self.b
+
+
+@lru_cache(maxsize=1 << 12)
+def contrast(n, q, squared: bool = False) -> Contrast:
+    """The quasi-range of order q (the range for q = 1), or the IQR for q None,
+    of n radii, or of n squared radii if ``squared``."""
+    c = norm_constants(n)
+    n = int(n)
+    if q is None:
+        if n < 4:
+            raise TooFewSamples(f"the IQR statistic needs n >= 4, got n={n}")
+        return Contrast(n // 4, 3 * n // 4, math.sqrt(n), float(ndtri(0.75)), True)
+    if not isinstance(q, Integral) or not 1 <= q <= n // 2:
+        raise InvalidQuantileOrder(f"q={q!r} is not an integer in [1, {n // 2}] for n={n}")
+    return Contrast(int(q), n - int(q) + 1, c.a_n, c.b_n, squared)
+
+
+def statistics(rs: RadialSummary, orders: Sequence[Optional[int]],
+               squared: bool = False) -> Tuple[float, ...]:
+    """The contrast of each order in ``orders`` (see :func:`contrast`) of the
+    radii of ``rs``, or of its squared radii if ``squared``."""
+    y = rs.sorted_radii ** 2 if squared else rs.sorted_radii
+    disp = rs.dispersion
+    sd = math.sqrt(2.0 * disp.tr_sigma_sq_hat) if squared else math.sqrt(disp.delta_hat) / 2.0
+    contrasts = [contrast(rs.n, q, squared) for q in orders]
+    return tuple(float(c.value(y[c.lower - 1], y[c.upper - 1], sd)) for c in contrasts)
 
 
 def range_statistic(rs: RadialSummary) -> TestStatistic:
     """Normalized range of the radii."""
-    return TestStatistic(_extreme_value(rs, 1, norm_constants(rs.n)))
+    return TestStatistic(*statistics(rs, (1,)))
 
 
 def quasi_range_statistic(rs: RadialSummary, q) -> TestStatistic:
-    """Contrast of the q-th largest and q-th smallest radius.
+    """Contrast of the q-th largest and q-th smallest radius; q = 1 is the range.
 
-    ``q = 1`` reproduces :func:`range_statistic` exactly.  The Monte-Carlo
-    decision rule is only asymptotically justified for q fixed (small)
-    relative to n, although any q up to floor(n/2) is accepted here.
+    The Monte-Carlo decision rule is only asymptotically justified for q fixed
+    (small) relative to n, although any q up to floor(n/2) is accepted here.
     """
-    if not isinstance(q, Integral):
-        raise InvalidQuantileOrder(f"q must be an integer, got {q!r}")
-    q = int(q)
-    if not 1 <= q <= rs.n // 2:
-        raise InvalidQuantileOrder(f"q={q} outside [1, {rs.n // 2}] for n={rs.n}")
-    return TestStatistic(_extreme_value(rs, q, norm_constants(rs.n)), q)
+    return TestStatistic(*statistics(rs, (q,)), int(q))
 
 
 def iqr_statistic(rs: RadialSummary) -> TestStatistic:
     """Normalized interquartile range of the radii."""
-    n = rs.n
-    if n < 4:
-        raise TooFewSamples(f"IQR statistic needs n >= 4, got n={n}")
-    sorted_r = rs.sorted_radii
-    inv_scale = 1.0 / math.sqrt(rs.dispersion.delta_hat)
-    contrast = sorted_r[math.floor(0.75 * n) - 1] - sorted_r[math.floor(0.25 * n) - 1]
-    return TestStatistic(2.0 * math.sqrt(n) * (inv_scale * contrast - float(ndtri(0.75))))
+    return TestStatistic(*statistics(rs, (None,)))
 
 
 def squared_radii_statistics(rs: RadialSummary) -> Tuple[TestStatistic, TestStatistic]:
-    """Range- and IQR-type statistics on the squared radii.
-
-    Normalized by sqrt(2 * tr(Sigma^2)-hat) directly rather than the full
-    dispersion ratio.  Kept mainly as a contrast: the square-root form has
-    visibly better finite-sample size control.
-    """
-    n = rs.n
-    if n < 4:
-        raise TooFewSamples(f"squared-radii statistics need n >= 4, got n={n}")
-    that = rs.dispersion.tr_sigma_sq_hat
-    if that <= 0.0:
-        raise NonPositiveDispersion(f"tr(Sigma^2) estimate is {that!r}")
-    constants = norm_constants(n)
-    r2 = rs.sorted_radii ** 2
-    inv_scale = 1.0 / math.sqrt(2.0 * that)
-    t_range = constants.a_n * (inv_scale * (r2[-1] - r2[0]) - 2.0 * constants.b_n)
-    q34 = float(ndtri(0.75))
-    t_iqr = math.sqrt(n) * (
-        inv_scale * (r2[math.floor(0.75 * n) - 1] - r2[math.floor(0.25 * n) - 1]) - 2.0 * q34
-    )
-    return TestStatistic(float(t_range)), TestStatistic(float(t_iqr))
+    """Range and IQR statistics of the squared radii: a contrast with the
+    square-root form, which has visibly better finite-sample size control."""
+    return tuple(map(TestStatistic, statistics(rs, (1, None), squared=True)))

@@ -1,16 +1,19 @@
 """Brute-force and spectral reference computations for the test suite.
 
 They check properties of the package from outside it: the closed-form
-tr(Sigma^2) estimate against its defining U-statistic sums, and the
-similarity invariance and ordering of the effective ranks of a covariance.
+tr(Sigma^2) estimate against its defining U-statistic sums, the similarity
+invariance and ordering of the effective ranks of a covariance, and the
+contrast record against the five expressions it replaced.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from hdnorm import DataMatrix, HdnormError, TooFewSamples
+from hdnorm import DataMatrix, HdnormError, TooFewSamples, norm_constants
 from hdnorm.moments import _moments
+from hdnorm.rng import ndtri
 
 DEFAULT_ORACLE_CAP = 64
 
@@ -112,3 +115,47 @@ def effective_ranks(cov: np.ndarray) -> EffectiveRanks:
         rho2_sigma_sq=t2 * t2 / t4,
         rho3=t2 ** 3 / (t3 * t3),
     )
+
+
+# The range-type statistics, the IQR statistic, the two squared-radii
+# statistics and the null draw, each written out as it was before all of them
+# became one ``teststats.Contrast``.  ``r_*`` are order statistics of the radii,
+# ``r2_*`` of the squared radii and ``s_*`` of standard normals (floats or
+# arrays); ``delta_hat`` and ``that`` are the dispersion index and the
+# tr(Sigma^2) estimate.
+
+
+def extreme_value_oracle(n, delta_hat, r_lower, r_upper):
+    """The range and the quasi-range (any q) of the radii."""
+    constants = norm_constants(n)
+    contrast = r_upper - r_lower
+    scale = 2.0 * constants.a_n / math.sqrt(delta_hat)
+    return scale * contrast - 2.0 * constants.a_n * constants.b_n
+
+
+def iqr_oracle(n, delta_hat, r_lower, r_upper):
+    """The IQR of the radii."""
+    inv_scale = 1.0 / math.sqrt(delta_hat)
+    contrast = r_upper - r_lower
+    return 2.0 * math.sqrt(n) * (inv_scale * contrast - float(ndtri(0.75)))
+
+
+def squared_range_oracle(n, that, r2_lower, r2_upper):
+    """The range of the squared radii."""
+    constants = norm_constants(n)
+    inv_scale = 1.0 / math.sqrt(2.0 * that)
+    return constants.a_n * (inv_scale * (r2_upper - r2_lower) - 2.0 * constants.b_n)
+
+
+def squared_iqr_oracle(n, that, r2_lower, r2_upper):
+    """The IQR of the squared radii."""
+    inv_scale = 1.0 / math.sqrt(2.0 * that)
+    q34 = float(ndtri(0.75))
+    return math.sqrt(n) * (inv_scale * (r2_upper - r2_lower) - 2.0 * q34)
+
+
+def null_draw_oracle(n, s_lower, s_upper):
+    """One draw of the null sample U_{n,q}."""
+    c = norm_constants(n)
+    contrast = s_upper - s_lower
+    return c.a_n * contrast - 2.0 * c.a_n * c.b_n

@@ -16,17 +16,16 @@ import numpy as np
 import pytest
 
 from conftest import gaussian_data, random_orthogonal, similarity_transform
-from hdnorm import (
-    DataMatrix,
-    iqr_statistic,
-    quasi_range_statistic,
-    radial_summary,
-    range_statistic,
-    squared_radii_statistics,
-)
+from hdnorm import DataMatrix, radial_summary
 from hdnorm import rng as hrng
 from hdnorm.cli import main
 from hdnorm.harness import experiment_from_json, run_experiment, summarize
+from hdnorm.teststats import (
+    iqr_statistic,
+    quasi_range_statistic,
+    range_statistic,
+    squared_radii_statistics,
+)
 from oracles import effective_ranks, tr_sigma_sq_hat, tr_sigma_sq_oracle
 
 ROOT = Path(__file__).resolve().parents[1]

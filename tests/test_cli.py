@@ -421,12 +421,19 @@ class TestCmdSimulate:
         ("loc_mixture", {"weights": [0.5, "0.5"]}, "weights must be a number, got '0.5'"),
         ("multivariate_t", {"dof": 10 ** 400}, "multivariate_t dof is too large for a float"),
         ("multivariate_t", {"dof_exponent": 1000}, "dof at d=20 is too large for a float"),
+        ("multivariate_t", {"dof_coeff": 1e308}, "multivariate_t dof must be finite, got inf"),
+        ("multivariate_t", {"dof": math.inf}, "multivariate_t dof must be finite, got inf"),
+        ("null_gaussian", {"cov": {"kind": "geom_decay", "d": 20, "rate": math.inf}},
+         "geom_decay rate must be finite, got inf"),
     ])
     def test_param_of_the_wrong_type_exits_one_before_any_work(self, tmp_path, capsys, family,
                                                                params, named):
-        # The schema leaves params untyped, so the parser types them.
+        # The schema leaves params untyped, so the parser types them.  A "cov"
+        # entry replaces the scenario's covariance, whose numbers the same
+        # parser types.  JSON writes an infinite number as Infinity.
         doc = json.loads(self.make_spec(tmp_path).read_text())
-        doc["cells"][1]["scenario"].update(family=family, params=params)
+        params, scenario = dict(params), doc["cells"][1]["scenario"]
+        scenario.update(family=family, cov=params.pop("cov", scenario["cov"]), params=params)
         jsonschema.validate(doc, EXPERIMENT_SCHEMA)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))

@@ -10,17 +10,27 @@ from hdnorm import (
     InvalidQuantileOrder,
     McSettings,
     TooFewSamples,
-    iqr_statistic,
     mc_quantiles,
     norm_constants,
-    quasi_range_statistic,
     radial_summary,
-    range_statistic,
     sigma_star,
-    squared_radii_statistics,
 )
 from hdnorm.moments import DispersionEstimate
 from hdnorm.radii import RadialSummary
+from hdnorm.teststats import (
+    contrast,
+    iqr_statistic,
+    quasi_range_statistic,
+    range_statistic,
+    squared_radii_statistics,
+)
+from oracles import (
+    extreme_value_oracle,
+    iqr_oracle,
+    null_draw_oracle,
+    squared_iqr_oracle,
+    squared_range_oracle,
+)
 
 # Frozen from a 30-digit evaluation of the defining formulas.
 A100 = 3.0348542587702927
@@ -196,3 +206,83 @@ class TestSquaredRadiiStatistics:
     def test_needs_four_samples(self):
         with pytest.raises(TooFewSamples):
             squared_radii_statistics(fake_summary(np.ones(3)))
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+class TestContrastRecord:
+    """The record gives the bits of the five expressions it replaced."""
+
+    def test_ranks_and_constants(self):
+        c = norm_constants(100)
+        assert (contrast(100, 1).lower, contrast(100, 1).upper) == (1, 100)
+        assert (contrast(100, 7).lower, contrast(100, 7).upper) == (7, 94)
+        assert (contrast(100, 7).a, contrast(100, 7).b) == (c.a_n, c.b_n)
+        iqr = contrast(101, None)
+        assert (iqr.lower, iqr.upper, iqr.a, iqr.b) == (25, 75, math.sqrt(101), Q34)
+
+    def test_guards(self):
+        with pytest.raises(TooFewSamples):
+            contrast(2, 1)
+        with pytest.raises(TooFewSamples):
+            contrast(3, None)
+        with pytest.raises(TypeError):
+            contrast(10.0, 1)
+        for bad in (0, 6, -1, 1.5, "1"):
+            with pytest.raises(InvalidQuantileOrder):
+                contrast(10, bad)
+
+    def test_bitwise_equal_to_the_replaced_expressions(self):
+        gen = np.random.default_rng(16)
+        sizes = [4, 5, 5000, *gen.integers(6, 5000, size=10).tolist()]
+        for n in sizes:
+            m = n // 2  # every valid q, and as many IQR inputs
+            # Order statistics, their contrast, delta_hat^{1/2} / 2 and
+            # (2 tr(Sigma^2)-hat)^{1/2} all spread over about 2^-40..2^40.
+            low = np.exp2(gen.uniform(-40.0, 40.0, m))
+            high = low + np.exp2(gen.uniform(-40.0, 40.0, m))
+            delta_hat = np.exp2(gen.uniform(-78.0, 82.0, m))
+            that = np.exp2(gen.uniform(-81.0, 79.0, m))
+            for i, q in enumerate(range(1, m + 1)):
+                lo, hi, dh, th = low[i], high[i], float(delta_hat[i]), float(that[i])
+                radii_sd, squared_sd = math.sqrt(dh) / 2.0, math.sqrt(2.0 * th)
+                c, c2 = contrast(n, q), contrast(n, q, squared=True)
+                assert (c.lower, c.upper) == (q, n - q + 1)
+                assert bits(c.value(lo, hi, radii_sd)) == bits(extreme_value_oracle(n, dh, lo, hi))
+                assert bits(c.value(lo, hi, 1.0)) == bits(null_draw_oracle(n, lo, hi))
+                assert bits(c2.value(lo, hi, squared_sd)) == \
+                       bits(squared_range_oracle(n, th, lo, hi))
+                iqr = contrast(n, None)
+                assert bits(iqr.value(lo, hi, radii_sd)) == bits(iqr_oracle(n, dh, lo, hi))
+                assert bits(iqr.value(lo, hi, squared_sd)) == \
+                       bits(squared_iqr_oracle(n, th, lo, hi))
+            # Arrays of order statistics, as the null draw passes them.
+            dh, th = float(delta_hat[0]), float(that[0])
+            radii_sd, squared_sd = math.sqrt(dh) / 2.0, math.sqrt(2.0 * th)
+            c, c2, iqr = contrast(n, 1), contrast(n, 1, squared=True), contrast(n, None)
+            assert bits(c.value(low, high, 1.0)) == bits(null_draw_oracle(n, low, high))
+            assert bits(c.value(low, high, radii_sd)) == \
+                   bits(extreme_value_oracle(n, dh, low, high))
+            assert bits(c2.value(low, high, squared_sd)) == \
+                   bits(squared_range_oracle(n, th, low, high))
+            assert bits(iqr.value(low, high, radii_sd)) == bits(iqr_oracle(n, dh, low, high))
+            assert bits(iqr.value(low, high, squared_sd)) == \
+                   bits(squared_iqr_oracle(n, th, low, high))
+
+    def test_statistics_of_a_summary_read_the_record(self, rng_fixture):
+        rs = radial_summary(DataMatrix.from_array(rng_fixture.normal(size=(41, 70))))
+        r, disp = rs.sorted_radii, rs.dispersion
+        r2 = r ** 2
+        assert bits(range_statistic(rs).value) == \
+               bits(extreme_value_oracle(41, disp.delta_hat, r[0], r[-1]))
+        assert bits(quasi_range_statistic(rs, 4).value) == \
+               bits(extreme_value_oracle(41, disp.delta_hat, r[3], r[-4]))
+        assert bits(iqr_statistic(rs).value) == \
+               bits(iqr_oracle(41, disp.delta_hat, r[9], r[29]))
+        t_range, t_iqr = squared_radii_statistics(rs)
+        assert bits(t_range.value) == \
+               bits(squared_range_oracle(41, disp.tr_sigma_sq_hat, r2[0], r2[-1]))
+        assert bits(t_iqr.value) == \
+               bits(squared_iqr_oracle(41, disp.tr_sigma_sq_hat, r2[9], r2[29]))
