@@ -29,7 +29,7 @@ _EXPORTS = {
     "montecarlo": ("Decision", "McSettings", "TestReport", "composite_test", "mc_quantiles",
                    "null_quasi_range_draws"),
     "radii": ("RadialSummary", "radial_summary"),
-    "teststats": ("NormConstants", "TestStatistic", "norm_constants", "sigma_star"),
+    "teststats": ("NormConstants", "norm_constants", "sigma_star"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 # Submodules that are attributes of the package, loaded on first access.

@@ -24,6 +24,7 @@ from ._csvparse import load_csv, open_text
 from .errors import HdnormError, NonFiniteData
 from .harness import (
     _fmt,
+    default_threads,
     experiment_from_json,
     results_jsonl,
     run_experiment,
@@ -108,13 +109,13 @@ class SystemExit2(Exception):
 
 def cmd_test(args) -> int:
     # A bad method name or Monte-Carlo setting fails before the file is read.
-    lookup_method(args.stats)
+    method = lookup_method(args.stats)
     settings = McSettings(replications=args.mc, seed=args.seed, alpha=args.alpha)
     X = _load_matrix(args.file, args.header)
-    report = composite_test(X, settings, args.stats)
+    report = composite_test(X, settings, method)
 
     # The report names a quasi-range method "quasi"; its order is in the decision.
-    doc = {"schema_version": SCHEMA_VERSION, "statistics": args.stats.split(":")[0],
+    doc = {"schema_version": SCHEMA_VERSION, "statistics": method.name.split(":")[0],
            "input": str(args.file), **report.to_dict()}
     out = Path(args.out)
     out.write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n", encoding="utf-8")
@@ -204,9 +205,11 @@ def cmd_simulate(args) -> int:
     except (ValueError, KeyError, TypeError, HdnormError) as exc:
         raise SystemExit2(f"bad experiment spec: {exc}")
 
-    results = run_experiment(exp, threads=args.threads)
+    # A bad HDNORM_THREADS, then an unwritable --out, fail before any work.
+    threads = default_threads() if args.threads is None else args.threads
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
+    results = run_experiment(exp, threads=threads)
     (outdir / "summary.csv").write_text(summarize(results), encoding="utf-8")
     (outdir / "results.jsonl").write_text(results_jsonl(results), encoding="utf-8")
     print(f"{exp.name}: {len(results)} result rows -> {outdir}/summary.csv")
@@ -267,7 +270,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SystemExit2, HdnormError, ValueError) as exc:
+    except (SystemExit2, HdnormError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,7 +9,8 @@ by (master seed, c, r), and the Monte-Carlo bands of cell c are keyed by
 (master seed, c), so results are independent of how the work is partitioned
 across worker processes.  Every band a cell's methods need is built once, in
 the calling process, before any work unit runs; each unit carries its cell's
-finished bands, so workers never draw a null sample themselves.
+settings, resolved methods and finished bands, so workers never draw a null
+sample or look a method up themselves.
 
 With more than one worker, work units run in worker processes, each with BLAS
 limited to one thread, so that workers neither contend for the interpreter
@@ -38,12 +39,14 @@ from .generators import COV_PARAMS, CovSpec, Scenario, _params, sample_scenario
 from .montecarlo import (
     Band,
     McSettings,
+    Method,
     composite_from_summary,
     fork_is_safe,
     lookup_method,
     usable_cpus,
 )
 from .radii import radial_summary
+from .teststats import contrast
 
 _CI_Z = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -122,49 +125,47 @@ def binomial_ci(count: int, total: int) -> Tuple[float, float]:
     return (max(0.0, p - half), min(1.0, p + half))
 
 
-def _cell_settings(exp: Experiment, cell_index: int) -> McSettings:
-    return McSettings(
-        replications=exp.mc_replications,
-        seed=rng.derive_seed(exp.seed, rng.DOMAIN_NULL_RANGE, cell_index),
-        alpha=exp.alpha,
-    )
+CellBands = Tuple[McSettings, Dict[str, Tuple[Method, Tuple[Band, ...]]]]
 
 
-def _cell_bands(exp: Experiment) -> List[Dict[str, Tuple[Band, ...]]]:
-    """Each cell's ``{method: bands}``: the bands its methods decide against.
+def _cell_bands(exp: Experiment) -> List[CellBands]:
+    """Each cell's Monte-Carlo settings and ``{name: (method, bands)}``: its
+    methods, resolved, and the bands they decide against.
 
     A method whose bands cannot be built is left out, and ``_run_unit`` counts
     each of its replications as a failure.
     """
     cells = []
     for ci, cell in enumerate(exp.cells):
-        settings, bands = _cell_settings(exp, ci), {}
-        for m in cell.methods:
+        settings = McSettings(replications=exp.mc_replications, alpha=exp.alpha,
+                              seed=rng.derive_seed(exp.seed, rng.DOMAIN_NULL_RANGE, ci))
+        methods = {}
+        for name in cell.methods:
+            method = lookup_method(name)
             with suppress(HdnormError):
-                bands[m] = lookup_method(m).bands_at(cell.scenario.n, settings)
-        cells.append(bands)
+                methods[name] = (method, method.bands_at(cell.scenario.n, settings))
+        cells.append((settings, methods))
     return cells
 
 
-def _run_unit(exp: Experiment, cell_index: int, lo: int, hi: int,
-              bands: Mapping[str, Tuple[Band, ...]]):
+def _run_unit(exp: Experiment, cell_index: int, lo: int, hi: int, cell_bands: CellBands):
     """Run replications [lo, hi) of one cell against its bands; returns per-method tallies."""
     cell = exp.cells[cell_index]
-    settings = _cell_settings(exp, cell_index)
+    settings, methods = cell_bands
     rejections = {m: 0 for m in cell.methods}
-    failures = {m: 0 if m in bands else hi - lo for m in cell.methods}
+    failures = {m: 0 if m in methods else hi - lo for m in cell.methods}
     start = time.perf_counter()
     for r in range(lo, hi):
         gen = rng.substream(exp.seed, rng.DOMAIN_DATA, cell_index, r)
         try:
             rs = radial_summary(sample_scenario(cell.scenario, gen))
         except HdnormError:
-            for m in bands:
+            for m in methods:
                 failures[m] += 1
             continue
-        for m in bands:
+        for m, (method, bands) in methods.items():
             try:
-                rejections[m] += composite_from_summary(rs, settings, m, bands[m]).reject
+                rejections[m] += composite_from_summary(rs, settings, method, bands).reject
             except HdnormError:
                 failures[m] += 1
     return cell_index, rejections, failures, time.perf_counter() - start
@@ -407,12 +408,14 @@ def experiment_from_json(doc: Mapping) -> Experiment:
         methods = cell_doc.get("methods", ["composite"])
         if not isinstance(methods, list) or not methods:
             raise ValueError(f"cell {ci} methods must be a non-empty list, got {methods!r}")
+        scenario = scenario_from_json(cell_doc["scenario"])
         for i, m in enumerate(methods):
-            lookup_method(m)
+            for q in lookup_method(m).orders:
+                contrast(scenario.n, q)  # a quasi order too large for n fails here
             if m in methods[:i]:
                 raise ValueError(f"cell {ci} lists method {m!r} twice")
         cells.append(CellSpec(
-            scenario=scenario_from_json(cell_doc["scenario"]),
+            scenario=scenario,
             replications=_integer(cell_doc, "replications", 1, default_reps,
                                   what=f"cell {ci} replications"),
             methods=tuple(methods),

@@ -11,14 +11,14 @@ with standard deviation sigma_star, so its rejection band is closed form.
 
 Null draws are organized in fixed-size chunks, each tied to its own keyed
 substream: draw j is a pure function of (seed, n, q, j), so any batching or
-parallel partition reproduces the same sample bitwise.  Quantile bands are
-memoised per (n, q, settings) and sorted null samples per (n, q, m, seed), so
-the bands of one sample at several levels come from one draw; the memos never
-change results.
+parallel partition reproduces the same sample bitwise.  The last few sorted
+null samples are memoised per (n, q, m, seed), so the bands of one sample at
+several levels come from one draw; the memo never changes results.
 
 Each decision method, the composite test and each of its contrasts, is one
 entry of ``METHODS``: the names ``hdnorm test --stats`` and ``simulate`` take.
-``Method.bands_at`` resolves its bands, and a decision reads only its arguments.
+``lookup_method`` resolves a name once; ``Method.bands_at`` resolves its
+bands, and a decision reads only its arguments.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from . import rng
 from .moments import DataMatrix, DispersionEstimate
 from .radii import RadialSummary, radial_summary
 from .rng import ndtri
-from .teststats import TestStatistic, contrast, sigma_star, statistics
+from .teststats import contrast, sigma_star, statistics
 
 #: Number of null draws generated per keyed substream.  Part of the
 #: reproducibility contract: changing it changes which draw lands where.
@@ -176,13 +176,8 @@ def empirical_quantile(sorted_values: np.ndarray, level: float) -> float:
 Band = Tuple[float, float]
 
 
-@lru_cache(maxsize=1 << 16)
 def mc_quantiles(n: int, q: int, settings: McSettings) -> Band:
-    """Empirical (alpha/2, 1 - alpha/2) quantiles of the U_{n,q} null sample.
-
-    Memoised per ``(n, q, settings)``; the bound only keeps a caller that walks
-    through many seeds from growing without limit.
-    """
+    """Empirical (alpha/2, 1 - alpha/2) quantiles of the U_{n,q} null sample."""
     sample = _sorted_null(n, q, settings.replications, settings.seed)
     return (empirical_quantile(sample, settings.alpha / 2.0),
             empirical_quantile(sample, 1.0 - settings.alpha / 2.0))
@@ -199,31 +194,26 @@ def _sorted_null(n: int, q: int, m: int, seed: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Decision:
-    """One sub-test outcome: the statistic, its band, and the verdict.
+    """One sub-test outcome: the statistic's value, the order q of a
+    quasi-range (None for the others), its band, and the verdict.
 
     The acceptance region is the closed interval [lower, upper]; a statistic
     landing exactly on a band edge does not reject.
     """
 
-    statistic: TestStatistic
+    value: float
+    q: Optional[int]
     level: float
     lower: float
     upper: float
     reject: bool
 
     def to_dict(self) -> dict:
-        q = {} if self.statistic.q is None else {"q": self.statistic.q}
-        return {"value": self.statistic.value, "level": self.level, "lower": self.lower,
+        q = {} if self.q is None else {"q": self.q}
+        return {"value": self.value, "level": self.level, "lower": self.lower,
                 "upper": self.upper, "reject": self.reject, **q}
 
 
-def _decide(stat: TestStatistic, level: float, band: Band) -> Decision:
-    lower, upper = band
-    reject = stat.value < lower or stat.value > upper
-    return Decision(statistic=stat, level=level, lower=lower, upper=upper, reject=bool(reject))
-
-
-@lru_cache(maxsize=64)
 def _iqr_band(level: float) -> Band:
     """Closed-form (level/2, 1 - level/2) band of the IQR statistic."""
     s = sigma_star()
@@ -234,31 +224,37 @@ def _iqr_band(level: float) -> Band:
 class Method:
     """A decision method: one contrast per sub-test, each decided against a band.
 
-    ``keys`` names the sub-tests in the report and ``orders`` their contrasts
+    ``name`` is the method's name in ``METHODS`` or ``quasi:q``.  ``keys`` names
+    the sub-tests in the report and ``orders`` their contrasts
     (``teststats.contrast``): the quasi-range of order q with its Monte-Carlo
     band, or None for the IQR with its closed-form band.  ``squared`` reads the
     squared radii.  With k sub-tests each runs at alpha/k (Bonferroni) and the
     method rejects iff any sub-test does.
     """
 
+    name: str
     keys: Tuple[str, ...]
     orders: Tuple[Optional[int], ...]
     squared: bool = False
 
+    def level(self, settings: McSettings) -> float:
+        """The level of each sub-test: alpha/k."""
+        return settings.alpha / len(self.orders)
+
     def bands_at(self, n: int, settings: McSettings) -> Tuple[Band, ...]:
         """Each sub-test's band for samples of ``n`` rows, at level alpha/k."""
-        level = settings.alpha / len(self.orders)
+        level = self.level(settings)
         return tuple(_iqr_band(level) if q is None
                      else mc_quantiles(n, q, replace(settings, alpha=level)) for q in self.orders)
 
 
 #: Every decision method by name; ``lookup_method`` adds ``quasi:q``.
-METHODS: Dict[str, Method] = {
-    "composite": Method(("range", "iqr"), (1, None)),
-    "squared": Method(("range", "iqr"), (1, None), squared=True),
-    "range": Method(("range",), (1,)),
-    "iqr": Method(("iqr",), (None,)),
-}
+METHODS: Dict[str, Method] = {m.name: m for m in (
+    Method("composite", ("range", "iqr"), (1, None)),
+    Method("squared", ("range", "iqr"), (1, None), squared=True),
+    Method("range", ("range",), (1,)),
+    Method("iqr", ("iqr",), (None,)),
+)}
 _QUASI = re.compile(r"quasi:([1-9][0-9]*)")
 
 
@@ -269,7 +265,7 @@ def lookup_method(name) -> Method:
             return METHODS[name]
         match = _QUASI.fullmatch(name)
         if match:
-            return Method(("quasi_range",), (int(match[1]),))
+            return Method(name, ("quasi_range",), (int(match[1]),))
     raise ValueError(f"unknown method {name!r}; choose from {', '.join(METHODS)} or quasi:q")
 
 
@@ -277,7 +273,7 @@ def lookup_method(name) -> Method:
 class TestReport:
     """Outcome of one decision method on one dataset."""
 
-    method: str
+    method: Method
     n: int
     d: int
     settings: McSettings
@@ -294,7 +290,7 @@ class TestReport:
             "alpha": self.settings.alpha,
             "mc_replications": self.settings.replications,
             "seed": self.settings.seed,
-            "squared": lookup_method(self.method).squared,
+            "squared": self.method.squared,
             **asdict(self.dispersion),
             **{key: decision.to_dict() for key, decision in self.decisions.items()},
         }
@@ -303,18 +299,17 @@ class TestReport:
         return {**doc, "reject": self.reject}
 
 
-def composite_from_summary(rs: RadialSummary, settings: McSettings, method: str,
+def composite_from_summary(rs: RadialSummary, settings: McSettings, method: Method,
                            bands: Tuple[Band, ...]) -> TestReport:
-    """Decide ``method`` (see ``METHODS``) on a precomputed radial summary,
-    against ``bands``, its ``bands_at(rs.n, settings)``."""
-    entry = lookup_method(method)
-    level = settings.alpha / len(entry.orders)
-    values = statistics(rs, entry.orders, entry.squared)
+    """Decide ``method`` on a precomputed radial summary, against ``bands``,
+    its ``bands_at(rs.n, settings)``."""
+    level = method.level(settings)
+    values = statistics(rs, method.orders, method.squared)
     # A quasi-range reports its order; the range, its q = 1 case, does not.
-    decisions = {key: _decide(TestStatistic(value, q if key == "quasi_range" else None),
-                              level, band)
-                 for key, q, value, band in zip(entry.keys, entry.orders, values, bands,
-                                                strict=True)}
+    decisions = {key: Decision(value, q if key == "quasi_range" else None, level, lower, upper,
+                               bool(value < lower or value > upper))
+                 for key, q, value, (lower, upper) in zip(method.keys, method.orders, values,
+                                                          bands, strict=True)}
     return TestReport(
         method=method,
         n=rs.n,
@@ -326,7 +321,8 @@ def composite_from_summary(rs: RadialSummary, settings: McSettings, method: str,
     )
 
 
-def composite_test(X: DataMatrix, settings: McSettings, method: str = "composite") -> TestReport:
+def composite_test(X: DataMatrix, settings: McSettings,
+                   method: Method = METHODS["composite"]) -> TestReport:
     """Run a decision method on a sample, by default the composite (range + IQR) test."""
     return composite_from_summary(radial_summary(X), settings, method,
-                                  lookup_method(method).bands_at(X.n, settings))
+                                  method.bands_at(X.n, settings))

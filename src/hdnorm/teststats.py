@@ -31,14 +31,6 @@ class NormConstants:
     b_n: float
 
 
-@dataclass(frozen=True)
-class TestStatistic:
-    """A statistic's value, and the order q of a quasi-range (None for the others)."""
-
-    value: float
-    q: Optional[int] = None
-
-
 def norm_constants(n) -> NormConstants:
     """Evaluate the extreme-contrast normalizing constants at sample size n >= 3."""
     if not isinstance(n, Integral):
@@ -81,7 +73,8 @@ class Contrast:
         return self.a / sd * delta - 2.0 * self.a * self.b
 
 
-@lru_cache(maxsize=1 << 12)
+# Typed, so that n = 10.0 or q = True is checked, not served the entry of 10 or 1.
+@lru_cache(maxsize=1 << 12, typed=True)
 def contrast(n, q, squared: bool = False) -> Contrast:
     """The quasi-range of order q (the range for q = 1), or the IQR for q None,
     of n radii, or of n squared radii if ``squared``."""
@@ -107,26 +100,17 @@ def statistics(rs: RadialSummary, orders: Sequence[Optional[int]],
     return tuple(float(c.value(y[c.lower - 1], y[c.upper - 1], sd)) for c in contrasts)
 
 
-def range_statistic(rs: RadialSummary) -> TestStatistic:
+def range_statistic(rs: RadialSummary) -> float:
     """Normalized range of the radii."""
-    return TestStatistic(*statistics(rs, (1,)))
+    return statistics(rs, (1,))[0]
 
 
-def quasi_range_statistic(rs: RadialSummary, q) -> TestStatistic:
-    """Contrast of the q-th largest and q-th smallest radius; q = 1 is the range.
-
-    The Monte-Carlo decision rule is only asymptotically justified for q fixed
-    (small) relative to n, although any q up to floor(n/2) is accepted here.
-    """
-    return TestStatistic(*statistics(rs, (q,)), int(q))
-
-
-def iqr_statistic(rs: RadialSummary) -> TestStatistic:
+def iqr_statistic(rs: RadialSummary) -> float:
     """Normalized interquartile range of the radii."""
-    return TestStatistic(*statistics(rs, (None,)))
+    return statistics(rs, (None,))[0]
 
 
-def squared_radii_statistics(rs: RadialSummary) -> Tuple[TestStatistic, TestStatistic]:
+def squared_radii_statistics(rs: RadialSummary) -> Tuple[float, float]:
     """Range and IQR statistics of the squared radii: a contrast with the
     square-root form, which has visibly better finite-sample size control."""
-    return tuple(map(TestStatistic, statistics(rs, (1, None), squared=True)))
+    return statistics(rs, (1, None), squared=True)

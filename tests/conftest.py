@@ -57,7 +57,8 @@ def similarity_transform(values: np.ndarray, sigma: float, V: np.ndarray,
 def rejection_rate(scenario: Scenario, replications: int, settings: McSettings,
                    seed: int, method: str = "composite") -> float:
     """Empirical rejection rate of a decision method over fresh data draws."""
-    bands = lookup_method(method).bands_at(scenario.n, settings)
+    method = lookup_method(method)
+    bands = method.bands_at(scenario.n, settings)
     rejected = 0
     for r in range(replications):
         gen = hrng.substream(seed, hrng.DOMAIN_DATA, 0, r)
@@ -69,8 +70,7 @@ def rejection_rate(scenario: Scenario, replications: int, settings: McSettings,
 
 
 def clear_band_memos() -> None:
-    """Forget every memoised band and sorted null sample, so the next band is drawn."""
-    montecarlo.mc_quantiles.cache_clear()
+    """Forget every memoised sorted null sample, so the next band is drawn."""
     montecarlo._sorted_null.cache_clear()
 
 

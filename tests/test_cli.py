@@ -13,7 +13,7 @@ import pytest
 from conftest import fresh_python, gaussian_data
 from hdnorm import generators
 from hdnorm import rng as hrng
-from hdnorm import cli
+from hdnorm import cli, harness
 from hdnorm._blas import BLAS_THREAD_VARS, default_to_one_blas_thread
 from hdnorm.cli import main
 from hdnorm.harness import SPEC_KEYS, experiment_from_json
@@ -183,6 +183,12 @@ class TestCmdTest:
     def test_missing_file(self):
         assert main(["test", "/nonexistent/x.csv"]) == 1
 
+    def test_unwritable_report_exits_one(self, null_csv, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.json"
+        assert main(["test", str(null_csv), "--mc", "500", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.parent.exists()
+
     def test_degenerate_data_exits_one(self, tmp_path, capsys):
         path = write_csv(tmp_path / "flat.csv", np.ones((10, 5)))
         assert main(["test", str(path)]) == 1
@@ -224,6 +230,12 @@ class TestCmdTest:
 
 
 class TestCmdDiagnose:
+    def test_unwritable_output_directory_exits_one(self, null_csv, tmp_path, capsys):
+        taken = tmp_path / "file"
+        taken.write_text("")
+        assert main(["diagnose", str(null_csv), "--out", str(taken / "sub")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_two_row_input(self, tmp_path, capsys):
         rows = np.array([[0.0, 0.0, 0.0], [2.0, 2.0, 1.0]])
         path = write_csv(tmp_path / "two.csv", rows)
@@ -310,6 +322,16 @@ class TestCmdSimulate:
         assert len(csv_text.strip().split("\n")) == 3
         jsonl = (tmp_path / "res" / "results.jsonl").read_text().strip().split("\n")
         assert len(jsonl) == 2
+
+    def test_unwritable_output_directory_exits_one_before_any_replication(
+            self, tmp_path, monkeypatch, capsys):
+        replicated = []
+        monkeypatch.setattr(harness, "sample_scenario", lambda *args: replicated.append(args))
+        spec, taken = self.make_spec(tmp_path), tmp_path / "file"
+        taken.write_text("")
+        assert main(["simulate", str(spec), "--threads", "1", "--out", str(taken)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert replicated == [] and taken.read_text() == ""
 
     def test_byte_identical_reruns(self, tmp_path):
         spec = self.make_spec(tmp_path)
@@ -402,10 +424,13 @@ class TestCmdSimulate:
         ("family", "loc_mixtur", "'loc_mixtur'"),
         ("cov", {"kind": "identty", "d": 20}, "'identty'"),
         ("params", {"shfit": 5.0}, "'shfit'"),
+        # The schema takes quasi:6 at any n; the parser checks it at the cell's n.
+        ("n", 10, "q=6 is not an integer in [1, 5] for n=10"),
     ])
     def test_unknown_name_exits_one_before_any_work(self, tmp_path, capsys, field, value,
                                                     named):
         doc = json.loads(self.make_spec(tmp_path).read_text())
+        doc["cells"][1]["methods"] = ["composite", "quasi:6"]
         scenario = doc["cells"][1]["scenario"]
         scenario.update(family="loc_mixture", params={})
         scenario[field] = value

@@ -105,7 +105,7 @@ class TestRunExperiment:
         exp = Experiment(name="tiny", seed=3, alpha=0.05, mc_replications=500,
                          cells=(CellSpec(tiny, 10), CellSpec(good, 10, ("composite", "quasi:11"))))
         bands = harness._cell_bands(exp)
-        assert bands[0] == {} and list(bands[1]) == ["composite"]
+        assert bands[0][1] == {} and list(bands[1][1]) == ["composite"]
         for threads in (1, 2):
             results = run_experiment(exp, threads=threads)
             assert [(r.method, r.failures) for r in results] == [
@@ -258,18 +258,19 @@ class TestBandsBuiltOnce:
         assert len(drawn) == len(set(drawn))
         cell_bands = harness._cell_bands(exp)
         assert all(bands == cell_bands[ci] for ci, _, _, bands in seen["units"])
-        assert cell_bands[0]["composite"] == cell_bands[0]["squared"]
+        assert cell_bands[0][1]["composite"][1] == cell_bands[0][1]["squared"][1]
         strip = lambda rs: [(r.cell_index, r.method, r.rejections, r.failures) for r in rs]
         assert strip(results) == strip(run_experiment(exp, threads=1))
         assert len(drawn) == 4
 
         # Each tally is the method's own decision summed over the cell's draws.
         for r in results:
-            settings = harness._cell_settings(exp, r.cell_index)
-            bands = montecarlo.lookup_method(r.method).bands_at(r.scenario.n, settings)
+            settings = cell_bands[r.cell_index][0]
+            method = montecarlo.lookup_method(r.method)
+            bands = method.bands_at(r.scenario.n, settings)
             reports = [montecarlo.composite_from_summary(radial_summary(sample_scenario(
                 r.scenario, hrng.substream(exp.seed, hrng.DOMAIN_DATA, r.cell_index, i))),
-                settings, r.method, bands) for i in range(r.replications)]
+                settings, method, bands) for i in range(r.replications)]
             assert r.failures == 0 and r.rejections == sum(rep.reject for rep in reports)
         assert len(drawn) == 4
 
@@ -278,12 +279,14 @@ class TestBandsBuiltOnce:
         exp = small_experiment(methods=("composite", "range"))
         bands = harness._cell_bands(exp)
         assert len(bands) == 2 and len(drawn) == len(set(drawn)) == 2
-        assert all(cell["composite"][0] != cell["range"][0] for cell in bands)
-        for ci, cell in enumerate(bands):
-            settings = harness._cell_settings(exp, ci)
-            for m, got in cell.items():
+        assert all(cell["composite"][1][0] != cell["range"][1][0] for _, cell in bands)
+        for ci, (settings, cell) in enumerate(bands):
+            seed = hrng.derive_seed(exp.seed, hrng.DOMAIN_NULL_RANGE, ci)
+            assert settings == montecarlo.McSettings(500, seed, 0.05)
+            for m, (method, got) in cell.items():
                 clear_band_memos()
-                assert got == montecarlo.lookup_method(m).bands_at(40, settings)
+                assert method == montecarlo.lookup_method(m)
+                assert got == method.bands_at(40, settings)
         assert len(drawn) == 6
 
 

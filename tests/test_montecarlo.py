@@ -27,13 +27,11 @@ from hdnorm import rng as hrng
 from hdnorm.montecarlo import (
     CHUNK,
     METHODS,
-    _decide,
-    _iqr_band,
     composite_from_summary,
     empirical_quantile,
     lookup_method,
 )
-from hdnorm.teststats import TestStatistic as Statistic
+from hdnorm.teststats import range_statistic, statistics
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -200,24 +198,28 @@ class TestQuantiles:
 
     def test_band_is_memoised(self, monkeypatch):
         clear_band_memos()
+        drawn = []
+        real_draws = montecarlo.null_quasi_range_draws
+
+        def counting_draws(*args):
+            drawn.append(args)
+            return real_draws(*args)
+
+        monkeypatch.setattr(montecarlo, "null_quasi_range_draws", counting_draws)
         settings = McSettings(replications=1000, seed=41, alpha=0.05)
         band = mc_quantiles(30, 1, settings)
-        assert mc_quantiles.cache_info().currsize == 1
-        assert montecarlo._sorted_null.cache_info().currsize == 1
-
-        def no_draws(*args):
-            raise AssertionError("a memoised band was drawn again")
-
-        monkeypatch.setattr(montecarlo, "null_quasi_range_draws", no_draws)
+        assert drawn == [(30, 1, 1000, 41)]
         assert mc_quantiles(30, 1, settings) == band
-        assert mc_quantiles.cache_info().hits == 1
         # Another level of the same sample is a new band read off the kept sample.
         sample = montecarlo._sorted_null(30, 1, 1000, 41)
         assert not sample.flags.writeable
         other = dataclasses.replace(settings, alpha=0.2)
         assert mc_quantiles(30, 1, other) == (empirical_quantile(sample, 0.1),
                                               empirical_quantile(sample, 0.9)) != band
-        assert mc_quantiles.cache_info().currsize == 2
+        assert drawn == [(30, 1, 1000, 41)]
+        clear_band_memos()
+        assert mc_quantiles(30, 1, settings) == band
+        assert len(drawn) == 2
 
     def test_quantile_error_decays_with_m(self):
         m = 1000
@@ -231,47 +233,59 @@ class TestQuantiles:
 class TestDecisions:
     def test_boundary_hits_accept(self):
         settings = McSettings(replications=1000, seed=6, alpha=0.05)
-        band = mc_quantiles(40, 1, settings)
-        lower, upper = band
-        assert not _decide(Statistic(upper), settings.alpha, band).reject
-        assert not _decide(Statistic(lower), settings.alpha, band).reject
-        assert _decide(Statistic(1e6), settings.alpha, band).reject
+        rs = radial_summary(gaussian_data(6, 40, 30))
+        value = range_statistic(rs)
+
+        def rejects(lower, upper):
+            report = composite_from_summary(rs, settings, METHODS["range"], ((lower, upper),))
+            assert report.decisions["range"].value == value
+            return report.reject
+
+        below, above = math.nextafter(value, -math.inf), math.nextafter(value, math.inf)
+        assert not rejects(value, value + 1.0)
+        assert not rejects(value - 1.0, value)
+        assert not rejects(value, value)
+        assert rejects(above, value + 1.0)
+        assert rejects(value - 1.0, below)
 
     def test_quasi_range_decision_uses_matching_null_sample(self, rng_fixture):
         settings = McSettings(replications=2000, seed=14, alpha=0.05)
         rs = radial_summary(gaussian_data(3, 60, 40))
-        bands = lookup_method("quasi:3").bands_at(60, settings)
-        decision = composite_from_summary(rs, settings, "quasi:3", bands).decisions["quasi_range"]
+        method = lookup_method("quasi:3")
+        bands = method.bands_at(60, settings)
+        decision = composite_from_summary(rs, settings, method, bands).decisions["quasi_range"]
+        assert (decision.value, decision.q) == (statistics(rs, (3,))[0], 3)
         assert (decision.lower, decision.upper) == mc_quantiles(60, 3, settings)
         assert (decision.lower, decision.upper) != mc_quantiles(60, 1, settings)
 
     def test_iqr_band_is_symmetric_sigma_star_scaled(self):
         settings = McSettings(replications=1000, seed=1, alpha=0.05)
-        decision = _decide(Statistic(0.0), settings.alpha, _iqr_band(settings.alpha))
-        assert not decision.reject
-        assert decision.upper == pytest.approx(3.083871111053238, abs=1e-12)
-        assert decision.lower == pytest.approx(-decision.upper, abs=1e-12)
+        (lower, upper), = METHODS["iqr"].bands_at(30, settings)
+        assert upper == pytest.approx(3.083871111053238, abs=1e-12)
+        assert lower == pytest.approx(-upper, abs=1e-12)
 
     def test_range_subtest_size_at_half_alpha(self):
         settings = McSettings(replications=10000, seed=55, alpha=0.05)
-        bands = METHODS["composite"].bands_at(100, settings)
+        composite = METHODS["composite"]
+        bands = composite.bands_at(100, settings)
         rejections = 0
         reps = 10000
         for seed in range(reps):
             rs = radial_summary(gaussian_data(seed, 100, 20))
-            decision = composite_from_summary(rs, settings, "composite", bands).decisions["range"]
+            decision = composite_from_summary(rs, settings, composite, bands).decisions["range"]
             assert decision.level == settings.alpha / 2
             rejections += decision.reject
         assert rejections / reps == pytest.approx(0.025, abs=0.008)
 
     def test_iqr_subtest_size_at_half_alpha(self):
         settings = McSettings(replications=10000, seed=56, alpha=0.05)
-        bands = METHODS["composite"].bands_at(150, settings)
+        composite = METHODS["composite"]
+        bands = composite.bands_at(150, settings)
         rejections = 0
         reps = 10000
         for seed in range(reps):
             rs = radial_summary(gaussian_data(10_000_000 + seed, 150, 300))
-            decision = composite_from_summary(rs, settings, "composite", bands).decisions["iqr"]
+            decision = composite_from_summary(rs, settings, composite, bands).decisions["iqr"]
             assert decision.level == settings.alpha / 2
             rejections += decision.reject
         assert rejections / reps == pytest.approx(0.025, abs=0.01)
@@ -339,7 +353,7 @@ class TestComposite:
         rs = radial_summary(gaussian_data(5, 30, 40))
         bands = METHODS["range"].bands_at(30, settings)
         with pytest.raises(ValueError):
-            composite_from_summary(rs, settings, "composite", bands)
+            composite_from_summary(rs, settings, METHODS["composite"], bands)
 
     def test_needs_four_rows(self):
         from hdnorm import DataMatrix, TooFewSamples
