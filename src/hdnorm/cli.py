@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import islice
 from pathlib import Path
@@ -107,17 +108,29 @@ class SystemExit2(Exception):
     """Internal error carrier; converted to exit status 1 with a message."""
 
 
+def _writable(path: Path, folder: bool) -> Path:
+    """``path`` if it is a file (a directory with ``folder``) or absent, in a
+    writable directory that exists (or, with ``folder``, that ``mkdir -p``
+    makes); else ``SystemExit2``, so a bad --out fails before any work."""
+    base = next(p for p in (path, *path.parents) if p.exists()) if folder else path.parent
+    writable = base.is_dir() and os.access(base, os.W_OK)
+    if not writable or path.exists() and path.is_dir() != folder:
+        raise SystemExit2(f"cannot write {path}")
+    return path
+
+
 def cmd_test(args) -> int:
-    # A bad method name or Monte-Carlo setting fails before the file is read.
+    # A bad method name or Monte-Carlo setting, or a report that cannot be
+    # written, fails before the file is read.
     method = lookup_method(args.stats)
     settings = McSettings(replications=args.mc, seed=args.seed, alpha=args.alpha)
+    out = _writable(Path(args.out), folder=False)
     X = _load_matrix(args.file, args.header)
-    report = composite_test(X, settings, method)
+    report = composite_test(X, settings, method, out=X.values)  # centres X in place
 
     # The report names a quasi-range method "quasi"; its order is in the decision.
     doc = {"schema_version": SCHEMA_VERSION, "statistics": method.name.split(":")[0],
            "input": str(args.file), **report.to_dict()}
-    out = Path(args.out)
     out.write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n", encoding="utf-8")
     verdict = "rejected" if report.reject else "not rejected"
     detail = ", ".join(f"{key} {'reject' if decision.reject else 'accept'}"
@@ -166,8 +179,8 @@ def _write_csv(path: Path, header: str, columns) -> None:
 
 
 def cmd_diagnose(args) -> int:
+    outdir = _writable(Path(args.out), folder=True)
     X = _load_matrix(args.file, args.header)
-    outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
     wrote_qq = False

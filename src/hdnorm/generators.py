@@ -34,6 +34,8 @@ the factor of Sigma it transports its draws with.  Gaussian drivers use the
 cheaper Cholesky factor ("chol"); non-Gaussian drivers use the symmetric
 square root ("sym") or, for the leptokurtic family, the eigenvector factor
 ("eigen"), since for non-Gaussian inputs the factors produce different laws.
+A sampler draws into the first of two n x d buffers, ``buf[0]``, and acts on
+it in place; a transport by a full factor writes into ``buf[1]``.
 """
 
 from __future__ import annotations
@@ -184,13 +186,14 @@ def _factor(spec: CovSpec, form: str):
     raise ValueError(f"unknown factor form {form!r}")
 
 
-def _apply_factor(Z: np.ndarray, factor) -> np.ndarray:
+def _apply_factor(Z: np.ndarray, factor, out: np.ndarray) -> np.ndarray:
+    """``Z`` transported by ``factor``: in place for a diagonal one, else into ``out``."""
     mode, payload = factor
     if mode == "identity":
         return Z
     if mode == "diag":
-        return Z * payload
-    return Z @ payload
+        return np.multiply(Z, payload, out=Z)
+    return np.matmul(Z, payload, out=out)
 
 
 @dataclass(frozen=True)
@@ -212,48 +215,54 @@ class PowerOfD(NamedTuple):
     exponent: float
 
 
-def _gaussian(s, p, gen):
+def _gaussian(s, p, gen, buf):
     """n rows of N(0, Sigma), through the Cholesky factor."""
-    return _apply_factor(rng.standard_normal(gen, (s.n, s.d)), _factor(s.cov, "chol"))
+    Z = rng.standard_normal(gen, (s.n, s.d), buf[0])
+    return _apply_factor(Z, _factor(s.cov, "chol"), buf[1])
 
 
-def _loc_mixture(s, p, gen):
+def _loc_mixture(s, p, gen, buf):
     second = gen.random(s.n) >= p["weights"][0]
-    return _gaussian(s, p, gen) + np.where(second, p["shift"], 0.0)[:, None]
+    X = _gaussian(s, p, gen, buf)
+    return np.add(X, np.where(second, p["shift"], 0.0)[:, None], out=X)
 
 
-def _cov_mixture(s, p, gen):
+def _cov_mixture(s, p, gen, buf):
     gap = p["gap"]
     second = gen.random(s.n) >= p["weights"][0]
     scale = np.where(second, math.sqrt(1.0 - gap), math.sqrt(1.0 + gap))
-    return _gaussian(s, p, gen) * scale[:, None]
+    X = _gaussian(s, p, gen, buf)
+    return np.multiply(X, scale[:, None], out=X)
 
 
-def _multivariate_t(s, p, gen):
-    X = _gaussian(s, p, gen)
+def _multivariate_t(s, p, gen, buf):
+    X = _gaussian(s, p, gen, buf)
     g = rng.chi_square(gen, p["dof"], s.n)
-    return X / np.sqrt(g / p["dof"])[:, None]
+    return np.divide(X, np.sqrt(g / p["dof"])[:, None], out=X)
 
 
-def _chisq_marginals(s, p, gen):
+def _chisq_marginals(s, p, gen, buf):
     dof = p["dof"]
-    X = rng.chi_square(gen, dof, (s.n, s.d))
+    X = rng.chi_square(gen, dof, (s.n, s.d), buf[0])
     if not p["standardize"]:
         return X
-    return _apply_factor((X - dof) / math.sqrt(2.0 * dof), _factor(s.cov, "sym"))
+    np.divide(np.subtract(X, dof, out=X), math.sqrt(2.0 * dof), out=X)
+    return _apply_factor(X, _factor(s.cov, "sym"), buf[1])
 
 
-def _elliptical_uniform_scale(s, p, gen):
-    X = _gaussian(s, p, gen)
+def _elliptical_uniform_scale(s, p, gen, buf):
+    X = _gaussian(s, p, gen, buf)
     eps = p["sigma0"] + p["delta"] * gen.random(s.n)
-    return X * eps[:, None]
+    return np.multiply(X, eps[:, None], out=X)
 
 
-def _leptokurtic(s, p, gen):
+def _leptokurtic(s, p, gen, buf):
     a2, b2 = _leptokurtic_variances(p["excess_kurtosis"])
-    Z = rng.standard_normal(gen, (s.n, s.d))
-    Z = Z * np.where(gen.random((s.n, s.d)) < 0.5, math.sqrt(a2), math.sqrt(b2))
-    return _apply_factor(Z, _factor(s.cov, "eigen"))
+    Z = rng.standard_normal(gen, (s.n, s.d), buf[0])
+    first = gen.random((s.n, s.d), out=buf[1]) < 0.5
+    np.multiply(Z, math.sqrt(a2), out=Z, where=first)
+    np.multiply(Z, math.sqrt(b2), out=Z, where=np.logical_not(first, out=first))
+    return _apply_factor(Z, _factor(s.cov, "eigen"), buf[1])
 
 
 def _leptokurtic_variances(excess: float) -> Tuple[float, float]:
@@ -269,20 +278,23 @@ def _leptokurtic_variances(excess: float) -> Tuple[float, float]:
     return a2, b2
 
 
-def _bai_sarandasa(s, p, gen):
+def _bai_sarandasa(s, p, gen, buf):
     # Standardized-exponential factors sharing one random sign per row:
     # marginally symmetric, jointly dependent, all moments finite.
-    T = rng.exponential(gen, (s.n, s.d)) - 1.0
+    T = np.subtract(rng.exponential(gen, (s.n, s.d), buf[0]), 1.0, out=buf[0])
     u = rng.rademacher(gen, s.n)
-    return _apply_factor(u[:, None] * T, _factor(s.cov, "sym"))
+    return _apply_factor(np.multiply(u[:, None], T, out=T), _factor(s.cov, "sym"), buf[1])
 
 
-def _mixed_marginals(s, p, gen):
+def _mixed_marginals(s, p, gen, buf):
+    # Both blocks are drawn into the second buffer, then joined into the first.
     k, t_dof = p["t_columns"], p["t_dof"]
-    Zg = rng.standard_normal(gen, (s.n, s.d - k))
-    Zt = rng.standard_normal(gen, (s.n, k))
+    scratch = buf[1].reshape(-1)
+    Zg = rng.standard_normal(gen, (s.n, s.d - k), scratch[:s.n * (s.d - k)].reshape(s.n, -1))
+    Zt = rng.standard_normal(gen, (s.n, k), scratch[s.n * (s.d - k):].reshape(s.n, -1))
     g = rng.chi_square(gen, t_dof, s.n)
-    return np.concatenate([Zg, Zt / np.sqrt(g / t_dof)[:, None]], axis=1)
+    np.divide(Zt, np.sqrt(g / t_dof)[:, None], out=Zt)
+    return np.concatenate([Zg, Zt], axis=1, out=buf[0])
 
 
 def _t_variance(dof: float) -> float:
@@ -299,13 +311,14 @@ def _mixed_marginals_covariance(s, p, cov):
 
 
 class Family(NamedTuple):
-    """A scenario family: its parameters' defaults; ``sample(s, p, gen)``, which
-    draws the n x d sample from the stream ``gen``; and ``covariance(s, p, cov)``,
-    the population covariance given the covariance spec's matrix ``cov``.  ``p``
+    """A scenario family: its parameters' defaults; ``sample(s, p, gen, buf)``,
+    which draws the n x d sample from the stream ``gen`` into the buffers
+    ``buf`` and returns the one holding it; and ``covariance(s, p, cov)``, the
+    population covariance given the covariance spec's matrix ``cov``.  ``p``
     holds the checked parameters."""
 
     defaults: Mapping[str, object]
-    sample: Callable[[Scenario, Dict[str, object], np.random.Generator], np.ndarray]
+    sample: Callable[[Scenario, Dict[str, object], np.random.Generator, np.ndarray], np.ndarray]
     covariance: Callable[[Scenario, Dict[str, object], np.ndarray], np.ndarray]
 
 
@@ -399,10 +412,18 @@ def _params(s: Scenario) -> Dict[str, object]:
     return p
 
 
-def sample_scenario(s: Scenario, gen: np.random.Generator) -> DataMatrix:
-    """Draw an n x d sample from the scenario using the provided stream."""
+def sample_scenario(s: Scenario, gen: np.random.Generator,
+                    buffers: Optional[np.ndarray] = None) -> DataMatrix:
+    """Draw an n x d sample from the scenario using the provided stream.
+
+    The sample is drawn into ``buffers``, a float64 array of shape (2, n, d)
+    (a new one if None), and its values are one of the two n x d halves; a
+    later draw into the same buffers overwrites them.
+    """
     p = _params(s)
-    return DataMatrix.from_array(FAMILIES[s.family].sample(s, p, gen))
+    if buffers is None:
+        buffers = np.empty((2, s.n, s.d))
+    return DataMatrix.from_array(FAMILIES[s.family].sample(s, p, gen, buffers))
 
 
 def scenario_covariance(s: Scenario) -> np.ndarray:

@@ -32,6 +32,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import rng
 from ._blas import BLAS_THREAD_VARS
 from .errors import HdnormError
@@ -155,10 +157,13 @@ def _run_unit(exp: Experiment, cell_index: int, lo: int, hi: int, cell_bands: Ce
     rejections = {m: 0 for m in cell.methods}
     failures = {m: 0 if m in methods else hi - lo for m in cell.methods}
     start = time.perf_counter()
+    # Every replication draws into these and centres its sample in place.
+    buffers = np.empty((2, cell.scenario.n, cell.scenario.d))
     for r in range(lo, hi):
         gen = rng.substream(exp.seed, rng.DOMAIN_DATA, cell_index, r)
         try:
-            rs = radial_summary(sample_scenario(cell.scenario, gen))
+            X = sample_scenario(cell.scenario, gen, buffers)
+            rs = radial_summary(X, out=X.values)
         except HdnormError:
             for m in methods:
                 failures[m] += 1

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -111,9 +112,11 @@ class _Moments:
         )
 
 
-def _moments(X: DataMatrix) -> _Moments:
-    """Centre the sample once and take every moment from the centred matrix."""
-    Xc = X.values - X.values.mean(axis=0)
+def _moments(X: DataMatrix, out: Optional[np.ndarray] = None) -> _Moments:
+    """Centre the sample once, into ``out`` if given (``X.values`` when the
+    caller owns the sample), and take every moment from the centred matrix;
+    no field of the result refers to it."""
+    Xc = np.subtract(X.values, X.values.mean(axis=0), out=out)
     r2 = np.einsum("ij,ij->i", Xc, Xc)
     used_gramian = X.n <= X.d
     M = Xc @ Xc.T if used_gramian else Xc.T @ Xc

@@ -44,12 +44,12 @@ from .teststats import contrast, sigma_star, statistics
 #: reproducibility contract: changing it changes which draw lands where.
 CHUNK = 4096
 
-# Memory bound for one generation batch (doubles), so huge n stays feasible.
-# Not smaller: freeing a process's first band buffer (3.3 MB at n = 100) is
-# what raises glibc's dynamic mmap and trim thresholds above the 1.6 MB arrays
-# of an n = 100, d = 2000 replication.  At 1 << 16 those arrays are mapped and
-# unmapped again on every replication, with about 40 times the page faults.
-_BATCH_ELEMENTS = 1 << 22
+# Memory bound for one generation batch (doubles): 512 KB, or one row of n
+# when n is larger, so huge n stays feasible.  It does not change the draws.
+# It can be this small because a sweep replication allocates no n x d array
+# (its work unit reuses its sample buffers), so how glibc places this buffer
+# no longer decides whether each replication's arrays are mapped afresh.
+_BATCH_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -321,8 +321,9 @@ def composite_from_summary(rs: RadialSummary, settings: McSettings, method: Meth
     )
 
 
-def composite_test(X: DataMatrix, settings: McSettings,
-                   method: Method = METHODS["composite"]) -> TestReport:
-    """Run a decision method on a sample, by default the composite (range + IQR) test."""
-    return composite_from_summary(radial_summary(X), settings, method,
+def composite_test(X: DataMatrix, settings: McSettings, method: Method = METHODS["composite"],
+                   out: Optional[np.ndarray] = None) -> TestReport:
+    """Run a decision method on a sample, by default the composite (range + IQR)
+    test, centring the sample into ``out`` if given (see ``radial_summary``)."""
+    return composite_from_summary(radial_summary(X, out), settings, method,
                                   method.bands_at(X.n, settings))

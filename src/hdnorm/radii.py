@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -27,12 +28,13 @@ class RadialSummary:
     d: int
 
 
-def radial_summary(X: DataMatrix) -> RadialSummary:
+def radial_summary(X: DataMatrix, out: Optional[np.ndarray] = None) -> RadialSummary:
     """Compute the sorted radii, the standardized radii and the dispersion estimate.
 
-    All of them come from the one centring in :func:`hdnorm.moments._moments`.
+    All of them come from the one centring in :func:`hdnorm.moments._moments`,
+    into ``out`` if given; ``out=X.values`` centres the sample in place.
     """
-    moments = _moments(X)
+    moments = _moments(X, out)
     dispersion = moments.dispersion()
     r = np.sqrt(moments.sq_radii)
     standardized = 2.0 / np.sqrt(dispersion.delta_hat) * (r - np.sqrt(dispersion.tr_sigma_d))

@@ -105,8 +105,8 @@ _U_FLOOR = 2.0 ** -54
 
 def substream(seed: int, *path: int) -> Generator:
     """Return the generator for the stream identified by ``(seed, *path)``."""
-    key = SeedSequence(seed, spawn_key=tuple(int(p) for p in path)).generate_state(2, np.uint64)
-    return Generator(Philox(key=key))
+    # Philox keys itself with the sequence's generate_state(2, np.uint64), the contract's key.
+    return Generator(Philox(SeedSequence(seed, spawn_key=tuple(int(p) for p in path))))
 
 
 def derive_seed(seed: int, *path: int) -> int:
@@ -115,26 +115,31 @@ def derive_seed(seed: int, *path: int) -> int:
     return int(state[0])
 
 
+# Each sampler below draws into ``out`` (of ``shape``, float64, C-contiguous)
+# if given and transforms it in place; the values are the same either way.
 def uniform(gen: Generator, shape, out: np.ndarray | None = None) -> np.ndarray:
-    """Uniform draws on (0, 1), never exactly zero; written into ``out`` if given."""
+    """Uniform draws on (0, 1), never exactly zero."""
     u = gen.random(shape, out=out)
     np.clip(u, _U_FLOOR, None, out=u)
     return u
 
 
-def standard_normal(gen: Generator, shape) -> np.ndarray:
+def standard_normal(gen: Generator, shape, out: np.ndarray | None = None) -> np.ndarray:
     """Standard normal draws via the inverse CDF of a uniform stream."""
-    return ndtri(uniform(gen, shape))
+    u = uniform(gen, shape, out)
+    return ndtri(u, out=u)
 
 
-def chi_square(gen: Generator, df: float, shape) -> np.ndarray:
+def chi_square(gen: Generator, df: float, shape, out: np.ndarray | None = None) -> np.ndarray:
     """Chi-square draws via the inverse regularized incomplete gamma."""
-    return 2.0 * gammaincinv(df / 2.0, uniform(gen, shape))
+    u = uniform(gen, shape, out)
+    return np.multiply(2.0, gammaincinv(df / 2.0, u, out=u), out=u)
 
 
-def exponential(gen: Generator, shape) -> np.ndarray:
+def exponential(gen: Generator, shape, out: np.ndarray | None = None) -> np.ndarray:
     """Unit-rate exponential draws."""
-    return -np.log(uniform(gen, shape))
+    u = uniform(gen, shape, out)
+    return np.negative(np.log(u, out=u), out=u)
 
 
 def rademacher(gen: Generator, shape) -> np.ndarray:

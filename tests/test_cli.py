@@ -183,11 +183,14 @@ class TestCmdTest:
     def test_missing_file(self):
         assert main(["test", "/nonexistent/x.csv"]) == 1
 
-    def test_unwritable_report_exits_one(self, null_csv, tmp_path, capsys):
-        out = tmp_path / "missing" / "r.json"
-        assert main(["test", str(null_csv), "--mc", "500", "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
-        assert not out.parent.exists()
+    def test_unwritable_report_exits_one(self, null_csv, tmp_path, monkeypatch, capsys):
+        # The report's directory is checked before the CSV is read.
+        read = []
+        monkeypatch.setattr(cli, "load_csv", lambda *args: read.append(args))
+        for out in (tmp_path / "missing" / "r.json", tmp_path):
+            assert main(["test", str(null_csv), "--mc", "500", "--out", str(out)]) == 1
+            assert capsys.readouterr().err == f"error: cannot write {out}\n"
+        assert read == [] and not (tmp_path / "missing").exists()
 
     def test_degenerate_data_exits_one(self, tmp_path, capsys):
         path = write_csv(tmp_path / "flat.csv", np.ones((10, 5)))
@@ -230,11 +233,17 @@ class TestCmdTest:
 
 
 class TestCmdDiagnose:
-    def test_unwritable_output_directory_exits_one(self, null_csv, tmp_path, capsys):
+    def test_unwritable_output_directory_exits_one(self, null_csv, tmp_path, monkeypatch,
+                                                   capsys):
+        # The output directory is checked before the CSV is read.
+        read = []
+        monkeypatch.setattr(cli, "load_csv", lambda *args: read.append(args))
         taken = tmp_path / "file"
         taken.write_text("")
-        assert main(["diagnose", str(null_csv), "--out", str(taken / "sub")]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        for out in (taken / "sub", taken / "sub" / "deeper", taken):
+            assert main(["diagnose", str(null_csv), "--out", str(out)]) == 1
+            assert capsys.readouterr().err == f"error: cannot write {out}\n"
+        assert read == [] and taken.read_text() == ""
 
     def test_two_row_input(self, tmp_path, capsys):
         rows = np.array([[0.0, 0.0, 0.0], [2.0, 2.0, 1.0]])

@@ -21,8 +21,8 @@ from hdnorm import rng as hrng
 from hdnorm.generators import sparse_random_components
 
 
-def draw(scenario, seed=0, rep=0):
-    return sample_scenario(scenario, hrng.substream(seed, hrng.DOMAIN_DATA, 0, rep))
+def draw(scenario, seed=0, rep=0, buffers=None):
+    return sample_scenario(scenario, hrng.substream(seed, hrng.DOMAIN_DATA, 0, rep), buffers)
 
 
 class TestBuildCovariance:
@@ -443,9 +443,18 @@ def test_family_draws_and_covariance_are_pinned(case, kind):
             with pytest.raises(InvalidScenarioParams, match="untransported coordinates"):
                 call(s)
         return
-    digest = hashlib.sha256(draw(s, seed=2024).values.tobytes())
+    X = draw(s, seed=2024)
+    digest = hashlib.sha256(X.values.tobytes())
     digest.update(scenario_covariance(s).tobytes())
     assert digest.hexdigest() == FAMILY_SHA256[case][kind]
+    # Drawn into caller buffers, the sample lands in them with the same bytes.
+    # They start as NaN and hold another replication's draw first, so a
+    # sampler that read a value it had not written would differ.
+    buffers = np.full((2, PIN_N, PIN_D), np.nan)
+    draw(s, seed=2024, rep=1, buffers=buffers)
+    into = draw(s, seed=2024, buffers=buffers)
+    assert np.shares_memory(into.values, buffers)
+    assert into.values.tobytes() == X.values.tobytes()
 
 
 def test_family_pins_cover_every_family():

@@ -6,6 +6,7 @@ import math
 import multiprocessing
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,6 +234,41 @@ def drawn(monkeypatch):
     clear_band_memos()
     yield drawn
     clear_band_memos()  # drop the bands built from the counted draws
+
+
+class TestReplicationMemory:
+    # A work unit draws every replication into the sample buffers it allocated
+    # once and centres the sample in place, so after the first replication
+    # nothing as large as one n x d array is allocated again.  The first may
+    # fill caches, such as the transport factor's.
+    @pytest.mark.parametrize("family, cov", [
+        ("null_gaussian", CovSpec("identity", 4000)),
+        ("mixed_marginals", CovSpec("identity", 4000)),
+        ("leptokurtic", CovSpec("ar1", 400, rho=0.5)),
+    ])
+    def test_later_replications_allocate_less_than_one_sample(self, monkeypatch, family, cov):
+        n, d = 50, cov.d
+        exp = Experiment("memory", 3, 0.05, 100,
+                         (CellSpec(Scenario(family, n, d, cov), 4, ("composite",)),))
+        bands = harness._cell_bands(exp)[0]
+        sample, marks = harness.sample_scenario, []
+
+        def marked(*args):
+            marks.append(tracemalloc.get_traced_memory())  # (current, peak since the last mark)
+            tracemalloc.reset_peak()
+            return sample(*args)
+
+        monkeypatch.setattr(harness, "sample_scenario", marked)
+        tracemalloc.start()
+        try:
+            _, _, failures, _ = _run_unit(exp, 0, 0, 4, bands)
+            marks.append(tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert failures == {"composite": 0} and len(marks) == 5
+        # Replication r runs from mark r to mark r + 1.
+        growth = [marks[r + 1][1] - marks[r][0] for r in range(1, 4)]
+        assert max(growth) < n * d * 8
 
 
 class TestBandsBuiltOnce:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -73,6 +74,18 @@ class TestMomentPass:
         X = dm(rng_fixture.normal(size=(4, 4)))
         assert _moments(X).used_gramian  # ties go to the Gramian
         assert radial_summary(X).dispersion.used_gramian
+
+    @pytest.mark.parametrize("shape", [(12, 3), (5, 9)], ids=["tall", "wide"])
+    def test_centring_in_place_gives_the_same_moments(self, rng_fixture, shape):
+        X = dm(rng_fixture.normal(loc=3.0, size=shape))
+        values = X.values.copy()
+        expected = _moments(X)
+        assert np.array_equal(X.values, values)  # without ``out`` the sample is kept
+        got = _moments(X, out=X.values)
+        for field in dataclasses.fields(expected):
+            assert np.array_equal(getattr(got, field.name), getattr(expected, field.name))
+        assert np.array_equal(X.values, values - values.mean(axis=0))
+        assert not np.shares_memory(got.sq_radii, X.values)
 
 
 class TestTrSigmaSqHat:

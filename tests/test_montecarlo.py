@@ -99,6 +99,23 @@ class TestNullSample:
 class TestGoldenValues:
     """The Philox-substream contract pinned to recorded values."""
 
+    # substream(seed, *path).random(4), recorded from Philox(key=...) keyed by
+    # SeedSequence(seed, spawn_key=path).generate_state(2, np.uint64).
+    @pytest.mark.parametrize("seed, path, values", [
+        (0, (), [0.014067035665647709, 0.2577672456246177, 0.47156538101528966,
+                 0.0914196711073687]),
+        (1, (2, 0, 7), [0.012094651977585302, 0.5129314993669627, 0.5419966204191934,
+                        0.5092768977288933]),
+        (2024, (1, 100, 1, 3), [0.19873803922365085, 0.40007489050394474,
+                                0.2967329188832565, 0.8859449417246642]),
+        (2 ** 63, (4,), [0.4313408506379055, 0.18733416948575854, 0.7601733189143722,
+                         0.8660298557900871]),
+        (7, (3, 1, 300), [0.40750465266288294, 0.42489052632021007, 0.43144727059224164,
+                          0.7543532984367955]),
+    ])
+    def test_substream(self, seed, path, values):
+        assert hrng.substream(seed, *path).random(4).tolist() == values
+
     def test_bands(self):
         assert mc_quantiles(100, 1, McSettings(10000, seed=0, alpha=0.025)) == (
             -2.7245287299102205, 5.628659672899053)
@@ -140,8 +157,8 @@ class TestGoldenValues:
         assert np.array_equal(draws, expected)
 
     def test_chunk_works_in_its_buffer(self):
-        # At n = 2000 a chunk takes two batches; the uniforms, the partition
-        # and the order statistics all stay in the buffer.
+        # At n = 2000 a chunk takes 128 batches of 32 rows; the uniforms, the
+        # partition and the order statistics all stay in the buffer.
         n, q = 2000, 3
         buffer = np.empty((montecarlo._BATCH_ELEMENTS // n, n))
         expected = montecarlo._null_chunk(n, q, 5, 0, CHUNK, buffer)
