@@ -421,8 +421,7 @@ def sample_scenario(s: Scenario, gen: np.random.Generator,
     later draw into the same buffers overwrites them.
     """
     p = _params(s)
-    if buffers is None:
-        buffers = np.empty((2, s.n, s.d))
+    buffers = np.empty((2, s.n, s.d)) if buffers is None else buffers
     return DataMatrix.from_array(FAMILIES[s.family].sample(s, p, gen, buffers))
 
 

@@ -134,8 +134,8 @@ def _cell_bands(exp: Experiment) -> List[CellBands]:
     """Each cell's Monte-Carlo settings and ``{name: (method, bands)}``: its
     methods, resolved, and the bands they decide against.
 
-    A method whose bands cannot be built is left out, and ``_run_unit`` counts
-    each of its replications as a failure.
+    A method whose bands cannot be built, or whose cell cannot be sampled, is
+    left out, and ``_run_unit`` counts each of its replications as a failure.
     """
     cells = []
     for ci, cell in enumerate(exp.cells):
@@ -145,6 +145,7 @@ def _cell_bands(exp: Experiment) -> List[CellBands]:
         for name in cell.methods:
             method = lookup_method(name)
             with suppress(HdnormError):
+                _params(cell.scenario)
                 methods[name] = (method, method.bands_at(cell.scenario.n, settings))
         cells.append((settings, methods))
     return cells
@@ -158,8 +159,8 @@ def _run_unit(exp: Experiment, cell_index: int, lo: int, hi: int, cell_bands: Ce
     failures = {m: 0 if m in methods else hi - lo for m in cell.methods}
     start = time.perf_counter()
     # Every replication draws into these and centres its sample in place.
-    buffers = np.empty((2, cell.scenario.n, cell.scenario.d))
-    for r in range(lo, hi):
+    buffers = np.empty((2, cell.scenario.n, cell.scenario.d)) if methods else None
+    for r in range(lo, hi if methods else lo):  # a cell with no method draws nothing
         gen = rng.substream(exp.seed, rng.DOMAIN_DATA, cell_index, r)
         try:
             X = sample_scenario(cell.scenario, gen, buffers)

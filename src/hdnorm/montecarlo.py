@@ -46,9 +46,9 @@ CHUNK = 4096
 
 # Memory bound for one generation batch (doubles): 512 KB, or one row of n
 # when n is larger, so huge n stays feasible.  It does not change the draws.
-# It can be this small because a sweep replication allocates no n x d array
-# (its work unit reuses its sample buffers), so how glibc places this buffer
-# no longer decides whether each replication's arrays are mapped afresh.
+# It can be this small because a sweep replication allocates no n x d float
+# array (its work unit reuses its sample buffers), so how glibc places this
+# buffer no longer decides whether each replication's arrays are mapped afresh.
 _BATCH_ELEMENTS = 1 << 16
 
 

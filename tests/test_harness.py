@@ -130,6 +130,18 @@ class TestRunExperiment:
         assert results[0].failures == 10 and math.isnan(results[0].rate)
         assert results[1].failures == 0
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_cell_that_cannot_be_sampled_fails_every_replication(self, threads):
+        # Cells built in Python skip the spec checks: a negative n, and a
+        # negative d that the covariance's dimension does not match.
+        good = Scenario("null_gaussian", 20, 10, CovSpec("identity", 10))
+        bad = (Scenario("null_gaussian", -5, 10, CovSpec("identity", 10)),
+               Scenario("null_gaussian", 20, -10, CovSpec("identity", 10)))
+        exp = Experiment(name="bad", seed=3, alpha=0.05, mc_replications=500,
+                         cells=tuple(CellSpec(s, 10) for s in (*bad, good)))
+        results = run_experiment(exp, threads=threads)
+        assert [r.failures for r in results] == [10, 10, 0]
+
     def test_failing_cell_counted_not_fatal(self):
         bad = Scenario("mixed_marginals", 20, 10, CovSpec("ar1", 10, rho=0.5))
         good = Scenario("null_gaussian", 20, 10, CovSpec("identity", 10))
@@ -239,8 +251,9 @@ def drawn(monkeypatch):
 class TestReplicationMemory:
     # A work unit draws every replication into the sample buffers it allocated
     # once and centres the sample in place, so after the first replication
-    # nothing as large as one n x d array is allocated again.  The first may
-    # fill caches, such as the transport factor's.
+    # nothing as large as one n x d float array is allocated again (the
+    # leptokurtic mask is an n x d boolean array, an eighth of one).  The
+    # first may fill caches, such as the transport factor's.
     @pytest.mark.parametrize("family, cov", [
         ("null_gaussian", CovSpec("identity", 4000)),
         ("mixed_marginals", CovSpec("identity", 4000)),
