@@ -10,7 +10,7 @@ similarity transformations x -> sigma V x + w.
 
 The public names load their submodule on first use (PEP 562), so that
 ``import hdnorm`` loads no numpy and the ``hdnorm`` command can choose its
-BLAS thread count before numpy does (see ``hdnorm._blas``).
+BLAS thread count before numpy does (see ``hdnorm._cpus``).
 """
 
 import importlib as _importlib

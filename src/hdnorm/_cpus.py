@@ -1,0 +1,121 @@
+"""How many CPUs hdnorm uses, whether it may fork, and BLAS held to one thread.
+
+numpy and scipy each load an OpenBLAS that reads the thread-count variables
+once, at load, and otherwise starts a busy-waiting thread per extra core;
+hdnorm's parallelism is its worker processes, band threads and CSV slices.
+This module loads only the standard library, so it can run before numpy does.
+Callers use its names as module attributes, so one patch here reaches all.
+"""
+
+import os
+import sys
+from contextlib import contextmanager
+from typing import Sequence
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def default_to_one_blas_thread() -> None:
+    """Set each unset BLAS thread-count variable to "1" if numpy is not loaded yet.
+
+    A variable the caller set keeps its value, and a process that already
+    loaded numpy sees ``os.environ`` unchanged: its BLAS has read its thread
+    count already.
+    """
+    if "numpy" not in sys.modules:
+        for var in BLAS_THREAD_VARS:
+            os.environ.setdefault(var, "1")
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def fork_is_safe() -> bool:
+    """Whether this process may fork: it has ``os.fork`` and runs exactly one OS thread.
+
+    A forked child gets a copy of every lock in the state it had at the fork,
+    so forking is safe only when no other thread can hold one.  OS threads are
+    counted, not Python ones, because BLAS runs threads of its own; where
+    ``/proc/self/task`` cannot be read, they cannot be counted.
+    """
+    try:
+        return hasattr(os, "fork") and len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def whole_number(raw: str) -> int:
+    """``raw`` as a whole number of at least 1, else ``ValueError``."""
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"a whole number of at least 1, got {raw!r}")
+    return value
+
+
+def default_threads() -> int:
+    """Worker count: the HDNORM_THREADS environment variable, else the usable CPUs.
+
+    Raises ``ValueError`` when the variable holds anything but a whole number
+    of at least 1.
+    """
+    raw = os.environ.get("HDNORM_THREADS", "").strip()
+    if not raw:
+        return usable_cpus()
+    try:
+        return whole_number(raw)
+    except ValueError as exc:
+        raise ValueError(f"HDNORM_THREADS must be {exc}") from None
+
+
+def worker_count(threads: int, units: int, cpus: int) -> int:
+    """Workers to start: the requested count capped by the work units and CPUs, at least 1."""
+    return max(1, min(threads, units, cpus))
+
+
+@contextmanager
+def _one_blas_thread():
+    """Set the BLAS thread-count variables to "1" inside the block, then restore them.
+
+    Only processes started inside the block see the change.
+    """
+    saved = {k: os.environ.get(k) for k in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for k, v in saved.items():
+            if v is None:
+                del os.environ[k]
+            else:
+                os.environ[k] = v
+
+
+def process_map(fn, args: Sequence[tuple], workers: int) -> list:
+    """``[fn(*a) for a in args]`` computed in ``workers`` worker processes.
+
+    ``fn`` and ``args`` must be picklable.  Each worker runs BLAS on one
+    thread.  The workers are forked from this process when it runs one OS
+    thread (``fork_is_safe``), and otherwise spawned: they then import
+    ``fn``'s module afresh, and BLAS reads its thread count anew.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context("fork" if fork_is_safe() else "spawn")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+        with _one_blas_thread():
+            # map() submits every task at once.  A spawn pool starts a worker
+            # on each submit until there are ``workers``; a fork pool starts
+            # all of them on the first, before its manager thread, so this
+            # process still runs one thread when it forks.  Either way every
+            # worker starts in the block.
+            pending = pool.map(fn, *zip(*args))
+        return list(pending)

@@ -29,7 +29,7 @@ import warnings
 
 import numpy as np
 
-from .montecarlo import fork_is_safe, usable_cpus
+from . import _cpus
 
 # Below this many bytes a slice costs more in fork and copy than it saves.
 MIN_SLICE_BYTES = 4 << 20
@@ -63,8 +63,8 @@ def _cuts(path: str) -> list:
         size = os.path.getsize(path)
     except OSError:
         return [0, None]  # np.loadtxt reports it
-    slices = min(usable_cpus(), size // MIN_SLICE_BYTES)
-    if (slices < 2 or not fork_is_safe()
+    slices = min(_cpus.usable_cpus(), size // MIN_SLICE_BYTES)
+    if (slices < 2 or not _cpus.fork_is_safe()
             or os.path.splitext(path)[1] in _DECOMPRESSORS):
         return [0, None]
     cuts = [0]

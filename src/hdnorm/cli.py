@@ -13,10 +13,10 @@ import sys
 from itertools import islice
 from pathlib import Path
 
-from ._blas import default_to_one_blas_thread
+from . import _cpus
 
 # Before numpy loads: BLAS reads its thread count only then.
-default_to_one_blas_thread()
+_cpus.default_to_one_blas_thread()
 
 import numpy as np  # noqa: E402
 
@@ -25,12 +25,10 @@ from ._csvparse import load_csv, open_text
 from .errors import HdnormError, NonFiniteData
 from .harness import (
     _fmt,
-    default_threads,
     experiment_from_json,
     results_jsonl,
     run_experiment,
     summarize,
-    whole_number,
 )
 from .moments import DataMatrix, _moments
 from .montecarlo import METHODS, McSettings, composite_test, lookup_method
@@ -219,7 +217,7 @@ def cmd_simulate(args) -> int:
         raise SystemExit2(f"bad experiment spec: {exc}")
 
     # A bad HDNORM_THREADS, then an unwritable --out, fail before any work.
-    threads = default_threads() if args.threads is None else args.threads
+    threads = _cpus.default_threads() if args.threads is None else args.threads
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     results = run_experiment(exp, threads=threads)
@@ -231,7 +229,7 @@ def cmd_simulate(args) -> int:
 
 def _whole_number_arg(raw: str) -> int:
     try:
-        return whole_number(raw)
+        return _cpus.whole_number(raw)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"need {exc}") from None
 
@@ -268,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", default="results")
     p_sim.add_argument("--threads", type=_whole_number_arg, default=None,
                        help="worker processes, at most one per usable CPU "
-                            "(default: HDNORM_THREADS or cpu count), forked from "
+                            "(default: HDNORM_THREADS or the usable CPUs), forked from "
                             "this process when it runs one OS thread and spawned "
                             "otherwise; hdnorm runs "
                             "BLAS on one thread unless OPENBLAS_NUM_THREADS, "

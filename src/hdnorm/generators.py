@@ -158,9 +158,11 @@ def build_covariance(spec: CovSpec) -> np.ndarray:
     return cov
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)
 def _factor(spec: CovSpec, form: str):
-    """Cached transport factor: returns (mode, payload) for ``_apply_factor``.
+    """Transport factor, cached for the last covariance only: a process runs one
+    cell's replications back to back, and older d x d factors are not kept alive.
+    Returns (mode, payload) for ``_apply_factor``.
 
     ``form`` selects the factorization: "chol" (Gaussian drivers), "sym"
     (symmetric square root) or "eigen" (eigenvector-scaled columns).

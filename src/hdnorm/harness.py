@@ -24,18 +24,16 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
 from collections import Counter, defaultdict
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import rng
-from ._blas import BLAS_THREAD_VARS
+from . import _cpus, rng
 from .errors import HdnormError
 from .generators import COV_PARAMS, CovSpec, Scenario, _params, sample_scenario
 from .montecarlo import (
@@ -43,9 +41,7 @@ from .montecarlo import (
     McSettings,
     Method,
     composite_from_summary,
-    fork_is_safe,
     lookup_method,
-    usable_cpus,
 )
 from .radii import radial_summary
 from .teststats import contrast
@@ -84,37 +80,6 @@ class CellResult:
     ci_low: float
     ci_high: float
     wall_time: float
-
-
-def default_threads() -> int:
-    """Worker count: the HDNORM_THREADS environment variable, else cpu count.
-
-    Raises ``ValueError`` when the variable holds anything but a whole number
-    of at least 1.
-    """
-    raw = os.environ.get("HDNORM_THREADS", "").strip()
-    if not raw:
-        return os.cpu_count() or 1
-    try:
-        return whole_number(raw)
-    except ValueError as exc:
-        raise ValueError(f"HDNORM_THREADS must be {exc}") from None
-
-
-def whole_number(raw: str) -> int:
-    """``raw`` as a whole number of at least 1, else ``ValueError``."""
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"a whole number of at least 1, got {raw!r}")
-    return value
-
-
-def worker_count(threads: int, units: int, cpus: int) -> int:
-    """Workers to start: the requested count capped by the work units and CPUs, at least 1."""
-    return max(1, min(threads, units, cpus))
 
 
 def binomial_ci(count: int, total: int) -> Tuple[float, float]:
@@ -177,54 +142,13 @@ def _run_unit(exp: Experiment, cell_index: int, lo: int, hi: int, cell_bands: Ce
     return cell_index, rejections, failures, time.perf_counter() - start
 
 
-@contextmanager
-def _one_blas_thread():
-    """Set the BLAS thread-count variables to "1" inside the block, then restore them.
-
-    Only processes started inside the block see the change.
-    """
-    saved = {k: os.environ.get(k) for k in BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
-    try:
-        yield
-    finally:
-        for k, v in saved.items():
-            if v is None:
-                del os.environ[k]
-            else:
-                os.environ[k] = v
-
-
-def _process_map(fn, args: Sequence[tuple], workers: int) -> list:
-    """``[fn(*a) for a in args]`` computed in ``workers`` worker processes.
-
-    ``fn`` and ``args`` must be picklable.  Each worker runs BLAS on one
-    thread.  The workers are forked from this process when it runs one OS
-    thread (``fork_is_safe``), and otherwise spawned: they then import
-    ``fn``'s module afresh, and BLAS reads its thread count anew.
-    """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    context = multiprocessing.get_context("fork" if fork_is_safe() else "spawn")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        with _one_blas_thread():
-            # map() submits every task at once.  A spawn pool starts a worker
-            # on each submit until there are ``workers``; a fork pool starts
-            # all of them on the first, before its manager thread, so this
-            # process still runs one thread when it forks.  Either way every
-            # worker starts in the block.
-            pending = pool.map(fn, *zip(*args))
-        return list(pending)
-
-
 def run_experiment(exp: Experiment, threads: Optional[int] = None) -> List[CellResult]:
     """Run every cell; deterministic given the experiment seed.
 
     ``threads`` is the requested worker count, capped by the number of work
     units and of usable CPUs.  One worker runs in this process; more run in
     worker processes, forked when this process runs one OS thread and spawned
-    otherwise (see ``_process_map``).  On the spawn path a script that calls
+    otherwise (see ``_cpus.process_map``).  On the spawn path a script that calls
     this with more than one worker needs an ``if __name__ == "__main__":``
     guard.  The cells' Monte-Carlo bands are built here first, and each work
     unit carries its cell's.
@@ -233,10 +157,10 @@ def run_experiment(exp: Experiment, threads: Optional[int] = None) -> List[CellR
     sweep; the empirical rate is taken over the completed replications.
     """
     if threads is None:
-        threads = default_threads()
+        threads = _cpus.default_threads()
     if threads < 1:
         raise ValueError(f"need at least one worker, got threads={threads}")
-    cpus = usable_cpus()
+    cpus = _cpus.usable_cpus()
     units = []
     for ci, cell in enumerate(exp.cells):
         if cell.replications < 1:
@@ -250,11 +174,11 @@ def run_experiment(exp: Experiment, threads: Optional[int] = None) -> List[CellR
     rejections: Dict[int, Counter] = defaultdict(Counter)
     failures: Dict[int, Counter] = defaultdict(Counter)
     elapsed: Dict[int, float] = defaultdict(float)
-    workers = worker_count(threads, len(units), cpus)
+    workers = _cpus.worker_count(threads, len(units), cpus)
     if workers == 1:
         outcomes = [_run_unit(exp, *u) for u in units]
     else:
-        outcomes = _process_map(partial(_run_unit, exp), units, workers)
+        outcomes = _cpus.process_map(partial(_run_unit, exp), units, workers)
     for ci, rej, fail, dt in outcomes:
         rejections[ci].update(rej)
         failures[ci].update(fail)

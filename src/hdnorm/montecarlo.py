@@ -23,7 +23,6 @@ bands, and a decision reads only its arguments.
 
 from __future__ import annotations
 
-import os
 import queue
 import re
 from dataclasses import asdict, dataclass, replace
@@ -34,7 +33,7 @@ from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from . import rng
+from . import _cpus, rng
 from .moments import DataMatrix, DispersionEstimate
 from .radii import RadialSummary, radial_summary
 from .rng import ndtri
@@ -72,28 +71,6 @@ class McSettings:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def fork_is_safe() -> bool:
-    """Whether this process may fork: it has ``os.fork`` and runs exactly one OS thread.
-
-    A forked child gets a copy of every lock in the state it had at the fork,
-    so forking is safe only when no other thread can hold one.  OS threads are
-    counted, not Python ones, because BLAS runs threads of its own; where
-    ``/proc/self/task`` cannot be read, they cannot be counted.
-    """
-    try:
-        return hasattr(os, "fork") and len(os.listdir("/proc/self/task")) == 1
-    except OSError:
-        return False
 
 
 def _null_chunk(n: int, q: int, seed: int, chunk_index: int, count: int,
@@ -135,7 +112,7 @@ def null_quasi_range_draws(n: int, q: int, m: int, seed: int) -> np.ndarray:
     if m < 1:
         raise ValueError(f"need at least one draw, got m={m}")
     chunks = -(-m // CHUNK)
-    threads = min(chunks, usable_cpus())
+    threads = min(chunks, _cpus.usable_cpus())
     # One batch buffer per thread, allocated here in the calling thread:
     # batches that a band thread allocated itself would stay resident in its
     # malloc arena after the draw.

@@ -18,7 +18,7 @@ from hdnorm import (
 )
 from hdnorm import montecarlo
 from hdnorm import rng as hrng
-from hdnorm._blas import BLAS_THREAD_VARS
+from hdnorm._cpus import BLAS_THREAD_VARS
 from hdnorm.montecarlo import composite_from_summary, lookup_method
 from hdnorm.radii import radial_summary
 

@@ -14,7 +14,7 @@ from conftest import fresh_python, gaussian_data
 from hdnorm import generators
 from hdnorm import rng as hrng
 from hdnorm import cli, harness
-from hdnorm._blas import BLAS_THREAD_VARS, default_to_one_blas_thread
+from hdnorm._cpus import BLAS_THREAD_VARS, default_to_one_blas_thread
 from hdnorm.cli import main
 from hdnorm.harness import SPEC_KEYS, experiment_from_json
 from hdnorm.montecarlo import METHODS
@@ -356,7 +356,7 @@ class TestCmdSimulate:
     RECORD_WORKERS = textwrap.dedent("""\
         import json, multiprocessing, os, sys, warnings
         from hdnorm.cli import main
-        from hdnorm import harness
+        from hdnorm import _cpus, harness
 
         log, argv = sys.argv[1], sys.argv[2:]
         methods, get_context, run_unit = [], multiprocessing.get_context, harness._run_unit
@@ -373,7 +373,7 @@ class TestCmdSimulate:
 
         multiprocessing.get_context = recording_get_context
         harness._run_unit = reporting_unit
-        harness.usable_cpus = lambda: 2
+        _cpus.usable_cpus = lambda: 2
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = main(argv)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import fresh_python, gaussian_data
-from hdnorm import _csvparse
+from hdnorm import _cpus, _csvparse
 from hdnorm.cli import main
 
 FLOOR = 64
@@ -22,10 +22,10 @@ FLOOR = 64
 @pytest.fixture(params=[1, 2, 4], ids=lambda c: f"{c}cpu")
 def cpus(request, monkeypatch):
     monkeypatch.setattr(_csvparse, "MIN_SLICE_BYTES", FLOOR)
-    monkeypatch.setattr(_csvparse, "usable_cpus", lambda: request.param)
+    monkeypatch.setattr(_cpus, "usable_cpus", lambda: request.param)
     # The test process's BLAS threads aside, which idle while these tests fork;
     # test_fork_needs_one_os_thread counts the real threads.
-    monkeypatch.setattr(_csvparse, "fork_is_safe", lambda: threading.active_count() == 1)
+    monkeypatch.setattr(_cpus, "fork_is_safe", lambda: threading.active_count() == 1)
     return request.param
 
 
@@ -227,6 +227,12 @@ class TestErrorsInTheLastSlice:
         assert_reaped(forked)
 
 
+def test_reader_loads_no_statistics_code():
+    code = ("import sys, hdnorm._csvparse\n"
+            "print([m for m in ('scipy', 'hdnorm.montecarlo') if m in sys.modules])")
+    assert fresh_python(code) == "[]"
+
+
 def test_no_child_outlives_a_call(tmp_path):
     # In a fresh process, which has no other children to confuse waitpid(-1),
     # and whose BLAS runs one thread, as in an hdnorm command, so it forks.
@@ -235,9 +241,9 @@ def test_no_child_outlives_a_call(tmp_path):
     code = (
         "import os, sys\n"
         "import hdnorm.cli\n"
-        "from hdnorm import _csvparse\n"
+        "from hdnorm import _cpus, _csvparse\n"
         f"_csvparse.MIN_SLICE_BYTES = {FLOOR}\n"
-        "_csvparse.usable_cpus = lambda: 4\n"
+        "_cpus.usable_cpus = lambda: 4\n"
         "for path in sys.argv[1:]:\n"
         "    try:\n"
         "        print(_csvparse.load_csv(path, 0).shape)\n"
@@ -259,9 +265,9 @@ def test_fork_needs_one_os_thread(tmp_path):
     code = (
         "import _thread, sys, threading\n"
         "import hdnorm.cli\n"
-        "from hdnorm import _csvparse\n"
+        "from hdnorm import _cpus, _csvparse\n"
         f"_csvparse.MIN_SLICE_BYTES = {FLOOR}\n"
-        "_csvparse.usable_cpus = lambda: 2\n"
+        "_cpus.usable_cpus = lambda: 2\n"
         "print(len(_csvparse._cuts(sys.argv[1])))\n"
         "started, stop = _thread.allocate_lock(), _thread.allocate_lock()\n"
         "started.acquire()\n"

@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 
 from conftest import clear_band_memos
-from hdnorm import CovSpec, Scenario, harness, montecarlo, radial_summary, sample_scenario
+from hdnorm import (CovSpec, Scenario, _cpus, generators, harness, montecarlo, radial_summary,
+                    sample_scenario)
 from hdnorm import rng as hrng
+from hdnorm._cpus import (BLAS_THREAD_VARS, default_threads, process_map, usable_cpus,
+                          worker_count)
 from hdnorm.harness import (
-    BLAS_THREAD_VARS,
     CellSpec,
     Experiment,
     binomial_ci,
@@ -27,9 +29,6 @@ from hdnorm.harness import (
     scenario_from_json,
     scenario_to_json,
     summarize,
-    usable_cpus,
-    worker_count,
-    _process_map,
     _run_unit,
 )
 
@@ -166,8 +165,10 @@ class TestRunExperiment:
 
 class TestThreadResolution:
     def test_env_var_caps_workers(self, monkeypatch):
-        from hdnorm.harness import default_threads
-
+        # Without the variable, the affinity mask, not the machine's CPU count,
+        # sets the default.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setenv("HDNORM_THREADS", "3")
         assert default_threads() == 3
         for bad in ("not-a-number", "0", "-3", "1.5"):
@@ -175,7 +176,7 @@ class TestThreadResolution:
             with pytest.raises(ValueError, match=f"HDNORM_THREADS .*{bad!r}"):
                 default_threads()
         monkeypatch.delenv("HDNORM_THREADS")
-        assert default_threads() >= 1
+        assert default_threads() == 2
 
     def test_worker_count_caps(self):
         assert worker_count(4, 100, 2) == 2
@@ -196,7 +197,7 @@ class TestWorkerProcesses:
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         before = dict(os.environ)
         workers = min(2, usable_cpus())
-        reports = _process_map(blas_vars, [(i,) for i in range(8)], workers)
+        reports = process_map(blas_vars, [(i,) for i in range(8)], workers)
         assert len(reports) == 8
         pids = {pid for pid, _ in reports}
         assert os.getpid() not in pids and len(pids) <= workers
@@ -212,7 +213,7 @@ class TestWorkerProcesses:
         thread = threading.Thread(target=stop.wait)
         thread.start()
         try:
-            reports = _process_map(blas_vars, [(i,) for i in range(4)], 2)
+            reports = process_map(blas_vars, [(i,) for i in range(4)], 2)
         finally:
             stop.set()
             thread.join(timeout=10)
@@ -228,7 +229,7 @@ class TestWorkerProcesses:
         monkeypatch.setattr(multiprocessing, "get_context",
                             lambda method=None: methods.append(method) or get_context(method))
         monkeypatch.setattr(os, "listdir", unreadable)
-        assert len(_process_map(blas_vars, [(i,) for i in range(2)], 2)) == 2
+        assert len(process_map(blas_vars, [(i,) for i in range(2)], 2)) == 2
         assert methods == ["spawn"]
 
 
@@ -283,17 +284,28 @@ class TestReplicationMemory:
         growth = [marks[r + 1][1] - marks[r][0] for r in range(1, 4)]
         assert max(growth) < n * d * 8
 
+    def test_one_transport_factor_is_kept(self):
+        # A process runs one cell's units back to back, so each cell factors
+        # its covariance once and no earlier cell's d x d factor stays alive.
+        covs = (CovSpec("ar1", 30, rho=0.5), CovSpec("sparse_random", 30),
+                CovSpec("wishart", 30))
+        cells = tuple(CellSpec(Scenario("null_gaussian", 20, 30, cov), 8) for cov in covs)
+        generators._factor.cache_clear()
+        run_experiment(Experiment("factors", 5, 0.05, 100, cells), threads=1)
+        info = generators._factor.cache_info()
+        assert (info.currsize, info.misses) == (1, len(covs))
+
 
 class TestBandsBuiltOnce:
     def test_parent_draws_each_cell_band_once_and_workers_only_read(self, monkeypatch, drawn):
-        monkeypatch.setattr(harness, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(_cpus, "usable_cpus", lambda: 2)
         seen = {}
 
         def spy(fn, args, workers):
             seen.update(workers=workers, units=args)
-            return _process_map(unit_without_draws, [(fn.args[0], *a) for a in args], workers)
+            return process_map(unit_without_draws, [(fn.args[0], *a) for a in args], workers)
 
-        monkeypatch.setattr(harness, "_process_map", spy)
+        monkeypatch.setattr(_cpus, "process_map", spy)
         exp = small_experiment(methods=("composite", "squared"))
         single = CellSpec(exp.cells[0].scenario, 60, ("range", "iqr", "quasi:2"))
         exp = dataclasses.replace(exp, cells=exp.cells + (single,))

@@ -22,7 +22,7 @@ from hdnorm import (
     radial_summary,
 )
 from hdnorm import InvalidQuantileOrder
-from hdnorm import montecarlo
+from hdnorm import _cpus, montecarlo
 from hdnorm import rng as hrng
 from hdnorm.montecarlo import (
     CHUNK,
@@ -133,7 +133,7 @@ class TestGoldenValues:
     @pytest.mark.parametrize("batch_rows", [1, 37, None])
     def test_draw_digests_at_any_thread_count(self, monkeypatch, args, digest, cpus,
                                               batch_rows):
-        monkeypatch.setattr(montecarlo, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(_cpus, "usable_cpus", lambda: cpus)
         if batch_rows is not None:
             n = args[0]
             monkeypatch.setattr(montecarlo, "_BATCH_ELEMENTS", batch_rows * n + n // 2)
@@ -145,9 +145,9 @@ class TestGoldenValues:
         # two chunks fill at once would mix their uniforms.
         n, q, m = 50, 2, 16 * CHUNK
         monkeypatch.setattr(montecarlo, "_BATCH_ELEMENTS", 7 * n)
-        monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(_cpus, "usable_cpus", lambda: 1)
         expected = null_quasi_range_draws(n, q, m, 3)
-        monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 8)
+        monkeypatch.setattr(_cpus, "usable_cpus", lambda: 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
