@@ -9,6 +9,8 @@ Callers use its names as module attributes, so one patch here reaches all.
 
 import os
 import sys
+import threading
+import time
 from contextlib import contextmanager
 from typing import Sequence
 
@@ -35,18 +37,30 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+#: Seconds ``fork_is_safe`` waits for joined threads to leave the OS task list.
+_THREAD_EXIT_WAIT = 0.05
+
+
 def fork_is_safe() -> bool:
     """Whether this process may fork: it has ``os.fork`` and runs exactly one OS thread.
 
     A forked child gets a copy of every lock in the state it had at the fork,
     so forking is safe only when no other thread can hold one.  OS threads are
     counted, not Python ones, because BLAS runs threads of its own; where
-    ``/proc/self/task`` cannot be read, they cannot be counted.
+    ``/proc/self/task`` cannot be read, they cannot be counted.  A thread that
+    Python has joined stays listed while it exits (up to about 5 ms after a
+    band), so while Python runs one thread the count is polled for up to
+    ``_THREAD_EXIT_WAIT`` seconds.
     """
+    deadline = time.monotonic() + _THREAD_EXIT_WAIT
     try:
-        return hasattr(os, "fork") and len(os.listdir("/proc/self/task")) == 1
+        while len(os.listdir("/proc/self/task")) > 1:
+            if threading.active_count() > 1 or time.monotonic() > deadline:
+                return False
+            time.sleep(0.001)
     except OSError:
         return False
+    return hasattr(os, "fork")
 
 
 def whole_number(raw: str) -> int:

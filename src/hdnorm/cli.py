@@ -23,13 +23,6 @@ import numpy as np  # noqa: E402
 from . import rng
 from ._csvparse import load_csv, open_text
 from .errors import HdnormError, NonFiniteData
-from .harness import (
-    _fmt,
-    experiment_from_json,
-    results_jsonl,
-    run_experiment,
-    summarize,
-)
 from .moments import DataMatrix, _moments
 from .montecarlo import METHODS, McSettings, composite_test, lookup_method
 from .radii import radial_summary
@@ -170,6 +163,8 @@ def _interpoint_distances(values: np.ndarray, max_pairs: int, seed: int) -> np.n
 
 
 def _write_csv(path: Path, header: str, columns) -> None:
+    from .harness import _fmt  # as summary.csv writes numbers
+
     lines = [header]
     for row in zip(*columns):
         lines.append(",".join(_fmt(v) for v in row))
@@ -205,6 +200,9 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    # Imported here: ``hdnorm test`` loads no simulation code.
+    from .harness import experiment_from_json, results_jsonl, run_experiment, summarize
+
     try:
         doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
     except OSError as exc:

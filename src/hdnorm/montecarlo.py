@@ -23,8 +23,8 @@ bands, and a decision reads only its arguments.
 
 from __future__ import annotations
 
-import queue
 import re
+import threading
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -73,11 +73,11 @@ class McSettings:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
-def _null_chunk(n: int, q: int, seed: int, chunk_index: int, count: int,
-                buffer: np.ndarray) -> np.ndarray:
-    """Draws [0, count) of chunk ``chunk_index`` of the U_{n,q} sample.
+def _null_chunk(n: int, q: int, seed: int, chunk_index: int, out: np.ndarray,
+                buffer: np.ndarray) -> None:
+    """Fills ``out`` with draws [0, len(out)) of chunk ``chunk_index`` of the U_{n,q} sample.
 
-    Row i is the contrast of row i of ``rng.standard_normal(gen, (count, n))``.
+    Row i is the contrast of row i of ``rng.standard_normal(gen, (len(out), n))``.
     The uniforms are drawn, ``len(buffer)`` rows at a time, into ``buffer``
     and the order statistics are picked among them in place; only those are
     passed through ``ndtri``: the normal quantile function is non-decreasing,
@@ -85,55 +85,54 @@ def _null_chunk(n: int, q: int, seed: int, chunk_index: int, count: int,
     """
     gen = rng.substream(seed, rng.DOMAIN_NULL_RANGE, n, q, chunk_index)
     c = contrast(n, q)
-    out = np.empty(count)
-    filled = 0
-    while filled < count:
-        b = min(len(buffer), count - filled)
+    for start in range(0, len(out), len(buffer)):
+        b = min(len(buffer), len(out) - start)
         u = rng.uniform(gen, (b, n), out=buffer[:b])
         if c.lower == 1:
             low, high = u.min(axis=1), u.max(axis=1)
         else:
             u.partition((c.lower - 1, c.upper - 1), axis=1)
             low, high = u[:, c.lower - 1], u[:, c.upper - 1]
-        out[filled:filled + b] = c.value(ndtri(low), ndtri(high), 1.0)
-        filled += b
-    return out
+        out[start:start + b] = c.value(ndtri(low), ndtri(high), 1.0)
 
 
 def null_quasi_range_draws(n: int, q: int, m: int, seed: int) -> np.ndarray:
     """The first ``m`` draws of the U_{n,q} sample for this seed.
 
-    Chunks are drawn on one thread per usable CPU (the random fill and the
-    reductions release the interpreter lock) and joined in chunk order, so
-    the result does not depend on the thread count.  A chunk task takes one
-    of the caller's batch buffers, one per thread, and puts it back when done.
+    Each chunk fills its slice of one array.  With T = min(chunks, usable CPUs),
+    share t holds chunks t, t + T, ...; the calling thread draws share 0 and a
+    helper thread each other one (the random fill and the reductions release
+    the interpreter lock), so the result does not depend on the thread count.
     """
     contrast(n, q)  # checks n and q
     if m < 1:
         raise ValueError(f"need at least one draw, got m={m}")
     chunks = -(-m // CHUNK)
-    threads = min(chunks, _cpus.usable_cpus())
-    # One batch buffer per thread, allocated here in the calling thread:
-    # batches that a band thread allocated itself would stay resident in its
-    # malloc arena after the draw.
-    buffers = queue.SimpleQueue()
-    for _ in range(threads):
-        buffers.put(np.empty((min(CHUNK, max(1, _BATCH_ELEMENTS // n)), n)))
+    shares = min(chunks, _cpus.usable_cpus())
+    draws = np.empty(m)
+    # One batch buffer per share, allocated in the calling thread: a batch a
+    # helper allocated would stay resident in its malloc arena after the draw.
+    buffers = [np.empty((min(CHUNK, max(1, _BATCH_ELEMENTS // n)), n)) for _ in range(shares)]
+    errors = []
 
-    def chunk(chunk_index: int) -> np.ndarray:
-        buffer = buffers.get()
+    def draw_share(t: int) -> None:
         try:
-            return _null_chunk(n, q, seed, chunk_index, min(CHUNK, m - chunk_index * CHUNK),
-                               buffer)
-        finally:
-            buffers.put(buffer)
+            for i in range(t, chunks, shares):
+                _null_chunk(n, q, seed, i, draws[i * CHUNK:(i + 1) * CHUNK], buffers[t])
+        except Exception as exc:  # raised below, once every helper has ended
+            errors.append(exc)
 
-    if threads == 1:
-        return np.concatenate([chunk(i) for i in range(chunks)])
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return np.concatenate(list(pool.map(chunk, range(chunks))))
+    helpers = [threading.Thread(target=draw_share, args=(t,)) for t in range(1, shares)]
+    for thread in helpers:
+        thread.start()
+    try:
+        draw_share(0)
+    finally:
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return draws
 
 
 def empirical_quantile(sorted_values: np.ndarray, level: float) -> float:
@@ -164,7 +163,8 @@ def mc_quantiles(n: int, q: int, settings: McSettings) -> Band:
 def _sorted_null(n: int, q: int, m: int, seed: int) -> np.ndarray:
     """The sorted, read-only ``null_quasi_range_draws(n, q, m, seed)``, kept for
     the next few bands, so that settings differing only in alpha share a draw."""
-    sample = np.sort(null_quasi_range_draws(n, q, m, seed))
+    sample = null_quasi_range_draws(n, q, m, seed)
+    sample.sort()
     sample.flags.writeable = False
     return sample
 

@@ -679,6 +679,13 @@ class TestLazyPackage:
     def test_import_loads_no_numpy(self):
         assert fresh_python("import sys, hdnorm; print('numpy' in sys.modules)") == "False"
 
+    def test_test_command_loads_no_simulation_code(self, null_csv, tmp_path):
+        code = ("import sys\nfrom hdnorm.cli import main\ncode = main(sys.argv[1:])\n"
+                "print(code, [m for m in ('hdnorm.harness', 'hdnorm.generators')"
+                " if m in sys.modules])")
+        out = fresh_python(code, "test", str(null_csv), "--out", str(tmp_path / "r.json"))
+        assert out.splitlines()[-1] in ("0 []", "3 []")
+
     def test_every_public_name_resolves_after_its_submodule_loads(self):
         # hdnorm.radii is loaded first, as the CLI's imports do; no public
         # name is shadowed by a submodule, and hdnorm.radii is the module.

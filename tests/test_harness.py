@@ -6,12 +6,13 @@ import math
 import multiprocessing
 import os
 import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import clear_band_memos
+from conftest import clear_band_memos, fresh_python
 from hdnorm import (CovSpec, Scenario, _cpus, generators, harness, montecarlo, radial_summary,
                     sample_scenario)
 from hdnorm import rng as hrng
@@ -231,6 +232,42 @@ class TestWorkerProcesses:
         monkeypatch.setattr(os, "listdir", unreadable)
         assert len(process_map(blas_vars, [(i,) for i in range(2)], 2)) == 2
         assert methods == ["spawn"]
+
+    @staticmethod
+    def list_tasks(monkeypatch, second_leaves_after):
+        """List two OS tasks in /proc/self/task until ``second_leaves_after`` seconds pass."""
+        listdir, start = os.listdir, time.monotonic()
+
+        def tasks(path="."):
+            if path != "/proc/self/task":
+                return listdir(path)
+            return ["1", "2"] if time.monotonic() - start < second_leaves_after else ["1"]
+
+        monkeypatch.setattr(os, "listdir", tasks)
+
+    def test_fork_once_a_joined_thread_leaves_the_task_list(self, monkeypatch):
+        self.list_tasks(monkeypatch, _cpus._THREAD_EXIT_WAIT / 5)
+        assert _cpus.fork_is_safe()
+
+    def test_spawn_if_the_task_list_keeps_a_second_thread(self, monkeypatch):
+        self.list_tasks(monkeypatch, math.inf)
+        start = time.monotonic()
+        assert not _cpus.fork_is_safe()
+        assert time.monotonic() - start >= _cpus._THREAD_EXIT_WAIT
+
+    def test_every_band_leaves_a_process_that_may_fork(self):
+        # Each two-thread band's helper has joined, though its OS thread may
+        # still be listed for a few milliseconds.  hdnorm.cli, loaded before
+        # numpy, has BLAS run one thread, as in an hdnorm command.
+        code = ("import hdnorm.cli\n"
+                "from hdnorm import _cpus, montecarlo\n"
+                "_cpus.usable_cpus = lambda: 2\n"
+                "safe = []\n"
+                "for seed in range(300):\n"
+                "    montecarlo.null_quasi_range_draws(10, 1, 2 * montecarlo.CHUNK, seed)\n"
+                "    safe.append(_cpus.fork_is_safe())\n"
+                "print(safe.count(True))")
+        assert fresh_python(code) == "300"
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@ import hashlib
 import math
 import re
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ndtr
 
-from conftest import clear_band_memos, gaussian_data, null_scenario, rejection_rate
+from conftest import clear_band_memos, fresh_python, gaussian_data, null_scenario, rejection_rate
 from hdnorm import (
     CovSpec,
     McSettings,
@@ -156,16 +157,42 @@ class TestGoldenValues:
             sys.setswitchinterval(interval)
         assert np.array_equal(draws, expected)
 
+    @pytest.mark.parametrize("failing", [0, 1], ids=["caller", "helper"])
+    def test_an_error_on_any_thread_reaches_the_caller_after_every_join(self, monkeypatch,
+                                                                       failing):
+        # At 2 CPUs the calling thread draws the even chunks and a helper the odd.
+        real_chunk = montecarlo._null_chunk
+
+        def chunk(n, q, seed, chunk_index, out, buffer):
+            if chunk_index == failing:
+                raise MemoryError(f"chunk {chunk_index}")
+            real_chunk(n, q, seed, chunk_index, out, buffer)
+
+        monkeypatch.setattr(_cpus, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_null_chunk", chunk)
+        before = threading.enumerate()
+        with pytest.raises(MemoryError, match=f"chunk {failing}"):
+            null_quasi_range_draws(30, 1, 4 * CHUNK, 2)
+        assert threading.enumerate() == before
+
+    def test_a_band_on_two_threads_loads_no_executor(self):
+        code = ("import sys\nfrom hdnorm import _cpus, montecarlo\n"
+                "_cpus.usable_cpus = lambda: 2\n"
+                "montecarlo.null_quasi_range_draws(30, 1, 3 * montecarlo.CHUNK, 0)\n"
+                "print([m for m in ('concurrent.futures', 'queue') if m in sys.modules])")
+        assert fresh_python(code) == "[]"
+
     def test_chunk_works_in_its_buffer(self):
         # At n = 2000 a chunk takes 128 batches of 32 rows; the uniforms, the
         # partition and the order statistics all stay in the buffer.  The bound
         # is a quarter of the buffer, so a copy of one batch exceeds it.
         n, q = 2000, 3
         buffer = np.empty((montecarlo._BATCH_ELEMENTS // n, n))
-        expected = montecarlo._null_chunk(n, q, 5, 0, CHUNK, buffer)
+        expected, draws = np.empty(CHUNK), np.empty(CHUNK)
+        montecarlo._null_chunk(n, q, 5, 0, expected, buffer)
         tracemalloc.start()
         try:
-            draws = montecarlo._null_chunk(n, q, 5, 0, CHUNK, buffer)
+            montecarlo._null_chunk(n, q, 5, 0, draws, buffer)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
