@@ -48,8 +48,8 @@ def fork_is_safe() -> bool:
     so forking is safe only when no other thread can hold one.  OS threads are
     counted, not Python ones, because BLAS runs threads of its own; where
     ``/proc/self/task`` cannot be read, they cannot be counted.  A thread that
-    Python has joined stays listed while it exits (up to about 5 ms after a
-    band), so while Python runs one thread the count is polled for up to
+    Python has joined can stay listed for a few milliseconds while it exits,
+    so while Python runs one thread the count is polled for up to
     ``_THREAD_EXIT_WAIT`` seconds.
     """
     deadline = time.monotonic() + _THREAD_EXIT_WAIT
