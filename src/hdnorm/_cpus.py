@@ -63,32 +63,6 @@ def fork_is_safe() -> bool:
     return hasattr(os, "fork")
 
 
-def whole_number(raw: str) -> int:
-    """``raw`` as a whole number of at least 1, else ``ValueError``."""
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"a whole number of at least 1, got {raw!r}")
-    return value
-
-
-def default_threads() -> int:
-    """Worker count: the HDNORM_THREADS environment variable, else the usable CPUs.
-
-    Raises ``ValueError`` when the variable holds anything but a whole number
-    of at least 1.
-    """
-    raw = os.environ.get("HDNORM_THREADS", "").strip()
-    if not raw:
-        return usable_cpus()
-    try:
-        return whole_number(raw)
-    except ValueError as exc:
-        raise ValueError(f"HDNORM_THREADS must be {exc}") from None
-
-
 def worker_count(threads: int, units: int, cpus: int) -> int:
     """Workers to start: the requested count capped by the work units and CPUs, at least 1."""
     return max(1, min(threads, units, cpus))

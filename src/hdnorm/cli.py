@@ -37,15 +37,15 @@ def _load_matrix(path: str, header: bool) -> DataMatrix:
     try:
         values = load_csv(path, skip)
     except OSError as exc:
-        raise SystemExit2(f"cannot read {path}: {exc}")
+        raise ValueError(f"cannot read {path}: {exc}")
     except ValueError as exc:
-        raise SystemExit2(f"cannot parse {path} as a numeric CSV: {_bad_line(path, skip) or exc}")
+        raise ValueError(f"cannot parse {path} as a numeric CSV: {_bad_line(path, skip) or exc}")
     if values.size == 0:
-        raise SystemExit2(f"{path} contains no data rows")
+        raise ValueError(f"{path} contains no data rows")
     try:
         return DataMatrix.from_array(values)
     except NonFiniteData as exc:
-        raise SystemExit2(
+        raise ValueError(
             f"non-finite value in {path} at data row {exc.row}, column {exc.column}"
             f" (file line {_file_line(path, skip, exc.row)})"
         )
@@ -95,18 +95,14 @@ def _parses(text: str) -> bool:
     return True
 
 
-class SystemExit2(Exception):
-    """Internal error carrier; converted to exit status 1 with a message."""
-
-
 def _writable(path: Path, folder: bool) -> Path:
     """``path`` if it is a file (a directory with ``folder``) or absent, in a
     writable directory that exists (or, with ``folder``, that ``mkdir -p``
-    makes); else ``SystemExit2``, so a bad --out fails before any work."""
+    makes); else ``ValueError``, so a bad --out fails before any work."""
     base = next(p for p in (path, *path.parents) if p.exists()) if folder else path.parent
     writable = base.is_dir() and os.access(base, os.W_OK)
     if not writable or path.exists() and path.is_dir() != folder:
-        raise SystemExit2(f"cannot write {path}")
+        raise ValueError(f"cannot write {path}")
     return path
 
 
@@ -134,8 +130,8 @@ def _pair_indices(n: int, k: int, gen) -> np.ndarray:
     """Uniform k-subset of the n(n-1)/2 pair indices (Floyd's algorithm)."""
     total = n * (n - 1) // 2
     chosen = set()
-    for t in range(total - k, total):
-        j = int(gen.integers(0, t + 1))
+    draws = gen.integers(0, np.arange(total - k, total) + 1)
+    for t, j in zip(range(total - k, total), draws.tolist()):
         chosen.add(t if j in chosen else j)
     return np.sort(np.fromiter(chosen, dtype=np.int64, count=k))
 
@@ -163,12 +159,9 @@ def _interpoint_distances(values: np.ndarray, max_pairs: int, seed: int) -> np.n
 
 
 def _write_csv(path: Path, header: str, columns) -> None:
-    from .harness import _fmt  # as summary.csv writes numbers
-
-    lines = [header]
-    for row in zip(*columns):
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # "%.17g" writes each number as summary.csv does.
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",", header=header,
+               comments="")
 
 
 def cmd_diagnose(args) -> int:
@@ -206,19 +199,18 @@ def cmd_simulate(args) -> int:
     try:
         doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
     except OSError as exc:
-        raise SystemExit2(f"cannot read {args.spec}: {exc}")
+        raise ValueError(f"cannot read {args.spec}: {exc}")
     except json.JSONDecodeError as exc:
-        raise SystemExit2(f"{args.spec} is not valid JSON: {exc}")
+        raise ValueError(f"{args.spec} is not valid JSON: {exc}")
     try:
         exp = experiment_from_json(doc)
     except (ValueError, KeyError, TypeError, HdnormError) as exc:
-        raise SystemExit2(f"bad experiment spec: {exc}")
+        raise ValueError(f"bad experiment spec: {exc}")
 
-    # A bad HDNORM_THREADS, then an unwritable --out, fail before any work.
-    threads = _cpus.default_threads() if args.threads is None else args.threads
+    # An unwritable --out fails before any work.
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    results = run_experiment(exp, threads=threads)
+    results = run_experiment(exp, threads=args.threads)
     (outdir / "summary.csv").write_text(summarize(results), encoding="utf-8")
     (outdir / "results.jsonl").write_text(results_jsonl(results), encoding="utf-8")
     print(f"{exp.name}: {len(results)} result rows -> {outdir}/summary.csv")
@@ -227,9 +219,12 @@ def cmd_simulate(args) -> int:
 
 def _whole_number_arg(raw: str) -> int:
     try:
-        return _cpus.whole_number(raw)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"need {exc}") from None
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"need a whole number of at least 1, got {raw!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", default="results")
     p_sim.add_argument("--threads", type=_whole_number_arg, default=None,
                        help="worker processes, at most one per usable CPU "
-                            "(default: HDNORM_THREADS or the usable CPUs), forked from "
+                            "(default: the usable CPUs), forked from "
                             "this process when it runs one OS thread and spawned "
                             "otherwise; hdnorm runs "
                             "BLAS on one thread unless OPENBLAS_NUM_THREADS, "
@@ -279,7 +274,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SystemExit2, HdnormError, ValueError, OSError) as exc:
+    except (HdnormError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

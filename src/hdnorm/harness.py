@@ -145,22 +145,22 @@ def _run_unit(exp: Experiment, cell_index: int, lo: int, hi: int, cell_bands: Ce
 def run_experiment(exp: Experiment, threads: Optional[int] = None) -> List[CellResult]:
     """Run every cell; deterministic given the experiment seed.
 
-    ``threads`` is the requested worker count, capped by the number of work
-    units and of usable CPUs.  One worker runs in this process; more run in
-    worker processes, forked when this process runs one OS thread and spawned
-    otherwise (see ``_cpus.process_map``).  On the spawn path a script that calls
-    this with more than one worker needs an ``if __name__ == "__main__":``
-    guard.  The cells' Monte-Carlo bands are built here first, and each work
+    ``threads`` is the requested worker count, by default the usable CPUs,
+    capped by the number of work units and of usable CPUs.  One worker runs in
+    this process; more run in worker processes, forked when this process runs
+    one OS thread and spawned otherwise (see ``_cpus.process_map``).  On the
+    spawn path a script that calls this with more than one worker needs an
+    ``if __name__ == "__main__":`` guard.  The cells' Monte-Carlo bands are built here first, and each work
     unit carries its cell's.
 
     Per-replication errors are tallied as failures rather than aborting the
     sweep; the empirical rate is taken over the completed replications.
     """
+    cpus = _cpus.usable_cpus()
     if threads is None:
-        threads = _cpus.default_threads()
+        threads = cpus
     if threads < 1:
         raise ValueError(f"need at least one worker, got threads={threads}")
-    cpus = _cpus.usable_cpus()
     units = []
     for ci, cell in enumerate(exp.cells):
         if cell.replications < 1:

@@ -2,8 +2,10 @@
 
 They check properties of the package from outside it: the closed-form
 tr(Sigma^2) estimate against its defining U-statistic sums, the similarity
-invariance and ordering of the effective ranks of a covariance, and the
-contrast record against the five expressions it replaced.
+invariance and ordering of the effective ranks of a covariance, the
+contrast record against the five expressions it replaced, and the pair
+subset ``hdnorm diagnose`` samples against Floyd's algorithm drawn one index
+at a time.
 """
 
 import math
@@ -159,3 +161,13 @@ def null_draw_oracle(n, s_lower, s_upper):
     c = norm_constants(n)
     contrast = s_upper - s_lower
     return c.a_n * contrast - 2.0 * c.a_n * c.b_n
+
+
+def pair_indices_oracle(n, k, gen):
+    """Floyd's uniform k-subset of the n(n-1)/2 pair indices, one draw per index."""
+    total = n * (n - 1) // 2
+    chosen = set()
+    for t in range(total - k, total):
+        j = int(gen.integers(0, t + 1))
+        chosen.add(t if j in chosen else j)
+    return np.sort(np.fromiter(chosen, dtype=np.int64, count=k))

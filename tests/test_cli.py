@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import fresh_python, gaussian_data
+from oracles import pair_indices_oracle
 from hdnorm import generators
 from hdnorm import rng as hrng
 from hdnorm import cli, harness
@@ -38,6 +39,23 @@ REPORT_SHA256 = {
     ("tall", "iqr"): "2422579957239f3f78bbb9b8a3f4210212a19e4d500478c619944f80a7ab13b1",
     ("tall", "quasi:2"): "60fcbca0ba6eb43e5d5801577b7f8c88f8f4be2270081dbd9cb17e9676eb82a4",
     ("tall", "squared"): "967aeea1674975d0385a4542cce603fe0ea67c7360b26faf1cbbd2726f8c5794",
+}
+
+# sha256 of each file `hdnorm diagnose` writes for gaussian_data(21, n, d):
+# "sampled" keeps 500 of the 1770 pairs at n = 60 (--seed 5), and "n3" is too
+# small for the QQ data, so it writes no qq.csv.  Recorded when the numbers
+# were written by the harness's formatter.
+DIAGNOSE_CASES = {"sampled": ((60, 8), ["--max-pairs", "500", "--seed", "5"]), "n3": ((3, 4), [])}
+DIAGNOSE_SHA256 = {
+    "sampled": {
+        "interpoint.csv": "1a362cc9b6edc989d456b5635035423820bc67d6186f1a87074cb0a52e752e53",
+        "qq.csv": "a092c87740e1d1ddda289f34d7a65c291d39ee5c903ee100f0406695dc6f4995",
+        "radii.csv": "e44599f614869a3b74c186bd00b7a9f82e6606003e8bff17bb3d15c2ed662e85",
+    },
+    "n3": {
+        "interpoint.csv": "481b4bb76dfc7fd3e1c6771dc23cb2118045b59b8bba11ffe552607fab93f6dc",
+        "radii.csv": "1005244a528e000a7af0531ab0c2855f48805147547304b6b9bc45ea21966e43",
+    },
 }
 
 
@@ -302,6 +320,26 @@ class TestCmdDiagnose:
             assert np.min(np.abs(universe - value)) < 1e-9
 
 
+    @pytest.mark.parametrize("case", sorted(DIAGNOSE_CASES))
+    def test_output_bytes_are_pinned(self, tmp_path, case):
+        (n, d), options = DIAGNOSE_CASES[case]
+        path = write_csv(tmp_path / "data.csv", gaussian_data(21, n, d).values)
+        assert main(["diagnose", str(path), "--out", str(tmp_path / "d"), *options]) == 0
+        digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                   for f in (tmp_path / "d").iterdir()}
+        assert digests == DIAGNOSE_SHA256[case]
+
+    @pytest.mark.parametrize("n, k, seed", [(50, 300, 0), (40, 1, 7), (30, 434, 3),
+                                            (200, 19_899, 11), (2000, 5000, 2)])
+    def test_reservoir_draws_match_one_draw_per_index(self, n, k, seed):
+        # k = 434 and 19 899 are one below the pair counts of n = 30 and 200.
+        def gen():
+            return hrng.substream(seed, hrng.DOMAIN_RESERVOIR)
+        expected = pair_indices_oracle(n, k, gen())
+        got = cli._pair_indices(n, k, gen())
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
 class TestCmdSimulate:
     def make_spec(self, tmp_path, seed=5) -> Path:
         doc = {
@@ -403,13 +441,6 @@ class TestCmdSimulate:
             main(["simulate", str(spec), "--out", str(tmp_path / "res"), "--threads", threads])
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
-        assert not (tmp_path / "res").exists()
-
-    def test_bad_worker_count_variable_exits_one(self, tmp_path, monkeypatch, capsys):
-        spec = self.make_spec(tmp_path)
-        monkeypatch.setenv("HDNORM_THREADS", "abc")
-        assert main(["simulate", str(spec), "--out", str(tmp_path / "res")]) == 1
-        assert "HDNORM_THREADS" in capsys.readouterr().err
         assert not (tmp_path / "res").exists()
 
     def test_empty_grid_errors(self, tmp_path, capsys):
@@ -685,6 +716,13 @@ class TestLazyPackage:
                 " if m in sys.modules])")
         out = fresh_python(code, "test", str(null_csv), "--out", str(tmp_path / "r.json"))
         assert out.splitlines()[-1] in ("0 []", "3 []")
+
+    def test_diagnose_loads_no_simulation_code(self, null_csv, tmp_path):
+        code = ("import sys\nfrom hdnorm.cli import main\ncode = main(sys.argv[1:])\n"
+                "print(code, [m for m in ('hdnorm.harness', 'hdnorm.generators')"
+                " if m in sys.modules])")
+        out = fresh_python(code, "diagnose", str(null_csv), "--out", str(tmp_path / "d"))
+        assert out.splitlines()[-1] == "0 []"
 
     def test_every_public_name_resolves_after_its_submodule_loads(self):
         # hdnorm.radii is loaded first, as the CLI's imports do; no public

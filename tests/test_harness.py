@@ -16,8 +16,7 @@ from conftest import clear_band_memos, fresh_python
 from hdnorm import (CovSpec, Scenario, _cpus, generators, harness, montecarlo, radial_summary,
                     sample_scenario)
 from hdnorm import rng as hrng
-from hdnorm._cpus import (BLAS_THREAD_VARS, default_threads, process_map, usable_cpus,
-                          worker_count)
+from hdnorm._cpus import BLAS_THREAD_VARS, process_map, usable_cpus, worker_count
 from hdnorm.harness import (
     CellSpec,
     Experiment,
@@ -165,19 +164,22 @@ class TestRunExperiment:
 
 
 class TestThreadResolution:
-    def test_env_var_caps_workers(self, monkeypatch):
-        # Without the variable, the affinity mask, not the machine's CPU count,
-        # sets the default.
+    def test_default_is_the_affinity_mask(self, monkeypatch):
+        # Neither the machine's CPU count nor HDNORM_THREADS, which hdnorm
+        # once read, sets the default worker count: at "1" it ran no workers.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        monkeypatch.setenv("HDNORM_THREADS", "3")
-        assert default_threads() == 3
-        for bad in ("not-a-number", "0", "-3", "1.5"):
-            monkeypatch.setenv("HDNORM_THREADS", bad)
-            with pytest.raises(ValueError, match=f"HDNORM_THREADS .*{bad!r}"):
-                default_threads()
-        monkeypatch.delenv("HDNORM_THREADS")
-        assert default_threads() == 2
+        monkeypatch.setenv("HDNORM_THREADS", "1")
+        asked = []
+
+        def serial_map(fn, args, workers):
+            asked.append(workers)
+            return [fn(*a) for a in args]
+
+        monkeypatch.setattr(_cpus, "process_map", serial_map)
+        exp = small_experiment()
+        assert summarize(run_experiment(exp)) == summarize(run_experiment(exp, threads=1))
+        assert asked == [2]
 
     def test_worker_count_caps(self):
         assert worker_count(4, 100, 2) == 2
