@@ -120,14 +120,15 @@ class _ByteRange(io.RawIOBase):
 
 def _parse(path: str, skiprows: int, start: int, stop) -> np.ndarray:
     """The rows of bytes [start, stop) of the file; the whole file when ``stop`` is None."""
-    if stop is None:
-        return np.loadtxt(path, delimiter=",", skiprows=skiprows, ndmin=2)
-    # Text mode with universal newlines, as np.loadtxt opens a path.
-    with io.TextIOWrapper(io.BufferedReader(_ByteRange(path, start, stop))) as lines, \
-            warnings.catch_warnings():
-        # A slice of blank or comment lines is no error while another slice has rows.
+    with warnings.catch_warnings():
+        # No rows is no error here: the caller reports a file with none, and a
+        # slice of blank or comment lines is none while another slice has rows.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        return np.loadtxt(lines, delimiter=",", skiprows=skiprows, ndmin=2)
+        if stop is None:
+            return np.loadtxt(path, delimiter=",", skiprows=skiprows, ndmin=2)
+        # Text mode with universal newlines, as np.loadtxt opens a path.
+        with io.TextIOWrapper(io.BufferedReader(_ByteRange(path, start, stop))) as lines:
+            return np.loadtxt(lines, delimiter=",", skiprows=skiprows, ndmin=2)
 
 
 def _fork_slice(path: str, start: int, stop: int):

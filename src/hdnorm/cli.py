@@ -274,7 +274,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (HdnormError, ValueError, OSError) as exc:
+    except (HdnormError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -162,40 +162,37 @@ def build_covariance(spec: CovSpec) -> np.ndarray:
 def _factor(spec: CovSpec, form: str):
     """Transport factor, cached for the last covariance only: a process runs one
     cell's replications back to back, and older d x d factors are not kept alive.
-    Returns (mode, payload) for ``_apply_factor``.
+    Returns None for the identity, the 1-D root of a diagonal covariance, or
+    else a 2-D factor to multiply on the right, for ``_apply_factor``.
 
     ``form`` selects the factorization: "chol" (Gaussian drivers), "sym"
     (symmetric square root) or "eigen" (eigenvector-scaled columns).
     """
     diag = _cov_diagonal(spec)
     if diag is not None:
-        if spec.kind == "identity":
-            return ("identity", None)
-        return ("diag", np.sqrt(diag))
+        return None if spec.kind == "identity" else np.sqrt(diag)
     cov = build_covariance(spec)
     if form == "chol":
         try:
-            return ("right", np.linalg.cholesky(cov).T)
+            return np.linalg.cholesky(cov).T
         except np.linalg.LinAlgError:
             form = "sym"  # PSD-singular: fall back to the symmetric root
     lam, U = np.linalg.eigh(cov)
     lam = np.clip(lam, 0.0, None)
     if form == "sym":
         S = (U * np.sqrt(lam)) @ U.T
-        return ("right", (S + S.T) / 2.0)
-    if form == "eigen":
-        return ("right", (U * np.sqrt(lam)).T)
-    raise ValueError(f"unknown factor form {form!r}")
+        return (S + S.T) / 2.0
+    return (U * np.sqrt(lam)).T  # "eigen"
 
 
-def _apply_factor(Z: np.ndarray, factor, out: np.ndarray) -> np.ndarray:
-    """``Z`` transported by ``factor``: in place for a diagonal one, else into ``out``."""
-    mode, payload = factor
-    if mode == "identity":
+def _apply_factor(Z: np.ndarray, factor: Optional[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """``Z`` transported by ``factor``: unchanged for None, in place for a
+    diagonal root, else into ``out``."""
+    if factor is None:
         return Z
-    if mode == "diag":
-        return np.multiply(Z, payload, out=Z)
-    return np.matmul(Z, payload, out=out)
+    if factor.ndim == 1:
+        return np.multiply(Z, factor, out=Z)
+    return np.matmul(Z, factor, out=out)
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,12 @@ count and one or more decision methods, named as in the one method table
 data draws).  Replication r of cell c draws its data from the substream keyed
 by (master seed, c, r), and the Monte-Carlo bands of cell c are keyed by
 (master seed, c), so results are independent of how the work is partitioned
-across worker processes.  Every band a cell's methods need is built once, in
-the calling process, before any work unit runs; each unit carries its cell's
-settings, resolved methods and finished bands, so workers never draw a null
-sample or look a method up themselves.
+across worker processes.  An ``Experiment`` refuses a cell that cannot run
+when it is built, so a cell's failures count only replications that failed
+numerically.  Every band a cell's methods need is built once, in the calling
+process, before any work unit runs; each unit carries its cell's settings,
+resolved methods and finished bands, so workers never draw a null sample or
+look a method up themselves.
 
 With more than one worker, work units run in worker processes, each with BLAS
 limited to one thread, so that workers neither contend for the interpreter
@@ -26,7 +28,6 @@ import json
 import math
 import time
 from collections import Counter, defaultdict
-from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -65,7 +66,24 @@ class Experiment:
     cells: Tuple[CellSpec, ...]
 
     def __post_init__(self):
+        for ci, cell in enumerate(self.cells):
+            _check_cell(ci, cell)
         McSettings(self.mc_replications, self.seed, self.alpha)  # raises on bad settings
+
+
+def _check_cell(ci: int, cell: CellSpec) -> None:
+    """Refuse cell ``ci`` unless it can run: its scenario can be sampled, it has
+    a replication, and each method is known, listed once and defined at its n."""
+    _params(cell.scenario)
+    if cell.replications < 1:
+        raise ValueError(f"cell {ci} replications must be at least 1, got {cell.replications!r}")
+    if not cell.methods:
+        raise ValueError(f"cell {ci} needs at least one method")
+    for i, name in enumerate(cell.methods):
+        for q in lookup_method(name).orders:
+            contrast(cell.scenario.n, q)  # a quasi order too large for n fails here
+        if name in cell.methods[:i]:
+            raise ValueError(f"cell {ci} lists method {name!r} twice")
 
 
 @dataclass(frozen=True)
@@ -97,22 +115,13 @@ CellBands = Tuple[McSettings, Dict[str, Tuple[Method, Tuple[Band, ...]]]]
 
 def _cell_bands(exp: Experiment) -> List[CellBands]:
     """Each cell's Monte-Carlo settings and ``{name: (method, bands)}``: its
-    methods, resolved, and the bands they decide against.
-
-    A method whose bands cannot be built, or whose cell cannot be sampled, is
-    left out, and ``_run_unit`` counts each of its replications as a failure.
-    """
+    methods, resolved, and the bands they decide against."""
     cells = []
     for ci, cell in enumerate(exp.cells):
         settings = McSettings(replications=exp.mc_replications, alpha=exp.alpha,
                               seed=rng.derive_seed(exp.seed, rng.DOMAIN_NULL_RANGE, ci))
-        methods = {}
-        for name in cell.methods:
-            method = lookup_method(name)
-            with suppress(HdnormError):
-                _params(cell.scenario)
-                methods[name] = (method, method.bands_at(cell.scenario.n, settings))
-        cells.append((settings, methods))
+        cells.append((settings, {m.name: (m, m.bands_at(cell.scenario.n, settings))
+                                 for m in map(lookup_method, cell.methods)}))
     return cells
 
 
@@ -120,12 +129,12 @@ def _run_unit(exp: Experiment, cell_index: int, lo: int, hi: int, cell_bands: Ce
     """Run replications [lo, hi) of one cell against its bands; returns per-method tallies."""
     cell = exp.cells[cell_index]
     settings, methods = cell_bands
-    rejections = {m: 0 for m in cell.methods}
-    failures = {m: 0 if m in methods else hi - lo for m in cell.methods}
+    rejections = dict.fromkeys(methods, 0)
+    failures = dict.fromkeys(methods, 0)
     start = time.perf_counter()
     # Every replication draws into these and centres its sample in place.
-    buffers = np.empty((2, cell.scenario.n, cell.scenario.d)) if methods else None
-    for r in range(lo, hi if methods else lo):  # a cell with no method draws nothing
+    buffers = np.empty((2, cell.scenario.n, cell.scenario.d))
+    for r in range(lo, hi):
         gen = rng.substream(exp.seed, rng.DOMAIN_DATA, cell_index, r)
         try:
             X = sample_scenario(cell.scenario, gen, buffers)
@@ -150,11 +159,12 @@ def run_experiment(exp: Experiment, threads: Optional[int] = None) -> List[CellR
     this process; more run in worker processes, forked when this process runs
     one OS thread and spawned otherwise (see ``_cpus.process_map``).  On the
     spawn path a script that calls this with more than one worker needs an
-    ``if __name__ == "__main__":`` guard.  The cells' Monte-Carlo bands are built here first, and each work
-    unit carries its cell's.
+    ``if __name__ == "__main__":`` guard.  The cells' Monte-Carlo bands are
+    built here first, and each work unit carries its cell's.
 
-    Per-replication errors are tallied as failures rather than aborting the
-    sweep; the empirical rate is taken over the completed replications.
+    Every cell can run, as its ``Experiment`` checked; a replication that fails
+    numerically is tallied as a failure rather than aborting the sweep, and the
+    empirical rate is taken over the completed replications.
     """
     cpus = _cpus.usable_cpus()
     if threads is None:
@@ -163,8 +173,6 @@ def run_experiment(exp: Experiment, threads: Optional[int] = None) -> List[CellR
         raise ValueError(f"need at least one worker, got threads={threads}")
     units = []
     for ci, cell in enumerate(exp.cells):
-        if cell.replications < 1:
-            raise ValueError(f"cell {ci} has no replications")
         chunk = max(1, min(64, -(-cell.replications // (min(threads, cpus) * 4))))
         for lo in range(0, cell.replications, chunk):
             units.append((ci, lo, min(lo + chunk, cell.replications)))
@@ -308,15 +316,13 @@ def scenario_from_json(doc: Mapping) -> Scenario:
     params = dict(params)
     if "weights" in params:
         params["weights"] = tuple(params["weights"])  # as a Scenario built in Python holds them
-    scenario = Scenario(
+    return Scenario(
         family=str(doc["family"]),
         n=_integer(doc, "n", 4, what="scenario n"),
         d=_integer(doc, "d", 1, what="scenario d"),
         cov=cov_from_json(doc["cov"]),
         params=params,
     )
-    _params(scenario)  # reject a bad scenario before any work starts
-    return scenario
 
 
 def scenario_to_json(s: Scenario) -> dict:
@@ -338,14 +344,8 @@ def experiment_from_json(doc: Mapping) -> Experiment:
         methods = cell_doc.get("methods", ["composite"])
         if not isinstance(methods, list) or not methods:
             raise ValueError(f"cell {ci} methods must be a non-empty list, got {methods!r}")
-        scenario = scenario_from_json(cell_doc["scenario"])
-        for i, m in enumerate(methods):
-            for q in lookup_method(m).orders:
-                contrast(scenario.n, q)  # a quasi order too large for n fails here
-            if m in methods[:i]:
-                raise ValueError(f"cell {ci} lists method {m!r} twice")
         cells.append(CellSpec(
-            scenario=scenario,
+            scenario=scenario_from_json(cell_doc["scenario"]),
             replications=_integer(cell_doc, "replications", 1, default_reps,
                                   what=f"cell {ci} replications"),
             methods=tuple(methods),

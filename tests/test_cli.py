@@ -201,6 +201,38 @@ class TestCmdTest:
     def test_missing_file(self):
         assert main(["test", "/nonexistent/x.csv"]) == 1
 
+    @pytest.mark.parametrize("lines, header", [(["# c"], False), (["a,b"], True)],
+                             ids=["comment_only", "header_only"])
+    @pytest.mark.parametrize("command", ["test", "diagnose"])
+    def test_file_without_rows_prints_one_error_line(self, tmp_path, command, lines, header):
+        # In a new process, so that a warning numpy prints reaches stderr,
+        # here sent to stdout, as it would in a terminal.
+        path = tmp_path / "empty.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code = ("import sys\nfrom hdnorm.cli import main\nsys.stderr = sys.stdout\n"
+                "print(main(sys.argv[1:]))")
+        args = [command, str(path), "--out", str(tmp_path / "out")] + ["--header"] * header
+        assert fresh_python(code, *args).split("\n") == [
+            f"error: {path} contains no data rows", "1"]
+
+    @pytest.mark.parametrize("command", ["test", "simulate"])
+    def test_monte_carlo_count_too_large_to_hold_exits_one(self, null_csv, tmp_path, capsys,
+                                                           command):
+        # 10**17 draws take 711 PiB, an array no address space holds, so the
+        # allocation is refused before any band thread starts.
+        huge = 10 ** 17
+        if command == "test":
+            args = ["test", str(null_csv), "--mc", str(huge), "--out", str(tmp_path / "r.json")]
+        else:
+            spec = tmp_path / "huge.json"
+            spec.write_text(json.dumps({"mc_replications": huge, "cells": [
+                {"scenario": {"family": "null_gaussian", "n": 20, "d": 5,
+                              "cov": {"kind": "identity", "d": 5}}}]}))
+            args = ["simulate", str(spec), "--out", str(tmp_path / "res")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_unwritable_report_exits_one(self, null_csv, tmp_path, monkeypatch, capsys):
         # The report's directory is checked before the CSV is read.
         read = []

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from conftest import clear_band_memos, fresh_python
-from hdnorm import (CovSpec, Scenario, _cpus, generators, harness, montecarlo, radial_summary,
-                    sample_scenario)
+from hdnorm import (CovSpec, HdnormError, Scenario, _cpus, generators, harness, montecarlo,
+                    radial_summary, sample_scenario)
 from hdnorm import rng as hrng
 from hdnorm._cpus import BLAS_THREAD_VARS, process_map, usable_cpus, worker_count
 from hdnorm.harness import (
@@ -31,6 +31,9 @@ from hdnorm.harness import (
     summarize,
     _run_unit,
 )
+
+
+GOOD = Scenario("null_gaussian", 20, 10, CovSpec("identity", 10))
 
 
 def small_experiment(methods=("composite",), seed=42):
@@ -98,58 +101,36 @@ class TestRunExperiment:
         results = run_experiment(small_experiment(methods=("composite", "squared")), threads=2)
         assert [r.method for r in results] == ["composite", "squared"] * 2
 
-    def test_cell_whose_band_fails_is_left_out_of_prebuilt_bands(self):
-        # n = 2 has no null sample, and n = 20 no quasi-range of order 11.
-        tiny = Scenario("null_gaussian", 2, 10, CovSpec("identity", 10))
-        good = Scenario("null_gaussian", 20, 10, CovSpec("identity", 10))
-        exp = Experiment(name="tiny", seed=3, alpha=0.05, mc_replications=500,
-                         cells=(CellSpec(tiny, 10), CellSpec(good, 10, ("composite", "quasi:11"))))
-        bands = harness._cell_bands(exp)
-        assert bands[0][1] == {} and list(bands[1][1]) == ["composite"]
-        for threads in (1, 2):
-            results = run_experiment(exp, threads=threads)
-            assert [(r.method, r.failures) for r in results] == [
-                ("composite", 10), ("composite", 0), ("quasi:11", 10)]
-
-    def test_cell_without_replications_raises_before_any_draw(self, drawn):
-        exp = small_experiment()
-        exp = dataclasses.replace(
-            exp, cells=(exp.cells[0], dataclasses.replace(exp.cells[1], replications=0)))
-        with pytest.raises(ValueError, match="cell 1 has no replications"):
-            run_experiment(exp, threads=1)
+    # Each cell cannot run: n = 2 has no normalizing constants, n = 20 no
+    # quasi-range of order 11, n = 3 no IQR; a negative n or a d that the
+    # covariance does not match cannot be sampled, and mixed marginals take
+    # no transport; then a method twice, no method and no replication.
+    @pytest.mark.parametrize("scenario, replications, methods, message", [
+        (dataclasses.replace(GOOD, n=2), 10, ("composite",), "need n >= 3, got n=2"),
+        (GOOD, 10, ("composite", "quasi:11"), r"q=11 is not an integer in \[1, 10\] for n=20"),
+        (dataclasses.replace(GOOD, n=3), 10, ("composite",), "IQR statistic needs n >= 4"),
+        (dataclasses.replace(GOOD, n=-5), 10, ("composite",), "need n >= 1"),
+        (dataclasses.replace(GOOD, cov=CovSpec("identity", 5)), 10, ("composite",),
+         "covariance of dimension d=10, got n=20 and dimension 5"),
+        (Scenario("mixed_marginals", 20, 10, CovSpec("ar1", 10, rho=0.5)), 10, ("composite",),
+         "mixed_marginals draws untransported coordinates"),
+        (GOOD, 10, ("range", "range"), "cell 1 lists method 'range' twice"),
+        (GOOD, 10, (), "cell 1 needs at least one method"),
+        (GOOD, 0, ("composite",), "cell 1 replications must be at least 1, got 0"),
+    ], ids=["n2", "quasi11", "n3_composite", "negative_n", "d_mismatch", "mixed_on_ar1",
+            "method_twice", "no_method", "no_replication"])
+    def test_cell_that_cannot_run_is_refused_before_any_draw(self, drawn, scenario,
+                                                             replications, methods, message):
+        cells = ((GOOD, 10, ("composite",)), (scenario, replications, methods))
+        with pytest.raises((HdnormError, ValueError), match=message):
+            Experiment(name="bad", seed=3, alpha=0.05, mc_replications=500,
+                       cells=tuple(CellSpec(*cell) for cell in cells))
+        if scenario.n >= 4 and methods:  # a spec can hold this cell: the same check refuses it
+            doc = {"cells": [{"scenario": scenario_to_json(s), "replications": r,
+                              "methods": list(m)} for s, r, m in cells]}
+            with pytest.raises((HdnormError, ValueError), match=message):
+                experiment_from_json(doc)
         assert drawn == []
-
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_cell_with_three_rows_fails_every_replication(self, threads):
-        tiny = Scenario("null_gaussian", 3, 10, CovSpec("identity", 10))
-        good = Scenario("null_gaussian", 20, 10, CovSpec("identity", 10))
-        exp = Experiment(name="tiny", seed=3, alpha=0.05, mc_replications=500,
-                         cells=(CellSpec(tiny, 10), CellSpec(good, 10)))
-        results = run_experiment(exp, threads=threads)
-        assert results[0].failures == 10 and math.isnan(results[0].rate)
-        assert results[1].failures == 0
-
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_cell_that_cannot_be_sampled_fails_every_replication(self, threads):
-        # Cells built in Python skip the spec checks: a negative n, and a
-        # negative d that the covariance's dimension does not match.
-        good = Scenario("null_gaussian", 20, 10, CovSpec("identity", 10))
-        bad = (Scenario("null_gaussian", -5, 10, CovSpec("identity", 10)),
-               Scenario("null_gaussian", 20, -10, CovSpec("identity", 10)))
-        exp = Experiment(name="bad", seed=3, alpha=0.05, mc_replications=500,
-                         cells=tuple(CellSpec(s, 10) for s in (*bad, good)))
-        results = run_experiment(exp, threads=threads)
-        assert [r.failures for r in results] == [10, 10, 0]
-
-    def test_failing_cell_counted_not_fatal(self):
-        bad = Scenario("mixed_marginals", 20, 10, CovSpec("ar1", 10, rho=0.5))
-        good = Scenario("null_gaussian", 20, 10, CovSpec("identity", 10))
-        exp = Experiment(name="mixed", seed=3, alpha=0.05, mc_replications=500,
-                         cells=(CellSpec(bad, 10), CellSpec(good, 10)))
-        results = run_experiment(exp, threads=2)
-        assert results[0].failures == 10 and math.isnan(results[0].rate)
-        assert results[1].failures == 0
-
 
     def test_overflowing_sampler_counts_failures(self):
         # dof 0.001 puts infinities in the t draws: each is a failed replication.
