@@ -18,9 +18,9 @@ from . import _cpus
 # Before numpy loads: BLAS reads its thread count only then.
 _cpus.default_to_one_blas_thread()
 
+# rng imports numpy, numpy.random without OpenSSL first (rng._import_numpy_random).
+from . import rng  # noqa: E402
 import numpy as np  # noqa: E402
-
-from . import rng
 from ._csvparse import load_csv, open_text
 from .errors import HdnormError, NonFiniteData
 from .moments import DataMatrix, _moments

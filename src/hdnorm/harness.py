@@ -30,6 +30,7 @@ import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import partial
+from numbers import Integral
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -75,6 +76,8 @@ def _check_cell(ci: int, cell: CellSpec) -> None:
     """Refuse cell ``ci`` unless it can run: its scenario can be sampled, it has
     a replication, and each method is known, listed once and defined at its n."""
     _params(cell.scenario)
+    if not _is_integer(cell.replications):
+        raise ValueError(f"cell {ci} replications must be an integer, got {cell.replications!r}")
     if cell.replications < 1:
         raise ValueError(f"cell {ci} replications must be at least 1, got {cell.replications!r}")
     if not cell.methods:
@@ -84,6 +87,11 @@ def _check_cell(ci: int, cell: CellSpec) -> None:
             contrast(cell.scenario.n, q)  # a quasi order too large for n fails here
         if name in cell.methods[:i]:
             raise ValueError(f"cell {ci} lists method {name!r} twice")
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer, a bool or float not counting as one."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -169,6 +177,8 @@ def run_experiment(exp: Experiment, threads: Optional[int] = None) -> List[CellR
     cpus = _cpus.usable_cpus()
     if threads is None:
         threads = cpus
+    if not _is_integer(threads):
+        raise ValueError(f"threads must be an integer, got {threads!r}")
     if threads < 1:
         raise ValueError(f"need at least one worker, got threads={threads}")
     units = []
@@ -279,7 +289,7 @@ def _integer(doc: Mapping, key: str, minimum: int, default=None, what: str = "")
     value, what = doc.get(key, default), what or key
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_integer(value):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     if value < minimum:
         bound = "non-negative" if minimum == 0 else f"at least {minimum}"

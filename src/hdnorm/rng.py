@@ -16,19 +16,19 @@ They are scipy.special's compiled ufuncs, loaded from
 ``scipy.special._ufuncs`` without running the package's ``__init__``, whose
 array-API wrappers cost most of a CLI process's start-up (see ``_ufuncs``).
 They are the very objects ``scipy.special`` exports, so the values do not
-depend on how they were loaded.
+depend on how they were loaded.  ``numpy.random`` is imported without
+``secrets``, which would load OpenSSL for an entropy source that keyed streams
+never use; its stand-in supplies the same entropy (see ``_import_numpy_random``).
 """
 
 from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import random
 import sys
 import threading
 import types
-
-import numpy as np
-from numpy.random import Generator, Philox, SeedSequence
 
 
 class _BindSubmodules:
@@ -86,6 +86,33 @@ def _ufuncs():
     import scipy.special
     return scipy.special
 
+
+def _import_numpy_random() -> None:
+    """Import ``numpy.random`` without ``secrets`` where that is safe.
+
+    ``numpy.random.bit_generator`` takes only ``randbits`` from ``secrets``, as
+    the OS entropy for a ``SeedSequence`` given none, but ``secrets`` imports
+    ``hmac`` and with it OpenSSL's libcrypto, a few MB that keyed streams never
+    use.  While numpy.random imports, ``sys.modules`` holds a stand-in whose
+    ``randbits`` is what ``secrets.randbits`` is: ``SystemRandom().getrandbits``.
+    A later ``import secrets`` loads the real module.  Another thread could
+    import ``secrets`` in that window and get the stand-in, so this is done
+    only when no other Python thread runs.
+    """
+    if ("numpy.random" not in sys.modules and "secrets" not in sys.modules
+            and threading.active_count() == 1):
+        stand_in = sys.modules["secrets"] = types.ModuleType("secrets")
+        stand_in.randbits = random.SystemRandom().getrandbits
+        try:
+            import numpy.random  # noqa: F401
+        finally:
+            del sys.modules["secrets"]
+
+
+# Before numpy itself: numpy 1.x imports numpy.random when it loads.
+_import_numpy_random()
+import numpy as np  # noqa: E402
+from numpy.random import Generator, Philox, SeedSequence  # noqa: E402
 
 _special = _ufuncs()
 ndtri = _special.ndtri
