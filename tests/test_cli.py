@@ -756,6 +756,42 @@ class TestLazyPackage:
         out = fresh_python(code, "diagnose", str(null_csv), "--out", str(tmp_path / "d"))
         assert out.splitlines()[-1] == "0 []"
 
+    # numpy.random loads with a stand-in for secrets, which would bring in
+    # hmac and OpenSSL through _hashlib; the rest of the process keeps the
+    # real entropy source and the real module.
+    def test_rng_import_loads_no_openssl(self):
+        code = ("import sys, hdnorm.rng\n"
+                "print([m for m in ('secrets', '_hashlib') if m in sys.modules])")
+        assert fresh_python(code) == "[]"
+
+    def test_simulate_at_two_workers_loads_no_openssl(self, tmp_path):
+        code = ("import sys\nfrom hdnorm.cli import main\ncode = main(sys.argv[1:])\n"
+                "print(code, [m for m in ('secrets', '_hashlib') if m in sys.modules])")
+        spec = Path(__file__).resolve().parents[1] / "tables" / "squared_contrast_desk.json"
+        out = fresh_python(code, "simulate", str(spec), "--threads", "2",
+                           "--out", str(tmp_path / "sim"))
+        assert out.splitlines()[-1] == "0 []"
+
+    def test_unseeded_seed_sequences_draw_os_entropy(self):
+        code = ("import random, sys, hdnorm.rng\n"
+                "from numpy.random import SeedSequence, bit_generator\n"
+                "a, b = SeedSequence().entropy, SeedSequence().entropy\n"
+                "print(a != b, 0 <= min(a, b) < max(a, b) < 2 ** 128,\n"
+                "      isinstance(bit_generator.randbits.__self__, random.SystemRandom),\n"
+                "      'secrets' in sys.modules)")
+        assert fresh_python(code) == "True True True False"
+
+    def test_later_import_of_secrets_gets_the_real_module(self):
+        code = ("import hdnorm.rng, secrets\n"
+                "print(len(secrets.token_bytes(16)), secrets.__spec__ is not None)")
+        assert fresh_python(code) == "16 True"
+
+    def test_secrets_imported_first_is_kept(self):
+        code = ("import secrets, hdnorm.rng\n"
+                "from numpy.random import bit_generator\n"
+                "print(bit_generator.randbits is secrets.randbits)")
+        assert fresh_python(code) == "True"
+
     def test_every_public_name_resolves_after_its_submodule_loads(self):
         # hdnorm.radii is loaded first, as the CLI's imports do; no public
         # name is shadowed by a submodule, and hdnorm.radii is the module.

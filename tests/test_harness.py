@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import threading
 import time
 import tracemalloc
@@ -104,7 +105,8 @@ class TestRunExperiment:
     # Each cell cannot run: n = 2 has no normalizing constants, n = 20 no
     # quasi-range of order 11, n = 3 no IQR; a negative n or a d that the
     # covariance does not match cannot be sampled, and mixed marginals take
-    # no transport; then a method twice, no method and no replication.
+    # no transport; then a method twice, no method, no replication and a
+    # replication count that is not an integer.
     @pytest.mark.parametrize("scenario, replications, methods, message", [
         (dataclasses.replace(GOOD, n=2), 10, ("composite",), "need n >= 3, got n=2"),
         (GOOD, 10, ("composite", "quasi:11"), r"q=11 is not an integer in \[1, 10\] for n=20"),
@@ -117,8 +119,11 @@ class TestRunExperiment:
         (GOOD, 10, ("range", "range"), "cell 1 lists method 'range' twice"),
         (GOOD, 10, (), "cell 1 needs at least one method"),
         (GOOD, 0, ("composite",), "cell 1 replications must be at least 1, got 0"),
+        (GOOD, 2.5, ("composite",), r"cell 1 replications must be an integer, got 2\.5"),
+        (GOOD, True, ("composite",), "cell 1 replications must be an integer, got True"),
     ], ids=["n2", "quasi11", "n3_composite", "negative_n", "d_mismatch", "mixed_on_ar1",
-            "method_twice", "no_method", "no_replication"])
+            "method_twice", "no_method", "no_replication", "float_replications",
+            "bool_replications"])
     def test_cell_that_cannot_run_is_refused_before_any_draw(self, drawn, scenario,
                                                              replications, methods, message):
         cells = ((GOOD, 10, ("composite",)), (scenario, replications, methods))
@@ -173,6 +178,13 @@ class TestThreadResolution:
     def test_threads_below_one_rejected(self, threads):
         with pytest.raises(ValueError, match="at least one worker"):
             run_experiment(small_experiment(), threads=threads)
+
+    @pytest.mark.parametrize("threads", [1.5, 2.5, 2.0, True])
+    def test_threads_not_an_integer_rejected_before_any_draw(self, drawn, threads):
+        message = f"threads must be an integer, got {threads!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_experiment(small_experiment(), threads=threads)
+        assert drawn == []
 
 
 class TestWorkerProcesses:
