@@ -18,7 +18,7 @@ from . import _cpus
 # Before numpy loads: BLAS reads its thread count only then.
 _cpus.default_to_one_blas_thread()
 
-# rng imports numpy, numpy.random without OpenSSL first (rng._import_numpy_random).
+# rng imports numpy first, with a stand-in for secrets, so OpenSSL never loads.
 from . import rng  # noqa: E402
 import numpy as np  # noqa: E402
 from ._csvparse import load_csv, open_text

@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from numbers import Real
+from numbers import Integral, Real
 from typing import Callable, Dict, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -63,6 +63,11 @@ COV_KINDS: Dict[str, Dict[str, Optional[float]]] = {
     "geom_decay": {"rate": 0.93},
 }
 COV_PARAMS = ("rho", "density", "jitter", "rate")
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer, a bool or float not counting as one."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def _real(value, *what: str) -> float:
@@ -99,8 +104,8 @@ class CovSpec:
         if takes is None:
             raise InvalidScenarioParams(
                 f"unknown covariance kind {self.kind!r}; choose from {', '.join(COV_KINDS)}")
-        if self.d < 1:
-            raise InvalidScenarioParams(f"dimension must be positive, got {self.d}")
+        if not _is_integer(self.d) or self.d < 1:
+            raise InvalidScenarioParams(f"dimension must be a positive integer, got {self.d!r}")
         for name in COV_PARAMS:
             value = getattr(self, name)
             if value is not None and name not in takes:
@@ -356,6 +361,8 @@ def _params(s: Scenario) -> Dict[str, object]:
     also get ``t_columns``, the width of the t block.
     """
     fam, n, d = s.family, s.n, s.d
+    if not (_is_integer(n) and _is_integer(d)):
+        raise InvalidScenarioParams(f"n and d must be integers, got n={n!r} and d={d!r}")
     if n < 1 or s.cov.d != d:
         raise InvalidScenarioParams(f"need n >= 1 and a covariance of dimension d={d}, "
                                     f"got n={n} and dimension {s.cov.d}")

@@ -30,14 +30,13 @@ import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import partial
-from numbers import Integral
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import _cpus, rng
 from .errors import HdnormError
-from .generators import COV_PARAMS, CovSpec, Scenario, _params, sample_scenario
+from .generators import COV_PARAMS, CovSpec, Scenario, _is_integer, _params, sample_scenario
 from .montecarlo import (
     Band,
     McSettings,
@@ -87,11 +86,6 @@ def _check_cell(ci: int, cell: CellSpec) -> None:
             contrast(cell.scenario.n, q)  # a quasi order too large for n fails here
         if name in cell.methods[:i]:
             raise ValueError(f"cell {ci} lists method {name!r} twice")
-
-
-def _is_integer(value) -> bool:
-    """Whether ``value`` is an integer, a bool or float not counting as one."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

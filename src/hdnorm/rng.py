@@ -12,13 +12,12 @@ and the values stable across platforms.
 
 The two transforms, ``ndtri`` and ``gammaincinv``, are the only scipy
 functions the package calls, and every other module takes them from here.
-They are scipy.special's compiled ufuncs, loaded from
-``scipy.special._ufuncs`` without running the package's ``__init__``, whose
-array-API wrappers cost most of a CLI process's start-up (see ``_ufuncs``).
-They are the very objects ``scipy.special`` exports, so the values do not
-depend on how they were loaded.  ``numpy.random`` is imported without
-``secrets``, which would load OpenSSL for an entropy source that keyed streams
-never use; its stand-in supplies the same entropy (see ``_import_numpy_random``).
+They, ``Generator``, ``Philox`` and ``SeedSequence`` come from extension
+modules loaded without the ``__init__`` of ``numpy.random`` (``mtrand``,
+``MT19937``, ``SFC64``, ``_pickle``), ``scipy``, ``scipy._lib`` (``_pep440``,
+``__config__``, and ``_testutils``, which imports ``subprocess``) or
+``scipy.special`` (array-API wrappers that load ``numpy.f2py``); they are the
+very objects those packages export (see ``_import_bare``).
 """
 
 from __future__ import annotations
@@ -32,11 +31,10 @@ import types
 
 
 class _BindSubmodules:
-    """Import finder that binds ``submodules`` on scipy.special once it initialises.
+    """Import finder that runs a package ``_import_bare`` skipped, then binds on it
+    the submodules loaded under its stand-in, as a plain import binds them.
 
-    The import system binds a submodule on its package only when it loads the
-    submodule, so those that ``_ufuncs`` loaded before the package would
-    otherwise be in ``sys.modules`` but not attributes of it.
+    ``submodules`` maps each skipped package to ``{attribute: module}``.
     """
 
     def __init__(self, submodules):
@@ -44,79 +42,74 @@ class _BindSubmodules:
 
     def find_spec(self, name, path=None, target=None):
         spec = (importlib.machinery.PathFinder.find_spec(name, path, target)
-                if name == "scipy.special" else None)
+                if name in self.submodules else None)
         if spec is not None:
             exec_module = spec.loader.exec_module
 
             def exec_and_bind(module):
                 exec_module(module)
-                for key, submodule in self.submodules.items():
+                for key, submodule in self.submodules.pop(name).items():
                     vars(module).setdefault(key, submodule)
-                if self in sys.meta_path:
+                if not self.submodules and self in sys.meta_path:
                     sys.meta_path.remove(self)
 
             spec.loader.exec_module = exec_and_bind
         return spec
 
 
-def _ufuncs():
-    """scipy.special's compiled ufunc module, or the package where that is unsafe.
+def _import_bare(packages, *names):
+    """Import the modules ``names`` without running the ``__init__`` of ``packages``.
 
-    A module for the package is made from its spec but not executed, and is
-    in ``sys.modules`` only while ``scipy.special._ufuncs`` imports under it.
-    Another thread could import scipy.special in that window and get the
-    empty package, so this is done only when no other Python thread runs.
-    A later ``import scipy.special`` initialises the package in full, reuses
-    the loaded ``_ufuncs`` and gets its submodules bound (``_BindSubmodules``).
+    Each package, parents first, is a module made from its spec but not
+    executed, in ``sys.modules`` only while ``names`` import.  Another thread
+    could import it then and get the empty module, so this is a plain import
+    unless one Python thread runs and none of ``packages`` is loaded, or if a
+    package is not found.  A later import of a skipped package runs it in full
+    and binds the modules loaded under its stand-in (``_BindSubmodules``).
     """
-    if "scipy.special" not in sys.modules and threading.active_count() == 1:
+    if threading.active_count() == 1 and not any(p in sys.modules for p in packages):
+        stand_ins = {}
         try:
-            spec = importlib.util.find_spec("scipy.special")
-            package = sys.modules["scipy.special"] = importlib.util.module_from_spec(spec)
-            try:
-                ufuncs = importlib.import_module("scipy.special._ufuncs")
-            finally:
-                del sys.modules["scipy.special"]
-            sys.meta_path.insert(0, _BindSubmodules(
-                {key: value for key, value in vars(package).items()
-                 if isinstance(value, types.ModuleType)}))
-            return ufuncs
+            for package in packages:
+                spec = importlib.util.find_spec(package)
+                stand_ins[package] = sys.modules[package] = importlib.util.module_from_spec(spec)
+            return [importlib.import_module(name) for name in names]
         except (ImportError, AttributeError):
             pass
-    import scipy.special
-    return scipy.special
-
-
-def _import_numpy_random() -> None:
-    """Import ``numpy.random`` without ``secrets`` where that is safe.
-
-    ``numpy.random.bit_generator`` takes only ``randbits`` from ``secrets``, as
-    the OS entropy for a ``SeedSequence`` given none, but ``secrets`` imports
-    ``hmac`` and with it OpenSSL's libcrypto, a few MB that keyed streams never
-    use.  While numpy.random imports, ``sys.modules`` holds a stand-in whose
-    ``randbits`` is what ``secrets.randbits`` is: ``SystemRandom().getrandbits``.
-    A later ``import secrets`` loads the real module.  Another thread could
-    import ``secrets`` in that window and get the stand-in, so this is done
-    only when no other Python thread runs.
-    """
-    if ("numpy.random" not in sys.modules and "secrets" not in sys.modules
-            and threading.active_count() == 1):
-        stand_in = sys.modules["secrets"] = types.ModuleType("secrets")
-        stand_in.randbits = random.SystemRandom().getrandbits
-        try:
-            import numpy.random  # noqa: F401
         finally:
-            del sys.modules["secrets"]
+            for package in stand_ins:
+                del sys.modules[package]
+            if stand_ins:
+                sys.meta_path.insert(0, _BindSubmodules(
+                    {package: {key: value for key, value in vars(stand_in).items()
+                               if isinstance(value, types.ModuleType)}
+                     for package, stand_in in stand_ins.items()}))
+    return [importlib.import_module(name) for name in names]
 
 
-# Before numpy itself: numpy 1.x imports numpy.random when it loads.
-_import_numpy_random()
-import numpy as np  # noqa: E402
-from numpy.random import Generator, Philox, SeedSequence  # noqa: E402
+# numpy.random.bit_generator takes only ``randbits`` from ``secrets``, the OS
+# entropy for a SeedSequence given none, but secrets imports hmac and with it
+# OpenSSL.  The stand-in's ``randbits`` is ``secrets.randbits``; a later
+# ``import secrets`` loads the real module.  numpy 1.x imports numpy.random
+# with numpy itself.
+_stand_in = "secrets" not in sys.modules and threading.active_count() == 1
+if _stand_in:
+    sys.modules["secrets"] = types.ModuleType("secrets")
+    sys.modules["secrets"].randbits = random.SystemRandom().getrandbits
+try:
+    import numpy as np
+    _generator, _philox, _bit_generator = _import_bare(
+        ("numpy.random",), "numpy.random._generator", "numpy.random._philox",
+        "numpy.random.bit_generator")
+finally:
+    if _stand_in:
+        del sys.modules["secrets"]
+Generator, Philox, SeedSequence = _generator.Generator, _philox.Philox, _bit_generator.SeedSequence
 
-_special = _ufuncs()
-ndtri = _special.ndtri
-gammaincinv = _special.gammaincinv
+# After numpy.random: the process's high-water mark depends on allocation order.
+(_ufuncs,) = _import_bare(("scipy", "scipy._lib", "scipy.special"), "scipy.special._ufuncs")
+ndtri = _ufuncs.ndtri
+gammaincinv = _ufuncs.gammaincinv
 
 # Path domain tags.  Each top-level consumer of randomness uses its own tag so
 # streams never collide across subsystems.

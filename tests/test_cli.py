@@ -672,28 +672,42 @@ def test_cli_import_leaves_out_scipy_linalg_and_spatial():
 
 
 class TestUfuncLoader:
-    # After ``import hdnorm.rng``: whether the scipy.special package and its
-    # array-API wrappers are loaded; then, after ``import scipy.special``,
-    # whether hdnorm's transforms are its exports and the package works.
+    # After ``import hdnorm.rng``: which of PROBES are loaded, the packages
+    # whose __init__ hdnorm skips and what those would load; then, after
+    # plain imports of numpy.random and scipy.special, whether hdnorm's
+    # objects are their exports and the packages work.
+    PROBES = ("numpy.random", "numpy.random.mtrand", "scipy.special", "scipy._lib._array_api",
+              "scipy.__config__", "scipy._lib._testutils", "subprocess")
     REPORT = ("import hdnorm.rng\n"
-              "loaded = [m in sys.modules for m in ('scipy.special', 'scipy._lib._array_api')]\n"
-              "import scipy.special\n"
-              "print(json.dumps([loaded, scipy.special.ndtri is hdnorm.rng.ndtri,\n"
+              f"loaded = {{m: m in sys.modules for m in {PROBES!r}}}\n"
+              "import numpy.random, scipy.special\n"
+              "print(json.dumps([loaded, numpy.random.Generator is hdnorm.rng.Generator,\n"
+              "                  numpy.random.Philox is hdnorm.rng.Philox,\n"
+              "                  numpy.random.SeedSequence is hdnorm.rng.SeedSequence,\n"
+              "                  scipy.special.ndtri is hdnorm.rng.ndtri,\n"
               "                  scipy.special.gammaincinv is hdnorm.rng.gammaincinv,\n"
               "                  scipy.special._ufuncs is sys.modules['scipy.special._ufuncs'],\n"
-              "                  float(scipy.special.erf(0.0)), float(hdnorm.rng.ndtri(0.5))]))\n")
+              "                  float(scipy.special.erf(0.0)), float(hdnorm.rng.ndtri(0.5)),\n"
+              "                  int(numpy.random.default_rng(0).integers(10 ** 6))]))\n")
+    # The heavy module each skipped package's __init__ loads.
+    HEAVY = {"numpy.random": "numpy.random.mtrand", "scipy.special": "scipy._lib._array_api"}
 
     def loaded(self, setup=""):
         got = json.loads(fresh_python("import json, sys\n" + textwrap.dedent(setup)
                                       + self.REPORT))
-        assert got[1:] == [True, True, True, 0.0, 0.0]
+        assert got[1:] == [True] * 6 + [0.0, 0.0, 850624]
         return got[0]
 
     def test_alone_it_loads_only_the_ufuncs(self):
-        assert self.loaded() == [False, False]
+        # numpy 1.x imports numpy.random with numpy itself.
+        skipped = [m for m in self.PROBES
+                   if np.lib.NumpyVersion(np.__version__) >= "2.0.0"
+                   or not m.startswith("numpy.random")]
+        assert [m for m in skipped if self.loaded()[m]] == []
 
+    @pytest.mark.parametrize("package", ["numpy.random", "scipy.special"])
     @pytest.mark.parametrize("setup", [
-        "import scipy.special\n",
+        "import {package}\n",
         """\
         import threading
         stop = threading.Event()
@@ -701,30 +715,55 @@ class TestUfuncLoader:
         """,
         """\
         import importlib.util
+        find_spec = importlib.util.find_spec
         def missing(name, package=None):
-            raise ModuleNotFoundError(name)
+            if name == {package!r}:
+                raise ModuleNotFoundError(name)
+            return find_spec(name, package)
         importlib.util.find_spec = missing
         """,
-        "import importlib.util\nimportlib.util.find_spec = lambda name, package=None: None\n",
+        """\
+        import importlib.util
+        find_spec = importlib.util.find_spec
+        importlib.util.find_spec = lambda name, package=None: (
+            None if name == {package!r} else find_spec(name, package))
+        """,
     ], ids=["package_loaded", "second_thread", "find_spec_raises", "no_spec"])
-    def test_otherwise_the_package_is_imported(self, setup):
-        assert self.loaded(setup) == [True, True]
+    def test_otherwise_the_package_is_imported(self, setup, package):
+        loaded = self.loaded(setup.format(package=package))
+        assert loaded[package] and loaded[self.HEAVY[package]]
 
     def test_package_binds_its_submodules_as_a_plain_import_does(self):
-        # Whether each scipy.special.* module in sys.modules is reachable as an
-        # attribute path from the package, as the import system binds them.
-        code = ("import json, sys\n{}import scipy.special\n"
+        # Whether each numpy.random.* and scipy.* module in sys.modules is
+        # reachable as an attribute path from its top package, as the import
+        # system binds them.
+        code = ("import json, sys\n{}import numpy.random, scipy.special\n"
                 "def bound(name):\n"
-                "    obj = scipy.special\n"
-                "    for part in name.split('.')[2:]:\n"
+                "    top, *parts = name.split('.')\n"
+                "    obj = sys.modules[top]\n"
+                "    for part in parts:\n"
                 "        obj = getattr(obj, part, None)\n"
                 "    return obj is sys.modules[name]\n"
                 "print(json.dumps({{m: bound(m) for m in sys.modules\n"
-                "                  if m.startswith('scipy.special.')}}))")
+                "                  if m.startswith(('numpy.random.', 'scipy.'))}}))")
         after_rng = json.loads(fresh_python(code.format("import hdnorm.rng\n")))
         plain = json.loads(fresh_python(code.format("")))
-        assert "scipy.special._gufuncs" in plain
+        for name in ("numpy.random._pickle", "scipy._lib._ccallback", "scipy.special._gufuncs"):
+            assert name in plain
         assert after_rng == plain
+
+    def test_packages_work_after_the_loader(self):
+        # Pickling a Generator goes through numpy.random._pickle, so through
+        # the package's __init__; scipy.stats runs scipy's and scipy._lib's.
+        code = ("import pickle, hdnorm.rng\n"
+                "gen = hdnorm.rng.substream(7, 1, 2)\n"
+                "copy = pickle.loads(pickle.dumps(gen))\n"
+                "import numpy.random, scipy, scipy.stats\n"
+                "print(copy.random(4).tolist() == gen.random(4).tolist(),\n"
+                "      numpy.random.Generator is hdnorm.rng.Generator,\n"
+                "      scipy.__version__ == scipy.version.version,\n"
+                "      abs(scipy.stats.norm.ppf(0.975) - hdnorm.rng.ndtri(0.975)) < 1e-12)")
+        assert fresh_python(code) == "True True True True"
 
     def test_diagnose_in_a_fresh_process(self, null_csv, tmp_path):
         # scipy.spatial imports scipy.special in full after the ufuncs loaded.

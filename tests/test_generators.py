@@ -77,6 +77,8 @@ class TestBuildCovariance:
         {"kind": "ar1", "d": 4, "rate": 0.9, "rho": 0.5},
         {"kind": "geom_decay", "d": 4, "rate": 0.0},
         {"kind": "wishart", "d": 0},
+        {"kind": "identity", "d": 3.0},
+        {"kind": "identity", "d": True},
     ])
     def test_bad_spec_rejected_on_construction(self, kwargs):
         with pytest.raises(InvalidScenarioParams):

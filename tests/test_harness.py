@@ -103,15 +103,23 @@ class TestRunExperiment:
         assert [r.method for r in results] == ["composite", "squared"] * 2
 
     # Each cell cannot run: n = 2 has no normalizing constants, n = 20 no
-    # quasi-range of order 11, n = 3 no IQR; a negative n or a d that the
-    # covariance does not match cannot be sampled, and mixed marginals take
-    # no transport; then a method twice, no method, no replication and a
-    # replication count that is not an integer.
+    # quasi-range of order 11, n = 3 no IQR; a negative n, an n or d that is
+    # a float or a bool, or a d that the covariance does not match cannot be
+    # sampled, and mixed marginals take no transport; then a method twice, no
+    # method, no replication and a replication count that is not an integer.
     @pytest.mark.parametrize("scenario, replications, methods, message", [
         (dataclasses.replace(GOOD, n=2), 10, ("composite",), "need n >= 3, got n=2"),
         (GOOD, 10, ("composite", "quasi:11"), r"q=11 is not an integer in \[1, 10\] for n=20"),
         (dataclasses.replace(GOOD, n=3), 10, ("composite",), "IQR statistic needs n >= 4"),
         (dataclasses.replace(GOOD, n=-5), 10, ("composite",), "need n >= 1"),
+        (dataclasses.replace(GOOD, n=20.0), 10, ("composite",),
+         r"n and d must be integers, got n=20\.0 and d=10"),
+        (dataclasses.replace(GOOD, n=True), 10, ("composite",),
+         "n and d must be integers, got n=True and d=10"),
+        (dataclasses.replace(GOOD, d=10.0), 10, ("composite",),
+         r"n and d must be integers, got n=20 and d=10\.0"),
+        (dataclasses.replace(GOOD, d=True), 10, ("composite",),
+         "n and d must be integers, got n=20 and d=True"),
         (dataclasses.replace(GOOD, cov=CovSpec("identity", 5)), 10, ("composite",),
          "covariance of dimension d=10, got n=20 and dimension 5"),
         (Scenario("mixed_marginals", 20, 10, CovSpec("ar1", 10, rho=0.5)), 10, ("composite",),
@@ -121,16 +129,17 @@ class TestRunExperiment:
         (GOOD, 0, ("composite",), "cell 1 replications must be at least 1, got 0"),
         (GOOD, 2.5, ("composite",), r"cell 1 replications must be an integer, got 2\.5"),
         (GOOD, True, ("composite",), "cell 1 replications must be an integer, got True"),
-    ], ids=["n2", "quasi11", "n3_composite", "negative_n", "d_mismatch", "mixed_on_ar1",
-            "method_twice", "no_method", "no_replication", "float_replications",
-            "bool_replications"])
+    ], ids=["n2", "quasi11", "n3_composite", "negative_n", "float_n", "bool_n", "float_d",
+            "bool_d", "d_mismatch", "mixed_on_ar1", "method_twice", "no_method",
+            "no_replication", "float_replications", "bool_replications"])
     def test_cell_that_cannot_run_is_refused_before_any_draw(self, drawn, scenario,
                                                              replications, methods, message):
         cells = ((GOOD, 10, ("composite",)), (scenario, replications, methods))
         with pytest.raises((HdnormError, ValueError), match=message):
             Experiment(name="bad", seed=3, alpha=0.05, mc_replications=500,
                        cells=tuple(CellSpec(*cell) for cell in cells))
-        if scenario.n >= 4 and methods:  # a spec can hold this cell: the same check refuses it
+        # A spec can hold this cell (it reads 20.0 as 20): the same check refuses it.
+        if type(scenario.n) is type(scenario.d) is int and scenario.n >= 4 and methods:
             doc = {"cells": [{"scenario": scenario_to_json(s), "replications": r,
                               "methods": list(m)} for s, r, m in cells]}
             with pytest.raises((HdnormError, ValueError), match=message):
