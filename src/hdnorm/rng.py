@@ -63,8 +63,8 @@ def _import_bare(packages, *names):
     Each package, parents first, is a module made from its spec but not
     executed, in ``sys.modules`` only while ``names`` import.  Another thread
     could import it then and get the empty module, so this is a plain import
-    unless one Python thread runs and none of ``packages`` is loaded, or if a
-    package is not found.  A later import of a skipped package runs it in full
+    unless one Python thread runs and none of ``packages`` is loaded, or if the
+    bare load fails.  A later import of a skipped package runs it in full
     and binds the modules loaded under its stand-in (``_BindSubmodules``).
     """
     if threading.active_count() == 1 and not any(p in sys.modules for p in packages):
