@@ -165,6 +165,8 @@ def _write_csv(path: Path, header: str, columns) -> None:
 
 
 def cmd_diagnose(args) -> int:
+    if args.seed < 0:  # before any file is read or written, on both distance paths
+        raise ValueError(f"seed must be non-negative, got {args.seed}")
     outdir = _writable(Path(args.out), folder=True)
     X = _load_matrix(args.file, args.header)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -100,12 +100,15 @@ class CovSpec:
     seed: int = 0
 
     def __post_init__(self):
-        takes = COV_KINDS.get(self.kind)
+        takes = COV_KINDS.get(self.kind) if isinstance(self.kind, str) else None
         if takes is None:
             raise InvalidScenarioParams(
                 f"unknown covariance kind {self.kind!r}; choose from {', '.join(COV_KINDS)}")
         if not _is_integer(self.d) or self.d < 1:
-            raise InvalidScenarioParams(f"dimension must be a positive integer, got {self.d!r}")
+            raise InvalidScenarioParams(f"covariance d must be a positive integer, got {self.d!r}")
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise InvalidScenarioParams(
+                f"covariance seed must be a non-negative integer, got {self.seed!r}")
         for name in COV_PARAMS:
             value = getattr(self, name)
             if value is not None and name not in takes:
@@ -366,7 +369,7 @@ def _params(s: Scenario) -> Dict[str, object]:
     if n < 1 or s.cov.d != d:
         raise InvalidScenarioParams(f"need n >= 1 and a covariance of dimension d={d}, "
                                     f"got n={n} and dimension {s.cov.d}")
-    if fam not in FAMILIES:
+    if not isinstance(fam, str) or fam not in FAMILIES:
         raise InvalidScenarioParams(
             f"unknown scenario family {fam!r}; choose from {', '.join(FAMILIES)}")
     given, p = dict(s.params), {}

@@ -7,8 +7,9 @@ count and one or more decision methods, named as in the one method table
 data draws).  Replication r of cell c draws its data from the substream keyed
 by (master seed, c, r), and the Monte-Carlo bands of cell c are keyed by
 (master seed, c), so results are independent of how the work is partitioned
-across worker processes.  An ``Experiment`` refuses a cell that cannot run
-when it is built, so a cell's failures count only replications that failed
+across worker processes.  Each object checks its values when it is built,
+so every cell of an ``Experiment`` can run, and the spec reader only reads
+JSON.  A cell's failures count the replications whose sample or moments failed
 numerically.  Every band a cell's methods need is built once, in the calling
 process, before any work unit runs; each unit carries its cell's settings,
 resolved methods and finished bands, so workers never draw a null sample or
@@ -35,8 +36,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _cpus, rng
-from .errors import HdnormError
+from .errors import HdnormError, TooFewSamples
 from .generators import COV_PARAMS, CovSpec, Scenario, _is_integer, _params, sample_scenario
+from .moments import MIN_N
 from .montecarlo import (
     Band,
     McSettings,
@@ -79,13 +81,15 @@ def _check_cell(ci: int, cell: CellSpec) -> None:
         raise ValueError(f"cell {ci} replications must be an integer, got {cell.replications!r}")
     if cell.replications < 1:
         raise ValueError(f"cell {ci} replications must be at least 1, got {cell.replications!r}")
-    if not cell.methods:
-        raise ValueError(f"cell {ci} needs at least one method")
+    if not isinstance(cell.methods, (tuple, list)) or not cell.methods:
+        raise ValueError(f"cell {ci} methods must be a non-empty list, got {cell.methods!r}")
     for i, name in enumerate(cell.methods):
         for q in lookup_method(name).orders:
             contrast(cell.scenario.n, q)  # a quasi order too large for n fails here
         if name in cell.methods[:i]:
             raise ValueError(f"cell {ci} lists method {name!r} twice")
+    if cell.scenario.n < MIN_N:  # after the methods, so that each names its own bound first
+        raise TooFewSamples(f"cell {ci} needs n >= {MIN_N} for the moments, got {cell.scenario.n}")
 
 
 @dataclass(frozen=True)
@@ -128,11 +132,11 @@ def _cell_bands(exp: Experiment) -> List[CellBands]:
 
 
 def _run_unit(exp: Experiment, cell_index: int, lo: int, hi: int, cell_bands: CellBands):
-    """Run replications [lo, hi) of one cell against its bands; returns per-method tallies."""
+    """Run replications [lo, hi) of one cell against its bands; returns the rejections
+    per method and the count of replications whose sample or moments failed."""
     cell = exp.cells[cell_index]
     settings, methods = cell_bands
-    rejections = dict.fromkeys(methods, 0)
-    failures = dict.fromkeys(methods, 0)
+    rejections, failures = dict.fromkeys(methods, 0), 0
     start = time.perf_counter()
     # Every replication draws into these and centres its sample in place.
     buffers = np.empty((2, cell.scenario.n, cell.scenario.d))
@@ -142,14 +146,10 @@ def _run_unit(exp: Experiment, cell_index: int, lo: int, hi: int, cell_bands: Ce
             X = sample_scenario(cell.scenario, gen, buffers)
             rs = radial_summary(X, out=X.values)
         except HdnormError:
-            for m in methods:
-                failures[m] += 1
+            failures += 1
             continue
         for m, (method, bands) in methods.items():
-            try:
-                rejections[m] += composite_from_summary(rs, settings, method, bands).reject
-            except HdnormError:
-                failures[m] += 1
+            rejections[m] += composite_from_summary(rs, settings, method, bands).reject
     return cell_index, rejections, failures, time.perf_counter() - start
 
 
@@ -164,9 +164,9 @@ def run_experiment(exp: Experiment, threads: Optional[int] = None) -> List[CellR
     ``if __name__ == "__main__":`` guard.  The cells' Monte-Carlo bands are
     built here first, and each work unit carries its cell's.
 
-    Every cell can run, as its ``Experiment`` checked; a replication that fails
-    numerically is tallied as a failure rather than aborting the sweep, and the
-    empirical rate is taken over the completed replications.
+    Every cell can run, as its ``Experiment`` checked; a replication whose
+    sample or moments fail is tallied as a failure rather than aborting the
+    sweep, and the empirical rate is taken over the completed replications.
     """
     cpus = _cpus.usable_cpus()
     if threads is None:
@@ -184,7 +184,7 @@ def run_experiment(exp: Experiment, threads: Optional[int] = None) -> List[CellR
     units = [(ci, lo, hi, bands[ci]) for ci, lo, hi in units]
 
     rejections: Dict[int, Counter] = defaultdict(Counter)
-    failures: Dict[int, Counter] = defaultdict(Counter)
+    failures: Dict[int, int] = defaultdict(int)
     elapsed: Dict[int, float] = defaultdict(float)
     workers = _cpus.worker_count(threads, len(units), cpus)
     if workers == 1:
@@ -193,13 +193,13 @@ def run_experiment(exp: Experiment, threads: Optional[int] = None) -> List[CellR
         outcomes = _cpus.process_map(partial(_run_unit, exp), units, workers)
     for ci, rej, fail, dt in outcomes:
         rejections[ci].update(rej)
-        failures[ci].update(fail)
+        failures[ci] += fail
         elapsed[ci] += dt
 
     results: List[CellResult] = []
     for ci, cell in enumerate(exp.cells):
         for m in cell.methods:
-            done = cell.replications - failures[ci][m]
+            done = cell.replications - failures[ci]
             rate = rejections[ci][m] / done if done > 0 else float("nan")
             lo, hi = binomial_ci(rejections[ci][m], done) if done > 0 else (float("nan"),) * 2
             results.append(CellResult(
@@ -208,7 +208,7 @@ def run_experiment(exp: Experiment, threads: Optional[int] = None) -> List[CellR
                 method=m,
                 replications=cell.replications,
                 rejections=rejections[ci][m],
-                failures=failures[ci][m],
+                failures=failures[ci],
                 rate=rate,
                 ci_low=lo,
                 ci_high=hi,
@@ -277,27 +277,16 @@ def _check_keys(doc, kind: str, what: str) -> None:
         raise ValueError(f"{what} has unknown key {unknown[0]!r}")
 
 
-def _integer(doc: Mapping, key: str, minimum: int, default=None, what: str = "") -> int:
-    """``doc[key]``, else ``default``, as the schema reads an integer: a number with
-    no fraction, not a bool, of at least ``minimum``; else ``ValueError`` naming ``what``."""
-    value, what = doc.get(key, default), what or key
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if not _is_integer(value):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    if value < minimum:
-        bound = "non-negative" if minimum == 0 else f"at least {minimum}"
-        raise ValueError(f"{what} must be {bound}, got {value!r}")
-    return value
+def _read(doc: Mapping, key: str, default=None):
+    """``doc[key]``, else ``default``, with a number of no fraction read as an int,
+    as the schema's "integer" reads one (40.0 as 40); the object built checks it."""
+    value = doc.get(key, default)
+    return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
 def cov_from_json(doc: Mapping) -> CovSpec:
     _check_keys(doc, "cov", "covariance spec")
-    kind = doc.get("kind")
-    if not isinstance(kind, str):
-        raise ValueError(f"covariance spec needs a string 'kind': {doc}")
-    return CovSpec(kind=kind, d=_integer(doc, "d", 1, what="covariance d"),
-                   seed=_integer(doc, "seed", 0, 0, what="covariance seed"),
+    return CovSpec(kind=doc.get("kind"), d=_read(doc, "d"), seed=_read(doc, "seed", 0),
                    **{k: doc[k] for k in COV_PARAMS if k in doc})
 
 
@@ -318,15 +307,10 @@ def scenario_from_json(doc: Mapping) -> Scenario:
     if not isinstance(params, Mapping):
         raise ValueError(f"scenario params must be an object, got {params!r}")
     params = dict(params)
-    if "weights" in params:
+    if isinstance(params.get("weights"), list):
         params["weights"] = tuple(params["weights"])  # as a Scenario built in Python holds them
-    return Scenario(
-        family=str(doc["family"]),
-        n=_integer(doc, "n", 4, what="scenario n"),
-        d=_integer(doc, "d", 1, what="scenario d"),
-        cov=cov_from_json(doc["cov"]),
-        params=params,
-    )
+    return Scenario(family=doc["family"], n=_read(doc, "n"), d=_read(doc, "d"),
+                    cov=cov_from_json(doc["cov"]), params=params)
 
 
 def scenario_to_json(s: Scenario) -> dict:
@@ -341,23 +325,25 @@ def experiment_from_json(doc: Mapping) -> Experiment:
     cells_doc = doc.get("cells")
     if not cells_doc:
         raise ValueError("empty grid: experiment needs at least one cell")
-    default_reps = _integer(doc, "replications", 1, 1000)
+    # The one bound read here: no object holds the default when every cell sets its own.
+    default_reps = _read(doc, "replications", 1000)
+    if not _is_integer(default_reps):
+        raise ValueError(f"replications must be an integer, got {default_reps!r}")
+    if default_reps < 1:
+        raise ValueError(f"replications must be at least 1, got {default_reps!r}")
     cells = []
     for ci, cell_doc in enumerate(cells_doc):
         _check_keys(cell_doc, "cell", f"cell {ci}")
         methods = cell_doc.get("methods", ["composite"])
-        if not isinstance(methods, list) or not methods:
-            raise ValueError(f"cell {ci} methods must be a non-empty list, got {methods!r}")
         cells.append(CellSpec(
             scenario=scenario_from_json(cell_doc["scenario"]),
-            replications=_integer(cell_doc, "replications", 1, default_reps,
-                                  what=f"cell {ci} replications"),
-            methods=tuple(methods),
+            replications=_read(cell_doc, "replications", default_reps),
+            methods=tuple(methods) if isinstance(methods, list) else methods,
         ))
     return Experiment(
         name=str(doc.get("name", "experiment")),
-        seed=_integer(doc, "seed", 0, 0),
+        seed=_read(doc, "seed", 0),
         alpha=doc.get("alpha", McSettings.alpha),
-        mc_replications=_integer(doc, "mc_replications", 100, McSettings.replications),
+        mc_replications=_read(doc, "mc_replications", McSettings.replications),
         cells=tuple(cells),
     )

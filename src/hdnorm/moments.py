@@ -18,6 +18,9 @@ import numpy as np
 
 from .errors import NonFiniteData, NonPositiveDispersion, TooFewSamples
 
+#: The fewest rows the moment estimators take: tr(Sigma^2)-hat divides by (n - 2)(n - 3).
+MIN_N = 4
+
 
 @dataclass(frozen=True)
 class DataMatrix:
@@ -75,11 +78,11 @@ class _Moments:
     def traces(self) -> tuple:
         """tr of the sample covariance and the unbiased tr(Sigma^2) estimate.
 
-        The estimate divides by (n - 2)(n - 3), so it needs n >= 4.
+        The estimate divides by (n - 2)(n - 3), so it needs n >= ``MIN_N``.
         """
         n = len(self.sq_radii)
-        if n < 4:
-            raise TooFewSamples(f"the moment estimators need n >= 4, got n={n}")
+        if n < MIN_N:
+            raise TooFewSamples(f"the moment estimators need n >= {MIN_N}, got n={n}")
         tr1 = self.trace / (n - 1)
         tr2 = self.trace_sq / (n - 1) ** 2
         return tr1, (n - 1) / (n * (n - 2) * (n - 3)) * (

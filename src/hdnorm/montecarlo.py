@@ -60,11 +60,12 @@ class McSettings:
     alpha: float = 0.05
 
     def __post_init__(self):
-        for name, kind in (("replications", Integral), ("seed", Integral), ("alpha", Real)):
+        for name, label, kind in (("replications", "Monte-Carlo replications", Integral),
+                                  ("seed", "seed", Integral), ("alpha", "alpha", Real)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, kind):
                 what = "an integer" if kind is Integral else "a real number"
-                raise ValueError(f"{name} must be {what}, got {value!r}")
+                raise ValueError(f"{label} must be {what}, got {value!r}")
         if self.replications < 100:
             raise ValueError(f"need at least 100 Monte-Carlo replications, got {self.replications}")
         if not 0.0 < self.alpha < 1.0:

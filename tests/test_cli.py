@@ -341,6 +341,15 @@ class TestCmdDiagnose:
         all_lines = (tmp_path / "d2" / "interpoint.csv").read_text().strip().split("\n")
         assert len(all_lines) == 40 * 39 // 2 + 1
 
+    @pytest.mark.parametrize("options", [[], ["--max-pairs", "100"]], ids=["all", "sampled"])
+    def test_negative_seed_exits_one_before_any_output(self, tmp_path, capsys, options):
+        # Only the sampled path draws with the seed; both refuse it before any file is written.
+        path = write_csv(tmp_path / "x.csv", gaussian_data(603, 40, 6).values)
+        out = tmp_path / "d"
+        assert main(["diagnose", str(path), "--seed", "-1", "--out", str(out), *options]) == 1
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_reservoir_values_are_true_distances(self, tmp_path):
         X = gaussian_data(602, 25, 4)
         path = write_csv(tmp_path / "y.csv", X.values)
@@ -516,6 +525,7 @@ class TestCmdSimulate:
         ("chisq_marginals", {"standardize": "false"}, "standardize must be true or false"),
         ("chisq_marginals", {"dof": True}, "dof must be a number, got True"),
         ("loc_mixture", {"weights": [0.5, "0.5"]}, "weights must be a number, got '0.5'"),
+        ("loc_mixture", {"weights": 5}, "loc_mixture weights must be a list of numbers, got 5"),
         ("multivariate_t", {"dof": 10 ** 400}, "multivariate_t dof is too large for a float"),
         ("multivariate_t", {"dof_exponent": 1000}, "dof at d=20 is too large for a float"),
         ("multivariate_t", {"dof_coeff": 1e308}, "multivariate_t dof must be finite, got inf"),
@@ -549,15 +559,15 @@ class TestCmdSimulate:
         ("experiment", "alpha", 1.5, "alpha must lie in (0, 1)"),
         ("experiment", "seed", 1.9, "seed must be an integer, got 1.9"),
         ("experiment", "seed", True, "seed must be an integer, got True"),
-        ("experiment", "mc_replications", 500.9, "mc_replications must be an integer"),
+        ("experiment", "mc_replications", 500.9, "Monte-Carlo replications must be an integer"),
         ("experiment", "replications", 0, "replications must be at least 1"),
         ("cell", "replications", 3.5, "cell 1 replications must be an integer"),
         ("cell", "replications", 0, "cell 1 replications must be at least 1"),
-        ("scenario", "n", 20.7, "scenario n must be an integer"),
-        ("scenario", "n", 3, "scenario n must be at least 4"),
-        ("scenario", "d", "20", "scenario d must be an integer"),
-        ("cov", "d", 20.5, "covariance d must be an integer"),
-        ("cov", "seed", -1, "covariance seed must be non-negative"),
+        ("scenario", "n", 20.7, "n and d must be integers, got n=20.7"),
+        ("scenario", "n", 3, "IQR statistic needs n >= 4, got n=3"),
+        ("scenario", "d", "20", "n and d must be integers, got n=40 and d='20'"),
+        ("cov", "d", 20.5, "covariance d must be a positive integer, got 20.5"),
+        ("cov", "seed", -1, "covariance seed must be a non-negative integer, got -1"),
         ("scenario", "cov", {"kind": "geom_decay", "d": 20, "rate": "0.9"},
          "geom_decay rate must be a number, got '0.9'"),
         ("experiment", "alpha", "0.05", "alpha must be a real number, got '0.05'"),

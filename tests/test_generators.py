@@ -79,6 +79,11 @@ class TestBuildCovariance:
         {"kind": "wishart", "d": 0},
         {"kind": "identity", "d": 3.0},
         {"kind": "identity", "d": True},
+        {"kind": "wishart", "d": 4, "seed": -1},
+        {"kind": "wishart", "d": 4, "seed": 2.5},
+        {"kind": "sparse_random", "d": 4, "seed": True},
+        {"kind": ["identity"], "d": 4},
+        {"kind": None, "d": 4},
     ])
     def test_bad_spec_rejected_on_construction(self, kwargs):
         with pytest.raises(InvalidScenarioParams):

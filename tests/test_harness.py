@@ -96,54 +96,64 @@ class TestRunExperiment:
         ci, rejections, failures, _ = _run_unit(exp, 1, 0, exp.cells[1].replications, bands)
         assert ci == 1
         assert rejections["composite"] == full[1].rejections
-        assert failures["composite"] == full[1].failures
+        assert failures == full[1].failures
 
     def test_methods_share_draws(self):
         results = run_experiment(small_experiment(methods=("composite", "squared")), threads=2)
         assert [r.method for r in results] == ["composite", "squared"] * 2
 
     # Each cell cannot run: n = 2 has no normalizing constants, n = 20 no
-    # quasi-range of order 11, n = 3 no IQR; a negative n, an n or d that is
-    # a float or a bool, or a d that the covariance does not match cannot be
-    # sampled, and mixed marginals take no transport; then a method twice, no
-    # method, no replication and a replication count that is not an integer.
-    @pytest.mark.parametrize("scenario, replications, methods, message", [
-        (dataclasses.replace(GOOD, n=2), 10, ("composite",), "need n >= 3, got n=2"),
-        (GOOD, 10, ("composite", "quasi:11"), r"q=11 is not an integer in \[1, 10\] for n=20"),
-        (dataclasses.replace(GOOD, n=3), 10, ("composite",), "IQR statistic needs n >= 4"),
-        (dataclasses.replace(GOOD, n=-5), 10, ("composite",), "need n >= 1"),
-        (dataclasses.replace(GOOD, n=20.0), 10, ("composite",),
-         r"n and d must be integers, got n=20\.0 and d=10"),
-        (dataclasses.replace(GOOD, n=True), 10, ("composite",),
-         "n and d must be integers, got n=True and d=10"),
-        (dataclasses.replace(GOOD, d=10.0), 10, ("composite",),
-         r"n and d must be integers, got n=20 and d=10\.0"),
-        (dataclasses.replace(GOOD, d=True), 10, ("composite",),
-         "n and d must be integers, got n=20 and d=True"),
-        (dataclasses.replace(GOOD, cov=CovSpec("identity", 5)), 10, ("composite",),
+    # quasi-range of order 11, n = 3 no IQR and, for the range alone, no
+    # moment estimates; a negative n, an n or d that is a float or a bool, a d
+    # that the covariance does not match, a covariance seed that is negative or
+    # not an integer, or a kind that is not a string cannot be sampled, and
+    # mixed marginals take no transport; then a method twice, no method, no
+    # replication and a replication count that is not an integer.  Each case
+    # changes the second cell's scenario, written as its spec object.
+    @pytest.mark.parametrize("changes, replications, methods, message", [
+        ({"n": 2}, 10, ("composite",), "need n >= 3, got n=2"),
+        ({}, 10, ("composite", "quasi:11"), r"q=11 is not an integer in \[1, 10\] for n=20"),
+        ({"n": 3}, 10, ("composite",), "IQR statistic needs n >= 4"),
+        ({"n": 3}, 10, ("range",), "cell 1 needs n >= 4 for the moments, got 3"),
+        ({"n": -5}, 10, ("composite",), "need n >= 1"),
+        ({"n": 20.0}, 10, ("composite",), r"n and d must be integers, got n=20\.0 and d=10"),
+        ({"n": True}, 10, ("composite",), "n and d must be integers, got n=True and d=10"),
+        ({"d": 10.0}, 10, ("composite",), r"n and d must be integers, got n=20 and d=10\.0"),
+        ({"d": True}, 10, ("composite",), "n and d must be integers, got n=20 and d=True"),
+        ({"cov": {"kind": "identity", "d": 5}}, 10, ("composite",),
          "covariance of dimension d=10, got n=20 and dimension 5"),
-        (Scenario("mixed_marginals", 20, 10, CovSpec("ar1", 10, rho=0.5)), 10, ("composite",),
-         "mixed_marginals draws untransported coordinates"),
-        (GOOD, 10, ("range", "range"), "cell 1 lists method 'range' twice"),
-        (GOOD, 10, (), "cell 1 needs at least one method"),
-        (GOOD, 0, ("composite",), "cell 1 replications must be at least 1, got 0"),
-        (GOOD, 2.5, ("composite",), r"cell 1 replications must be an integer, got 2\.5"),
-        (GOOD, True, ("composite",), "cell 1 replications must be an integer, got True"),
-    ], ids=["n2", "quasi11", "n3_composite", "negative_n", "float_n", "bool_n", "float_d",
-            "bool_d", "d_mismatch", "mixed_on_ar1", "method_twice", "no_method",
-            "no_replication", "float_replications", "bool_replications"])
-    def test_cell_that_cannot_run_is_refused_before_any_draw(self, drawn, scenario,
+        ({"cov": {"kind": "wishart", "d": 10, "seed": -1}}, 10, ("composite",),
+         "covariance seed must be a non-negative integer, got -1"),
+        ({"cov": {"kind": "wishart", "d": 10, "seed": 2.5}}, 10, ("composite",),
+         r"covariance seed must be a non-negative integer, got 2\.5"),
+        ({"cov": {"kind": ["identity"], "d": 10}}, 10, ("composite",),
+         r"unknown covariance kind \['identity'\]"),
+        ({"family": "mixed_marginals", "cov": {"kind": "ar1", "d": 10, "rho": 0.5}}, 10,
+         ("composite",), "mixed_marginals draws untransported coordinates"),
+        ({}, 10, ("range", "range"), "cell 1 lists method 'range' twice"),
+        ({}, 10, (), r"cell 1 methods must be a non-empty list, got \(\)"),
+        ({}, 0, ("composite",), "cell 1 replications must be at least 1, got 0"),
+        ({}, 2.5, ("composite",), r"cell 1 replications must be an integer, got 2\.5"),
+        ({}, True, ("composite",), "cell 1 replications must be an integer, got True"),
+    ], ids=["n2", "quasi11", "n3_composite", "n3_range", "negative_n", "float_n", "bool_n",
+            "float_d", "bool_d", "d_mismatch", "negative_cov_seed", "float_cov_seed",
+            "list_kind", "mixed_on_ar1", "method_twice", "no_method", "no_replication",
+            "float_replications", "bool_replications"])
+    def test_cell_that_cannot_run_is_refused_before_any_draw(self, drawn, changes,
                                                              replications, methods, message):
-        cells = ((GOOD, 10, ("composite",)), (scenario, replications, methods))
+        doc = {**scenario_to_json(GOOD), **changes}
         with pytest.raises((HdnormError, ValueError), match=message):
+            scenario = Scenario(**{**doc, "cov": CovSpec(**doc["cov"])})
             Experiment(name="bad", seed=3, alpha=0.05, mc_replications=500,
-                       cells=tuple(CellSpec(*cell) for cell in cells))
-        # A spec can hold this cell (it reads 20.0 as 20): the same check refuses it.
-        if type(scenario.n) is type(scenario.d) is int and scenario.n >= 4 and methods:
-            doc = {"cells": [{"scenario": scenario_to_json(s), "replications": r,
-                              "methods": list(m)} for s, r, m in cells]}
+                       cells=(CellSpec(GOOD, 10), CellSpec(scenario, replications, methods)))
+        # The spec reader refuses the same cell with the same message, but for
+        # an integral float, which a spec reads as an int (20.0 as 20).
+        if not any(type(doc[k]) is float and doc[k].is_integer() for k in ("n", "d")):
+            spec = {"cells": [{"scenario": scenario_to_json(GOOD), "replications": 10},
+                              {"scenario": doc, "replications": replications,
+                               "methods": list(methods)}]}
             with pytest.raises((HdnormError, ValueError), match=message):
-                experiment_from_json(doc)
+                experiment_from_json(json.loads(json.dumps(spec)))
         assert drawn == []
 
     def test_overflowing_sampler_counts_failures(self):
@@ -320,7 +330,7 @@ class TestReplicationMemory:
             marks.append(tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
-        assert failures == {"composite": 0} and len(marks) == 5
+        assert failures == 0 and len(marks) == 5
         # Replication r runs from mark r to mark r + 1.
         growth = [marks[r + 1][1] - marks[r][0] for r in range(1, 4)]
         assert max(growth) < n * d * 8
