@@ -182,7 +182,7 @@ def cmd_diagnose(args) -> int:
         sorted_radii = rs.sorted_radii
         positions = ndtri((np.arange(1, X.n + 1) - 0.5) / X.n)
         _write_csv(outdir / "qq.csv", "position,standardized_radius",
-                   [positions, np.sort(rs.standardized)])
+                   [positions, rs.standardized])
         wrote_qq = True
     _write_csv(outdir / "radii.csv", "radius", [sorted_radii])
 
@@ -206,7 +206,7 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"{args.spec} is not valid JSON: {exc}")
     try:
         exp = experiment_from_json(doc)
-    except (ValueError, KeyError, TypeError, HdnormError) as exc:
+    except (ValueError, HdnormError) as exc:
         raise ValueError(f"bad experiment spec: {exc}")
 
     # An unwritable --out fails before any work.

@@ -366,6 +366,7 @@ def _params(s: Scenario) -> Dict[str, object]:
     fam, n, d = s.family, s.n, s.d
     if not (_is_integer(n) and _is_integer(d)):
         raise InvalidScenarioParams(f"n and d must be integers, got n={n!r} and d={d!r}")
+    _real(n, "n"), _real(d, "d")  # each refused if too large for a float
     if n < 1 or s.cov.d != d:
         raise InvalidScenarioParams(f"need n >= 1 and a covariance of dimension d={d}, "
                                     f"got n={n} and dimension {s.cov.d}")

@@ -9,11 +9,12 @@ by (master seed, c, r), and the Monte-Carlo bands of cell c are keyed by
 (master seed, c), so results are independent of how the work is partitioned
 across worker processes.  Each object checks its values when it is built,
 so every cell of an ``Experiment`` can run, and the spec reader only reads
-JSON.  A cell's failures count the replications whose sample or moments failed
-numerically.  Every band a cell's methods need is built once, in the calling
-process, before any work unit runs; each unit carries its cell's settings,
-resolved methods and finished bands, so workers never draw a null sample or
-look a method up themselves.
+JSON, taking each object's keys from the shipped schema.  A cell's failures
+count the replications whose sample or moments failed numerically.  Every
+band a cell's methods need is built once, in the calling process, before any
+work unit runs; each unit carries its cell's settings, resolved methods and
+finished bands, so workers never draw a null sample or look a method up
+themselves.
 
 With more than one worker, work units run in worker processes, each with BLAS
 limited to one thread, so that workers neither contend for the interpreter
@@ -30,7 +31,8 @@ import math
 import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
+from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -68,6 +70,8 @@ class Experiment:
     cells: Tuple[CellSpec, ...]
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"experiment name must be a string, got {self.name!r}")
         for ci, cell in enumerate(self.cells):
             _check_cell(ci, cell)
         McSettings(self.mc_replications, self.seed, self.alpha)  # raises on bad settings
@@ -259,22 +263,26 @@ def results_jsonl(results: Sequence[CellResult]) -> str:
 
 # --- JSON (de)serialization of experiment specifications -------------------
 
-# The keys each object of an experiment spec may hold, as its JSON schema lists them.
-SPEC_KEYS = {
-    "experiment": ("name", "seed", "alpha", "mc_replications", "replications", "cells"),
-    "cell": ("scenario", "replications", "methods"),
-    "scenario": ("family", "n", "d", "cov", "params"),
-    "cov": ("kind", "d", "seed", *COV_PARAMS),
-}
+@lru_cache(maxsize=1)
+def _schema_nodes() -> Dict[str, Mapping]:
+    """Each spec object's node of the shipped schema, read once: its allowed and required keys."""
+    schema = json.loads((Path(__file__).parent / "schemas/experiment-v1.schema.json").read_bytes())
+    return {"experiment": schema, "cell": schema["properties"]["cells"]["items"],
+            "scenario": schema["$defs"]["scenario"], "cov": schema["$defs"]["cov"]}
 
 
 def _check_keys(doc, kind: str, what: str) -> None:
-    """Reject a spec object that is not a JSON object or holds a key outside SPEC_KEYS."""
+    """Refuse a spec object that is not a JSON object, or holds a key its schema
+    node does not list, or lacks one the node requires."""
     if not isinstance(doc, Mapping):
         raise ValueError(f"{what} must be a JSON object, got {doc!r}")
-    unknown = sorted(set(doc) - set(SPEC_KEYS[kind]))
+    node = _schema_nodes()[kind]
+    unknown = sorted(set(doc) - set(node["properties"]))
     if unknown:
         raise ValueError(f"{what} has unknown key {unknown[0]!r}")
+    for key in node["required"]:
+        if key not in doc:
+            raise ValueError(f"{what} is missing {key!r}")
 
 
 def _read(doc: Mapping, key: str, default=None):
@@ -286,7 +294,7 @@ def _read(doc: Mapping, key: str, default=None):
 
 def cov_from_json(doc: Mapping) -> CovSpec:
     _check_keys(doc, "cov", "covariance spec")
-    return CovSpec(kind=doc.get("kind"), d=_read(doc, "d"), seed=_read(doc, "seed", 0),
+    return CovSpec(kind=doc["kind"], d=_read(doc, "d"), seed=_read(doc, "seed", 0),
                    **{k: doc[k] for k in COV_PARAMS if k in doc})
 
 
@@ -300,9 +308,6 @@ def cov_to_json(spec: CovSpec) -> dict:
 
 def scenario_from_json(doc: Mapping) -> Scenario:
     _check_keys(doc, "scenario", "scenario")
-    for key in ("family", "n", "d", "cov"):
-        if key not in doc:
-            raise ValueError(f"scenario is missing {key!r}: {doc}")
     params = doc.get("params", {})
     if not isinstance(params, Mapping):
         raise ValueError(f"scenario params must be an object, got {params!r}")
@@ -322,9 +327,9 @@ def scenario_to_json(s: Scenario) -> dict:
 
 def experiment_from_json(doc: Mapping) -> Experiment:
     _check_keys(doc, "experiment", "experiment")
-    cells_doc = doc.get("cells")
-    if not cells_doc:
-        raise ValueError("empty grid: experiment needs at least one cell")
+    cells_doc = doc["cells"]
+    if not isinstance(cells_doc, list) or not cells_doc:
+        raise ValueError(f"empty grid: cells must be a non-empty list, got {cells_doc!r}")
     # The one bound read here: no object holds the default when every cell sets its own.
     default_reps = _read(doc, "replications", 1000)
     if not _is_integer(default_reps):
@@ -341,7 +346,7 @@ def experiment_from_json(doc: Mapping) -> Experiment:
             methods=tuple(methods) if isinstance(methods, list) else methods,
         ))
     return Experiment(
-        name=str(doc.get("name", "experiment")),
+        name=doc.get("name", "experiment"),
         seed=_read(doc, "seed", 0),
         alpha=doc.get("alpha", McSettings.alpha),
         mc_replications=_read(doc, "mc_replications", McSettings.replications),

@@ -12,6 +12,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import clear_band_memos, fresh_python
 from hdnorm import (CovSpec, HdnormError, Scenario, _cpus, generators, harness, montecarlo,
@@ -106,10 +108,12 @@ class TestRunExperiment:
     # quasi-range of order 11, n = 3 no IQR and, for the range alone, no
     # moment estimates; a negative n, an n or d that is a float or a bool, a d
     # that the covariance does not match, a covariance seed that is negative or
-    # not an integer, or a kind that is not a string cannot be sampled, and
-    # mixed marginals take no transport; then a method twice, no method, no
-    # replication and a replication count that is not an integer.  Each case
-    # changes the second cell's scenario, written as its spec object.
+    # not an integer, or a kind that is not a string, and an n or d too large
+    # for a float cannot be sampled, and mixed marginals take no transport;
+    # then a method twice, no method, no replication, a replication count that
+    # is not an integer and an experiment name that is not a string.  Each
+    # case changes the second cell's scenario, written as its spec object, but
+    # a "name", which it gives the experiment.
     @pytest.mark.parametrize("changes, replications, methods, message", [
         ({"n": 2}, 10, ("composite",), "need n >= 3, got n=2"),
         ({}, 10, ("composite", "quasi:11"), r"q=11 is not an integer in \[1, 10\] for n=20"),
@@ -130,26 +134,34 @@ class TestRunExperiment:
          r"unknown covariance kind \['identity'\]"),
         ({"family": "mixed_marginals", "cov": {"kind": "ar1", "d": 10, "rho": 0.5}}, 10,
          ("composite",), "mixed_marginals draws untransported coordinates"),
+        ({"n": 10**400, "d": 10**400, "cov": {"kind": "identity", "d": 10**400}}, 10,
+         ("composite",), "n is too large for a float"),
+        ({"family": "mixed_marginals", "d": 10**400, "cov": {"kind": "identity", "d": 10**400}},
+         10, ("composite",), "d is too large for a float"),
         ({}, 10, ("range", "range"), "cell 1 lists method 'range' twice"),
         ({}, 10, (), r"cell 1 methods must be a non-empty list, got \(\)"),
         ({}, 0, ("composite",), "cell 1 replications must be at least 1, got 0"),
         ({}, 2.5, ("composite",), r"cell 1 replications must be an integer, got 2\.5"),
         ({}, True, ("composite",), "cell 1 replications must be an integer, got True"),
+        ({"name": ["x"]}, 10, ("composite",), r"experiment name must be a string, got \['x'\]"),
     ], ids=["n2", "quasi11", "n3_composite", "n3_range", "negative_n", "float_n", "bool_n",
             "float_d", "bool_d", "d_mismatch", "negative_cov_seed", "float_cov_seed",
-            "list_kind", "mixed_on_ar1", "method_twice", "no_method", "no_replication",
-            "float_replications", "bool_replications"])
+            "list_kind", "mixed_on_ar1", "huge_n_d", "huge_mixed_d", "method_twice",
+            "no_method", "no_replication", "float_replications", "bool_replications",
+            "list_name"])
     def test_cell_that_cannot_run_is_refused_before_any_draw(self, drawn, changes,
                                                              replications, methods, message):
         doc = {**scenario_to_json(GOOD), **changes}
+        name = doc.pop("name", "bad")
         with pytest.raises((HdnormError, ValueError), match=message):
             scenario = Scenario(**{**doc, "cov": CovSpec(**doc["cov"])})
-            Experiment(name="bad", seed=3, alpha=0.05, mc_replications=500,
+            Experiment(name=name, seed=3, alpha=0.05, mc_replications=500,
                        cells=(CellSpec(GOOD, 10), CellSpec(scenario, replications, methods)))
         # The spec reader refuses the same cell with the same message, but for
         # an integral float, which a spec reads as an int (20.0 as 20).
         if not any(type(doc[k]) is float and doc[k].is_integer() for k in ("n", "d")):
-            spec = {"cells": [{"scenario": scenario_to_json(GOOD), "replications": 10},
+            spec = {"name": name,
+                    "cells": [{"scenario": scenario_to_json(GOOD), "replications": 10},
                               {"scenario": doc, "replications": replications,
                                "methods": list(methods)}]}
             with pytest.raises((HdnormError, ValueError), match=message):
@@ -461,7 +473,76 @@ class TestSummarize:
         assert "wall_time" in docs[0]
 
 
+# A spec that reads, with a parameter of each kind (a power of d, a list, a
+# flag, a plain number) and each covariance parameter.
+VALID_SPEC = {
+    "name": "any", "seed": 1, "alpha": 0.05, "mc_replications": 200, "replications": 3,
+    "cells": [
+        {"scenario": {"family": "loc_mixture", "n": 20, "d": 5,
+                      "cov": {"kind": "ar1", "d": 5, "rho": 0.5},
+                      "params": {"shift_exponent": -0.25, "weights": [0.3, 0.7]}},
+         "replications": 2, "methods": ["composite", "quasi:2"]},
+        {"scenario": {"family": "chisq_marginals", "n": 8, "d": 4,
+                      "cov": {"kind": "sparse_random", "d": 4, "density": 0.5, "jitter": 0.1,
+                              "seed": 2},
+                      "params": {"dof": 3.0, "standardize": True}}},
+        {"scenario": {"family": "multivariate_t", "n": 6, "d": 3,
+                      "cov": {"kind": "geom_decay", "d": 3, "rate": 0.9},
+                      "params": {"dof_coeff": 2.0}}, "methods": ["range"]},
+        {"scenario": {"family": "mixed_marginals", "n": 6, "d": 6,
+                      "cov": {"kind": "identity", "d": 6}, "params": {"t_fraction": 0.5}}},
+    ],
+}
+
+
+def _paths(doc, path=()):
+    """The path of ``doc`` and of every object and value inside it."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _paths(value, (*path, key))
+
+
+# Each position takes one value: a path, or a scenario's d with its covariance's.
+POSITIONS = [(path,) for path in _paths(VALID_SPEC)] + [
+    (("cells", i, "scenario", "d"), ("cells", i, "scenario", "cov", "d"))
+    for i in range(len(VALID_SPEC["cells"]))]
+# Any JSON value, with integers beyond a float's range and NaN and the infinities.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10**500, 10**500) | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=8)
+
+
+def _with(doc, paths, value):
+    """A copy of ``doc`` with ``value`` at each of ``paths``."""
+    box = [json.loads(json.dumps(doc))]
+    for path in paths:
+        *parents, last = (0, *path)
+        target = box
+        for key in parents:
+            target = target[key]
+        target[last] = value
+    return box[0]
+
+
 class TestJsonSpecs:
+    # Before n and d were checked to fit a float, a huge n overflowed in the
+    # IQR contrast's sqrt(n), and a huge mixed_marginals d in t_fraction * d.
+    @settings(max_examples=500, deadline=None)
+    @given(position=st.sampled_from(POSITIONS), value=JSON_VALUES)
+    @example(position=(("cells", 0, "scenario", "n"),), value=10**400)
+    @example(position=POSITIONS[-1], value=10**400)  # the mixed_marginals cell's d
+    def test_any_json_value_reads_or_is_refused(self, position, value):
+        assert len(experiment_from_json(VALID_SPEC).cells) == 4  # the spec changed reads
+        try:
+            exp = experiment_from_json(_with(VALID_SPEC, position, value))
+        except (ValueError, HdnormError):
+            return
+        assert isinstance(exp, Experiment)
+
     def test_cov_round_trip(self):
         for spec in (CovSpec("identity", 8), CovSpec("ar1", 8, rho=0.9),
                      CovSpec("sparse_random", 8, seed=3), CovSpec("wishart", 8, seed=2),

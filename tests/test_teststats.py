@@ -54,9 +54,7 @@ def fake_summary(radii_values, delta=1.0, that=0.5) -> RadialSummary:
         tr_sigma_sq_hat=that,
         used_gramian=True,
     )
-    return RadialSummary(
-        sorted_radii=np.sort(r), standardized=np.zeros_like(r), dispersion=disp, n=len(r), d=1,
-    )
+    return RadialSummary(sorted_radii=np.sort(r), dispersion=disp, n=len(r), d=1)
 
 
 class TestNormConstants:
