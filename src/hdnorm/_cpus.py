@@ -12,7 +12,8 @@ import sys
 import threading
 import time
 from contextlib import contextmanager
-from typing import Sequence
+from itertools import islice
+from typing import Iterable, Iterator
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -86,24 +87,31 @@ def _one_blas_thread():
                 os.environ[k] = v
 
 
-def process_map(fn, args: Sequence[tuple], workers: int) -> list:
-    """``[fn(*a) for a in args]`` computed in ``workers`` worker processes.
+def process_map(fn, args: Iterable[tuple], workers: int) -> Iterator:
+    """``fn(*a)`` for each ``a`` of ``args``, computed in ``workers`` worker
+    processes and yielded as each finishes.
 
-    ``fn`` and ``args`` must be picklable.  Each worker runs BLAS on one
-    thread.  The workers are forked from this process when it runs one OS
-    thread (``fork_is_safe``), and otherwise spawned: they then import
-    ``fn``'s module afresh, and BLAS reads its thread count anew.
+    ``fn`` and ``args`` must be picklable.  ``args`` is read as workers free
+    up, at most ``2 * workers`` calls ahead, so it may be a generator of any
+    length.  Each worker runs BLAS on one thread.  The workers are forked from
+    this process when it runs one OS thread (``fork_is_safe``), and otherwise
+    spawned: they then import ``fn``'s module afresh, and BLAS reads its
+    thread count anew.
     """
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
+    args = iter(args)
     context = multiprocessing.get_context("fork" if fork_is_safe() else "spawn")
     with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
         with _one_blas_thread():
-            # map() submits every task at once.  A spawn pool starts a worker
-            # on each submit until there are ``workers``; a fork pool starts
-            # all of them on the first, before its manager thread, so this
-            # process still runs one thread when it forks.  Either way every
-            # worker starts in the block.
-            pending = pool.map(fn, *zip(*args))
-        return list(pending)
+            # A spawn pool starts a worker on each submit until there are
+            # ``workers``; a fork pool starts all of them on the first, before
+            # its manager thread, so this process still runs one thread when
+            # it forks.  Either way every worker starts in the block.
+            pending = {pool.submit(fn, *a) for a in islice(args, 2 * workers)}
+        while pending:
+            done, pending = wait(pending, return_when=FIRST_COMPLETED)
+            pending |= {pool.submit(fn, *a) for a in islice(args, len(done))}
+            for future in done:
+                yield future.result()

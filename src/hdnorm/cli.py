@@ -2,11 +2,21 @@
 
 Exit codes: 0 the null hypothesis is not rejected, 3 it is rejected,
 1 any error, 2 command-line usage problems.
+
+This module owns the ``hdnorm`` process, and it is the only module that
+calls ``gc.freeze``: once its imports are done, the objects they made, most
+of them numpy's and scipy's and all of them alive to the end, go to the
+collector's permanent generation.  Every later collection, the one at
+interpreter exit included, would walk them again, about 10 ms of each
+command, and a forked sweep worker or CSV slice would copy the pages it
+walks.  The collector stays on for what a command allocates, and
+``import hdnorm`` or any library module freezes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -27,6 +37,12 @@ from .moments import DataMatrix, _moments
 from .montecarlo import METHODS, McSettings, composite_test, lookup_method
 from .radii import radial_summary
 from .rng import ndtri
+
+gc.freeze()
+# Walks nothing, all being frozen, but as a full collection it empties the
+# interpreter's free lists; without it a sweep's peak RSS read about 0.2 MB
+# higher than with no freeze at all, and with it 0.15 MB lower.
+gc.collect()
 
 SCHEMA_VERSION = 1
 DEFAULT_MAX_PAIRS = 1_000_000

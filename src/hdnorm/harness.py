@@ -179,22 +179,24 @@ def run_experiment(exp: Experiment, threads: Optional[int] = None) -> List[CellR
         raise ValueError(f"threads must be an integer, got {threads!r}")
     if threads < 1:
         raise ValueError(f"need at least one worker, got threads={threads}")
-    units = []
-    for ci, cell in enumerate(exp.cells):
-        chunk = max(1, min(64, -(-cell.replications // (min(threads, cpus) * 4))))
-        for lo in range(0, cell.replications, chunk):
-            units.append((ci, lo, min(lo + chunk, cell.replications)))
+    # Units are made as they are run, so memory before the first draw does not
+    # grow with the replication counts.
+    chunks = [max(1, min(64, -(-cell.replications // (min(threads, cpus) * 4))))
+              for cell in exp.cells]
     bands = _cell_bands(exp)
-    units = [(ci, lo, hi, bands[ci]) for ci, lo, hi in units]
+    units = ((ci, lo, min(lo + chunk, cell.replications), bands[ci])
+             for ci, (cell, chunk) in enumerate(zip(exp.cells, chunks))
+             for lo in range(0, cell.replications, chunk))
+    count = sum(-(-cell.replications // chunk) for cell, chunk in zip(exp.cells, chunks))
+    workers = _cpus.worker_count(threads, count, cpus)
+    if workers == 1:
+        outcomes = (_run_unit(exp, *u) for u in units)
+    else:
+        outcomes = _cpus.process_map(partial(_run_unit, exp), units, workers)
 
     rejections: Dict[int, Counter] = defaultdict(Counter)
     failures: Dict[int, int] = defaultdict(int)
     elapsed: Dict[int, float] = defaultdict(float)
-    workers = _cpus.worker_count(threads, len(units), cpus)
-    if workers == 1:
-        outcomes = [_run_unit(exp, *u) for u in units]
-    else:
-        outcomes = _cpus.process_map(partial(_run_unit, exp), units, workers)
     for ci, rej, fail, dt in outcomes:
         rejections[ci].update(rej)
         failures[ci] += fail

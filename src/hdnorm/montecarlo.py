@@ -79,22 +79,27 @@ def _null_chunk(n: int, q: int, seed: int, chunk_index: int, out: np.ndarray,
     """Fills ``out`` with draws [0, len(out)) of chunk ``chunk_index`` of the U_{n,q} sample.
 
     Row i is the contrast of row i of ``rng.standard_normal(gen, (len(out), n))``.
-    The uniforms are drawn, ``len(buffer)`` rows at a time, into ``buffer``
-    and the order statistics are picked among them in place; only those are
-    passed through ``ndtri``: the normal quantile function is non-decreasing,
-    so it maps the k-th smallest uniform to exactly the k-th smallest normal.
+    The raw uniforms are drawn, ``len(buffer)`` rows at a time, into ``buffer``
+    and the order statistics are picked among them in place, by their bits:
+    ``Generator.random`` returns non-negative doubles, whose bit patterns
+    order as the values do.  Only the two picked per row are floored
+    (``rng.uniform``) and passed through ``ndtri``.  The bit order, the floor
+    and ``ndtri`` are all non-decreasing maps, and a non-decreasing map takes
+    the k-th smallest of a row to the k-th smallest of its image, so each
+    draw is bit for bit that of flooring and transforming the whole row first.
     """
     gen = rng.substream(seed, rng.DOMAIN_NULL_RANGE, n, q, chunk_index)
     c = contrast(n, q)
     for start in range(0, len(out), len(buffer)):
         b = min(len(buffer), len(out) - start)
-        u = rng.uniform(gen, (b, n), out=buffer[:b])
+        bits = gen.random((b, n), out=buffer[:b]).view(np.uint64)
         if c.lower == 1:
-            low, high = u.min(axis=1), u.max(axis=1)
+            low, high = bits.min(axis=1), bits.max(axis=1)
         else:
-            u.partition((c.lower - 1, c.upper - 1), axis=1)
-            low, high = u[:, c.lower - 1], u[:, c.upper - 1]
-        out[start:start + b] = c.value(ndtri(low), ndtri(high), 1.0)
+            bits.partition((c.lower - 1, c.upper - 1), axis=1)
+            low, high = bits[:, c.lower - 1], bits[:, c.upper - 1]
+        low, high = (ndtri(np.maximum(v.view(np.float64), rng._U_FLOOR)) for v in (low, high))
+        out[start:start + b] = c.value(low, high, 1.0)
 
 
 def null_quasi_range_draws(n: int, q: int, m: int, seed: int) -> np.ndarray:

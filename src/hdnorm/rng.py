@@ -120,6 +120,8 @@ DOMAIN_RESERVOIR = 4    # reservoir subsampling in diagnostics
 
 # Smallest uniform passed to the normal quantile function; keeps ndtri finite
 # for the (probability ~2^-53) event that the generator returns exactly 0.
+# Flooring is non-decreasing, so it may follow a selection of order statistics
+# instead of preceding it (``montecarlo._null_chunk``).
 _U_FLOOR = 2.0 ** -54
 
 

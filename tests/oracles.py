@@ -3,9 +3,10 @@
 They check properties of the package from outside it: the closed-form
 tr(Sigma^2) estimate against its defining U-statistic sums, the similarity
 invariance and ordering of the effective ranks of a covariance, the
-contrast record against the five expressions it replaced, and the pair
-subset ``hdnorm diagnose`` samples against Floyd's algorithm drawn one index
-at a time.
+contrast record against the five expressions it replaced, the null draws
+against every uniform floored and transformed before any is selected, and
+the pair subset ``hdnorm diagnose`` samples against Floyd's algorithm drawn
+one index at a time.
 """
 
 import math
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hdnorm import DataMatrix, HdnormError, TooFewSamples, norm_constants
+from hdnorm import DataMatrix, HdnormError, TooFewSamples, norm_constants, rng
 from hdnorm.moments import _moments
 from hdnorm.rng import ndtri
 
@@ -161,6 +162,14 @@ def null_draw_oracle(n, s_lower, s_upper):
     c = norm_constants(n)
     contrast = s_upper - s_lower
     return c.a_n * contrast - 2.0 * c.a_n * c.b_n
+
+
+def null_chunk_oracle(n, q, gen, count):
+    """``count`` draws of the U_{n,q} sample from ``gen``: each row of uniforms is
+    floored and transformed to normals in full, then its order statistics
+    q and n - q + 1 are selected."""
+    rows = np.partition(rng.standard_normal(gen, (count, n)), (q - 1, n - q), axis=1)
+    return null_draw_oracle(n, rows[:, q - 1], rows[:, n - q])
 
 
 def pair_indices_oracle(n, k, gen):

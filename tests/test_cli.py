@@ -803,6 +803,26 @@ class TestLazyPackage:
         out = fresh_python(code, "diagnose", str(null_csv), "--out", str(tmp_path / "d"))
         assert out.splitlines()[-1] == "0 []"
 
+    # hdnorm.cli moves what the imports before it made into the collector's
+    # permanent generation, once: the library freezes nothing, the collector
+    # stays on, and commands run in one process, simulate's import of the
+    # harness included, freeze nothing more.
+    def test_only_the_cli_freezes_the_import_time_heap(self, null_csv, tmp_path):
+        code = ("import gc, sys, hdnorm\n"
+                "bare = gc.get_freeze_count()\n"
+                "import hdnorm.harness, hdnorm.montecarlo\n"
+                "library = gc.get_freeze_count()\n"
+                "from hdnorm.cli import main\n"
+                "frozen = gc.get_freeze_count()\n"
+                "test, simulate = sys.argv[1:5], sys.argv[5:]\n"
+                "codes = [main(test), main(test), main(simulate)]\n"
+                "print(bare, library, frozen > 0, gc.isenabled(),"
+                " gc.get_freeze_count() <= frozen, codes[2])")
+        spec = TestCmdSimulate().make_spec(tmp_path)
+        out = fresh_python(code, "test", str(null_csv), "--out", str(tmp_path / "r.json"),
+                           "simulate", str(spec), "--threads", "1", "--out", str(tmp_path / "s"))
+        assert out.splitlines()[-1] == "0 0 True True True 0"
+
     # numpy.random loads with a stand-in for secrets, which would bring in
     # hmac and OpenSSL through _hashlib; the rest of the process keeps the
     # real entropy source and the real module.

@@ -224,7 +224,7 @@ class TestWorkerProcesses:
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         before = dict(os.environ)
         workers = min(2, usable_cpus())
-        reports = process_map(blas_vars, [(i,) for i in range(8)], workers)
+        reports = list(process_map(blas_vars, [(i,) for i in range(8)], workers))
         assert len(reports) == 8
         pids = {pid for pid, _ in reports}
         assert os.getpid() not in pids and len(pids) <= workers
@@ -240,7 +240,7 @@ class TestWorkerProcesses:
         thread = threading.Thread(target=stop.wait)
         thread.start()
         try:
-            reports = process_map(blas_vars, [(i,) for i in range(4)], 2)
+            reports = list(process_map(blas_vars, [(i,) for i in range(4)], 2))
         finally:
             stop.set()
             thread.join(timeout=10)
@@ -256,7 +256,7 @@ class TestWorkerProcesses:
         monkeypatch.setattr(multiprocessing, "get_context",
                             lambda method=None: methods.append(method) or get_context(method))
         monkeypatch.setattr(os, "listdir", unreadable)
-        assert len(process_map(blas_vars, [(i,) for i in range(2)], 2)) == 2
+        assert len(list(process_map(blas_vars, [(i,) for i in range(2)], 2))) == 2
         assert methods == ["spawn"]
 
     @staticmethod
@@ -359,14 +359,46 @@ class TestReplicationMemory:
         assert (info.currsize, info.misses) == (1, len(covs))
 
 
+    # Runs 10**12 replications at argv[1] workers with every work unit after a
+    # cell's first made an error, and prints that error and whether the run
+    # ended within a second.  A run that listed its work units before the
+    # first draw would need about 10**12 / 64 of them; the address-space limit
+    # makes that a MemoryError instead of exhausting the machine's memory.
+    HUGE_RUN = """\
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+import hdnorm.cli
+from hdnorm import CovSpec, Scenario, harness
+run_unit = harness._run_unit
+
+def fail_after_first(exp, ci, lo, hi, bands):
+    if lo > 0:
+        raise RuntimeError("a later unit")
+    return run_unit(exp, ci, lo, hi, bands)
+
+harness._run_unit = fail_after_first
+cell = harness.CellSpec(Scenario("null_gaussian", 20, 5, CovSpec("identity", 5)), 10**12)
+start = time.monotonic()
+try:
+    harness.run_experiment(harness.Experiment("huge", 1, 0.05, 100, (cell,)), int(sys.argv[1]))
+except RuntimeError as exc:
+    print(exc, time.monotonic() - start < 1.0)
+"""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_work_units_are_made_as_they_run(self, threads):
+        assert fresh_python(self.HUGE_RUN, str(threads)) == "a later unit True"
+
+
 class TestBandsBuiltOnce:
     def test_parent_draws_each_cell_band_once_and_workers_only_read(self, monkeypatch, drawn):
         monkeypatch.setattr(_cpus, "usable_cpus", lambda: 2)
         seen = {}
 
         def spy(fn, args, workers):
-            seen.update(workers=workers, units=args)
-            return process_map(unit_without_draws, [(fn.args[0], *a) for a in args], workers)
+            seen.update(workers=workers, units=[])
+            units = (seen["units"].append(a) or (fn.args[0], *a) for a in args)
+            return process_map(unit_without_draws, units, workers)
 
         monkeypatch.setattr(_cpus, "process_map", spy)
         exp = small_experiment(methods=("composite", "squared"))
@@ -381,6 +413,7 @@ class TestBandsBuiltOnce:
         assert sorted((n, q) for n, q, _, _ in drawn) == [(40, 1), (40, 1), (40, 1), (40, 2)]
         assert len(drawn) == len(set(drawn))
         cell_bands = harness._cell_bands(exp)
+        assert len(seen["units"]) == 24  # 8 units of 8 or fewer replications per cell
         assert all(bands == cell_bands[ci] for ci, _, _, bands in seen["units"])
         assert cell_bands[0][1]["composite"][1] == cell_bands[0][1]["squared"][1]
         strip = lambda rs: [(r.cell_index, r.method, r.rejections, r.failures) for r in rs]

@@ -12,6 +12,7 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 
 from conftest import clear_band_memos, fresh_python, gaussian_data, null_scenario, rejection_rate
+from oracles import null_chunk_oracle
 from hdnorm import (
     CovSpec,
     McSettings,
@@ -213,6 +214,43 @@ class TestGoldenValues:
             parts.append(c.a_n * (part[:, n - q] - part[:, q - 1]) - 2.0 * c.a_n * c.b_n)
         draws = null_quasi_range_draws(n, q, CHUNK + tail, seed)
         assert np.array_equal(draws, np.concatenate(parts))
+
+
+    # n in {4, 5, 100, 1000} and q in {1, 2, n // 4}: a whole chunk in batches
+    # of the default size, and a shorter one in batches of 7 rows, the last
+    # of 6.  "zeros" makes every uniform below 0.3 an exact 0.0, so the floor
+    # lifts the selected order statistics of many rows.
+    @pytest.mark.parametrize("n,q", [(n, q) for n in (4, 5, 100, 1000)
+                                     for q in sorted({1, 2, n // 4})])
+    @pytest.mark.parametrize("count,rows", [(CHUNK, None), (300, 7)])
+    @pytest.mark.parametrize("zeros", [False, True], ids=["philox", "zeros"])
+    def test_chunk_matches_the_floor_everything_oracle(self, monkeypatch, n, q, count, rows,
+                                                       zeros):
+        substream = hrng.substream
+
+        def stream(*key):
+            return ZeroedUniforms(substream(*key)) if zeros else substream(*key)
+
+        monkeypatch.setattr(hrng, "substream", stream)
+        key = (9, hrng.DOMAIN_NULL_RANGE, n, q, 2)
+        buffer = np.empty((rows or min(CHUNK, montecarlo._BATCH_ELEMENTS // n), n))
+        draws = np.empty(count)
+        montecarlo._null_chunk(n, q, 9, 2, draws, buffer)
+        assert draws.tobytes() == null_chunk_oracle(n, q, stream(*key), count).tobytes()
+        selected = np.partition(stream(*key).random((count, n)), q - 1, axis=1)[:, q - 1]
+        assert (selected == 0.0).any() == zeros
+
+
+class ZeroedUniforms:
+    """A generator whose uniforms below 0.3 are exact zeros."""
+
+    def __init__(self, gen):
+        self.gen = gen
+
+    def random(self, shape, out=None):
+        u = self.gen.random(shape, out=out)
+        u[u < 0.3] = 0.0
+        return u
 
 
 class TestQuantiles:
