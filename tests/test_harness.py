@@ -358,7 +358,6 @@ class TestReplicationMemory:
         info = generators._factor.cache_info()
         assert (info.currsize, info.misses) == (1, len(covs))
 
-
     # Runs 10**12 replications at argv[1] workers with every work unit after a
     # cell's first made an error, and prints that error and whether the run
     # ended within a second.  A run that listed its work units before the
