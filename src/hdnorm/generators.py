@@ -24,10 +24,10 @@ Scenario families
 
 Each family is one ``Family`` record in ``FAMILIES``: its parameters and
 their defaults, its sampler ``sample(s, p, gen)`` and its population
-covariance ``covariance(s, p, cov)``.  ``_params`` is the one reader of a
-scenario's parameters; ``sample_scenario`` and ``scenario_covariance`` fill
-them in and call the family's record.  Each covariance kind's parameters and
-their defaults are listed once, in ``COV_KINDS``.
+covariance ``covariance(s, p, cov)``.  A ``Scenario`` judges itself when it is
+built: ``_params`` checks and fills in its parameters once, into ``resolved``,
+which ``sample_scenario`` and ``scenario_covariance`` only read.  Each covariance
+kind's parameters and their defaults are listed once, in ``COV_KINDS``.
 
 Samplers are pure functions of an explicit generator stream, and each names
 the factor of Sigma it transports its draws with.  Gaussian drivers use the
@@ -62,7 +62,7 @@ COV_KINDS: Dict[str, Dict[str, Optional[float]]] = {
     "wishart": {},
     "geom_decay": {"rate": 0.93},
 }
-COV_PARAMS = ("rho", "density", "jitter", "rate")
+COV_PARAMS = tuple(dict.fromkeys(name for takes in COV_KINDS.values() for name in takes))
 
 
 def _is_integer(value) -> bool:
@@ -205,13 +205,18 @@ def _apply_factor(Z: np.ndarray, factor: Optional[np.ndarray], out: np.ndarray) 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A generative model: family name, sample shape, covariance, parameters."""
+    """A generative model: family name, sample shape, covariance, parameters;
+    checked when built, which stores its parameters, defaults filled in, as ``resolved``."""
 
     family: str
     n: int
     d: int
     cov: CovSpec
     params: Mapping[str, object] = field(default_factory=dict)
+    resolved: Dict[str, object] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "resolved", _params(self))
 
 
 class PowerOfD(NamedTuple):
@@ -319,7 +324,7 @@ class Family(NamedTuple):
     which draws the n x d sample from the stream ``gen`` into the buffers
     ``buf`` and returns the one holding it; and ``covariance(s, p, cov)``, the
     population covariance given the covariance spec's matrix ``cov``.  ``p``
-    holds the checked parameters."""
+    is the scenario's ``resolved`` parameters."""
 
     defaults: Mapping[str, object]
     sample: Callable[[Scenario, Dict[str, object], np.random.Generator, np.ndarray], np.ndarray]
@@ -359,20 +364,24 @@ FAMILIES: Dict[str, Family] = {
 def _params(s: Scenario) -> Dict[str, object]:
     """The scenario's parameters, with its family's defaults filled in and checked.
 
-    The only reader of ``s.params``, so the sampler, the population covariance
-    and the spec parser accept and reject the same scenarios.  Mixed marginals
-    also get ``t_columns``, the width of the t block.
+    Called once, by ``Scenario`` when built, and the only reader of ``s.params``,
+    so the sampler, the population covariance and the spec parser accept and
+    reject the same scenarios.  Mixed marginals also get ``t_columns``.
     """
     fam, n, d = s.family, s.n, s.d
     if not (_is_integer(n) and _is_integer(d)):
         raise InvalidScenarioParams(f"n and d must be integers, got n={n!r} and d={d!r}")
     _real(n, "n"), _real(d, "d")  # each refused if too large for a float
+    if not isinstance(s.cov, CovSpec):
+        raise InvalidScenarioParams(f"scenario cov must be a CovSpec, got {s.cov!r}")
     if n < 1 or s.cov.d != d:
         raise InvalidScenarioParams(f"need n >= 1 and a covariance of dimension d={d}, "
                                     f"got n={n} and dimension {s.cov.d}")
     if not isinstance(fam, str) or fam not in FAMILIES:
         raise InvalidScenarioParams(
             f"unknown scenario family {fam!r}; choose from {', '.join(FAMILIES)}")
+    if not isinstance(s.params, Mapping):
+        raise InvalidScenarioParams(f"scenario params must be an object, got {s.params!r}")
     given, p = dict(s.params), {}
     for key, default in FAMILIES[fam].defaults.items():
         if isinstance(default, PowerOfD):
@@ -427,12 +436,10 @@ def sample_scenario(s: Scenario, gen: np.random.Generator,
     (a new one if None), and its values are one of the two n x d halves; a
     later draw into the same buffers overwrites them.
     """
-    p = _params(s)
     buffers = np.empty((2, s.n, s.d)) if buffers is None else buffers
-    return DataMatrix.from_array(FAMILIES[s.family].sample(s, p, gen, buffers))
+    return DataMatrix.from_array(FAMILIES[s.family].sample(s, s.resolved, gen, buffers))
 
 
 def scenario_covariance(s: Scenario) -> np.ndarray:
     """The population covariance implied by a scenario (for moment checks)."""
-    p = _params(s)
-    return FAMILIES[s.family].covariance(s, p, build_covariance(s.cov))
+    return FAMILIES[s.family].covariance(s, s.resolved, build_covariance(s.cov))

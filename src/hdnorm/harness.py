@@ -7,9 +7,9 @@ count and one or more decision methods, named as in the one method table
 data draws).  Replication r of cell c draws its data from the substream keyed
 by (master seed, c, r), and the Monte-Carlo bands of cell c are keyed by
 (master seed, c), so results are independent of how the work is partitioned
-across worker processes.  Each object checks its values when it is built,
-so every cell of an ``Experiment`` can run, and the spec reader only reads
-JSON, taking each object's keys from the shipped schema.  A cell's failures
+across worker processes.  Each object, a ``Scenario`` too, checks its values
+when it is built, so every cell of an ``Experiment`` can run and the spec
+reader only reads JSON, taking each object's keys from the shipped schema.  A cell's failures
 count the replications whose sample or moments failed numerically.  Every
 band a cell's methods need is built once, in the calling process, before any
 work unit runs; each unit carries its cell's settings, resolved methods and
@@ -39,7 +39,7 @@ import numpy as np
 
 from . import _cpus, rng
 from .errors import HdnormError, TooFewSamples
-from .generators import COV_PARAMS, CovSpec, Scenario, _is_integer, _params, sample_scenario
+from .generators import CovSpec, Scenario, _is_integer, sample_scenario
 from .moments import MIN_N
 from .montecarlo import (
     Band,
@@ -78,9 +78,8 @@ class Experiment:
 
 
 def _check_cell(ci: int, cell: CellSpec) -> None:
-    """Refuse cell ``ci`` unless it can run: its scenario can be sampled, it has
-    a replication, and each method is known, listed once and defined at its n."""
-    _params(cell.scenario)
+    """Refuse cell ``ci`` unless it can run (its scenario judged itself when built):
+    it has a replication, and each method is known, listed once and defined at its n."""
     if not _is_integer(cell.replications):
         raise ValueError(f"cell {ci} replications must be an integer, got {cell.replications!r}")
     if cell.replications < 1:
@@ -295,27 +294,19 @@ def _read(doc: Mapping, key: str, default=None):
 
 
 def cov_from_json(doc: Mapping) -> CovSpec:
-    _check_keys(doc, "cov", "covariance spec")
-    return CovSpec(kind=doc["kind"], d=_read(doc, "d"), seed=_read(doc, "seed", 0),
-                   **{k: doc[k] for k in COV_PARAMS if k in doc})
+    _check_keys(doc, "cov", "covariance spec")  # the schema's keys are CovSpec's fields
+    return CovSpec(**{k: _read(doc, k) for k in doc})
 
 
 def cov_to_json(spec: CovSpec) -> dict:
-    doc = {"kind": spec.kind, "d": spec.d}
-    doc.update((k, getattr(spec, k)) for k in COV_PARAMS if getattr(spec, k) is not None)
-    if spec.seed:
-        doc["seed"] = spec.seed
-    return doc
+    return {k: v for k, v in vars(spec).items() if v is not None and (k != "seed" or v)}
 
 
 def scenario_from_json(doc: Mapping) -> Scenario:
     _check_keys(doc, "scenario", "scenario")
     params = doc.get("params", {})
-    if not isinstance(params, Mapping):
-        raise ValueError(f"scenario params must be an object, got {params!r}")
-    params = dict(params)
-    if isinstance(params.get("weights"), list):
-        params["weights"] = tuple(params["weights"])  # as a Scenario built in Python holds them
+    if isinstance(params, Mapping) and isinstance(params.get("weights"), list):
+        params = {**params, "weights": tuple(params["weights"])}  # as built in Python
     return Scenario(family=doc["family"], n=_read(doc, "n"), d=_read(doc, "d"),
                     cov=cov_from_json(doc["cov"]), params=params)
 

@@ -551,6 +551,24 @@ class TestCmdSimulate:
         assert "bad experiment spec" in err and named in err
         assert not (tmp_path / "res").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("params", 5), ("params", None), ("params", "ab"), ("params", [["dof", 5]]),
+        ("cov", None),
+    ], ids=["int_params", "null_params", "string_params", "pair_list_params", "null_cov"])
+    def test_params_or_cov_that_is_not_an_object_is_one_error_line(self, tmp_path, capsys,
+                                                                   key, value):
+        doc = json.loads(self.make_spec(tmp_path).read_text())
+        scenario = doc["cells"][1]["scenario"]
+        scenario.update(family="multivariate_t", params={})
+        scenario[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path), "--out", str(tmp_path / "res")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad experiment spec: ") and err.count("\n") == 1
+        assert f"must be {'a JSON' if key == 'cov' else 'an'} object, got {value!r}" in err
+        assert not (tmp_path / "res").exists()
+
     @pytest.mark.parametrize("where, key, value, named", [
         ("cell", "methods", ["composite", "composite"], "'composite' twice"),
         ("cell", "methods", [], "non-empty list"),
@@ -644,6 +662,8 @@ class TestCmdSimulate:
         assert scenario["family"]["enum"] == list(generators.FAMILIES)
         assert cov["kind"]["enum"] == list(generators.COV_KINDS)
         assert set(cov) >= set(generators.COV_PARAMS)
+        # The spec reader passes a cov object's keys to CovSpec as they stand.
+        assert list(cov) == list(generators.CovSpec.__dataclass_fields__)
         methods = EXPERIMENT_SCHEMA["properties"]["cells"]["items"]["properties"]["methods"]
         names, quasi = methods["items"]["anyOf"]
         assert names["enum"] == list(METHODS)

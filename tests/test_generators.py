@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -185,57 +187,52 @@ class TestLeptokurtic:
         assert float(np.mean(Z ** 4)) == pytest.approx(4.5, abs=0.15)
 
     def test_excess_kurtosis_bounds(self):
-        s = Scenario("leptokurtic", 10, 4, CovSpec("identity", 4), {"excess_kurtosis": 3.5})
         with pytest.raises(InvalidScenarioParams):
-            draw(s)
+            Scenario("leptokurtic", 10, 4, CovSpec("identity", 4), {"excess_kurtosis": 3.5})
 
 
 class TestScenarioGuards:
     def test_bad_weights(self):
-        s = Scenario("loc_mixture", 10, 4, CovSpec("identity", 4),
-                     {"weights": (0.7, 0.7)})
         with pytest.raises(InvalidScenarioParams):
-            draw(s)
+            Scenario("loc_mixture", 10, 4, CovSpec("identity", 4), {"weights": (0.7, 0.7)})
 
     def test_bad_dof(self):
-        s = Scenario("multivariate_t", 10, 4, CovSpec("identity", 4), {"dof": -1.0})
         with pytest.raises(InvalidScenarioParams):
-            draw(s)
+            Scenario("multivariate_t", 10, 4, CovSpec("identity", 4), {"dof": -1.0})
 
     def test_raw_chisq_needs_identity(self):
-        s = Scenario("chisq_marginals", 10, 4, CovSpec("ar1", 4, rho=0.5), {"dof": 6.0})
         with pytest.raises(InvalidScenarioParams):
-            draw(s)
+            Scenario("chisq_marginals", 10, 4, CovSpec("ar1", 4, rho=0.5), {"dof": 6.0})
 
     def test_mixed_marginals_needs_identity_and_room(self):
         with pytest.raises(InvalidScenarioParams):
-            draw(Scenario("mixed_marginals", 10, 4, CovSpec("ar1", 4, rho=0.5)))
+            Scenario("mixed_marginals", 10, 4, CovSpec("ar1", 4, rho=0.5))
         with pytest.raises(InvalidScenarioParams):
-            draw(Scenario("mixed_marginals", 10, 4, CovSpec("identity", 4),
-                          {"t_fraction": 0.01}))
+            Scenario("mixed_marginals", 10, 4, CovSpec("identity", 4), {"t_fraction": 0.01})
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidScenarioParams):
-            draw(Scenario("null_gaussian", 10, 4, CovSpec("identity", 5)))
+            Scenario("null_gaussian", 10, 4, CovSpec("identity", 5))
 
     def test_unknown_family(self):
         with pytest.raises(InvalidScenarioParams):
-            draw(Scenario("mystery", 10, 4, CovSpec("identity", 4)))
+            Scenario("mystery", 10, 4, CovSpec("identity", 4))
 
-    @pytest.mark.parametrize("scenario", [
-        Scenario("cov_mixture", 10, 4, CovSpec("identity", 4), {"gap": 1.5}),
-        Scenario("elliptical_uniform_scale", 10, 4, CovSpec("identity", 4), {"sigma0": -1.0}),
-        Scenario("mixed_marginals", 10, 4, CovSpec("identity", 4), {"t_fraction": 0.01}),
-        Scenario("chisq_marginals", 10, 4, CovSpec("ar1", 4, rho=0.5)),
-        Scenario("mixed_marginals", 10, 4, CovSpec("ar1", 4, rho=0.5)),
-        Scenario("mixed_marginals", 10, 4, CovSpec("identity", 4), {"t_dof": 0.0}),
-        Scenario("mixed_marginals", 10, 4, CovSpec("identity", 4), {"t_dof": -1.0}),
-    ], ids=lambda s: s.family)
-    def test_population_covariance_rejects_what_the_sampler_rejects(self, scenario):
+    @pytest.mark.parametrize("family, cov, params", [
+        ("cov_mixture", CovSpec("identity", 4), {"gap": 1.5}),
+        ("elliptical_uniform_scale", CovSpec("identity", 4), {"sigma0": -1.0}),
+        ("mixed_marginals", CovSpec("identity", 4), {"t_fraction": 0.01}),
+        ("chisq_marginals", CovSpec("ar1", 4, rho=0.5), {}),
+        ("mixed_marginals", CovSpec("ar1", 4, rho=0.5), {}),
+        ("mixed_marginals", CovSpec("identity", 4), {"t_dof": 0.0}),
+        ("mixed_marginals", CovSpec("identity", 4), {"t_dof": -1.0}),
+    ], ids=["cov_mixture", "elliptical_uniform_scale", "mixed_marginals",
+            "chisq_marginals", *["mixed_marginals"] * 3])
+    def test_population_covariance_rejects_what_the_sampler_rejects(self, family, cov, params):
+        # Both read the parameters the scenario resolved when it was built, so
+        # a scenario neither can use is refused there, before either runs.
         with pytest.raises(InvalidScenarioParams):
-            draw(scenario)
-        with pytest.raises(InvalidScenarioParams):
-            scenario_covariance(scenario)
+            Scenario(family, 10, 4, cov, params)
 
     @pytest.mark.parametrize("params", [
         {"shfit": 1.0},
@@ -245,11 +242,8 @@ class TestScenarioGuards:
         {"weights": 0.5},
     ])
     def test_unknown_or_malformed_param_rejected(self, params):
-        s = Scenario("loc_mixture", 10, 4, CovSpec("identity", 4), params)
         with pytest.raises(InvalidScenarioParams):
-            draw(s)
-        with pytest.raises(InvalidScenarioParams):
-            scenario_covariance(s)
+            Scenario("loc_mixture", 10, 4, CovSpec("identity", 4), params)
 
     @pytest.mark.parametrize("family, params", [
         ("chisq_marginals", {"standardize": "false"}),
@@ -265,11 +259,8 @@ class TestScenarioGuards:
     ])
     def test_param_of_the_wrong_type_rejected(self, family, params):
         # Read as it converts, "false" would be True, and True would be 1.0.
-        s = Scenario(family, 10, 4, CovSpec("identity", 4), params)
         with pytest.raises(InvalidScenarioParams, match=f"{family} .* must be"):
-            draw(s)
-        with pytest.raises(InvalidScenarioParams):
-            scenario_covariance(s)
+            Scenario(family, 10, 4, CovSpec("identity", 4), params)
 
     @pytest.mark.parametrize("kind, params", [
         ("geom_decay", {"rate": "0.9"}),
@@ -284,8 +275,42 @@ class TestScenarioGuards:
     def test_numbers_of_any_real_type_are_params(self):
         s = Scenario("chisq_marginals", 10, 4, CovSpec("geom_decay", 4, rate=np.float32(0.5)),
                      {"dof": 6, "standardize": True})
-        assert generators._params(s) == {"dof": 6.0, "standardize": True}
+        assert s.resolved == {"dof": 6.0, "standardize": True}
         assert s.cov.rate == 0.5 and type(s.cov.rate) is float
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"params": 5}, "params must be an object, got 5"),
+        ({"params": None}, "params must be an object, got None"),
+        ({"params": "ab"}, "params must be an object, got 'ab'"),
+        ({"params": [("dof", 5.0)]}, r"params must be an object, got \[\('dof', 5\.0\)\]"),
+        ({"cov": {"kind": "identity", "d": 4}}, "cov must be a CovSpec, got {'kind'"),
+        ({"cov": None}, "cov must be a CovSpec, got None"),
+    ], ids=["int_params", "none_params", "str_params", "pair_list_params", "dict_cov",
+            "none_cov"])
+    def test_params_or_cov_of_the_wrong_type_refused_when_built(self, changes, message):
+        # Each once raised a TypeError, a ValueError or an AttributeError, or
+        # was taken: a list of pairs was read as a dict.
+        args = {"family": "multivariate_t", "n": 10, "d": 4, "cov": CovSpec("identity", 4),
+                **changes}
+        with pytest.raises(InvalidScenarioParams, match=message):
+            Scenario(**args)
+
+    def test_resolved_once_and_kept_through_pickle_not_through_replace(self, monkeypatch):
+        s = Scenario("multivariate_t", 10, 4, CovSpec("identity", 4), {"dof_coeff": 2.0})
+        assert s.resolved == {"dof": 8.0}
+        assert "resolved" not in repr(s)
+
+        def refuse(scenario):
+            raise AssertionError("parameters checked again")
+
+        monkeypatch.setattr(generators, "_params", refuse)
+        back = pickle.loads(pickle.dumps(s))
+        assert back == s and back.resolved == {"dof": 8.0}
+        draw(back), scenario_covariance(back)
+        with pytest.raises(AssertionError, match="checked again"):
+            dataclasses.replace(s, n=12)  # a new object, so checked anew
+        monkeypatch.undo()
+        assert dataclasses.replace(s, d=16, cov=CovSpec("identity", 16)).resolved == {"dof": 32.0}
 
     def test_t_block_covariance_needs_more_than_two_dof(self):
         s = Scenario("mixed_marginals", 10, 4, CovSpec("identity", 4), {"t_dof": 2.0})
@@ -296,7 +321,7 @@ class TestScenarioGuards:
     def test_power_of_d_default_takes_coeff_and_exponent(self):
         def shift(params):
             s = Scenario("loc_mixture", 10, 16, CovSpec("identity", 16), params)
-            return generators._params(s)["shift"]
+            return s.resolved["shift"]
 
         assert shift({}) == 2.15 * 16.0 ** -0.25
         assert shift({"shift_coeff": 3.0}) == 3.0 * 16.0 ** -0.25
@@ -444,12 +469,11 @@ FAMILY_SHA256 = {
 @pytest.mark.parametrize("case", PIN_FAMILIES)
 def test_family_draws_and_covariance_are_pinned(case, kind):
     family, params = PIN_FAMILIES[case]
-    s = Scenario(family, PIN_N, PIN_D, PIN_COVS[kind], params)
     if kind not in FAMILY_SHA256[case]:
-        for call in (draw, scenario_covariance):
-            with pytest.raises(InvalidScenarioParams, match="untransported coordinates"):
-                call(s)
+        with pytest.raises(InvalidScenarioParams, match="untransported coordinates"):
+            Scenario(family, PIN_N, PIN_D, PIN_COVS[kind], params)
         return
+    s = Scenario(family, PIN_N, PIN_D, PIN_COVS[kind], params)
     X = draw(s, seed=2024)
     digest = hashlib.sha256(X.values.tobytes())
     digest.update(scenario_covariance(s).tobytes())

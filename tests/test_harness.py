@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import multiprocessing
@@ -99,6 +100,17 @@ class TestRunExperiment:
         assert ci == 1
         assert rejections["composite"] == full[1].rejections
         assert failures == full[1].failures
+
+    def test_run_checks_no_scenario_again(self, monkeypatch):
+        # Each Scenario resolved its parameters when built; a run only reads them.
+        exp = small_experiment()
+        expected = summarize(run_experiment(exp, threads=1))
+
+        def refuse(scenario):
+            raise AssertionError("parameters checked again")
+
+        monkeypatch.setattr(generators, "_params", refuse)
+        assert summarize(run_experiment(exp, threads=1)) == expected
 
     def test_methods_share_draws(self):
         results = run_experiment(small_experiment(methods=("composite", "squared")), threads=2)
@@ -576,9 +588,18 @@ class TestJsonSpecs:
         assert isinstance(exp, Experiment)
 
     def test_cov_round_trip(self):
-        for spec in (CovSpec("identity", 8), CovSpec("ar1", 8, rho=0.9),
-                     CovSpec("sparse_random", 8, seed=3), CovSpec("wishart", 8, seed=2),
-                     CovSpec("geom_decay", 8, rate=0.9)):
+        # Every kind, with its defaults filled in; the seed is written only when set.
+        docs = {
+            "identity": {"kind": "identity", "d": 8},
+            "ar1": {"kind": "ar1", "d": 8, "rho": 0.9},
+            "sparse_random": {"kind": "sparse_random", "d": 8, "density": 0.02, "jitter": 0.05},
+            "wishart": {"kind": "wishart", "d": 8},
+            "geom_decay": {"kind": "geom_decay", "d": 8, "rate": 0.93},
+        }
+        assert list(docs) == list(generators.COV_KINDS)
+        for (kind, doc), seed in itertools.product(docs.items(), (0, 7)):
+            spec = CovSpec(kind, 8, rho=0.9 if kind == "ar1" else None, seed=seed)
+            assert cov_to_json(spec) == ({**doc, "seed": seed} if seed else doc)
             assert cov_from_json(cov_to_json(spec)) == spec
 
     def test_scenario_round_trip(self):
