@@ -35,7 +35,7 @@ from ._csvparse import load_csv, open_text
 from .errors import HdnormError, NonFiniteData
 from .moments import DataMatrix, _moments
 from .montecarlo import METHODS, McSettings, composite_test, lookup_method
-from .radii import radial_summary
+from .radii import RadialSummary
 from .rng import ndtri
 
 gc.freeze()
@@ -187,25 +187,24 @@ def cmd_diagnose(args) -> int:
     X = _load_matrix(args.file, args.header)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    wrote_qq = False
+    # One moments pass: the radii need no dispersion estimate, nor n >= 4.
+    moments = _moments(X)
+    sorted_radii = np.sort(np.sqrt(moments.sq_radii))
+    written = ["radii.csv", "interpoint.csv"]
     try:
-        rs = radial_summary(X)
+        rs = RadialSummary(sorted_radii, moments.dispersion(), X.n, X.d)
     except HdnormError as exc:
         print(f"skipping QQ data: {exc}", file=sys.stderr)
-        # The radii need no dispersion estimate, nor n >= 4.
-        sorted_radii = np.sort(np.sqrt(_moments(X).sq_radii))
     else:
-        sorted_radii = rs.sorted_radii
         positions = ndtri((np.arange(1, X.n + 1) - 0.5) / X.n)
         _write_csv(outdir / "qq.csv", "position,standardized_radius",
                    [positions, rs.standardized])
-        wrote_qq = True
+        written.append("qq.csv")
     _write_csv(outdir / "radii.csv", "radius", [sorted_radii])
 
     distances = _interpoint_distances(X.values, args.max_pairs, args.seed)
     _write_csv(outdir / "interpoint.csv", "distance", [distances])
 
-    written = ["radii.csv", "interpoint.csv"] + (["qq.csv"] if wrote_qq else [])
     print(f"wrote {', '.join(sorted(written))} to {outdir}")
     return 0
 

@@ -205,8 +205,9 @@ def _apply_factor(Z: np.ndarray, factor: Optional[np.ndarray], out: np.ndarray) 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A generative model: family name, sample shape, covariance, parameters;
-    checked when built, which stores its parameters, defaults filled in, as ``resolved``."""
+    """A generative model: family name, sample shape, covariance, parameters; checked when
+    built, which stores its parameters with defaults filled in as ``resolved``, and a copy
+    of ``params``, lists as tuples, so that what was checked is what runs."""
 
     family: str
     n: int
@@ -217,6 +218,8 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "resolved", _params(self))
+        object.__setattr__(self, "params", {k: tuple(v) if isinstance(v, list) else v
+                                            for k, v in self.params.items()})
 
 
 class PowerOfD(NamedTuple):

@@ -7,14 +7,14 @@ count and one or more decision methods, named as in the one method table
 data draws).  Replication r of cell c draws its data from the substream keyed
 by (master seed, c, r), and the Monte-Carlo bands of cell c are keyed by
 (master seed, c), so results are independent of how the work is partitioned
-across worker processes.  Each object, a ``Scenario`` too, checks its values
-when it is built, so every cell of an ``Experiment`` can run and the spec
-reader only reads JSON, taking each object's keys from the shipped schema.  A cell's failures
-count the replications whose sample or moments failed numerically.  Every
-band a cell's methods need is built once, in the calling process, before any
-work unit runs; each unit carries its cell's settings, resolved methods and
-finished bands, so workers never draw a null sample or look a method up
-themselves.
+across worker processes.  Each object checks its values and keeps a copy of them
+when built, so every cell of an ``Experiment`` can run; the spec reader only
+builds each object from its keys, the shipped schema's, through one builder.
+A cell's failures count the replications whose sample or moments failed
+numerically.  Every band a cell's methods need is built once, in the calling
+process, before any work unit runs; each unit carries its cell's settings,
+resolved methods and finished bands, so workers never draw a null sample or
+look a method up themselves.
 
 With more than one worker, work units run in worker processes, each with BLAS
 limited to one thread, so that workers neither contend for the interpreter
@@ -60,16 +60,21 @@ class CellSpec:
     replications: int
     methods: Tuple[str, ...] = ("composite",)
 
+    def __post_init__(self):
+        if isinstance(self.methods, list):  # a copy, so what was checked is what runs
+            object.__setattr__(self, "methods", tuple(self.methods))
+
 
 @dataclass(frozen=True)
 class Experiment:
-    name: str
-    seed: int
-    alpha: float
-    mc_replications: int
-    cells: Tuple[CellSpec, ...]
+    name: str = "experiment"
+    seed: int = 0
+    alpha: float = McSettings.alpha
+    mc_replications: int = McSettings.replications
+    cells: Tuple[CellSpec, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "cells", tuple(self.cells))  # a copy, checked once
         if not isinstance(self.name, str):
             raise ValueError(f"experiment name must be a string, got {self.name!r}")
         for ci, cell in enumerate(self.cells):
@@ -84,7 +89,7 @@ def _check_cell(ci: int, cell: CellSpec) -> None:
         raise ValueError(f"cell {ci} replications must be an integer, got {cell.replications!r}")
     if cell.replications < 1:
         raise ValueError(f"cell {ci} replications must be at least 1, got {cell.replications!r}")
-    if not isinstance(cell.methods, (tuple, list)) or not cell.methods:
+    if not isinstance(cell.methods, tuple) or not cell.methods:
         raise ValueError(f"cell {ci} methods must be a non-empty list, got {cell.methods!r}")
     for i, name in enumerate(cell.methods):
         for q in lookup_method(name).orders:
@@ -287,15 +292,24 @@ def _check_keys(doc, kind: str, what: str) -> None:
 
 
 def _read(doc: Mapping, key: str, default=None):
-    """``doc[key]``, else ``default``, with a number of no fraction read as an int,
-    as the schema's "integer" reads one (40.0 as 40); the object built checks it."""
+    """``doc[key]``, else ``default``, as ``_build`` reads each value but a nested object:
+    a number of no fraction as an int, as the schema's "integer" reads one (40.0 as 40)."""
     value = doc.get(key, default)
     return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
+def _build(record, doc, kind: str, what: str, **defaults):
+    """The ``record`` a spec object's keys build, as its fields: checked against the
+    schema node ``kind``, each value read, a nested object by its own reader; ``defaults``
+    stand in for missing keys, and the record holds, checks and copies the rest."""
+    _check_keys(doc, kind, what)
+    nested = {"cov": cov_from_json, "scenario": scenario_from_json}
+    values = {k: nested[k](doc[k]) if k in nested else _read(doc, k) for k in doc}
+    return record(**{**defaults, **values})
+
+
 def cov_from_json(doc: Mapping) -> CovSpec:
-    _check_keys(doc, "cov", "covariance spec")  # the schema's keys are CovSpec's fields
-    return CovSpec(**{k: _read(doc, k) for k in doc})
+    return _build(CovSpec, doc, "cov", "covariance spec")
 
 
 def cov_to_json(spec: CovSpec) -> dict:
@@ -303,12 +317,7 @@ def cov_to_json(spec: CovSpec) -> dict:
 
 
 def scenario_from_json(doc: Mapping) -> Scenario:
-    _check_keys(doc, "scenario", "scenario")
-    params = doc.get("params", {})
-    if isinstance(params, Mapping) and isinstance(params.get("weights"), list):
-        params = {**params, "weights": tuple(params["weights"])}  # as built in Python
-    return Scenario(family=doc["family"], n=_read(doc, "n"), d=_read(doc, "d"),
-                    cov=cov_from_json(doc["cov"]), params=params)
+    return _build(Scenario, doc, "scenario", "scenario")
 
 
 def scenario_to_json(s: Scenario) -> dict:
@@ -329,19 +338,7 @@ def experiment_from_json(doc: Mapping) -> Experiment:
         raise ValueError(f"replications must be an integer, got {default_reps!r}")
     if default_reps < 1:
         raise ValueError(f"replications must be at least 1, got {default_reps!r}")
-    cells = []
-    for ci, cell_doc in enumerate(cells_doc):
-        _check_keys(cell_doc, "cell", f"cell {ci}")
-        methods = cell_doc.get("methods", ["composite"])
-        cells.append(CellSpec(
-            scenario=scenario_from_json(cell_doc["scenario"]),
-            replications=_read(cell_doc, "replications", default_reps),
-            methods=tuple(methods) if isinstance(methods, list) else methods,
-        ))
-    return Experiment(
-        name=doc.get("name", "experiment"),
-        seed=_read(doc, "seed", 0),
-        alpha=doc.get("alpha", McSettings.alpha),
-        mc_replications=_read(doc, "mc_replications", McSettings.replications),
-        cells=tuple(cells),
-    )
+    cells = [_build(CellSpec, cell_doc, "cell", f"cell {ci}", replications=default_reps)
+             for ci, cell_doc in enumerate(cells_doc)]
+    return Experiment(**{k: _read(doc, k) for k in doc if k not in ("cells", "replications")},
+                      cells=cells)

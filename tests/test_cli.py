@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import locale
@@ -14,7 +15,7 @@ from conftest import fresh_python, gaussian_data
 from oracles import pair_indices_oracle
 from hdnorm import generators
 from hdnorm import rng as hrng
-from hdnorm import cli, harness
+from hdnorm import cli, harness, moments, radii
 from hdnorm._cpus import BLAS_THREAD_VARS, default_to_one_blas_thread
 from hdnorm.cli import main
 from hdnorm.harness import experiment_from_json
@@ -363,6 +364,23 @@ class TestCmdDiagnose:
             assert np.min(np.abs(universe - value)) < 1e-9
 
 
+    def test_radii_without_a_dispersion_estimate_take_one_moments_pass(self, tmp_path,
+                                                                         monkeypatch):
+        # At n = 3 the radii were once taken from a second centring and Gramian.
+        calls = []
+
+        def spy(X, out=None):
+            calls.append(X.n)
+            return moments._moments(X, out)
+
+        monkeypatch.setattr(cli, "_moments", spy)
+        monkeypatch.setattr(radii, "_moments", spy)
+        path = write_csv(tmp_path / "n3.csv", gaussian_data(21, 3, 4).values)
+        assert main(["diagnose", str(path), "--out", str(tmp_path / "d")]) == 0
+        assert calls == [3]
+        assert sorted(p.name for p in (tmp_path / "d").iterdir()) == ["interpoint.csv",
+                                                                      "radii.csv"]
+
     @pytest.mark.parametrize("case", sorted(DIAGNOSE_CASES))
     def test_output_bytes_are_pinned(self, tmp_path, case):
         (n, d), options = DIAGNOSE_CASES[case]
@@ -662,8 +680,15 @@ class TestCmdSimulate:
         assert scenario["family"]["enum"] == list(generators.FAMILIES)
         assert cov["kind"]["enum"] == list(generators.COV_KINDS)
         assert set(cov) >= set(generators.COV_PARAMS)
-        # The spec reader passes a cov object's keys to CovSpec as they stand.
+        # The spec reader passes each object's keys to its record as they stand.
         assert list(cov) == list(generators.CovSpec.__dataclass_fields__)
+        assert list(scenario) == [f.name for f in dataclasses.fields(generators.Scenario)
+                                  if f.init]
+        cell = EXPERIMENT_SCHEMA["properties"]["cells"]["items"]["properties"]
+        assert list(cell) == [f.name for f in dataclasses.fields(harness.CellSpec)]
+        experiment = EXPERIMENT_SCHEMA["properties"]  # and the cells' default replications
+        assert set(experiment) == {f.name for f in dataclasses.fields(harness.Experiment)
+                                   } | {"replications"}
         methods = EXPERIMENT_SCHEMA["properties"]["cells"]["items"]["properties"]["methods"]
         names, quasi = methods["items"]["anyOf"]
         assert names["enum"] == list(METHODS)

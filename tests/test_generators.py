@@ -21,6 +21,7 @@ from hdnorm import (
 from hdnorm import generators
 from hdnorm import rng as hrng
 from hdnorm.generators import sparse_random_components
+from hdnorm.harness import scenario_to_json
 
 
 def draw(scenario, seed=0, rep=0, buffers=None):
@@ -294,6 +295,21 @@ class TestScenarioGuards:
                 **changes}
         with pytest.raises(InvalidScenarioParams, match=message):
             Scenario(**args)
+
+    def test_params_checked_are_the_params_kept(self):
+        # The caller's dict was once kept: changed after the build, it was
+        # echoed and compared while the draws used the parameters checked.
+        params = {"dof": 5.0}
+        s = Scenario("multivariate_t", 10, 4, CovSpec("identity", 4), params)
+        echo, before = scenario_to_json(s), draw(s).values.copy()
+        params["dof"] = -1.0
+        assert s.params == {"dof": 5.0}
+        assert s == Scenario("multivariate_t", 10, 4, CovSpec("identity", 4), {"dof": 5.0})
+        assert scenario_to_json(s) == echo
+        assert np.array_equal(draw(s).values, before)
+        # A list is kept as a tuple, so a scenario read from JSON equals one built in Python.
+        weights = Scenario("loc_mixture", 10, 4, CovSpec("identity", 4), {"weights": [0.3, 0.7]})
+        assert weights.params == {"weights": (0.3, 0.7)}
 
     def test_resolved_once_and_kept_through_pickle_not_through_replace(self, monkeypatch):
         s = Scenario("multivariate_t", 10, 4, CovSpec("identity", 4), {"dof_coeff": 2.0})

@@ -112,6 +112,34 @@ class TestRunExperiment:
         monkeypatch.setattr(generators, "_params", refuse)
         assert summarize(run_experiment(exp, threads=1)) == expected
 
+    def test_cells_checked_are_the_cells_run(self):
+        # A list of cells changed after the build once ran its new cell, here to a TypeError.
+        cells = [CellSpec(GOOD, 10)]
+        exp = Experiment("copied", 3, 0.05, 500, cells)
+        cells.append(CellSpec(GOOD, 2.5))
+        assert [r.replications for r in run_experiment(exp, threads=1)] == [10]
+        assert exp.cells == (CellSpec(GOOD, 10),)
+
+    def test_cells_from_a_generator_run(self):
+        # The check once used the generator up, and the run returned no result.
+        exp = Experiment("generated", 3, 0.05, 500, (cell for cell in [CellSpec(GOOD, 10)]))
+        assert [r.replications for r in run_experiment(exp, threads=1)] == [10]
+
+    def test_methods_checked_are_the_methods_run(self):
+        # A methods list changed after the build once ran an order too large for n.
+        methods = ["composite"]
+        exp = Experiment("copied", 3, 0.05, 500, (CellSpec(GOOD, 10, methods),))
+        methods.append("quasi:99")
+        assert [r.method for r in run_experiment(exp, threads=1)] == ["composite"]
+        assert exp.cells[0].methods == ("composite",)
+
+    def test_experiment_takes_a_spec_defaults(self):
+        exp = Experiment(cells=(CellSpec(GOOD, 10),))
+        assert (exp.name, exp.seed, exp.alpha, exp.mc_replications) == ("experiment", 0, 0.05,
+                                                                          10000)
+        spec = {"cells": [{"scenario": scenario_to_json(GOOD), "replications": 10}]}
+        assert experiment_from_json(spec) == exp
+
     def test_methods_share_draws(self):
         results = run_experiment(small_experiment(methods=("composite", "squared")), threads=2)
         assert [r.method for r in results] == ["composite", "squared"] * 2
