@@ -224,8 +224,7 @@ def cmd_simulate(args) -> int:
     except (ValueError, HdnormError) as exc:
         raise ValueError(f"bad experiment spec: {exc}")
 
-    # An unwritable --out fails before any work.
-    outdir = Path(args.out)
+    outdir = _writable(Path(args.out), folder=True)  # before any work
     outdir.mkdir(parents=True, exist_ok=True)
     results = run_experiment(exp, threads=args.threads)
     (outdir / "summary.csv").write_text(summarize(results), encoding="utf-8")

@@ -12,9 +12,9 @@ when built, so every cell of an ``Experiment`` can run; the spec reader only
 builds each object from its keys, the shipped schema's, through one builder.
 A cell's failures count the replications whose sample or moments failed
 numerically.  Every band a cell's methods need is built once, in the calling
-process, before any work unit runs; each unit carries its cell's settings,
-resolved methods and finished bands, so workers never draw a null sample or
-look a method up themselves.
+process, before any work unit runs; each unit carries its cell's rules, each
+method resolved and calibrated at the cell's n (``Method.at``), so workers
+never draw a null sample or look a method up themselves.
 
 With more than one worker, work units run in worker processes, each with BLAS
 limited to one thread, so that workers neither contend for the interpreter
@@ -30,6 +30,7 @@ import json
 import math
 import time
 from collections import Counter, defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from pathlib import Path
@@ -41,13 +42,7 @@ from . import _cpus, rng
 from .errors import HdnormError, TooFewSamples
 from .generators import CovSpec, Scenario, _is_integer, sample_scenario
 from .moments import MIN_N
-from .montecarlo import (
-    Band,
-    McSettings,
-    Method,
-    composite_from_summary,
-    lookup_method,
-)
+from .montecarlo import McSettings, Rule, composite_from_summary, lookup_method
 from .radii import radial_summary
 from .teststats import contrast
 
@@ -74,6 +69,8 @@ class Experiment:
     cells: Tuple[CellSpec, ...] = ()
 
     def __post_init__(self):
+        if not isinstance(self.cells, Iterable):
+            raise ValueError(f"cells must be a list of CellSpec, got {self.cells!r}")
         object.__setattr__(self, "cells", tuple(self.cells))  # a copy, checked once
         if not isinstance(self.name, str):
             raise ValueError(f"experiment name must be a string, got {self.name!r}")
@@ -85,6 +82,8 @@ class Experiment:
 def _check_cell(ci: int, cell: CellSpec) -> None:
     """Refuse cell ``ci`` unless it can run (its scenario judged itself when built):
     it has a replication, and each method is known, listed once and defined at its n."""
+    if not isinstance(cell, CellSpec) or not isinstance(cell.scenario, Scenario):
+        raise ValueError(f"cell {ci} must be a CellSpec holding a Scenario, got {cell!r}")
     if not _is_integer(cell.replications):
         raise ValueError(f"cell {ci} replications must be an integer, got {cell.replications!r}")
     if cell.replications < 1:
@@ -124,27 +123,19 @@ def binomial_ci(count: int, total: int) -> Tuple[float, float]:
     return (max(0.0, p - half), min(1.0, p + half))
 
 
-CellBands = Tuple[McSettings, Dict[str, Tuple[Method, Tuple[Band, ...]]]]
+def _cell_rules(exp: Experiment) -> List[Dict[str, Rule]]:
+    """Each cell's ``{name: rule}``: its methods, resolved and calibrated at its n
+    under its Monte-Carlo settings, whose seed is keyed by (master seed, cell)."""
+    seeds = (rng.derive_seed(exp.seed, rng.DOMAIN_NULL_RANGE, ci) for ci in range(len(exp.cells)))
+    return [{m.name: m.at(cell.scenario.n, McSettings(exp.mc_replications, seed, exp.alpha))
+             for m in map(lookup_method, cell.methods)} for cell, seed in zip(exp.cells, seeds)]
 
 
-def _cell_bands(exp: Experiment) -> List[CellBands]:
-    """Each cell's Monte-Carlo settings and ``{name: (method, bands)}``: its
-    methods, resolved, and the bands they decide against."""
-    cells = []
-    for ci, cell in enumerate(exp.cells):
-        settings = McSettings(replications=exp.mc_replications, alpha=exp.alpha,
-                              seed=rng.derive_seed(exp.seed, rng.DOMAIN_NULL_RANGE, ci))
-        cells.append((settings, {m.name: (m, m.bands_at(cell.scenario.n, settings))
-                                 for m in map(lookup_method, cell.methods)}))
-    return cells
-
-
-def _run_unit(exp: Experiment, cell_index: int, lo: int, hi: int, cell_bands: CellBands):
-    """Run replications [lo, hi) of one cell against its bands; returns the rejections
+def _run_unit(exp: Experiment, cell_index: int, lo: int, hi: int, rules: Dict[str, Rule]):
+    """Run replications [lo, hi) of one cell against its rules; returns the rejections
     per method and the count of replications whose sample or moments failed."""
     cell = exp.cells[cell_index]
-    settings, methods = cell_bands
-    rejections, failures = dict.fromkeys(methods, 0), 0
+    rejections, failures = dict.fromkeys(rules, 0), 0
     start = time.perf_counter()
     # Every replication draws into these and centres its sample in place.
     buffers = np.empty((2, cell.scenario.n, cell.scenario.d))
@@ -156,8 +147,8 @@ def _run_unit(exp: Experiment, cell_index: int, lo: int, hi: int, cell_bands: Ce
         except HdnormError:
             failures += 1
             continue
-        for m, (method, bands) in methods.items():
-            rejections[m] += composite_from_summary(rs, settings, method, bands).reject
+        for m, rule in rules.items():
+            rejections[m] += composite_from_summary(rs, rule).reject
     return cell_index, rejections, failures, time.perf_counter() - start
 
 
@@ -169,8 +160,8 @@ def run_experiment(exp: Experiment, threads: Optional[int] = None) -> List[CellR
     this process; more run in worker processes, forked when this process runs
     one OS thread and spawned otherwise (see ``_cpus.process_map``).  On the
     spawn path a script that calls this with more than one worker needs an
-    ``if __name__ == "__main__":`` guard.  The cells' Monte-Carlo bands are
-    built here first, and each work unit carries its cell's.
+    ``if __name__ == "__main__":`` guard.  The cells' rules, with their
+    Monte-Carlo bands, are built here first, and each work unit carries its cell's.
 
     Every cell can run, as its ``Experiment`` checked; a replication whose
     sample or moments fail is tallied as a failure rather than aborting the
@@ -187,8 +178,8 @@ def run_experiment(exp: Experiment, threads: Optional[int] = None) -> List[CellR
     # grow with the replication counts.
     chunks = [max(1, min(64, -(-cell.replications // (min(threads, cpus) * 4))))
               for cell in exp.cells]
-    bands = _cell_bands(exp)
-    units = ((ci, lo, min(lo + chunk, cell.replications), bands[ci])
+    rules = _cell_rules(exp)
+    units = ((ci, lo, min(lo + chunk, cell.replications), rules[ci])
              for ci, (cell, chunk) in enumerate(zip(exp.cells, chunks))
              for lo in range(0, cell.replications, chunk))
     count = sum(-(-cell.replications // chunk) for cell, chunk in zip(exp.cells, chunks))

@@ -17,8 +17,9 @@ several levels come from one draw; the memo never changes results.
 
 Each decision method, the composite test and each of its contrasts, is one
 entry of ``METHODS``: the names ``hdnorm test --stats`` and ``simulate`` take.
-``lookup_method`` resolves a name once; ``Method.bands_at`` resolves its
-bands, and a decision reads only its arguments.
+``lookup_method`` resolves a name once, and ``Method.at(n, settings)``
+calibrates it once, into the ``Rule`` that holds its bands for samples of n
+rows: every decision reads only a rule, and refuses a sample of another n.
 """
 
 from __future__ import annotations
@@ -220,15 +221,24 @@ class Method:
     orders: Tuple[Optional[int], ...]
     squared: bool = False
 
-    def level(self, settings: McSettings) -> float:
-        """The level of each sub-test: alpha/k."""
-        return settings.alpha / len(self.orders)
+    def at(self, n: int, settings: McSettings) -> Rule:
+        """This method calibrated for samples of ``n`` rows: each sub-test's band at alpha/k."""
+        level = settings.alpha / len(self.orders)
+        return Rule(self, n, settings, level, tuple(
+            _iqr_band(level) if q is None else mc_quantiles(n, q, replace(settings, alpha=level))
+            for q in self.orders))
 
-    def bands_at(self, n: int, settings: McSettings) -> Tuple[Band, ...]:
-        """Each sub-test's band for samples of ``n`` rows, at level alpha/k."""
-        level = self.level(settings)
-        return tuple(_iqr_band(level) if q is None
-                     else mc_quantiles(n, q, replace(settings, alpha=level)) for q in self.orders)
+
+@dataclass(frozen=True)
+class Rule:
+    """A ``Method`` calibrated, by ``Method.at``, for samples of ``n`` rows under
+    ``settings``: ``bands`` holds each sub-test's band, drawn at ``level`` (alpha/k)."""
+
+    method: Method
+    n: int
+    settings: McSettings
+    level: float
+    bands: Tuple[Band, ...]
 
 
 #: Every decision method by name; ``lookup_method`` adds ``quasi:q``.
@@ -282,22 +292,23 @@ class TestReport:
         return {**doc, "reject": self.reject}
 
 
-def composite_from_summary(rs: RadialSummary, settings: McSettings, method: Method,
-                           bands: Tuple[Band, ...]) -> TestReport:
-    """Decide ``method`` on a precomputed radial summary, against ``bands``,
-    its ``bands_at(rs.n, settings)``."""
-    level = method.level(settings)
+def composite_from_summary(rs: RadialSummary, rule: Rule) -> TestReport:
+    """Decide ``rule``'s method on a precomputed radial summary, against its bands;
+    ``ValueError`` if the rule was calibrated for another n."""
+    if rs.n != rule.n:
+        raise ValueError(f"a rule calibrated for n={rule.n} cannot decide a sample of n={rs.n}")
+    method, level = rule.method, rule.level
     values = statistics(rs, method.orders, method.squared)
     # A quasi-range reports its order; the range, its q = 1 case, does not.
     decisions = {key: Decision(value, q if key == "quasi_range" else None, level, lower, upper,
                                bool(value < lower or value > upper))
                  for key, q, value, (lower, upper) in zip(method.keys, method.orders, values,
-                                                          bands, strict=True)}
+                                                          rule.bands, strict=True)}
     return TestReport(
         method=method,
         n=rs.n,
         d=rs.d,
-        settings=settings,
+        settings=rule.settings,
         dispersion=rs.dispersion,
         decisions=decisions,
         reject=any(decision.reject for decision in decisions.values()),
@@ -308,5 +319,4 @@ def composite_test(X: DataMatrix, settings: McSettings, method: Method = METHODS
                    out: Optional[np.ndarray] = None) -> TestReport:
     """Run a decision method on a sample, by default the composite (range + IQR)
     test, centring the sample into ``out`` if given (see ``radial_summary``)."""
-    return composite_from_summary(radial_summary(X, out), settings, method,
-                                  method.bands_at(X.n, settings))
+    return composite_from_summary(radial_summary(X, out), method.at(X.n, settings))

@@ -57,14 +57,13 @@ def similarity_transform(values: np.ndarray, sigma: float, V: np.ndarray,
 def rejection_rate(scenario: Scenario, replications: int, settings: McSettings,
                    seed: int, method: str = "composite") -> float:
     """Empirical rejection rate of a decision method over fresh data draws."""
-    method = lookup_method(method)
-    bands = method.bands_at(scenario.n, settings)
+    rule = lookup_method(method).at(scenario.n, settings)
     rejected = 0
     for r in range(replications):
         gen = hrng.substream(seed, hrng.DOMAIN_DATA, 0, r)
         X = sample_scenario(scenario, gen)
         rs = radial_summary(X)
-        if composite_from_summary(rs, settings, method, bands).reject:
+        if composite_from_summary(rs, rule).reject:
             rejected += 1
     return rejected / replications
 

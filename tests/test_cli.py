@@ -441,6 +441,22 @@ class TestCmdSimulate:
         assert capsys.readouterr().err.startswith("error: ")
         assert replicated == [] and taken.read_text() == ""
 
+    def test_bad_out_is_refused_before_the_sweep(self, tmp_path, monkeypatch, capsys):
+        # A file, a path below one, or a directory the process cannot write once
+        # ran the whole sweep, or printed an errno message instead of this line.
+        ran = []
+        monkeypatch.setattr(harness, "run_experiment", lambda *args, **kw: ran.append(args))
+        spec, taken, locked = self.make_spec(tmp_path), tmp_path / "x.csv", tmp_path / "locked"
+        taken.write_text("")
+        locked.mkdir()
+        access = os.access  # root may write to any directory, so the check is faked
+        monkeypatch.setattr(os, "access", lambda path, mode: Path(path) != locked
+                            and access(path, mode))
+        for out in (taken, taken / "sub", locked, locked / "sub"):
+            assert main(["simulate", str(spec), "--out", str(out)]) == 1
+            assert capsys.readouterr().err == f"error: cannot write {out}\n"
+        assert ran == [] and taken.read_text() == "" and list(locked.iterdir()) == []
+
     def test_byte_identical_reruns(self, tmp_path):
         spec = self.make_spec(tmp_path)
         main(["simulate", str(spec), "--out", str(tmp_path / "a"), "--threads", "1"])

@@ -59,7 +59,7 @@ def blas_vars(_):
     return os.getpid(), {k: os.environ.get(k) for k in BLAS_THREAD_VARS}
 
 
-def unit_without_draws(exp, ci, lo, hi, bands):
+def unit_without_draws(exp, ci, lo, hi, rules):
     """Runs in a worker process: one work unit with no memoised band and null
     draws made an error."""
     def no_draws(*args):
@@ -67,7 +67,7 @@ def unit_without_draws(exp, ci, lo, hi, bands):
 
     clear_band_memos()
     montecarlo.null_quasi_range_draws = no_draws
-    return _run_unit(exp, ci, lo, hi, bands)
+    return _run_unit(exp, ci, lo, hi, rules)
 
 
 class TestRunExperiment:
@@ -95,8 +95,8 @@ class TestRunExperiment:
     def test_single_cell_rerun_is_bitwise(self):
         exp = small_experiment()
         full = run_experiment(exp, threads=4)
-        bands = harness._cell_bands(exp)[1]
-        ci, rejections, failures, _ = _run_unit(exp, 1, 0, exp.cells[1].replications, bands)
+        rules = harness._cell_rules(exp)[1]
+        ci, rejections, failures, _ = _run_unit(exp, 1, 0, exp.cells[1].replications, rules)
         assert ci == 1
         assert rejections["composite"] == full[1].rejections
         assert failures == full[1].failures
@@ -124,6 +124,17 @@ class TestRunExperiment:
         # The check once used the generator up, and the run returned no result.
         exp = Experiment("generated", 3, 0.05, 500, (cell for cell in [CellSpec(GOOD, 10)]))
         assert [r.replications for r in run_experiment(exp, threads=1)] == [10]
+
+    @pytest.mark.parametrize("cells, message", [
+        ([5], "cell 0 must be a CellSpec holding a Scenario, got 5"),
+        ((CellSpec(GOOD, 10), CellSpec({"n": 3}, 10)),
+         "cell 1 must be a CellSpec holding a Scenario, got CellSpec(scenario={'n': 3}"),
+        (5, "cells must be a list of CellSpec, got 5"),
+    ], ids=["not_a_cell", "not_a_scenario", "not_a_list"])
+    def test_bad_cells_are_refused_by_name(self, cells, message):
+        # Each once raised an untyped AttributeError or TypeError.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Experiment(cells=cells)
 
     def test_methods_checked_are_the_methods_run(self):
         # A methods list changed after the build once ran an order too large for n.
@@ -367,7 +378,7 @@ class TestReplicationMemory:
         n, d = 50, cov.d
         exp = Experiment("memory", 3, 0.05, 100,
                          (CellSpec(Scenario(family, n, d, cov), 4, ("composite",)),))
-        bands = harness._cell_bands(exp)[0]
+        rules = harness._cell_rules(exp)[0]
         sample, marks = harness.sample_scenario, []
 
         def marked(*args):
@@ -378,7 +389,7 @@ class TestReplicationMemory:
         monkeypatch.setattr(harness, "sample_scenario", marked)
         tracemalloc.start()
         try:
-            _, _, failures, _ = _run_unit(exp, 0, 0, 4, bands)
+            _, _, failures, _ = _run_unit(exp, 0, 0, 4, rules)
             marks.append(tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
@@ -410,10 +421,10 @@ import hdnorm.cli
 from hdnorm import CovSpec, Scenario, harness
 run_unit = harness._run_unit
 
-def fail_after_first(exp, ci, lo, hi, bands):
+def fail_after_first(exp, ci, lo, hi, rules):
     if lo > 0:
         raise RuntimeError("a later unit")
-    return run_unit(exp, ci, lo, hi, bands)
+    return run_unit(exp, ci, lo, hi, rules)
 
 harness._run_unit = fail_after_first
 cell = harness.CellSpec(Scenario("null_gaussian", 20, 5, CovSpec("identity", 5)), 10**12)
@@ -451,38 +462,38 @@ class TestBandsBuiltOnce:
         assert seen["workers"] == 2
         assert sorted((n, q) for n, q, _, _ in drawn) == [(40, 1), (40, 1), (40, 1), (40, 2)]
         assert len(drawn) == len(set(drawn))
-        cell_bands = harness._cell_bands(exp)
+        cell_rules = harness._cell_rules(exp)
         assert len(seen["units"]) == 24  # 8 units of 8 or fewer replications per cell
-        assert all(bands == cell_bands[ci] for ci, _, _, bands in seen["units"])
-        assert cell_bands[0][1]["composite"][1] == cell_bands[0][1]["squared"][1]
+        assert all(rules == cell_rules[ci] for ci, _, _, rules in seen["units"])
+        assert cell_rules[0]["composite"].bands == cell_rules[0]["squared"].bands
         strip = lambda rs: [(r.cell_index, r.method, r.rejections, r.failures) for r in rs]
         assert strip(results) == strip(run_experiment(exp, threads=1))
         assert len(drawn) == 4
 
         # Each tally is the method's own decision summed over the cell's draws.
         for r in results:
-            settings = cell_bands[r.cell_index][0]
-            method = montecarlo.lookup_method(r.method)
-            bands = method.bands_at(r.scenario.n, settings)
+            settings = cell_rules[r.cell_index][r.method].settings
+            rule = montecarlo.lookup_method(r.method).at(r.scenario.n, settings)
             reports = [montecarlo.composite_from_summary(radial_summary(sample_scenario(
                 r.scenario, hrng.substream(exp.seed, hrng.DOMAIN_DATA, r.cell_index, i))),
-                settings, method, bands) for i in range(r.replications)]
+                rule) for i in range(r.replications)]
             assert r.failures == 0 and r.rejections == sum(rep.reject for rep in reports)
         assert len(drawn) == 4
 
     def test_levels_of_a_cell_share_one_draw(self, drawn):
         # "composite" decides its range at alpha/2, "range" at alpha.
         exp = small_experiment(methods=("composite", "range"))
-        bands = harness._cell_bands(exp)
-        assert len(bands) == 2 and len(drawn) == len(set(drawn)) == 2
-        assert all(cell["composite"][1][0] != cell["range"][1][0] for _, cell in bands)
-        for ci, (settings, cell) in enumerate(bands):
+        rules = harness._cell_rules(exp)
+        assert len(rules) == 2 and len(drawn) == len(set(drawn)) == 2
+        assert all(cell["composite"].bands[0] != cell["range"].bands[0] for cell in rules)
+        for ci, cell in enumerate(rules):
             seed = hrng.derive_seed(exp.seed, hrng.DOMAIN_NULL_RANGE, ci)
-            assert settings == montecarlo.McSettings(500, seed, 0.05)
-            for m, (method, got) in cell.items():
+            settings = montecarlo.McSettings(500, seed, 0.05)
+            for m, rule in cell.items():
                 clear_band_memos()
-                assert method == montecarlo.lookup_method(m)
-                assert got == method.bands_at(40, settings)
+                assert (rule.method, rule.n, rule.settings) == (montecarlo.lookup_method(m), 40,
+                                                                settings)
+                assert rule == rule.method.at(40, settings)
         assert len(drawn) == 6
 
 

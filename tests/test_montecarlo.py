@@ -33,7 +33,7 @@ from hdnorm.montecarlo import (
     empirical_quantile,
     lookup_method,
 )
-from hdnorm.teststats import range_statistic, statistics
+from hdnorm.teststats import statistics
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -123,6 +123,17 @@ class TestGoldenValues:
             -2.7245287299102205, 5.628659672899053)
         assert mc_quantiles(60, 3, McSettings(10000, seed=7, alpha=0.05)) == (
             -4.70167613138563, -0.31390029603002034)
+
+    def test_rules_hold_the_pinned_bands(self):
+        # Each sub-test of a rule runs at alpha/k: the composite range band is
+        # the alpha = 0.025 pin above.
+        rule = METHODS["composite"].at(100, McSettings(10000, seed=0, alpha=0.05))
+        assert rule.bands == ((-2.7245287299102205, 5.628659672899053),
+                              (-3.5266959874871935, 3.526695987487196))
+        assert (rule.n, rule.level) == (100, 0.025)
+        rule = lookup_method("quasi:3").at(60, McSettings(10000, seed=7, alpha=0.05))
+        assert rule.bands == ((-4.70167613138563, -0.31390029603002034),)
+        assert (rule.n, rule.level) == (60, 0.05)
 
     @pytest.mark.parametrize("args,digest", [
         ((100, 1, 10000, 0),
@@ -317,10 +328,11 @@ class TestDecisions:
     def test_boundary_hits_accept(self):
         settings = McSettings(replications=1000, seed=6, alpha=0.05)
         rs = radial_summary(gaussian_data(6, 40, 30))
-        value = range_statistic(rs)
+        value, = statistics(rs, (1,))
+        rule = METHODS["range"].at(40, settings)
 
         def rejects(lower, upper):
-            report = composite_from_summary(rs, settings, METHODS["range"], ((lower, upper),))
+            report = composite_from_summary(rs, dataclasses.replace(rule, bands=((lower, upper),)))
             assert report.decisions["range"].value == value
             return report.reject
 
@@ -335,40 +347,37 @@ class TestDecisions:
         settings = McSettings(replications=2000, seed=14, alpha=0.05)
         rs = radial_summary(gaussian_data(3, 60, 40))
         method = lookup_method("quasi:3")
-        bands = method.bands_at(60, settings)
-        decision = composite_from_summary(rs, settings, method, bands).decisions["quasi_range"]
+        decision = composite_from_summary(rs, method.at(60, settings)).decisions["quasi_range"]
         assert (decision.value, decision.q) == (statistics(rs, (3,))[0], 3)
         assert (decision.lower, decision.upper) == mc_quantiles(60, 3, settings)
         assert (decision.lower, decision.upper) != mc_quantiles(60, 1, settings)
 
     def test_iqr_band_is_symmetric_sigma_star_scaled(self):
         settings = McSettings(replications=1000, seed=1, alpha=0.05)
-        (lower, upper), = METHODS["iqr"].bands_at(30, settings)
+        (lower, upper), = METHODS["iqr"].at(30, settings).bands
         assert upper == pytest.approx(3.083871111053238, abs=1e-12)
         assert lower == pytest.approx(-upper, abs=1e-12)
 
     def test_range_subtest_size_at_half_alpha(self):
         settings = McSettings(replications=10000, seed=55, alpha=0.05)
-        composite = METHODS["composite"]
-        bands = composite.bands_at(100, settings)
+        rule = METHODS["composite"].at(100, settings)
         rejections = 0
         reps = 10000
         for seed in range(reps):
             rs = radial_summary(gaussian_data(seed, 100, 20))
-            decision = composite_from_summary(rs, settings, composite, bands).decisions["range"]
+            decision = composite_from_summary(rs, rule).decisions["range"]
             assert decision.level == settings.alpha / 2
             rejections += decision.reject
         assert rejections / reps == pytest.approx(0.025, abs=0.008)
 
     def test_iqr_subtest_size_at_half_alpha(self):
         settings = McSettings(replications=10000, seed=56, alpha=0.05)
-        composite = METHODS["composite"]
-        bands = composite.bands_at(150, settings)
+        rule = METHODS["composite"].at(150, settings)
         rejections = 0
         reps = 10000
         for seed in range(reps):
             rs = radial_summary(gaussian_data(10_000_000 + seed, 150, 300))
-            decision = composite_from_summary(rs, settings, composite, bands).decisions["iqr"]
+            decision = composite_from_summary(rs, rule).decisions["iqr"]
             assert decision.level == settings.alpha / 2
             rejections += decision.reject
         assert rejections / reps == pytest.approx(0.025, abs=0.01)
@@ -434,9 +443,18 @@ class TestComposite:
     def test_composite_from_summary_needs_a_band_per_sub_test(self):
         settings = McSettings(replications=1000, seed=1, alpha=0.05)
         rs = radial_summary(gaussian_data(5, 30, 40))
-        bands = METHODS["range"].bands_at(30, settings)
+        bands = METHODS["range"].at(30, settings).bands
+        rule = dataclasses.replace(METHODS["composite"].at(30, settings), bands=bands)
         with pytest.raises(ValueError):
-            composite_from_summary(rs, settings, METHODS["composite"], bands)
+            composite_from_summary(rs, rule)
+
+    def test_composite_from_summary_refuses_a_rule_for_another_n(self):
+        settings = McSettings(replications=1000, seed=1, alpha=0.05)
+        rs = radial_summary(gaussian_data(5, 100, 40))
+        rule = METHODS["composite"].at(60, settings)
+        with pytest.raises(ValueError, match="calibrated for n=60 cannot decide a sample of n=100"):
+            composite_from_summary(rs, rule)
+        assert composite_from_summary(rs, METHODS["composite"].at(100, settings)).n == 100
 
     def test_needs_four_rows(self):
         from hdnorm import DataMatrix, TooFewSamples
