@@ -9,36 +9,45 @@ of them numpy's and scipy's and all of them alive to the end, go to the
 collector's permanent generation.  Every later collection, the one at
 interpreter exit included, would walk them again, about 10 ms of each
 command, and a forked sweep worker or CSV slice would copy the pages it
-walks.  The collector stays on for what a command allocates, and
-``import hdnorm`` or any library module freezes nothing.
+walks.  Nor does any collection run while the imports build that heap:
+the collector is off from the first import to the freeze, then back on, if
+the caller had it on, for what a command allocates.  ``import hdnorm`` or any
+library module freezes nothing.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
-import json
-import os
-import sys
-from itertools import islice
-from pathlib import Path
 
-from . import _cpus
+_collecting = gc.isenabled()
+gc.disable()
+try:
+    import argparse
+    import json
+    import os
+    import sys
+    from itertools import islice
+    from pathlib import Path
 
-# Before numpy loads: BLAS reads its thread count only then.
-_cpus.default_to_one_blas_thread()
+    from . import _cpus
 
-# rng imports numpy first, with a stand-in for secrets, so OpenSSL never loads.
-from . import rng  # noqa: E402
-import numpy as np  # noqa: E402
-from ._csvparse import load_csv, open_text
-from .errors import HdnormError, NonFiniteData
-from .moments import DataMatrix, _moments
-from .montecarlo import METHODS, McSettings, composite_test, lookup_method
-from .radii import RadialSummary
-from .rng import ndtri
+    # Before numpy loads: BLAS reads its thread count only then.
+    _cpus.default_to_one_blas_thread()
 
-gc.freeze()
+    # rng imports numpy first, with a stand-in for secrets, so OpenSSL never loads.
+    from . import rng
+    import numpy as np
+    from ._csvparse import load_csv, open_text
+    from .errors import HdnormError, NonFiniteData
+    from .moments import DataMatrix, _moments
+    from .montecarlo import METHODS, McSettings, composite_test, lookup_method
+    from .radii import RadialSummary
+    from .rng import ndtri
+
+    gc.freeze()
+finally:
+    if _collecting:
+        gc.enable()
 # Walks nothing, all being frozen, but as a full collection it empties the
 # interpreter's free lists; without it a sweep's peak RSS read about 0.2 MB
 # higher than with no freeze at all, and with it 0.15 MB lower.

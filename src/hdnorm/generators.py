@@ -203,11 +203,23 @@ def _apply_factor(Z: np.ndarray, factor: Optional[np.ndarray], out: np.ndarray) 
     return np.matmul(Z, factor, out=out)
 
 
+class _ReadOnlyParams(dict):
+    """A dict that refuses every change, and pickles as the dict it holds."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("scenario params are read-only; build a new Scenario to change them")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A generative model: family name, sample shape, covariance, parameters; checked when
-    built, which stores its parameters with defaults filled in as ``resolved``, and a copy
-    of ``params``, lists as tuples, so that what was checked is what runs."""
+    built, which stores its parameters with defaults filled in as ``resolved``, and a
+    read-only copy of ``params``, lists as tuples, so that what was checked is what runs."""
 
     family: str
     n: int
@@ -218,8 +230,8 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "resolved", _params(self))
-        object.__setattr__(self, "params", {k: tuple(v) if isinstance(v, list) else v
-                                            for k, v in self.params.items()})
+        object.__setattr__(self, "params", _ReadOnlyParams(
+            {k: tuple(v) if isinstance(v, list) else v for k, v in self.params.items()}))
 
 
 class PowerOfD(NamedTuple):

@@ -34,7 +34,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -99,8 +99,7 @@ def _check_cell(ci: int, cell: CellSpec) -> None:
         raise TooFewSamples(f"cell {ci} needs n >= {MIN_N} for the moments, got {cell.scenario.n}")
 
 
-@dataclass(frozen=True)
-class CellResult:
+class CellResult(NamedTuple):
     cell_index: int
     scenario: Scenario
     method: str
@@ -253,7 +252,7 @@ def summarize(results: Sequence[CellResult]) -> str:
 
 def results_jsonl(results: Sequence[CellResult]) -> str:
     """One JSON object per cell result, including scenario echo and wall time."""
-    lines = [json.dumps({**vars(r), "scenario": scenario_to_json(r.scenario)}, sort_keys=True)
+    lines = [json.dumps({**r._asdict(), "scenario": scenario_to_json(r.scenario)}, sort_keys=True)
              for r in results]
     return "\n".join(lines) + "\n"
 

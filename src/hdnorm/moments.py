@@ -11,8 +11,7 @@ the cost at O(n d (n ^ d)) instead of O(n d^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -22,8 +21,7 @@ from .errors import NonFiniteData, NonPositiveDispersion, TooFewSamples
 MIN_N = 4
 
 
-@dataclass(frozen=True)
-class DataMatrix:
+class DataMatrix(NamedTuple):
     """An n x d sample matrix with rows as observations.
 
     All entries must be finite, else ``from_array`` raises ``NonFiniteData``.
@@ -42,14 +40,13 @@ class DataMatrix:
             raise ValueError(f"expected a 2-D sample matrix, got ndim={arr.ndim}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"empty sample matrix of shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             row, column = np.argwhere(~np.isfinite(arr))[0] + 1
             raise NonFiniteData(int(row), int(column))
         return cls(values=arr, n=arr.shape[0], d=arr.shape[1])
 
 
-@dataclass(frozen=True)
-class DispersionEstimate:
+class DispersionEstimate(NamedTuple):
     """The dispersion-index estimate together with its ingredients."""
 
     delta_hat: float
@@ -58,8 +55,7 @@ class DispersionEstimate:
     used_gramian: bool
 
 
-@dataclass(frozen=True)
-class _Moments:
+class _Moments(NamedTuple):
     """What one centring of the sample gives every moment estimator.
 
     ``sq_radii[i]`` is ||X_i - mean||^2, in input order.  ``trace`` and
@@ -119,13 +115,13 @@ def _moments(X: DataMatrix, out: Optional[np.ndarray] = None) -> _Moments:
     """Centre the sample once, into ``out`` if given (``X.values`` when the
     caller owns the sample), and take every moment from the centred matrix;
     no field of the result refers to it."""
-    Xc = np.subtract(X.values, X.values.mean(axis=0), out=out)
+    # The sum and division ``ndarray.mean`` does, without its Python wrapper.
+    Xc = np.subtract(X.values, np.add.reduce(X.values, axis=0) / X.n, out=out)
     r2 = np.einsum("ij,ij->i", Xc, Xc)
     used_gramian = X.n <= X.d
     M = Xc @ Xc.T if used_gramian else Xc.T @ Xc
     # fsum rounds the exact sum of the squares once.  A square beyond the
-    # float range is inf, which the dispersion checks report, so numpy's
-    # overflow warning would only repeat it.
-    with np.errstate(over="ignore"):
-        r4 = math.fsum((r2 * r2).tolist())
+    # float range is inf, which the dispersion checks report; a Python float
+    # product overflows to inf without numpy's warning, which would only repeat it.
+    r4 = math.fsum([x * x for x in r2.tolist()])
     return _Moments(r2, float(r2.sum()), float(np.einsum("ij,ij->", M, M)), r4, used_gramian)

@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import re
 import threading
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Integral, Real
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -176,8 +176,7 @@ def _sorted_null(n: int, q: int, m: int, seed: int) -> np.ndarray:
     return sample
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """One sub-test outcome: the statistic's value, the order q of a
     quasi-range (None for the others), its band, and the verdict.
 
@@ -204,8 +203,7 @@ def _iqr_band(level: float) -> Band:
     return s * float(ndtri(level / 2.0)), s * float(ndtri(1.0 - level / 2.0))
 
 
-@dataclass(frozen=True)
-class Method:
+class Method(NamedTuple):
     """A decision method: one contrast per sub-test, each decided against a band.
 
     ``name`` is the method's name in ``METHODS`` or ``quasi:q``.  ``keys`` names
@@ -229,8 +227,7 @@ class Method:
             for q in self.orders))
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     """A ``Method`` calibrated, by ``Method.at``, for samples of ``n`` rows under
     ``settings``: ``bands`` holds each sub-test's band, drawn at ``level`` (alpha/k)."""
 
@@ -262,8 +259,7 @@ def lookup_method(name) -> Method:
     raise ValueError(f"unknown method {name!r}; choose from {', '.join(METHODS)} or quasi:q")
 
 
-@dataclass(frozen=True)
-class TestReport:
+class TestReport(NamedTuple):
     """Outcome of one decision method on one dataset."""
 
     method: Method
@@ -284,7 +280,7 @@ class TestReport:
             "mc_replications": self.settings.replications,
             "seed": self.settings.seed,
             "squared": self.method.squared,
-            **asdict(self.dispersion),
+            **self.dispersion._asdict(),
             **{key: decision.to_dict() for key, decision in self.decisions.items()},
         }
         if len(self.decisions) > 1:

@@ -2,16 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .moments import DataMatrix, DispersionEstimate, _moments
 
 
-@dataclass(frozen=True)
-class RadialSummary:
+class RadialSummary(NamedTuple):
     """Sorted radii of a sample along with everything the test statistics need.
 
     ``sorted_radii`` holds the radii ||X_i - mean|| in non-decreasing order.

@@ -128,12 +128,12 @@ _U_FLOOR = 2.0 ** -54
 def substream(seed: int, *path: int) -> Generator:
     """Return the generator for the stream identified by ``(seed, *path)``."""
     # Philox keys itself with the sequence's generate_state(2, np.uint64), the contract's key.
-    return Generator(Philox(SeedSequence(seed, spawn_key=tuple(int(p) for p in path))))
+    return Generator(Philox(SeedSequence(seed, spawn_key=tuple(map(int, path)))))
 
 
 def derive_seed(seed: int, *path: int) -> int:
     """Fold ``(seed, *path)`` into a single 64-bit seed for nested settings."""
-    state = SeedSequence(seed, spawn_key=tuple(int(p) for p in path)).generate_state(1, np.uint64)
+    state = SeedSequence(seed, spawn_key=tuple(map(int, path))).generate_state(1, np.uint64)
     return int(state[0])
 
 
@@ -142,7 +142,7 @@ def derive_seed(seed: int, *path: int) -> int:
 def uniform(gen: Generator, shape, out: np.ndarray | None = None) -> np.ndarray:
     """Uniform draws on (0, 1), never exactly zero."""
     u = gen.random(shape, out=out)
-    np.clip(u, _U_FLOOR, None, out=u)
+    np.maximum(u, _U_FLOOR, out=u)
     return u
 
 

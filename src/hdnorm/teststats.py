@@ -13,18 +13,16 @@ a standard normal with sd = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Integral
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InvalidQuantileOrder, TooFewSamples
 from .radii import RadialSummary
 from .rng import ndtri
 
 
-@dataclass(frozen=True)
-class NormConstants:
+class NormConstants(NamedTuple):
     """Normalizing constants a_n = sqrt(2 ln n), b_n = a_n - (ln ln n + ln 4pi)/(2 a_n)."""
 
     a_n: float
@@ -50,8 +48,7 @@ def sigma_star() -> float:
     return 1.0 / (2.0 * density)
 
 
-@dataclass(frozen=True)
-class Contrast:
+class Contrast(NamedTuple):
     """a (Y_(upper) - Y_(lower)) / sd - 2ab, for the 1-based ranks ``lower`` < ``upper``.
 
     ``factored`` only picks the rounding: a (delta / sd - 2b) if set, else

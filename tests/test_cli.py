@@ -884,6 +884,21 @@ class TestLazyPackage:
                            "simulate", str(spec), "--threads", "1", "--out", str(tmp_path / "s"))
         assert out.splitlines()[-1] == "0 0 True True True 0"
 
+    # No collection runs while the imports build the heap the freeze keeps out
+    # of every later one; the collector is back on after the import.
+    def test_cli_import_runs_no_young_collection(self):
+        code = ("import gc\n"
+                "gc.collect()\n"
+                "before = [s['collections'] for s in gc.get_stats()]\n"
+                "import hdnorm.cli\n"
+                "after = [s['collections'] for s in gc.get_stats()]\n"
+                "print(before[:2] == after[:2], gc.isenabled(), gc.get_freeze_count() > 0)")
+        assert fresh_python(code) == "True True True"
+
+    def test_cli_import_leaves_a_disabled_collector_off(self):
+        code = "import gc\ngc.disable()\nimport hdnorm.cli\nprint(gc.isenabled())"
+        assert fresh_python(code) == "False"
+
     # numpy.random loads with a stand-in for secrets, which would bring in
     # hmac and OpenSSL through _hashlib; the rest of the process keeps the
     # real entropy source and the real module.

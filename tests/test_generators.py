@@ -328,6 +328,42 @@ class TestScenarioGuards:
         monkeypatch.undo()
         assert dataclasses.replace(s, d=16, cov=CovSpec("identity", 16)).resolved == {"dof": 32.0}
 
+    # The record's copy of its parameters is read-only: changed after the
+    # build, it would be echoed and compared while the draws used ``resolved``.
+    @pytest.mark.parametrize("change", [
+        lambda p: p.__setitem__("dof", -1.0),
+        lambda p: p.__delitem__("dof"),
+        lambda p: p.update(dof=-1.0),
+        lambda p: p.pop("dof"),
+        lambda p: p.setdefault("dof_coeff", 2.0),
+        lambda p: p.clear(),
+    ], ids=["setitem", "del", "update", "pop", "setdefault", "clear"])
+    def test_params_refuse_every_change(self, change):
+        s = Scenario("multivariate_t", 10, 4, CovSpec("identity", 4), {"dof": 5.0})
+        with pytest.raises(TypeError, match="read-only"):
+            change(s.params)
+        assert s.params == {"dof": 5.0} and s.resolved == {"dof": 5.0}
+
+    def test_read_only_params_pickle_with_the_scenario(self):
+        s = Scenario("loc_mixture", 10, 4, CovSpec("identity", 4), {"weights": [0.3, 0.7]})
+        back = pickle.loads(pickle.dumps(s))
+        assert back == s and back.params == {"weights": (0.3, 0.7)}
+        assert back.resolved == s.resolved
+        with pytest.raises(TypeError, match="read-only"):
+            back.params["weights"] = (0.5, 0.5)
+
+    def test_read_only_params_compare_echo_and_replace_as_a_dict(self):
+        s = Scenario("multivariate_t", 10, 4, CovSpec("identity", 4), {"dof": 5.0})
+        assert s == Scenario("multivariate_t", 10, 4, CovSpec("identity", 4), {"dof": 5.0})
+        assert s != Scenario("multivariate_t", 10, 4, CovSpec("identity", 4), {"dof": 6.0})
+        assert repr(s).endswith("params={'dof': 5.0})")
+        assert scenario_to_json(s) == {"family": "multivariate_t", "n": 10, "d": 4,
+                                       "cov": {"kind": "identity", "d": 4}, "params": {"dof": 5.0}}
+        moved = dataclasses.replace(s, n=12)
+        assert moved.params == {"dof": 5.0} and moved.resolved == {"dof": 5.0}
+        with pytest.raises(InvalidScenarioParams, match="dof > 0"):
+            dataclasses.replace(s, params={"dof": -1.0})  # checked anew
+
     def test_t_block_covariance_needs_more_than_two_dof(self):
         s = Scenario("mixed_marginals", 10, 4, CovSpec("identity", 4), {"t_dof": 2.0})
         draw(s)

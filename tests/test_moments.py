@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 
@@ -82,8 +81,8 @@ class TestMomentPass:
         expected = _moments(X)
         assert np.array_equal(X.values, values)  # without ``out`` the sample is kept
         got = _moments(X, out=X.values)
-        for field in dataclasses.fields(expected):
-            assert np.array_equal(getattr(got, field.name), getattr(expected, field.name))
+        for field in expected._fields:
+            assert np.array_equal(getattr(got, field), getattr(expected, field))
         assert np.array_equal(X.values, values - values.mean(axis=0))
         assert not np.shares_memory(got.sq_radii, X.values)
 

@@ -332,7 +332,7 @@ class TestDecisions:
         rule = METHODS["range"].at(40, settings)
 
         def rejects(lower, upper):
-            report = composite_from_summary(rs, dataclasses.replace(rule, bands=((lower, upper),)))
+            report = composite_from_summary(rs, rule._replace(bands=((lower, upper),)))
             assert report.decisions["range"].value == value
             return report.reject
 
@@ -444,7 +444,7 @@ class TestComposite:
         settings = McSettings(replications=1000, seed=1, alpha=0.05)
         rs = radial_summary(gaussian_data(5, 30, 40))
         bands = METHODS["range"].at(30, settings).bands
-        rule = dataclasses.replace(METHODS["composite"].at(30, settings), bands=bands)
+        rule = METHODS["composite"].at(30, settings)._replace(bands=bands)
         with pytest.raises(ValueError):
             composite_from_summary(rs, rule)
 
@@ -462,3 +462,36 @@ class TestComposite:
         X = DataMatrix.from_array(np.eye(3))
         with pytest.raises(TooFewSamples):
             composite_test(X, McSettings(replications=500, seed=0, alpha=0.05))
+
+
+VALUE_RECORDS = ("DataMatrix", "DispersionEstimate", "_Moments", "RadialSummary",
+                 "NormConstants", "Contrast", "Decision", "Method", "Rule", "TestReport",
+                 "CellResult")
+
+
+def value_records():
+    """One of each record that only holds values, by type name, from a decision
+    on a small sample."""
+    from hdnorm.harness import CellResult
+    from hdnorm.moments import _moments
+    from hdnorm.teststats import contrast
+
+    X = gaussian_data(2, 30, 40)
+    rule = METHODS["composite"].at(30, McSettings(replications=500, seed=2))
+    rs = radial_summary(X)
+    report = composite_from_summary(rs, rule)
+    records = [X, rs.dispersion, _moments(X), rs, norm_constants(30), contrast(30, 1),
+               report.decisions["range"], rule.method, rule, report,
+               CellResult(0, null_scenario(30, 40), "composite", 1, 0, 0, 0.0, 0.0, 1.0, 0.0)]
+    return {type(record).__name__: record for record in records}
+
+
+# The immutability ``frozen=True`` gave these records, as NamedTuples.
+@pytest.mark.parametrize("name", VALUE_RECORDS)
+def test_value_records_refuse_assignment(name):
+    record = value_records()[name]
+    field = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        record.extra = None
