@@ -3,64 +3,91 @@
 Exit codes: 0 the null hypothesis is not rejected, 3 it is rejected,
 1 any error, 2 command-line usage problems.
 
-This module owns the ``hdnorm`` process, and it is the only module that
-calls ``gc.freeze``: once its imports are done, the objects they made, most
-of them numpy's and scipy's and all of them alive to the end, go to the
-collector's permanent generation.  Every later collection, the one at
-interpreter exit included, would walk them again, about 10 ms of each
-command, and a forked sweep worker or CSV slice would copy the pages it
-walks.  Nor does any collection run while the imports build that heap:
-the collector is off from the first import to the freeze, then back on, if
-the caller had it on, for what a command allocates.  ``import hdnorm`` or any
-library module freezes nothing.
+This module owns the ``hdnorm`` process.  At import it loads only the
+standard library, so ``hdnorm --help`` and a usage error load no numpy.
+``main`` parses the command line first; for ``test`` and ``diagnose`` it
+then forks the CSV parser's early readers (``_csvparse.EarlyReaders``), which
+parse the end of the file on the other CPUs while this process imports
+numpy, scipy's ufuncs and the rest of hdnorm.
+
+This module is the only one that calls ``gc.freeze``, once per process, in
+the first ``main`` call (or the first read of a name the commands import):
+once the imports are done, the objects they made, most of them numpy's and
+scipy's and all of them alive to the end, go to the collector's permanent
+generation.  Every later collection, the one at interpreter exit included,
+would walk them again, about 10 ms of each command, and a forked sweep worker
+or CSV slice would copy the pages it walks.  Nor does any collection run
+while the imports build that heap: the collector is off from the first
+import to the freeze, then back on, if the caller had it on, for what a
+command allocates.  ``import hdnorm`` or any library module freezes nothing.
 """
 
 from __future__ import annotations
 
+import argparse
 import gc
+import json
+import os
+import sys
+from itertools import islice
+from pathlib import Path
+from typing import Optional
 
-_collecting = gc.isenabled()
-gc.disable()
-try:
-    import argparse
-    import json
-    import os
-    import sys
-    from itertools import islice
-    from pathlib import Path
+from . import _cpus
+from ._csvparse import EarlyReaders, load_csv, open_text
+from .errors import HdnormError, NonFiniteData
 
-    from . import _cpus
+# Before numpy loads, here or in a module imported before ``main`` runs: BLAS
+# reads its thread count only then.
+_cpus.default_to_one_blas_thread()
 
-    # Before numpy loads: BLAS reads its thread count only then.
-    _cpus.default_to_one_blas_thread()
 
-    # rng imports numpy first, with a stand-in for secrets, so OpenSSL never loads.
-    from . import rng
-    import numpy as np
-    from ._csvparse import load_csv, open_text
-    from .errors import HdnormError, NonFiniteData
-    from .moments import DataMatrix, _moments
-    from .montecarlo import METHODS, McSettings, composite_test, lookup_method
-    from .radii import RadialSummary
-    from .rng import ndtri
+def _import_numeric_stack() -> None:
+    """Import what the commands compute with, once per process, and freeze
+    the heap the imports made (see the module docstring)."""
+    global np, rng, ndtri, DataMatrix, _moments, McSettings, composite_test, lookup_method
+    global RadialSummary
+    if "rng" in globals():
+        return
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        # rng imports numpy first, with a stand-in for secrets, so OpenSSL never loads.
+        from . import rng
+        import numpy as np
+        from .moments import DataMatrix, _moments
+        from .montecarlo import McSettings, composite_test, lookup_method
+        from .radii import RadialSummary
+        from .rng import ndtri
 
-    gc.freeze()
-finally:
-    if _collecting:
-        gc.enable()
-# Walks nothing, all being frozen, but as a full collection it empties the
-# interpreter's free lists; without it a sweep's peak RSS read about 0.2 MB
-# higher than with no freeze at all, and with it 0.15 MB lower.
-gc.collect()
+        gc.freeze()
+    finally:
+        if collecting:
+            gc.enable()
+    # Walks nothing, all being frozen, but as a full collection it empties the
+    # interpreter's free lists; without it a sweep's peak RSS read about 0.2 MB
+    # higher than with no freeze at all, and with it 0.15 MB lower.
+    gc.collect()
+
+
+def __getattr__(name: str):
+    # A name the commands import, read before ``main`` has imported it (as a
+    # tracer that wraps ``composite_test`` does).
+    if not name.startswith("__"):
+        _import_numeric_stack()
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 SCHEMA_VERSION = 1
 DEFAULT_MAX_PAIRS = 1_000_000
 
 
-def _load_matrix(path: str, header: bool) -> DataMatrix:
+def _load_matrix(path: str, header: bool, early: Optional[EarlyReaders]) -> DataMatrix:
     skip = 1 if header else 0
     try:
-        values = load_csv(path, skip)
+        values = load_csv(path, skip, early)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}")
     except ValueError as exc:
@@ -135,9 +162,11 @@ def cmd_test(args) -> int:
     # A bad method name or Monte-Carlo setting, or a report that cannot be
     # written, fails before the file is read.
     method = lookup_method(args.stats)
-    settings = McSettings(replications=args.mc, seed=args.seed, alpha=args.alpha)
+    # McSettings holds the defaults of the options left out.
+    given = {"replications": args.mc, "seed": args.seed, "alpha": args.alpha}
+    settings = McSettings(**{key: value for key, value in given.items() if value is not None})
     out = _writable(Path(args.out), folder=False)
-    X = _load_matrix(args.file, args.header)
+    X = _load_matrix(args.file, args.header, args.early)
     report = composite_test(X, settings, method, out=X.values)  # centres X in place
 
     # The report names a quasi-range method "quasi"; its order is in the decision.
@@ -193,7 +222,7 @@ def cmd_diagnose(args) -> int:
     if args.seed < 0:  # before any file is read or written, on both distance paths
         raise ValueError(f"seed must be non-negative, got {args.seed}")
     outdir = _writable(Path(args.out), folder=True)
-    X = _load_matrix(args.file, args.header)
+    X = _load_matrix(args.file, args.header, args.early)
     outdir.mkdir(parents=True, exist_ok=True)
 
     # One moments pass: the radii need no dispersion estimate, nor n >= 4.
@@ -261,14 +290,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_test = sub.add_parser("test", help="test a CSV dataset (rows = observations)")
     p_test.add_argument("file")
-    p_test.add_argument("--alpha", type=float, default=McSettings.alpha)
-    p_test.add_argument("--mc", type=int, default=McSettings.replications,
-                        help="Monte-Carlo replications")
+    p_test.add_argument("--alpha", type=float)
+    p_test.add_argument("--mc", type=int, help="Monte-Carlo replications")
     p_test.add_argument("--seed", type=int, default=0)
     p_test.add_argument("--header", action="store_true", help="skip one header line")
     p_test.add_argument("--out", default="report.json")
     p_test.add_argument("--stats", default="composite",
-                        help="decision method: " + "|".join([*METHODS, "quasi:q"]))
+                        help="decision method: composite|squared|range|iqr|quasi:q")
     p_test.set_defaults(func=cmd_test)
 
     p_diag = sub.add_parser("diagnose", help="emit radii / QQ / interpoint-distance data")
@@ -297,11 +325,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Before numpy loads, so that the other CPUs parse the file meanwhile.
+    args.early = EarlyReaders.start(args.file) if "file" in args else None
     try:
+        _import_numeric_stack()
         return args.func(args)
     except (HdnormError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if args.early:
+            args.early.kill()
 
 
 if __name__ == "__main__":

@@ -150,20 +150,28 @@ def build_covariance(spec: CovSpec) -> np.ndarray:
     diag = _cov_diagonal(spec)
     if diag is not None:
         return np.diag(diag)
+    cov = _dense_covariance(spec)
+    _check_psd(spec, np.linalg.eigvalsh(cov))
+    return cov
+
+
+def _dense_covariance(spec: CovSpec) -> np.ndarray:
+    """The covariance of a kind that is not diagonal, not yet checked to be PSD."""
     if spec.kind == "ar1":
         lags = np.arange(spec.d)
-        cov = (spec.rho ** lags)[abs(lags[:, None] - lags)]
-    elif spec.kind == "sparse_random":
+        return (spec.rho ** lags)[abs(lags[:, None] - lags)]
+    if spec.kind == "sparse_random":
         star, delta = sparse_random_components(spec)
-        cov = (star + delta * np.eye(spec.d)) / (1.0 + delta)
-    else:  # wishart
-        gen = rng.substream(spec.seed, rng.DOMAIN_COV, _COV_KIND_TAG["wishart"], spec.d)
-        W = rng.standard_normal(gen, (spec.d, spec.d))
-        cov = (W @ W.T) / spec.d
-    eigs = np.linalg.eigvalsh(cov)
+        return (star + delta * np.eye(spec.d)) / (1.0 + delta)
+    gen = rng.substream(spec.seed, rng.DOMAIN_COV, _COV_KIND_TAG["wishart"], spec.d)
+    W = rng.standard_normal(gen, (spec.d, spec.d))
+    return (W @ W.T) / spec.d
+
+
+def _check_psd(spec: CovSpec, eigs: np.ndarray) -> None:
+    """``NotPSD`` unless the ascending eigenvalues ``eigs`` are PSD to within ``_PSD_TOL``."""
     if eigs[0] < -_PSD_TOL * max(1.0, eigs[-1]):
         raise NotPSD(f"covariance {spec.kind!r} has eigenvalue {eigs[0]}")
-    return cov
 
 
 @lru_cache(maxsize=1)
@@ -174,18 +182,22 @@ def _factor(spec: CovSpec, form: str):
     else a 2-D factor to multiply on the right, for ``_apply_factor``.
 
     ``form`` selects the factorization: "chol" (Gaussian drivers), "sym"
-    (symmetric square root) or "eigen" (eigenvector-scaled columns).
+    (symmetric square root) or "eigen" (eigenvector-scaled columns).  The
+    factorization is the PSD check: a Cholesky factor exists only for a
+    positive definite matrix, and ``eigh``'s eigenvalues are checked as
+    ``build_covariance`` checks its own.
     """
     diag = _cov_diagonal(spec)
     if diag is not None:
         return None if spec.kind == "identity" else np.sqrt(diag)
-    cov = build_covariance(spec)
+    cov = _dense_covariance(spec)
     if form == "chol":
         try:
             return np.linalg.cholesky(cov).T
         except np.linalg.LinAlgError:
             form = "sym"  # PSD-singular: fall back to the symmetric root
     lam, U = np.linalg.eigh(cov)
+    _check_psd(spec, lam)
     lam = np.clip(lam, 0.0, None)
     if form == "sym":
         S = (U * np.sqrt(lam)) @ U.T

@@ -35,17 +35,23 @@ def random_orthogonal(gen: np.random.Generator, d: int) -> np.ndarray:
     return Q * np.sign(np.diag(R))
 
 
-def fresh_python(code, *args, **env):
-    """stdout of ``python -c code *args`` in a new process on these sources.
+def fresh_process(code, *args, **env) -> subprocess.CompletedProcess:
+    """``python -c code *args`` run to its end in a new process on these sources.
 
     The BLAS thread-count variables are unset unless given in ``env``.
     """
     src = str(Path(__file__).resolve().parents[1] / "src")
     base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code, *args], env={**base, **env},
-                         capture_output=True, text=True, check=True, timeout=120)
-    return out.stdout.strip()
+    return subprocess.run([sys.executable, "-c", code, *args], env={**base, **env},
+                          capture_output=True, text=True, timeout=120)
+
+
+def fresh_python(code, *args, **env):
+    """stdout of ``fresh_process``, which must exit 0."""
+    done = fresh_process(code, *args, **env)
+    done.check_returncode()
+    return done.stdout.strip()
 
 
 def similarity_transform(values: np.ndarray, sigma: float, V: np.ndarray,

@@ -690,7 +690,7 @@ class TestCmdSimulate:
             jsonschema.validate(doc, EXPERIMENT_SCHEMA)
             experiment_from_json(doc)
 
-    def test_schema_enums_match_the_registry(self):
+    def test_schema_enums_match_the_registry(self, capsys):
         scenario = EXPERIMENT_SCHEMA["$defs"]["scenario"]["properties"]
         cov = EXPERIMENT_SCHEMA["$defs"]["cov"]["properties"]
         assert scenario["family"]["enum"] == list(generators.FAMILIES)
@@ -710,6 +710,11 @@ class TestCmdSimulate:
         assert names["enum"] == list(METHODS)
         assert quasi["pattern"] == "^quasi:[1-9][0-9]*$"
         assert REPORT_SCHEMA["properties"]["statistics"]["enum"] == [*METHODS, "quasi"]
+        # So does `hdnorm test --help`, which loads no numpy to write them.
+        with pytest.raises(SystemExit):
+            main(["test", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "decision method: " + "|".join([*METHODS, "quasi:q"]) in help_text
 
     @pytest.mark.parametrize("where, key", [
         ("experiment", "mc_replicatons"),
@@ -732,12 +737,15 @@ class TestCmdSimulate:
             assert f"``{name}``" in generators.__doc__
 
 
-def test_cli_import_leaves_out_scipy_linalg_and_spatial():
-    # Nor the scipy.special package, whose array-API wrappers load numpy.f2py.
-    code = ("import sys, hdnorm.cli; print(sorted(m for m in sys.modules"
+def test_cli_import_leaves_out_scipy_linalg_and_spatial(null_csv, tmp_path):
+    # Nor the scipy.special package, whose array-API wrappers load numpy.f2py;
+    # checked after a test command, which runs the CLI's imports.
+    code = ("import sys\nfrom hdnorm.cli import main\ncode = main(sys.argv[1:])\n"
+            "print(sorted(m for m in sys.modules"
             " if m.startswith(('scipy.linalg', 'scipy.spatial'))"
             " or m in ('scipy.special', 'scipy._lib._array_api', 'numpy.f2py')))")
-    assert fresh_python(code) == "[]"
+    out = fresh_python(code, "test", str(null_csv), "--out", str(tmp_path / "r.json"))
+    assert out.splitlines()[-1] == "[]"
 
 
 class TestUfuncLoader:
@@ -864,40 +872,52 @@ class TestLazyPackage:
         out = fresh_python(code, "diagnose", str(null_csv), "--out", str(tmp_path / "d"))
         assert out.splitlines()[-1] == "0 []"
 
-    # hdnorm.cli moves what the imports before it made into the collector's
-    # permanent generation, once: the library freezes nothing, the collector
-    # stays on, and commands run in one process, simulate's import of the
-    # harness included, freeze nothing more.
+    # hdnorm.cli's first main call moves what the imports before it made into
+    # the collector's permanent generation, once: the library and the import
+    # of hdnorm.cli freeze nothing, the collector stays on, and commands run
+    # in one process, simulate's import of the harness included, freeze
+    # nothing more.
     def test_only_the_cli_freezes_the_import_time_heap(self, null_csv, tmp_path):
         code = ("import gc, sys, hdnorm\n"
                 "bare = gc.get_freeze_count()\n"
                 "import hdnorm.harness, hdnorm.montecarlo\n"
                 "library = gc.get_freeze_count()\n"
                 "from hdnorm.cli import main\n"
-                "frozen = gc.get_freeze_count()\n"
+                "imported = gc.get_freeze_count()\n"
                 "test, simulate = sys.argv[1:5], sys.argv[5:]\n"
-                "codes = [main(test), main(test), main(simulate)]\n"
-                "print(bare, library, frozen > 0, gc.isenabled(),"
+                "codes = [main(test)]\n"
+                "frozen = gc.get_freeze_count()\n"
+                "codes += [main(test), main(simulate)]\n"
+                "print(bare, library, imported, frozen > 0, gc.isenabled(),"
                 " gc.get_freeze_count() <= frozen, codes[2])")
         spec = TestCmdSimulate().make_spec(tmp_path)
         out = fresh_python(code, "test", str(null_csv), "--out", str(tmp_path / "r.json"),
                            "simulate", str(spec), "--threads", "1", "--out", str(tmp_path / "s"))
-        assert out.splitlines()[-1] == "0 0 True True True 0"
+        assert out.splitlines()[-1] == "0 0 0 True True True 0"
 
-    # No collection runs while the imports build the heap the freeze keeps out
-    # of every later one; the collector is back on after the import.
-    def test_cli_import_runs_no_young_collection(self):
-        code = ("import gc\n"
+    # No collection runs while the first main call's imports build the heap
+    # the freeze keeps out of every later one: none starts once numpy is in
+    # sys.modules and before the freeze.  The collector is back on after it.
+    def test_cli_import_runs_no_young_collection(self, null_csv, tmp_path):
+        code = ("import gc, sys\n"
+                "from hdnorm.cli import main\n"
                 "gc.collect()\n"
-                "before = [s['collections'] for s in gc.get_stats()]\n"
-                "import hdnorm.cli\n"
-                "after = [s['collections'] for s in gc.get_stats()]\n"
-                "print(before[:2] == after[:2], gc.isenabled(), gc.get_freeze_count() > 0)")
-        assert fresh_python(code) == "True True True"
+                "during = []\n"
+                "def record(phase, info):\n"
+                "    if phase == 'start' and 'numpy' in sys.modules and not gc.get_freeze_count():\n"
+                "        during.append(info['generation'])\n"
+                "gc.callbacks.append(record)\n"
+                "code = main(sys.argv[1:])\n"
+                "print(code in (0, 3), during, gc.isenabled(), gc.get_freeze_count() > 0)")
+        out = fresh_python(code, "test", str(null_csv), "--out", str(tmp_path / "r.json"))
+        assert out.splitlines()[-1] == "True [] True True"
 
-    def test_cli_import_leaves_a_disabled_collector_off(self):
-        code = "import gc\ngc.disable()\nimport hdnorm.cli\nprint(gc.isenabled())"
-        assert fresh_python(code) == "False"
+    def test_cli_import_leaves_a_disabled_collector_off(self, null_csv, tmp_path):
+        code = ("import gc, sys\ngc.disable()\nfrom hdnorm.cli import main\n"
+                "code = main(sys.argv[1:])\n"
+                "print(code in (0, 3), gc.isenabled(), gc.get_freeze_count() > 0)")
+        out = fresh_python(code, "test", str(null_csv), "--out", str(tmp_path / "r.json"))
+        assert out.splitlines()[-1] == "True False True"
 
     # numpy.random loads with a stand-in for secrets, which would bring in
     # hmac and OpenSSL through _hashlib; the rest of the process keeps the

@@ -4,15 +4,26 @@ The byte floor is lowered so that files of a few hundred bytes are cut into
 as many slices as the patched CPU count allows.
 """
 
+import gzip
+import io
+import json
+import mmap
 import os
+import tempfile
 import threading
+import time
+import types
 import warnings
+from array import array
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import fresh_python, gaussian_data
+from conftest import fresh_process, fresh_python, gaussian_data
 from hdnorm import _cpus, _csvparse
 from hdnorm.cli import main
 
@@ -48,6 +59,31 @@ def assert_reaped(pids):
     for pid in pids:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
+
+
+# An early reader's piece in these tests: the line holding the byte this far
+# below the frontier, so most pieces are one or two lines.
+PIECE = 16
+
+
+def drained(early):
+    """Wait until the early readers have claimed every piece, or one declined."""
+    deadline = time.monotonic() + 60
+    while _csvparse._FRONTIER.unpack_from(early._frontier)[0] > early._floor:
+        assert time.monotonic() < deadline, "the early readers claimed nothing for 60 s"
+        time.sleep(0.001)
+
+
+def record_closes(monkeypatch):
+    """What each ``EarlyReaders.close`` returns, in call order."""
+    closes, close = [], _csvparse.EarlyReaders.close
+
+    def recording_close(self):
+        closes.append(close(self))
+        return closes[-1]
+
+    monkeypatch.setattr(_csvparse.EarlyReaders, "close", recording_close)
+    return closes
 
 
 HEADER = "name,other\n"
@@ -107,6 +143,29 @@ class TestBitwiseEqualToLoadtxt:
         if cpus > 1 and len(text) >= 2 * FLOOR and case != "one_row":
             assert len(forked) >= 1
 
+    # The early readers, forked with numpy loaded here, claim pieces of a
+    # line or two; drained, they claim all but the first line before the
+    # parse starts, else as many as they get to.  CRLF lines are declined.
+    @pytest.mark.parametrize("drain", [True, False], ids=["drained", "raced"])
+    @pytest.mark.parametrize("header", [False, True], ids=["no_header", "header"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_case_read_early(self, tmp_path, cpus, forked, monkeypatch, case, header, drain):
+        monkeypatch.setattr(_csvparse, "PIECE_BYTES", PIECE)
+        text = (HEADER if header else "") + CASES[case]()
+        path = write(tmp_path, f"{case}.csv", text)
+        closes = record_closes(monkeypatch)
+        early = _csvparse.EarlyReaders(path, max(1, cpus - 1))
+        if drain:
+            drained(early)
+        got = _csvparse.load_csv(path, 1 if header else 0, early)
+        want = reference(path, header)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        if drain:
+            assert closes == [None if case == "crlf" else early._floor]
+        assert early.children == [] and len(forked) >= max(1, cpus - 1)
+        assert_reaped(forked)
+
     def test_cuts_on_blank_and_comment_lines(self, tmp_path, monkeypatch, forked):
         text = csv_text(data(40, 5), extra=NOISE)
         path = write(tmp_path, "noisy.csv", text)
@@ -117,7 +176,7 @@ class TestBitwiseEqualToLoadtxt:
         want = reference(path, False)
         for cuts in ([0, blank, len(raw)], [0, comment, len(raw)],
                      [0, blank, comment, comment + 16, len(raw)]):
-            monkeypatch.setattr(_csvparse, "_cuts", lambda path: cuts)
+            monkeypatch.setattr(_csvparse, "_cuts", lambda path, stop=None: cuts)
             assert _csvparse.load_csv(path, 0).tobytes() == want.tobytes()
         assert len(forked) == 5
         assert_reaped(forked)
@@ -290,9 +349,352 @@ def test_slices_that_disagree_on_width(tmp_path, monkeypatch, forked, capsys, wi
     top = csv_text(data(20, widths[0]))
     path = write(tmp_path, "two_widths.csv", top + csv_text(data(20, widths[1], seed=8)))
     cut = len(top.encode("utf-8"))
-    monkeypatch.setattr(_csvparse, "_cuts", lambda path: [0, cut, os.path.getsize(path)])
+    monkeypatch.setattr(_csvparse, "_cuts", lambda path, stop=None: [0, cut, os.path.getsize(path)])
     assert main(["test", path, "--out", str(tmp_path / "r.json")]) == 1
     fault = f" has {widths[1]} fields, the first data line {widths[0]}"
     assert capsys.readouterr().err == parent_stderr(path, False, cut, fault)
     assert len(forked) == 1
     assert_reaped(forked)
+
+
+# ---------------------------------------------------------------------------
+# The early readers: claims, the piece parser, and the process they run in.
+
+class TestClaims:
+    def claims(self, path, floor):
+        """Every piece ``_claim`` hands out, from a frontier at the file's end."""
+        frontier = mmap.mmap(-1, _csvparse._FRONTIER.size)
+        _csvparse._FRONTIER.pack_into(frontier, 0, os.path.getsize(path))
+        token = os.pipe()
+        os.write(token[1], b"\0")
+        file = os.open(path, os.O_RDONLY)
+        try:
+            pieces = []
+            while claimed := _csvparse._claim(file, floor, frontier, token):
+                pieces.append(claimed)
+            # The token is back in its pipe, once.
+            os.set_blocking(token[0], False)
+            assert os.read(token[0], 1) == b"\0"
+            with pytest.raises(BlockingIOError):
+                os.read(token[0], 1)
+            return pieces
+        finally:
+            os.close(file)
+            for fd in token:
+                os.close(fd)
+
+    @pytest.mark.parametrize("piece", [1, 40, 200, 1 << 20])
+    def test_pieces_are_whole_lines_below_the_first(self, tmp_path, monkeypatch, piece):
+        monkeypatch.setattr(_csvparse, "PIECE_BYTES", piece)
+        path = write(tmp_path, "noisy.csv", HEADER + csv_text(data(30, 3), extra=NOISE))
+        raw = Path(path).read_bytes()
+        floor = raw.index(b"\n") + 1
+        pieces = self.claims(path, floor)
+        # From the end down to the first line's end, each piece ending where
+        # the one claimed after it starts.
+        assert pieces[0][1] == len(raw) and pieces[-1][0] == floor
+        assert all(low[1] == high[0] for high, low in zip(pieces, pieces[1:]))
+        for start, stop in pieces:
+            # Each starts at the line that holds the byte PIECE_BYTES below its end.
+            assert raw[start - 1] == ord("\n") and raw[stop - 1] == ord("\n")
+            assert b"\n" not in raw[start: max(floor, stop - piece)]
+
+    def test_a_token_never_given_back_stops_the_readers(self, tmp_path, monkeypatch, forked):
+        monkeypatch.setattr(_csvparse, "_TOKEN_WAIT", 0.2)
+        path = write(tmp_path, "plain.csv", CASES["plain"]())
+        early = _csvparse.EarlyReaders(path, 1)
+        os.read(early._token[0], 1)  # as a reader killed while it held the token
+        closes = record_closes(monkeypatch)
+        assert _csvparse.load_csv(path, 0, early).tobytes() == reference(path, False).tobytes()
+        assert closes == [None] and early.children == [] and len(forked) == 1
+        assert_reaped(forked)
+
+    def test_a_closed_frontier_hands_out_nothing(self, tmp_path):
+        path = write(tmp_path, "plain.csv", CASES["plain"]())
+        frontier = mmap.mmap(-1, _csvparse._FRONTIER.size)  # 0: closed
+        token = os.pipe()
+        os.write(token[1], b"\0")
+        file = os.open(path, os.O_RDONLY)
+        try:
+            assert _csvparse._claim(file, 1, frontier, token) is None
+        finally:
+            os.close(file)
+            for fd in token:
+                os.close(fd)
+
+
+# Fields written with repr, some with spaces around them.
+FIELDS = st.floats(width=64).map(repr) | st.floats(width=64).map(lambda v: f" {v!r} ")
+# Fields that np.loadtxt rejects, reads otherwise than float() does, or that
+# are not ASCII.
+ODD_FIELDS = st.sampled_from(["1_0", "abc", "", "0x10", "\x1c2.5", "1.5\x0b", "2.5\r", "１",
+                              "+inf", "-nan", "1e5", "1e400", "--1"])
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text of rows written with repr, comment and blank lines and trailing
+    comments; half of the texts also hold some of whitespace lines, odd
+    fields, ragged rows, CRLF line ends and a header line."""
+    width = draw(st.integers(min_value=1, max_value=4))
+    kinds = ["row"] * 4 + ["comment", "blank", "noted"]
+    messy = draw(st.booleans())
+    if messy:
+        kinds += ["whitespace", "odd", "ragged"]
+    header = messy and draw(st.booleans())
+    lines = [draw(st.sampled_from(["a,b", "# head", "x"]))] if header else []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=10)):
+        fields = draw(st.lists(FIELDS, min_size=width, max_size=width))
+        if kind == "odd":
+            fields[draw(st.integers(0, width - 1))] = draw(ODD_FIELDS)
+        elif kind == "ragged":
+            fields = fields[1:] if width > 1 and draw(st.booleans()) else fields + ["1.0"]
+        line = {"comment": "# note, 1.0", "blank": "",
+                "whitespace": draw(st.sampled_from([" ", "\t", " \t "]))}.get(kind, ",".join(fields))
+        lines.append(line + (" # note" if kind == "noted" else ""))
+    newline = draw(st.sampled_from(["\n", "\r\n"])) if messy else "\n"
+    return newline.join(lines) + (newline if lines and draw(st.booleans()) else "")
+
+
+def loadtxt_or_error(path, header):
+    try:
+        return reference(path, header)
+    except ValueError as exc:
+        return exc
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=csv_texts())
+# float() reads each of these lines, np.loadtxt otherwise or not at all.
+@example(text="1,1_0\n")
+@example(text="1,2.5\r,3\n")
+@example(text="1,2\n \n")
+@example(text="1,2\n3\n")
+def test_piece_parser_reads_as_loadtxt_or_declines(text):
+    raw = text.encode("utf-8")
+    values = array("d")
+    parsed = _csvparse._float_rows(raw, values, None)
+    with tempfile.TemporaryDirectory() as folder:
+        want = loadtxt_or_error(write(Path(folder), "x.csv", text), False)
+    if parsed is None:
+        return  # declined: the caller parses the file with np.loadtxt
+    assert not isinstance(want, Exception), want
+    rows, width = parsed
+    if rows == 0:
+        assert want.size == 0 and len(values) == 0
+    else:
+        got = np.frombuffer(values).reshape(rows, width)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_piece_parser_accepts_what_it_can_prove():
+    # Comment, blank and trailing-comment lines, spaces around fields and
+    # every special value float() and np.loadtxt read alike.
+    text = ("1.5, -2 # note\n# comment, 1.0\n\n nan ,inf\n-inf,-0.0\n"
+            "1e-320,+3\nINFINITY,-NaN\n")
+    values = array("d")
+    assert _csvparse._float_rows(text.encode(), values, None) == (5, 2)
+    want = np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2)
+    assert np.frombuffer(values).tobytes() == want.tobytes()
+    assert _csvparse._float_rows(b"1,2\n", array("d"), 3) is None  # another width
+
+
+def test_piece_parser_declines_bytes_the_locale_might_not_decode():
+    # np.loadtxt decodes comments too: in a UTF-8 locale this one fails.
+    raw = b"1,2 # caf\xe9\n3,4\n"
+    assert _csvparse._float_rows(raw, array("d"), None) is None
+    if _csvparse.io.TextIOWrapper(io.BytesIO()).encoding.lower() in ("utf-8", "utf8"):
+        with pytest.raises(UnicodeDecodeError):
+            np.loadtxt(io.TextIOWrapper(io.BytesIO(raw)), delimiter=",")
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=csv_texts(), header=st.booleans(), drain=st.booleans())
+def test_load_csv_read_early_is_loadtxt_or_its_error(text, header, drain):
+    with tempfile.TemporaryDirectory() as folder, \
+            mock.patch.object(_csvparse, "PIECE_BYTES", PIECE):
+        path = write(Path(folder), "x.csv", text)
+        want = loadtxt_or_error(path, header)
+        early = _csvparse.EarlyReaders(path, 2)
+        pids = [pid for pid, _ in early.children]
+        if drain:
+            drained(early)
+        try:
+            got = _csvparse.load_csv(path, 1 if header else 0, early)
+        except ValueError as exc:
+            assert isinstance(want, ValueError) and str(exc) == str(want)
+        else:
+            assert not isinstance(want, Exception), want
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert len(pids) == 2
+        assert_reaped(pids)
+
+
+def test_a_piece_left_unsent_falls_back_to_the_whole_file(tmp_path, monkeypatch, forked):
+    # Each early reader sends all it claimed but its first piece.
+    monkeypatch.setattr(_csvparse, "PIECE_BYTES", PIECE)
+    send = _csvparse._send
+
+    def first_piece_dropped(fd, parts, values):
+        if isinstance(values, array) and parts:
+            return send(fd, parts[1:], values[parts[0][2] * parts[0][3]:])
+        return send(fd, parts, values)
+
+    monkeypatch.setattr(_csvparse, "_send", first_piece_dropped)
+    path = write(tmp_path, "noisy.csv", csv_text(data(40, 5), extra=NOISE))
+    early = _csvparse.EarlyReaders(path, 1)
+    drained(early)
+    parse = _csvparse._parse
+    whole = []
+    monkeypatch.setattr(_csvparse, "_parse", lambda path, skiprows, start, stop: (
+        whole.append(stop is None), parse(path, skiprows, start, stop))[1])
+    assert _csvparse.load_csv(path, 0, early).tobytes() == reference(path, False).tobytes()
+    assert whole[-1] and len(forked) == 1
+    assert_reaped(forked)
+
+
+@pytest.mark.parametrize("encoding, compatible", [
+    ("utf-8", True), ("latin-1", True), ("cp1252", True), ("shift_jis", True),
+    ("utf-16", False), ("cp037", False), ("no-such-codec", False)])
+def test_early_readers_need_an_ascii_compatible_locale(monkeypatch, encoding, compatible):
+    opened = types.SimpleNamespace(encoding=encoding)
+    monkeypatch.setattr(_csvparse, "io", types.SimpleNamespace(
+        BytesIO=io.BytesIO, TextIOWrapper=lambda buffer: opened))
+    assert _csvparse._ascii_compatible() is compatible
+
+
+def test_early_readers_start_only_where_they_can_help(tmp_path):
+    # In a fresh process, which has not loaded numpy and runs one thread.
+    big = write(tmp_path, "plain.csv", CASES["plain"]())
+    small = write(tmp_path, "small.csv", "1,2\n3,4\n")
+    packed = tmp_path / "plain.csv.gz"
+    packed.write_bytes(gzip.compress(Path(big).read_bytes()))
+    code = (
+        "import json, sys, threading\n"
+        "from hdnorm import _cpus, _csvparse\n"
+        f"_csvparse.MIN_SLICE_BYTES = {FLOOR}\n"
+        "_cpus.usable_cpus = lambda: 2\n"
+        "start = _csvparse.EarlyReaders.start\n"
+        "big, small, packed = sys.argv[1:]\n"
+        "early = start(big)\n"
+        "out = {'plain': early is not None and len(early.children) == 1}\n"
+        "early.kill()\n"
+        "out.update(small=start(small), packed=start(packed), missing=start(big + '.x'))\n"
+        "_cpus.usable_cpus = lambda: 1\n"
+        "out['one_cpu'] = start(big)\n"
+        "_cpus.usable_cpus = lambda: 2\n"
+        "stop = threading.Event()\n"
+        "other = threading.Thread(target=stop.wait)\n"
+        "other.start()\n"
+        "out['thread'] = start(big)\n"
+        "stop.set()\n"
+        "other.join()\n"
+        "import numpy\n"
+        "out['numpy'] = start(big)\n"
+        "print(json.dumps(out))\n"
+    )
+    got = json.loads(fresh_python(code, big, small, str(packed)))
+    assert got == {"plain": True, "small": None, "packed": None, "missing": None,
+                   "one_cpu": None, "thread": None, "numpy": None}
+
+
+# ``hdnorm`` as its console script runs it, with early readers of files of
+# FLOOR bytes or more on two CPUs; it prints its exit code, whether it started
+# early readers, whether it left a child unreaped and whether it loaded numpy.
+EARLY_MAIN = (
+    "import json, os, sys\n"
+    "from hdnorm import _cpus, _csvparse\n"
+    f"_csvparse.MIN_SLICE_BYTES = {FLOOR}\n"
+    f"_csvparse.PIECE_BYTES = {PIECE}\n"
+    "_cpus.usable_cpus = lambda: 2\n"
+    "started, start = [], _csvparse.EarlyReaders.start\n"
+    "def recording_start(path):\n"
+    "    early = start(path)\n"
+    "    started.append(early is not None)\n"
+    "    return early\n"
+    "_csvparse.EarlyReaders.start = recording_start\n"
+    "from hdnorm.cli import main\n"
+    "try:\n"
+    "    code = main(sys.argv[1:])\n"
+    "except SystemExit as exc:\n"
+    "    code = exc.code\n"
+    "try:\n"
+    "    os.waitpid(-1, os.WNOHANG)\n"
+    "    reaped = False\n"
+    "except ChildProcessError:\n"
+    "    reaped = True\n"
+    "print(json.dumps([code, started, reaped, 'numpy' in sys.modules]))\n"
+)
+
+
+def run_early_main(*args):
+    """(exit code, early readers started, all reaped, numpy loaded) and stderr."""
+    done = fresh_process(EARLY_MAIN, *args)
+    assert done.returncode == 0, done.stderr
+    return tuple(json.loads(done.stdout.splitlines()[-1])), done.stderr
+
+
+class TestEarlyReadersInTheCommand:
+    @pytest.mark.parametrize("header", [False, True], ids=["no_header", "header"])
+    def test_report_as_without_them(self, tmp_path, header):
+        path = write(tmp_path, "noisy.csv",
+                     (HEADER if header else "") + csv_text(data(40, 5), extra=NOISE))
+        args = ["test", path, "--mc", "500"] + (["--header"] if header else [])
+        (code, started, reaped, _), err = run_early_main(*args, "--out", str(tmp_path / "a"))
+        assert code in (0, 3) and started == [True] and reaped and err == ""
+        # In this process numpy is loaded, so main starts no early reader.
+        assert main([*args, "--out", str(tmp_path / "b")]) == code
+        assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+
+    def test_diagnose_as_without_them(self, tmp_path):
+        path = write(tmp_path, "noisy.csv", csv_text(data(40, 5), extra=NOISE))
+        (code, started, reaped, _), err = run_early_main(
+            "diagnose", path, "--out", str(tmp_path / "a"))
+        assert (code, started, reaped, err) == (0, [True], True, "")
+        assert main(["diagnose", path, "--out", str(tmp_path / "b")]) == 0
+        for name in ("qq.csv", "radii.csv", "interpoint.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--stats", "bogus", "error: unknown method 'bogus'; choose from composite, squared,"
+                             " range, iqr or quasi:q\n"),
+        ("--out", "missing/r.json", "error: cannot write {tmp}/missing/r.json\n")])
+    def test_errors_before_the_read_reap_them(self, tmp_path, option, value, message):
+        path = write(tmp_path, "plain.csv", CASES["plain"]())
+        value = value if option == "--stats" else str(tmp_path / value)
+        (code, started, reaped, _), err = run_early_main(
+            "test", path, option, value, *(["--out", str(tmp_path / "r.json")]
+                                           if option == "--stats" else []))
+        assert (code, started, reaped) == (1, [True], True)
+        assert err == message.format(tmp=tmp_path)
+
+    @pytest.mark.parametrize("header", [False, True], ids=["no_header", "header"])
+    @pytest.mark.parametrize("kind", ["ragged", "token", "nan", "inf"])
+    def test_a_fault_in_their_part_reads_as_before(self, tmp_path, kind, header):
+        # The fault is on the last line, the first piece the readers claim.
+        path, offset = bad_last_slice(tmp_path, kind, header)
+        args = ["test", path, "--out", str(tmp_path / "r.json")] + (["--header"] if header
+                                                                     else [])
+        (code, started, reaped, _), err = run_early_main(*args)
+        assert (code, started, reaped) == (1, [True], True)
+        fault = {"ragged": " has 4 fields, the first data line 5",
+                 "token": ": could not convert string to float: 'abc'"}.get(kind, "")
+        assert err == parent_stderr(path, header, offset, fault)
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("args, code", [(["--help"], 0), (["test", "--help"], 0),
+                                            (["test"], 2), (["test", "x.csv", "--mc", "x"], 2)])
+    def test_help_and_usage_errors_load_no_numpy(self, args, code):
+        (got, started, reaped, numpy_loaded), _ = run_early_main(*args)
+        assert (got, started, reaped, numpy_loaded) == (code, [], True, False)
+
+    def test_none_where_numpy_is_loaded(self, tmp_path, cpus, forked, monkeypatch):
+        # This process has numpy loaded, so main forks only the slices.
+        def refused(*args):
+            raise AssertionError("an early reader was forked")
+
+        monkeypatch.setattr(_csvparse.EarlyReaders, "__init__", refused)
+        path = write(tmp_path, "plain.csv", CASES["plain"]())
+        assert main(["test", path, "--mc", "500", "--out", str(tmp_path / "r.json")]) in (0, 3)
+        assert len(forked) == (cpus - 1 if cpus > 1 else 0)
+        assert_reaped(forked)

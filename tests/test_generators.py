@@ -93,6 +93,46 @@ class TestBuildCovariance:
             CovSpec(**kwargs)
 
 
+class TestTransportFactor:
+    """``_factor`` checks PSD through its own factorization, with
+    ``build_covariance``'s tolerance and message, and runs no ``eigvalsh``."""
+
+    @pytest.fixture
+    def indefinite(self, monkeypatch):
+        matrix = np.diag([1.0, 2.0, 1.0, 1.0, -0.5])
+        monkeypatch.setattr(generators, "_dense_covariance", lambda spec: matrix)
+        generators._factor.cache_clear()
+        yield CovSpec("ar1", 5, rho=0.5)
+        generators._factor.cache_clear()
+
+    @pytest.mark.parametrize("form", ["chol", "sym", "eigen"])
+    def test_an_indefinite_matrix_raises_not_psd(self, indefinite, form):
+        with pytest.raises(NotPSD) as built:
+            build_covariance(indefinite)
+        with pytest.raises(NotPSD) as factored:
+            generators._factor(indefinite, form)
+        assert str(factored.value) == str(built.value) == \
+               "covariance 'ar1' has eigenvalue -0.5"
+
+    @pytest.mark.parametrize("kind, form", [("ar1", "chol"), ("ar1", "sym"),
+                                            ("wishart", "eigen"), ("sparse_random", "chol")])
+    def test_no_separate_eigenvalue_pass(self, monkeypatch, kind, form):
+        spec = CovSpec(kind, 30, **({"rho": 0.5} if kind == "ar1" else {}))
+        generators._factor.cache_clear()
+        want = generators._factor(spec, form)
+        generators._factor.cache_clear()
+        # sparse_random's own shift takes the least eigenvalue of its raw matrix.
+        eigvalsh = np.linalg.eigvalsh
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        try:
+            got = generators._factor(spec, form)
+        finally:
+            generators._factor.cache_clear()
+        assert len(calls) == (kind == "sparse_random")
+        assert got.tobytes() == want.tobytes()
+
+
 class TestEffectiveRanks:
     def test_identity_all_equal_dimension(self):
         er = effective_ranks(np.eye(7))
