@@ -17,8 +17,8 @@ scipy's and all of them alive to the end, go to the collector's permanent
 generation.  Every later collection, the one at interpreter exit included,
 would walk them again, about 10 ms of each command, and a forked sweep worker
 or CSV slice would copy the pages it walks.  Nor does any collection run
-while the imports build that heap: the collector is off from the first
-import to the freeze, then back on, if the caller had it on, for what a
+while the imports build that heap: the collector is off from the first of
+them to the freeze, then back on, if the caller had it on, for what a
 command allocates.  ``import hdnorm`` or any library module freezes nothing.
 """
 
