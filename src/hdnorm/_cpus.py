@@ -2,7 +2,7 @@
 
 numpy and scipy each load an OpenBLAS that reads the thread-count variables
 once, at load, and otherwise starts a busy-waiting thread per extra core;
-hdnorm's parallelism is its worker processes, band threads and CSV slices.
+hdnorm's parallelism is its worker processes, band threads and CSV readers.
 This module loads only the standard library, so it can run before numpy does.
 Callers use its names as module attributes, so one patch here reaches all.
 """

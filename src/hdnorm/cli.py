@@ -6,9 +6,10 @@ Exit codes: 0 the null hypothesis is not rejected, 3 it is rejected,
 This module owns the ``hdnorm`` process.  At import it loads only the
 standard library, so ``hdnorm --help`` and a usage error load no numpy.
 ``main`` parses the command line first; for ``test`` and ``diagnose`` it
-then forks the CSV parser's early readers (``_csvparse.EarlyReaders``), which
+then forks the CSV parser's readers (``_csvparse.EarlyReaders``), which
 parse the end of the file on the other CPUs while this process imports
-numpy, scipy's ufuncs and the rest of hdnorm.
+numpy, scipy's ufuncs and the rest of hdnorm, and then claims pieces too.
+In a process that loaded numpy before ``main``, ``load_csv`` forks them.
 
 This module is the only one that calls ``gc.freeze``, once per process, in
 the first ``main`` call (or the first read of a name the commands import):
@@ -16,7 +17,7 @@ once the imports are done, the objects they made, most of them numpy's and
 scipy's and all of them alive to the end, go to the collector's permanent
 generation.  Every later collection, the one at interpreter exit included,
 would walk them again, about 10 ms of each command, and a forked sweep worker
-or CSV slice would copy the pages it walks.  Nor does any collection run
+or CSV reader would copy the pages it walks.  Nor does any collection run
 while the imports build that heap: the collector is off from the first of
 them to the freeze, then back on, if the caller had it on, for what a
 command allocates.  ``import hdnorm`` or any library module freezes nothing.
@@ -326,7 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # Before numpy loads, so that the other CPUs parse the file meanwhile.
-    args.early = EarlyReaders.start(args.file) if "file" in args else None
+    # Where it has loaded there are no imports to overlap: load_csv starts
+    # them, so a refused start is not tried twice.
+    loading = "file" in args and "numpy" not in sys.modules
+    args.early = EarlyReaders.start(args.file) if loading else None
     try:
         _import_numeric_stack()
         return args.func(args)

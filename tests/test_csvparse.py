@@ -1,7 +1,7 @@
-"""The sliced CSV parser: bitwise equal to np.loadtxt, with loadtxt's own errors.
+"""The parallel CSV parser: bitwise equal to np.loadtxt, with loadtxt's own errors.
 
-The byte floor is lowered so that files of a few hundred bytes are cut into
-as many slices as the patched CPU count allows.
+The byte floor is lowered so that files of a few hundred bytes get a reader
+on every patched CPU but one.
 """
 
 import gzip
@@ -74,16 +74,30 @@ def drained(early):
         time.sleep(0.001)
 
 
-def record_closes(monkeypatch):
-    """What each ``EarlyReaders.close`` returns, in call order."""
-    closes, close = [], _csvparse.EarlyReaders.close
+def record_joins(monkeypatch):
+    """Whether each ``_join`` gave the rows, in call order; where it did not,
+    the whole file is parsed again."""
+    joins, join = [], _csvparse._join
 
-    def recording_close(self):
-        closes.append(close(self))
-        return closes[-1]
+    def recording_join(*args):
+        values = join(*args)
+        joins.append(values is not None)
+        return values
 
-    monkeypatch.setattr(_csvparse.EarlyReaders, "close", recording_close)
-    return closes
+    monkeypatch.setattr(_csvparse, "_join", recording_join)
+    return joins
+
+
+def record_parses(monkeypatch):
+    """Whether each ``_parse`` call read the whole file, in call order."""
+    whole, parse = [], _csvparse._parse
+
+    def recording_parse(path, skiprows, start, stop):
+        whole.append(stop is None)
+        return parse(path, skiprows, start, stop)
+
+    monkeypatch.setattr(_csvparse, "_parse", recording_parse)
+    return whole
 
 
 HEADER = "name,other\n"
@@ -145,7 +159,7 @@ class TestBitwiseEqualToLoadtxt:
 
     # The early readers, forked with numpy loaded here, claim pieces of a
     # line or two; drained, they claim all but the first line before the
-    # parse starts, else as many as they get to.  CRLF lines are declined.
+    # parse starts, else this process claims the rest.  No case is declined.
     @pytest.mark.parametrize("drain", [True, False], ids=["drained", "raced"])
     @pytest.mark.parametrize("header", [False, True], ids=["no_header", "header"])
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -153,7 +167,7 @@ class TestBitwiseEqualToLoadtxt:
         monkeypatch.setattr(_csvparse, "PIECE_BYTES", PIECE)
         text = (HEADER if header else "") + CASES[case]()
         path = write(tmp_path, f"{case}.csv", text)
-        closes = record_closes(monkeypatch)
+        joins = record_joins(monkeypatch)
         early = _csvparse.EarlyReaders(path, max(1, cpus - 1))
         if drain:
             drained(early)
@@ -161,37 +175,18 @@ class TestBitwiseEqualToLoadtxt:
         want = reference(path, header)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-        if drain:
-            assert closes == [None if case == "crlf" else early._floor]
+        assert joins == [True]
         assert early.children == [] and len(forked) >= max(1, cpus - 1)
-        assert_reaped(forked)
-
-    def test_cuts_on_blank_and_comment_lines(self, tmp_path, monkeypatch, forked):
-        text = csv_text(data(40, 5), extra=NOISE)
-        path = write(tmp_path, "noisy.csv", text)
-        raw = text.encode("utf-8")
-        blank = raw.index(b"\n\n") + 1
-        comment = raw.index(b"\n#") + 1
-        assert raw[blank:blank + 1] == b"\n" and raw[comment:comment + 1] == b"#"
-        want = reference(path, False)
-        for cuts in ([0, blank, len(raw)], [0, comment, len(raw)],
-                     [0, blank, comment, comment + 16, len(raw)]):
-            monkeypatch.setattr(_csvparse, "_cuts", lambda path, stop=None: cuts)
-            assert _csvparse.load_csv(path, 0).tobytes() == want.tobytes()
-        assert len(forked) == 5
         assert_reaped(forked)
 
     def test_a_failed_child_falls_back_to_the_whole_file(self, tmp_path, cpus, forked,
                                                          monkeypatch):
         path = write(tmp_path, "plain.csv", CASES["plain"]())
-        parse = _csvparse._parse
 
-        def children_fail(path, skiprows, start, stop):
-            if start > 0:
-                raise MemoryError("no memory in this child")
-            return parse(path, skiprows, start, stop)
+        def children_fail(data, values, width):
+            raise MemoryError("no memory in this child")
 
-        monkeypatch.setattr(_csvparse, "_parse", children_fail)
+        monkeypatch.setattr(_csvparse, "_float_rows", children_fail)
         assert _csvparse.load_csv(path, 0).tobytes() == reference(path, False).tobytes()
         assert_reaped(forked)
 
@@ -274,9 +269,6 @@ class TestErrorsInTheLastSlice:
     @pytest.mark.parametrize("kind", ["ragged", "token", "nan", "inf"])
     def test_stderr_as_before(self, tmp_path, cpus, forked, capsys, kind, header):
         path, offset = bad_last_slice(tmp_path, kind, header)
-        cuts = _csvparse._cuts(path)
-        if cpus > 1:
-            assert len(cuts) == cpus + 1 and offset >= cuts[-2]
         args = ["test", path, "--out", str(tmp_path / "r.json")] + (["--header"] if header
                                                                      else [])
         assert main(args) == 1
@@ -320,7 +312,7 @@ def test_no_child_outlives_a_call(tmp_path):
 
 def test_fork_needs_one_os_thread(tmp_path):
     # An OS thread that is no Python thread, as a BLAS thread is, stops the
-    # slicing in a fresh process whose BLAS runs one thread.
+    # readers in a fresh process whose BLAS runs one thread.
     path = write(tmp_path, "plain.csv", CASES["plain"]())
     code = (
         "import _thread, sys, threading\n"
@@ -328,7 +320,9 @@ def test_fork_needs_one_os_thread(tmp_path):
         "from hdnorm import _cpus, _csvparse\n"
         f"_csvparse.MIN_SLICE_BYTES = {FLOOR}\n"
         "_cpus.usable_cpus = lambda: 2\n"
-        "print(len(_csvparse._cuts(sys.argv[1])))\n"
+        "early = _csvparse.EarlyReaders.start(sys.argv[1])\n"
+        "print(len(early.children))\n"
+        "early.kill()\n"
         "started, stop = _thread.allocate_lock(), _thread.allocate_lock()\n"
         "started.acquire()\n"
         "stop.acquire()\n"
@@ -337,20 +331,38 @@ def test_fork_needs_one_os_thread(tmp_path):
         "    stop.acquire()\n"
         "_thread.start_new_thread(hold, ())\n"
         "started.acquire()\n"
-        "print(threading.active_count(), _csvparse._cuts(sys.argv[1]))\n"
+        "print(threading.active_count(), _csvparse.EarlyReaders.start(sys.argv[1]))\n"
         "stop.release()\n"
     )
-    assert fresh_python(code, path).split("\n") == ["3", "1 [0, None]"]
+    assert fresh_python(code, path).split("\n") == ["1", "1 None"]
 
 
 @pytest.mark.parametrize("widths", [(4, 5), (5, 4)], ids=["wider_below", "narrower_below"])
-def test_slices_that_disagree_on_width(tmp_path, monkeypatch, forked, capsys, widths):
-    # Each slice parses on its own; only their join is ragged.
+def test_parts_that_disagree_on_width(tmp_path, monkeypatch, forked, capsys, widths):
+    # A reader claims the lower rows, one piece, and this process the upper
+    # ones: each part parses on its own; only their join is ragged.
     top = csv_text(data(20, widths[0]))
     path = write(tmp_path, "two_widths.csv", top + csv_text(data(20, widths[1], seed=8)))
-    cut = len(top.encode("utf-8"))
-    monkeypatch.setattr(_csvparse, "_cuts", lambda path, stop=None: [0, cut, os.path.getsize(path)])
+    cut, size = len(top.encode("utf-8")), os.path.getsize(path)
+    monkeypatch.setattr(_csvparse, "MIN_SLICE_BYTES", FLOOR)
+    monkeypatch.setattr(_csvparse, "PIECE_BYTES", size - cut)
+    monkeypatch.setattr(_cpus, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(_cpus, "fork_is_safe", lambda: threading.active_count() == 1)
+    claim, parent, claimed = _csvparse._claim, os.getpid(), []
+
+    def the_reader_claims_once(file, floor, frontier, token):
+        if os.getpid() != parent:
+            if claimed:
+                return None
+            claimed.append(True)
+        while os.getpid() == parent and _csvparse._FRONTIER.unpack_from(frontier)[0] == size:
+            time.sleep(0.001)  # until the reader holds [cut, size)
+        return claim(file, floor, frontier, token)
+
+    monkeypatch.setattr(_csvparse, "_claim", the_reader_claims_once)
+    joins = record_joins(monkeypatch)
     assert main(["test", path, "--out", str(tmp_path / "r.json")]) == 1
+    assert joins == [False]
     fault = f" has {widths[1]} fields, the first data line {widths[0]}"
     assert capsys.readouterr().err == parent_stderr(path, False, cut, fault)
     assert len(forked) == 1
@@ -399,14 +411,43 @@ class TestClaims:
             assert raw[start - 1] == ord("\n") and raw[stop - 1] == ord("\n")
             assert b"\n" not in raw[start: max(floor, stop - piece)]
 
+    def test_pieces_that_start_on_blank_and_comment_lines(self, tmp_path, monkeypatch):
+        # Both parsers read each piece as np.loadtxt reads those lines in the file.
+        monkeypatch.setattr(_csvparse, "PIECE_BYTES", PIECE)
+        path = write(tmp_path, "noisy.csv", csv_text(data(40, 5), extra=NOISE))
+        raw = Path(path).read_bytes()
+        floor = raw.index(b"\n") + 1
+        pieces = self.claims(path, floor)[::-1]
+        assert {raw[start: start + 1] for start, _ in pieces} >= {b"\n", b"#"}
+        loaded = [_csvparse._parse(path, 0, 0, floor)]
+        for start, stop in pieces:
+            loaded.append(_csvparse._parse(path, 0, start, stop))
+            values = array("d")
+            rows, width = _csvparse._float_rows(raw[start:stop], values, None)
+            assert loaded[-1].size == len(values) == rows * (width or 0)
+            assert np.frombuffer(values).tobytes() == loaded[-1].tobytes()
+        joined = np.concatenate([part for part in loaded if part.size])
+        assert joined.tobytes() == reference(path, False).tobytes()
+
     def test_a_token_never_given_back_stops_the_readers(self, tmp_path, monkeypatch, forked):
+        # This process's first claim waits _TOKEN_WAIT seconds, then it parses
+        # the whole file with np.loadtxt and reaps the reader.
         monkeypatch.setattr(_csvparse, "_TOKEN_WAIT", 0.2)
         path = write(tmp_path, "plain.csv", CASES["plain"]())
         early = _csvparse.EarlyReaders(path, 1)
-        os.read(early._token[0], 1)  # as a reader killed while it held the token
-        closes = record_closes(monkeypatch)
-        assert _csvparse.load_csv(path, 0, early).tobytes() == reference(path, False).tobytes()
-        assert closes == [None] and early.children == [] and len(forked) == 1
+        while True:  # take the token, as a reader killed while it held it
+            try:
+                os.read(early._token[0], 1)
+                break
+            except BlockingIOError:
+                time.sleep(0.001)
+        whole = record_parses(monkeypatch)
+        began = time.monotonic()
+        got = _csvparse.load_csv(path, 0, early)
+        waited = time.monotonic() - began
+        assert got.tobytes() == reference(path, False).tobytes()
+        assert whole == [True] and 0.2 <= waited < 2
+        assert early.children == [] and len(forked) == 1
         assert_reaped(forked)
 
     def test_a_closed_frontier_hands_out_nothing(self, tmp_path):
@@ -470,10 +511,15 @@ def loadtxt_or_error(path, header):
 @example(text="1,2.5\r,3\n")
 @example(text="1,2\n \n")
 @example(text="1,2\n3\n")
+# A carriage return that ends no CRLF is a line end to np.loadtxt alone.
+@example(text="1,2\r\r\n3,4\r\n")
+@example(text="1,2 # a\rb\r\n")
 def test_piece_parser_reads_as_loadtxt_or_declines(text):
     raw = text.encode("utf-8")
     values = array("d")
     parsed = _csvparse._float_rows(raw, values, None)
+    if b"\r" in raw.replace(b"\r\n", b""):
+        assert parsed is None
     with tempfile.TemporaryDirectory() as folder:
         want = loadtxt_or_error(write(Path(folder), "x.csv", text), False)
     if parsed is None:
@@ -544,10 +590,7 @@ def test_a_piece_left_unsent_falls_back_to_the_whole_file(tmp_path, monkeypatch,
     path = write(tmp_path, "noisy.csv", csv_text(data(40, 5), extra=NOISE))
     early = _csvparse.EarlyReaders(path, 1)
     drained(early)
-    parse = _csvparse._parse
-    whole = []
-    monkeypatch.setattr(_csvparse, "_parse", lambda path, skiprows, start, stop: (
-        whole.append(stop is None), parse(path, skiprows, start, stop))[1])
+    whole = record_parses(monkeypatch)
     assert _csvparse.load_csv(path, 0, early).tobytes() == reference(path, False).tobytes()
     assert whole[-1] and len(forked) == 1
     assert_reaped(forked)
@@ -589,13 +632,16 @@ def test_early_readers_start_only_where_they_can_help(tmp_path):
         "out['thread'] = start(big)\n"
         "stop.set()\n"
         "other.join()\n"
+        "_cpus.default_to_one_blas_thread()\n"
         "import numpy\n"
-        "out['numpy'] = start(big)\n"
+        "early = start(big)\n"
+        "out['numpy'] = early is not None and len(early.children) == 1\n"
+        "early.kill()\n"
         "print(json.dumps(out))\n"
     )
     got = json.loads(fresh_python(code, big, small, str(packed)))
     assert got == {"plain": True, "small": None, "packed": None, "missing": None,
-                   "one_cpu": None, "thread": None, "numpy": None}
+                   "one_cpu": None, "thread": None, "numpy": True}
 
 
 # ``hdnorm`` as its console script runs it, with early readers of files of
@@ -642,7 +688,8 @@ class TestEarlyReadersInTheCommand:
         args = ["test", path, "--mc", "500"] + (["--header"] if header else [])
         (code, started, reaped, _), err = run_early_main(*args, "--out", str(tmp_path / "a"))
         assert code in (0, 3) and started == [True] and reaped and err == ""
-        # In this process numpy is loaded, so main starts no early reader.
+        # Here the file is below MIN_SLICE_BYTES, so main parses it in one
+        # np.loadtxt.
         assert main([*args, "--out", str(tmp_path / "b")]) == code
         assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
 
@@ -688,13 +735,10 @@ class TestEarlyReadersInTheCommand:
         (got, started, reaped, numpy_loaded), _ = run_early_main(*args)
         assert (got, started, reaped, numpy_loaded) == (code, [], True, False)
 
-    def test_none_where_numpy_is_loaded(self, tmp_path, cpus, forked, monkeypatch):
-        # This process has numpy loaded, so main forks only the slices.
-        def refused(*args):
-            raise AssertionError("an early reader was forked")
-
-        monkeypatch.setattr(_csvparse.EarlyReaders, "__init__", refused)
+    def test_readers_where_numpy_is_loaded(self, tmp_path, cpus, forked, monkeypatch):
+        # This process has numpy loaded; main forks the readers all the same.
         path = write(tmp_path, "plain.csv", CASES["plain"]())
+        joins = record_joins(monkeypatch)
         assert main(["test", path, "--mc", "500", "--out", str(tmp_path / "r.json")]) in (0, 3)
-        assert len(forked) == (cpus - 1 if cpus > 1 else 0)
+        assert len(forked) == cpus - 1 and joins == ([True] if cpus > 1 else [])
         assert_reaped(forked)
