@@ -5,16 +5,17 @@ share the work, but forked processes can.  ``EarlyReaders`` forks a reader on
 every other usable CPU.  The ``hdnorm`` command forks them before it imports
 numpy, so they parse while it does; they use no numpy.  Each process claims
 the next piece of about ``PIECE_BYTES`` below one shared frontier: the 8
-bytes of an anonymous shared ``mmap``, guarded by a one-byte token in a pipe
-that a claimer reads and writes back, waiting at most ``_TOKEN_WAIT``
-seconds.  A piece is whole lines, never the file's first line, claimed from
-the end towards the start.  A reader's rows are ``float()`` of ``bytes``
-fields.  Once its imports are done the calling process claims from the same
-frontier and parses its pieces with ``np.loadtxt``, then the first line, with
-the rows it skips.  When none is left, each reader sends the byte range,
-shape and raw float64 bytes of each of its pieces through a pipe and exits.
-Every piece holds whole lines, and ``loadtxt`` reads rows line by line, so
-the pieces joined in file order are ``np.loadtxt`` of the whole file, bit for
+bytes of a memory file (``os.memfd_create``), guarded by a POSIX record lock
+on that file.  Record locks belong to a process, so the readers and the
+caller exclude one another, and the kernel frees a lock whose holder dies.
+A piece is whole lines, never the file's first line, claimed from the end
+towards the start.  A reader's rows are ``float()`` of ``bytes`` fields.
+Once its imports are done the calling process claims from the same frontier
+and parses its pieces with ``np.loadtxt``, then the first line, with the
+rows it skips.  When none is left, each reader sends the byte range, shape
+and raw float64 bytes of each of its pieces through a pipe and exits.  Every
+piece holds whole lines, and ``loadtxt`` reads rows line by line, so the
+pieces joined in file order are ``np.loadtxt`` of the whole file, bit for
 bit.
 
 A reader declines what it cannot prove ``np.loadtxt`` reads the same way: a
@@ -23,14 +24,15 @@ A reader declines what it cannot prove ``np.loadtxt`` reads the same way: a
 rejects, or a row of another width.  Both parsers end in
 ``PyOS_string_to_double``, so an accepted value is the same double.
 
-After a decline, or when anything goes wrong in any part (a token wait that
-times out, a piece that does not parse, a child that dies or cannot be
-started, a claimed piece that no reader sent) or the parts disagree on the
-column count, the whole file is read by ``np.loadtxt(path)`` in this
-process, so every error is ``loadtxt``'s own, row numbers included.  That is
-also all that a small or compressed file gets, and all a process gets that
-has one usable CPU or runs other OS threads (BLAS threads count).  This
-module imports numpy only when it parses.
+After a decline, or when anything goes wrong in any part (a piece that does
+not parse, a child that dies or cannot be started, a claimed piece that no
+reader sent) or the parts disagree on the column count, the whole file is
+read by ``np.loadtxt(path)`` in this process, so every error is
+``loadtxt``'s own, row numbers included; a reader that dies in a claim costs
+no wait, only that.  That is also all that a small or compressed file gets,
+and all a process gets that has one usable CPU, runs other OS threads (BLAS
+threads count) or has no ``os.memfd_create``.  This module imports numpy
+only when it parses.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ import io
 import os
 import signal
 import struct
-import time
 import warnings
 from contextlib import contextmanager
 from itertools import chain
@@ -63,8 +64,6 @@ _PART = struct.Struct("<qqqq")
 # The frontier: the start of the lowest piece claimed so far.  A decline sets
 # it to -1, below every first line's end.
 _FRONTIER = struct.Struct("<q")
-# Seconds a claimer waits for the token; a holder holds it for one short read.
-_TOKEN_WAIT = 1.0
 
 
 def load_csv(path: str, skiprows: int, early: Optional[EarlyReaders] = None):
@@ -165,10 +164,10 @@ def _join(path: str, skiprows: int, early: EarlyReaders):
 
     mine = []
     try:
-        while claimed := _claim(early._file, early._floor, early._frontier, early._token):
+        while claimed := _claim(early._file, early._floor, early._frontier):
             mine.append((*claimed, _parse(path, 0, *claimed)))
         mine.append((0, early._floor, _parse(path, skiprows, 0, early._floor)))
-    except (OSError, ValueError):  # a TimeoutError too
+    except (OSError, ValueError):
         return None
     sent = [_read_parts(fd) for _, fd in early.children]
     if None in sent:
@@ -224,33 +223,26 @@ class EarlyReaders:
     """
 
     def __init__(self, path: str, readers: int):
-        # Imported here: a command that reads no file, as simulate, maps no
-        # mmap or select (0.3 MB with array).
-        import mmap
-
         self._file = os.open(path, os.O_RDONLY)
         self.size = os.fstat(self._file).st_size
         self._floor = _first_line_end(self._file)  # the first line is the caller's
-        self._frontier = mmap.mmap(-1, _FRONTIER.size)
-        _FRONTIER.pack_into(self._frontier, 0, self.size)
-        self._token = os.pipe()
-        os.set_blocking(self._token[0], False)  # see _holding
-        os.write(self._token[1], b"\0")
-        self._fds = [self._file, *self._token]
-        forked = (_fork(self._file, self._floor, self._frontier, self._token)
-                  for _ in range(readers))
+        self._frontier = os.memfd_create("frontier")
+        self._fds = [self._file, self._frontier]
+        os.pwrite(self._frontier, _FRONTIER.pack(self.size), 0)
+        forked = (_fork(self._file, self._floor, self._frontier) for _ in range(readers))
         self.children = list(filter(None, forked))
 
     @classmethod
     def start(cls, path: str) -> Optional[EarlyReaders]:
         """Readers of ``path`` on every usable CPU but this process's one; None
         when this process may not fork, the file is compressed or smaller than
-        ``MIN_SLICE_BYTES``, or the locale's encoding does not read ASCII bytes
-        as ASCII."""
+        ``MIN_SLICE_BYTES``, the locale's encoding does not read ASCII bytes as
+        ASCII, or the system has no ``os.memfd_create`` (only Linux has it)."""
         readers = _cpus.usable_cpus() - 1
         try:
             if (readers < 1 or os.path.getsize(path) < MIN_SLICE_BYTES or _compressed(path)
-                    or not _ascii_compatible() or not _cpus.fork_is_safe()):
+                    or not _ascii_compatible() or not hasattr(os, "memfd_create")
+                    or not _cpus.fork_is_safe()):
                 return None
             return cls(path, readers)
         except OSError:
@@ -263,7 +255,6 @@ class EarlyReaders:
         for fd in self._fds:
             os.close(fd)
         self._fds = []
-        self._frontier.close()
 
 
 def _ascii_compatible() -> bool:
@@ -287,19 +278,19 @@ def _first_line_end(file: int) -> int:
     return pos
 
 
-def _read_early(fd: int, file: int, floor: int, frontier, token) -> None:
+def _read_early(fd: int, file: int, floor: int, frontier: int) -> None:
     """A reader: claim and parse pieces until none is left, then send them;
     on a decline, set the frontier to -1 and send nothing."""
     from array import array
 
     parts, values, width = [], array("d"), None
-    while claimed := _claim(file, floor, frontier, token):
+    while claimed := _claim(file, floor, frontier):
         start, stop = claimed
         data = os.pread(file, stop - start, start)
         parsed = _float_rows(data, values, width) if len(data) == stop - start else None
         if parsed is None:
-            with _holding(token):
-                _FRONTIER.pack_into(frontier, 0, -1)
+            with _holding(frontier):
+                os.pwrite(frontier, _FRONTIER.pack(-1), 0)
             return
         rows, width = parsed
         parts.append((start, stop, rows, width or 0))
@@ -307,38 +298,27 @@ def _read_early(fd: int, file: int, floor: int, frontier, token) -> None:
 
 
 @contextmanager
-def _holding(token):
-    """Hold the token: read its one byte from the pipe, whose read end does not
-    block, within ``_TOKEN_WAIT`` seconds (else ``TimeoutError``), and write
-    it back after."""
-    import select
+def _holding(frontier: int):
+    """Hold the frontier's record lock, waiting while another process holds it."""
+    # Imported here: a command that reads no file, as simulate, loads no fcntl.
+    import fcntl
 
-    waiting = select.poll()
-    waiting.register(token[0], select.POLLIN)
-    deadline = time.monotonic() + _TOKEN_WAIT
-    while True:
-        try:
-            os.read(token[0], 1)
-            break
-        except BlockingIOError:
-            left = deadline - time.monotonic()
-            if left <= 0 or not waiting.poll(left * 1000):
-                raise TimeoutError(f"no token in {_TOKEN_WAIT} s") from None
+    fcntl.lockf(frontier, fcntl.LOCK_EX)
     try:
         yield
     finally:
-        os.write(token[1], b"\0")
+        fcntl.lockf(frontier, fcntl.LOCK_UN)
 
 
-def _claim(file: int, floor: int, frontier, token):
+def _claim(file: int, floor: int, frontier: int):
     """(start, stop) of the next piece below the frontier, which moves down to
     its start; None when none is left above ``floor`` or a reader declined."""
-    with _holding(token):
-        stop = _FRONTIER.unpack_from(frontier)[0]
+    with _holding(frontier):
+        stop = _FRONTIER.unpack(os.pread(frontier, _FRONTIER.size, 0))[0]
         if stop <= floor:
             return None
         start = _line_start(file, floor, max(floor, stop - PIECE_BYTES))
-        _FRONTIER.pack_into(frontier, 0, start)
+        os.pwrite(frontier, _FRONTIER.pack(start), 0)
     return start, stop
 
 

@@ -5,10 +5,11 @@ Exit codes: 0 the null hypothesis is not rejected, 3 it is rejected,
 
 This module owns the ``hdnorm`` process.  At import it loads only the
 standard library, so ``hdnorm --help`` and a usage error load no numpy.
-``main`` parses the command line first; for ``test`` and ``diagnose`` it
-then forks the CSV parser's readers (``_csvparse.EarlyReaders``), which
-parse the end of the file on the other CPUs while this process imports
-numpy, scipy's ufuncs and the rest of hdnorm, and then claims pieces too.
+``main`` parses the command line and checks ``--out`` first; for ``test``
+and ``diagnose`` it then forks the CSV parser's readers
+(``_csvparse.EarlyReaders``), which parse the end of the file on the other
+CPUs while this process imports numpy, scipy's ufuncs and the rest of
+hdnorm, and then claims pieces too.
 In a process that loaded numpy before ``main``, ``load_csv`` forks them.
 
 This module is the only one that calls ``gc.freeze``, once per process, in
@@ -160,24 +161,22 @@ def _writable(path: Path, folder: bool) -> Path:
 
 
 def cmd_test(args) -> int:
-    # A bad method name or Monte-Carlo setting, or a report that cannot be
-    # written, fails before the file is read.
+    # A bad method name or Monte-Carlo setting fails before the file is read.
     method = lookup_method(args.stats)
     # McSettings holds the defaults of the options left out.
     given = {"replications": args.mc, "seed": args.seed, "alpha": args.alpha}
     settings = McSettings(**{key: value for key, value in given.items() if value is not None})
-    out = _writable(Path(args.out), folder=False)
     X = _load_matrix(args.file, args.header, args.early)
     report = composite_test(X, settings, method, out=X.values)  # centres X in place
 
     # The report names a quasi-range method "quasi"; its order is in the decision.
     doc = {"schema_version": SCHEMA_VERSION, "statistics": method.name.split(":")[0],
            "input": str(args.file), **report.to_dict()}
-    out.write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n", encoding="utf-8")
+    args.out.write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n", encoding="utf-8")
     verdict = "rejected" if report.reject else "not rejected"
     detail = ", ".join(f"{key} {'reject' if decision.reject else 'accept'}"
                        for key, decision in report.decisions.items())
-    print(f"H0 {verdict} at alpha={settings.alpha:g} ({detail}); report: {out}")
+    print(f"H0 {verdict} at alpha={settings.alpha:g} ({detail}); report: {args.out}")
     return 3 if report.reject else 0
 
 
@@ -222,9 +221,8 @@ def _write_csv(path: Path, header: str, columns) -> None:
 def cmd_diagnose(args) -> int:
     if args.seed < 0:  # before any file is read or written, on both distance paths
         raise ValueError(f"seed must be non-negative, got {args.seed}")
-    outdir = _writable(Path(args.out), folder=True)
     X = _load_matrix(args.file, args.header, args.early)
-    outdir.mkdir(parents=True, exist_ok=True)
+    args.out.mkdir(parents=True, exist_ok=True)
 
     # One moments pass: the radii need no dispersion estimate, nor n >= 4.
     moments = _moments(X)
@@ -236,15 +234,15 @@ def cmd_diagnose(args) -> int:
         print(f"skipping QQ data: {exc}", file=sys.stderr)
     else:
         positions = ndtri((np.arange(1, X.n + 1) - 0.5) / X.n)
-        _write_csv(outdir / "qq.csv", "position,standardized_radius",
+        _write_csv(args.out / "qq.csv", "position,standardized_radius",
                    [positions, rs.standardized])
         written.append("qq.csv")
-    _write_csv(outdir / "radii.csv", "radius", [sorted_radii])
+    _write_csv(args.out / "radii.csv", "radius", [sorted_radii])
 
     distances = _interpoint_distances(X.values, args.max_pairs, args.seed)
-    _write_csv(outdir / "interpoint.csv", "distance", [distances])
+    _write_csv(args.out / "interpoint.csv", "distance", [distances])
 
-    print(f"wrote {', '.join(sorted(written))} to {outdir}")
+    print(f"wrote {', '.join(sorted(written))} to {args.out}")
     return 0
 
 
@@ -263,12 +261,11 @@ def cmd_simulate(args) -> int:
     except (ValueError, HdnormError) as exc:
         raise ValueError(f"bad experiment spec: {exc}")
 
-    outdir = _writable(Path(args.out), folder=True)  # before any work
-    outdir.mkdir(parents=True, exist_ok=True)
+    args.out.mkdir(parents=True, exist_ok=True)
     results = run_experiment(exp, threads=args.threads)
-    (outdir / "summary.csv").write_text(summarize(results), encoding="utf-8")
-    (outdir / "results.jsonl").write_text(results_jsonl(results), encoding="utf-8")
-    print(f"{exp.name}: {len(results)} result rows -> {outdir}/summary.csv")
+    (args.out / "summary.csv").write_text(summarize(results), encoding="utf-8")
+    (args.out / "results.jsonl").write_text(results_jsonl(results), encoding="utf-8")
+    print(f"{exp.name}: {len(results)} result rows -> {args.out}/summary.csv")
     return 0
 
 
@@ -326,12 +323,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # Before numpy loads, so that the other CPUs parse the file meanwhile.
-    # Where it has loaded there are no imports to overlap: load_csv starts
-    # them, so a refused start is not tried twice.
-    loading = "file" in args and "numpy" not in sys.modules
-    args.early = EarlyReaders.start(args.file) if loading else None
+    args.early = None
     try:
+        # An output that cannot be written fails before any reader or work starts.
+        args.out = _writable(Path(args.out), folder=args.command != "test")
+        # Before numpy loads, so that the other CPUs parse the file meanwhile.
+        # Where it has loaded there are no imports to overlap: load_csv starts
+        # them, so a refused start is not tried twice.
+        if "file" in args and "numpy" not in sys.modules:
+            args.early = EarlyReaders.start(args.file)
         _import_numeric_stack()
         return args.func(args)
     except (HdnormError, ValueError, OSError, MemoryError) as exc:

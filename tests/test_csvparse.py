@@ -4,11 +4,12 @@ The byte floor is lowered so that files of a few hundred bytes get a reader
 on every patched CPU but one.
 """
 
+import fcntl
 import gzip
 import io
 import json
-import mmap
 import os
+import signal
 import tempfile
 import threading
 import time
@@ -66,10 +67,34 @@ def assert_reaped(pids):
 PIECE = 16
 
 
+def frontier_at(frontier):
+    return _csvparse._FRONTIER.unpack(os.pread(frontier, _csvparse._FRONTIER.size, 0))[0]
+
+
+def new_frontier(at):
+    """A frontier memory file that holds ``at``."""
+    frontier = os.memfd_create("frontier")
+    os.pwrite(frontier, _csvparse._FRONTIER.pack(at), 0)
+    return frontier
+
+
+def lock_is_free(frontier):
+    """Whether another process could take the frontier's record lock now."""
+    pid = os.fork()
+    if not pid:
+        code = 1
+        try:
+            fcntl.lockf(frontier, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            code = 0
+        finally:
+            os._exit(code)
+    return os.waitpid(pid, 0)[1] == 0
+
+
 def drained(early):
     """Wait until the early readers have claimed every piece, or one declined."""
     deadline = time.monotonic() + 60
-    while _csvparse._FRONTIER.unpack_from(early._frontier)[0] > early._floor:
+    while frontier_at(early._frontier) > early._floor:
         assert time.monotonic() < deadline, "the early readers claimed nothing for 60 s"
         time.sleep(0.001)
 
@@ -350,14 +375,14 @@ def test_parts_that_disagree_on_width(tmp_path, monkeypatch, forked, capsys, wid
     monkeypatch.setattr(_cpus, "fork_is_safe", lambda: threading.active_count() == 1)
     claim, parent, claimed = _csvparse._claim, os.getpid(), []
 
-    def the_reader_claims_once(file, floor, frontier, token):
+    def the_reader_claims_once(file, floor, frontier):
         if os.getpid() != parent:
             if claimed:
                 return None
             claimed.append(True)
-        while os.getpid() == parent and _csvparse._FRONTIER.unpack_from(frontier)[0] == size:
+        while os.getpid() == parent and frontier_at(frontier) == size:
             time.sleep(0.001)  # until the reader holds [cut, size)
-        return claim(file, floor, frontier, token)
+        return claim(file, floor, frontier)
 
     monkeypatch.setattr(_csvparse, "_claim", the_reader_claims_once)
     joins = record_joins(monkeypatch)
@@ -375,25 +400,17 @@ def test_parts_that_disagree_on_width(tmp_path, monkeypatch, forked, capsys, wid
 class TestClaims:
     def claims(self, path, floor):
         """Every piece ``_claim`` hands out, from a frontier at the file's end."""
-        frontier = mmap.mmap(-1, _csvparse._FRONTIER.size)
-        _csvparse._FRONTIER.pack_into(frontier, 0, os.path.getsize(path))
-        token = os.pipe()
-        os.write(token[1], b"\0")
+        frontier = new_frontier(os.path.getsize(path))
         file = os.open(path, os.O_RDONLY)
         try:
             pieces = []
-            while claimed := _csvparse._claim(file, floor, frontier, token):
+            while claimed := _csvparse._claim(file, floor, frontier):
                 pieces.append(claimed)
-            # The token is back in its pipe, once.
-            os.set_blocking(token[0], False)
-            assert os.read(token[0], 1) == b"\0"
-            with pytest.raises(BlockingIOError):
-                os.read(token[0], 1)
+            assert lock_is_free(frontier)
             return pieces
         finally:
             os.close(file)
-            for fd in token:
-                os.close(fd)
+            os.close(frontier)
 
     @pytest.mark.parametrize("piece", [1, 40, 200, 1 << 20])
     def test_pieces_are_whole_lines_below_the_first(self, tmp_path, monkeypatch, piece):
@@ -429,39 +446,47 @@ class TestClaims:
         joined = np.concatenate([part for part in loaded if part.size])
         assert joined.tobytes() == reference(path, False).tobytes()
 
-    def test_a_token_never_given_back_stops_the_readers(self, tmp_path, monkeypatch, forked):
-        # This process's first claim waits _TOKEN_WAIT seconds, then it parses
-        # the whole file with np.loadtxt and reaps the reader.
-        monkeypatch.setattr(_csvparse, "_TOKEN_WAIT", 0.2)
+    def test_a_reader_killed_holding_the_lock_costs_no_wait(self, tmp_path, monkeypatch,
+                                                             forked):
+        # The kernel frees the lock of a reader that dies holding it: this
+        # process claims every piece, finds the reader's part missing, parses
+        # the whole file once with np.loadtxt and reaps the reader.
         path = write(tmp_path, "plain.csv", CASES["plain"]())
+        parent, line_start, held = os.getpid(), _csvparse._line_start, os.pipe()
+
+        def the_reader_stops_in_its_claim(*args):
+            if os.getpid() != parent:
+                os.write(held[1], b"\0")
+                time.sleep(60)
+            return line_start(*args)
+
+        monkeypatch.setattr(_csvparse, "_line_start", the_reader_stops_in_its_claim)
         early = _csvparse.EarlyReaders(path, 1)
-        while True:  # take the token, as a reader killed while it held it
-            try:
-                os.read(early._token[0], 1)
-                break
-            except BlockingIOError:
-                time.sleep(0.001)
+        try:
+            assert os.read(held[0], 1) == b"\0"  # the reader holds the lock
+        finally:
+            for fd in held:
+                os.close(fd)
+        assert not lock_is_free(early._frontier)
+        os.kill(early.children[0][0], signal.SIGKILL)
         whole = record_parses(monkeypatch)
         began = time.monotonic()
         got = _csvparse.load_csv(path, 0, early)
         waited = time.monotonic() - began
         assert got.tobytes() == reference(path, False).tobytes()
-        assert whole == [True] and 0.2 <= waited < 2
-        assert early.children == [] and len(forked) == 1
+        assert whole.count(True) == 1 and whole[-1] and waited < 0.5
+        assert early.children == [] and len(forked) == 2  # the reader and the lock probe
         assert_reaped(forked)
 
     def test_a_closed_frontier_hands_out_nothing(self, tmp_path):
         path = write(tmp_path, "plain.csv", CASES["plain"]())
-        frontier = mmap.mmap(-1, _csvparse._FRONTIER.size)  # 0: closed
-        token = os.pipe()
-        os.write(token[1], b"\0")
+        frontier = new_frontier(0)  # 0: closed
         file = os.open(path, os.O_RDONLY)
         try:
-            assert _csvparse._claim(file, 1, frontier, token) is None
+            assert _csvparse._claim(file, 1, frontier) is None
         finally:
             os.close(file)
-            for fd in token:
-                os.close(fd)
+            os.close(frontier)
 
 
 # Fields written with repr, some with spaces around them.
@@ -613,7 +638,7 @@ def test_early_readers_start_only_where_they_can_help(tmp_path):
     packed = tmp_path / "plain.csv.gz"
     packed.write_bytes(gzip.compress(Path(big).read_bytes()))
     code = (
-        "import json, sys, threading\n"
+        "import json, os, sys, threading\n"
         "from hdnorm import _cpus, _csvparse\n"
         f"_csvparse.MIN_SLICE_BYTES = {FLOOR}\n"
         "_cpus.usable_cpus = lambda: 2\n"
@@ -637,11 +662,14 @@ def test_early_readers_start_only_where_they_can_help(tmp_path):
         "early = start(big)\n"
         "out['numpy'] = early is not None and len(early.children) == 1\n"
         "early.kill()\n"
+        "del os.memfd_create\n"
+        "out.update(no_memfd=start(big), no_memfd_rows=_csvparse.load_csv(big, 0).shape)\n"
         "print(json.dumps(out))\n"
     )
     got = json.loads(fresh_python(code, big, small, str(packed)))
     assert got == {"plain": True, "small": None, "packed": None, "missing": None,
-                   "one_cpu": None, "thread": None, "numpy": True}
+                   "one_cpu": None, "thread": None, "numpy": True, "no_memfd": None,
+                   "no_memfd_rows": [30, 6]}
 
 
 # ``hdnorm`` as its console script runs it, with early readers of files of
@@ -707,12 +735,13 @@ class TestEarlyReadersInTheCommand:
                              " range, iqr or quasi:q\n"),
         ("--out", "missing/r.json", "error: cannot write {tmp}/missing/r.json\n")])
     def test_errors_before_the_read_reap_them(self, tmp_path, option, value, message):
+        # --out is checked before any reader starts; --stats needs numpy.
         path = write(tmp_path, "plain.csv", CASES["plain"]())
         value = value if option == "--stats" else str(tmp_path / value)
         (code, started, reaped, _), err = run_early_main(
             "test", path, option, value, *(["--out", str(tmp_path / "r.json")]
                                            if option == "--stats" else []))
-        assert (code, started, reaped) == (1, [True], True)
+        assert (code, started, reaped) == (1, [True] if option == "--stats" else [], True)
         assert err == message.format(tmp=tmp_path)
 
     @pytest.mark.parametrize("header", [False, True], ids=["no_header", "header"])
