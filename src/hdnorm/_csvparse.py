@@ -8,15 +8,16 @@ the next piece of about ``PIECE_BYTES`` below one shared frontier: the 8
 bytes of a memory file (``os.memfd_create``), guarded by a POSIX record lock
 on that file.  Record locks belong to a process, so the readers and the
 caller exclude one another, and the kernel frees a lock whose holder dies.
-A piece is whole lines, never the file's first line, claimed from the end
-towards the start.  A reader's rows are ``float()`` of ``bytes`` fields.
+A piece is whole lines, claimed from the end towards the start, and never
+starts at byte 0.  A reader's rows are ``float()`` of ``bytes`` fields.
 Once its imports are done the calling process claims from the same frontier
-and parses its pieces with ``np.loadtxt``, then the first line, with the
-rows it skips.  When none is left, each reader sends the byte range, shape
-and raw float64 bytes of each of its pieces through a pipe and exits.  Every
-piece holds whole lines, and ``loadtxt`` reads rows line by line, so the
-pieces joined in file order are ``np.loadtxt`` of the whole file, bit for
-bit.
+and parses its pieces with ``np.loadtxt``, then, with the rows it skips, the
+piece from byte 0 to the frontier: the first line and less than
+``PIECE_BYTES`` below it.  When none is left, each reader sends through a
+pipe a ``marshal`` list of its pieces' byte ranges and shapes, then their
+raw float64 bytes, and exits.  Every piece holds whole lines, and
+``loadtxt`` reads rows line by line, so the pieces joined in file order are
+``np.loadtxt`` of the whole file, bit for bit.
 
 A reader declines what it cannot prove ``np.loadtxt`` reads the same way: a
 ``_`` (``float()`` takes ``1_0``), a ``\\r`` that does not end a ``\\r\\n``
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import importlib
 import io
+import marshal
 import os
 import signal
 import struct
@@ -57,21 +59,18 @@ MIN_SLICE_BYTES = 4 << 20
 PIECE_BYTES = 1 << 18
 # numpy decompresses files with these suffixes, so their bytes are not lines.
 _DECOMPRESSORS = {".gz": "gzip", ".bz2": "bz2", ".xz": "lzma", ".lzma": "lzma"}
-# A reader's message: its part count, each part's (start, stop, rows, columns),
-# then the rows of every part in that order, as float64 bytes.
-_COUNT = struct.Struct("<q")
-_PART = struct.Struct("<qqqq")
-# The frontier: the start of the lowest piece claimed so far.  A decline sets
-# it to -1, below every first line's end.
+# The frontier: the start of the lowest piece claimed so far, so the end of
+# the piece left to the caller.  A decline sets it to -1, where no piece ends.
 _FRONTIER = struct.Struct("<q")
 
 
 def load_csv(path: str, skiprows: int, early: Optional[EarlyReaders] = None):
     """``np.loadtxt(path, delimiter=",", skiprows=skiprows, ndmin=2)``, on every usable CPU.
 
-    Only the first line is parsed with ``skiprows``, so it must not reach past
-    it; the header line of ``hdnorm`` never does.  ``early`` readers of
-    ``path`` are started here when not given, and stopped and reaped.
+    Only the piece that starts at byte 0 is parsed with ``skiprows``, and it
+    may end right after the first line, so ``skiprows`` must not reach past
+    that line; the header line of ``hdnorm`` never does.  ``early`` readers
+    of ``path`` are started here when not given, and stopped and reaped.
     """
     early = early or EarlyReaders.start(path)
     try:
@@ -114,7 +113,7 @@ def _parse(path: str, skiprows: int, start: int, stop):
 
 
 def _fork(*args):
-    """(pid, read end of its pipe) of a reader that runs ``_read_early(write end, *args)``.
+    """(pid, buffered read end of its pipe) of a reader that runs ``_read_early(write end, *args)``.
 
     None when the system has no pipe or process to spare.
     """
@@ -130,7 +129,7 @@ def _fork(*args):
         return None
     if pid:
         os.close(write_fd)
-        return pid, read_fd
+        return pid, open(read_fd, "rb")
     try:
         os.close(read_fd)
         _read_early(write_fd, *args)
@@ -142,34 +141,37 @@ def _fork(*args):
 
 def _send(fd: int, parts: list, values) -> None:
     with open(fd, "wb") as pipe:
-        pipe.write(_COUNT.pack(len(parts)))
-        for part in parts:
-            pipe.write(_PART.pack(*part))
+        # The parent is this interpreter forked, so marshal's format is its own.
+        marshal.dump(parts, pipe)
         pipe.write(values)
 
 
 def _reap(children) -> None:
-    for pid, fd in children:
-        os.close(fd)
+    for pid, pipe in children:
+        pipe.close()
         # A reader that sent its rows is exiting already; any other is not needed.
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
 
 
 def _join(path: str, skiprows: int, early: EarlyReaders):
-    """The pieces claimed and parsed here, then the first line, and the
-    readers' pieces, joined in file order; None if any part failed or is
-    missing, or the parts do not tile the file."""
+    """The pieces claimed and parsed here, then the one from byte 0 to the
+    frontier, and the readers' pieces, joined in file order; None after a
+    decline, if any part failed or is missing, or the parts do not tile the file."""
     import numpy as np
 
     mine = []
     try:
-        while claimed := _claim(early._file, early._floor, early._frontier):
+        while claimed := _claim(early._file, early._frontier):
             mine.append((*claimed, _parse(path, 0, *claimed)))
-        mine.append((0, early._floor, _parse(path, skiprows, 0, early._floor)))
+        with _holding(early._frontier):
+            stop = _FRONTIER.unpack(os.pread(early._frontier, _FRONTIER.size, 0))[0]
+        if stop < 0:
+            return None  # a reader declined
+        mine.append((0, stop, _parse(path, skiprows, 0, stop)))
     except (OSError, ValueError):
         return None
-    sent = [_read_parts(fd) for _, fd in early.children]
+    sent = [_read_parts(pipe) for _, pipe in early.children]
     if None in sent:
         return None  # a reader declined or failed
     parts = sorted([(start, stop, *rows.shape) for start, stop, rows in mine] + [*chain(*sent)])
@@ -186,32 +188,21 @@ def _join(path: str, skiprows: int, early: EarlyReaders):
     for start, _, piece in mine:
         out[first_row[start]: first_row[start] + len(piece)] = piece
     del mine, piece  # before the readers' rows touch ``out``: the peak holds one copy
-    for (_, fd), stream in zip(early.children, sent):
+    for (_, pipe), stream in zip(early.children, sent):
         for start, _, n, _ in stream:
-            row = first_row[start]
-            if n and not _read_into(fd, out[row: row + n]):
+            # A buffered read fills its buffer unless the pipe ends first.
+            rows = out[first_row[start]: first_row[start] + n]
+            if pipe.readinto(rows) != rows.nbytes:
                 return None
     return out
 
 
-def _read_parts(fd: int):
+def _read_parts(pipe):
     """The (start, stop, rows, columns) of each part a reader sends; None if its pipe ends first."""
-    count = bytearray(_COUNT.size)
-    if not _read_into(fd, count):
+    try:
+        return marshal.load(pipe)
+    except (EOFError, ValueError):
         return None
-    table = bytearray(_PART.size * _COUNT.unpack(count)[0])
-    return list(_PART.iter_unpack(table)) if _read_into(fd, table) else None
-
-
-def _read_into(fd: int, buffer) -> bool:
-    """Fill ``buffer`` from ``fd``; False if the pipe ends first."""
-    view = memoryview(buffer).cast("B")
-    while view:
-        got = os.readv(fd, [view])
-        if not got:
-            return False
-        view = view[got:]
-    return True
 
 
 class EarlyReaders:
@@ -224,12 +215,16 @@ class EarlyReaders:
 
     def __init__(self, path: str, readers: int):
         self._file = os.open(path, os.O_RDONLY)
-        self.size = os.fstat(self._file).st_size
-        self._floor = _first_line_end(self._file)  # the first line is the caller's
-        self._frontier = os.memfd_create("frontier")
-        self._fds = [self._file, self._frontier]
-        os.pwrite(self._frontier, _FRONTIER.pack(self.size), 0)
-        forked = (_fork(self._file, self._floor, self._frontier) for _ in range(readers))
+        self._fds, self.children = [self._file], []
+        try:
+            self.size = os.fstat(self._file).st_size
+            self._frontier = os.memfd_create("frontier")
+            self._fds.append(self._frontier)
+            os.pwrite(self._frontier, _FRONTIER.pack(self.size), 0)
+        except BaseException:
+            self.kill()
+            raise
+        forked = (_fork(self._file, self._frontier) for _ in range(readers))
         self.children = list(filter(None, forked))
 
     @classmethod
@@ -267,24 +262,13 @@ def _ascii_compatible() -> bool:
         return False
 
 
-def _first_line_end(file: int) -> int:
-    """The offset just past the file's first newline byte, else its size."""
-    pos = 0
-    while block := os.pread(file, 1 << 16, pos):
-        found = block.find(b"\n")
-        if found >= 0:
-            return pos + found + 1
-        pos += len(block)
-    return pos
-
-
-def _read_early(fd: int, file: int, floor: int, frontier: int) -> None:
+def _read_early(fd: int, file: int, frontier: int) -> None:
     """A reader: claim and parse pieces until none is left, then send them;
     on a decline, set the frontier to -1 and send nothing."""
     from array import array
 
     parts, values, width = [], array("d"), None
-    while claimed := _claim(file, floor, frontier):
+    while claimed := _claim(file, frontier):
         start, stop = claimed
         data = os.pread(file, stop - start, start)
         parsed = _float_rows(data, values, width) if len(data) == stop - start else None
@@ -310,27 +294,27 @@ def _holding(frontier: int):
         fcntl.lockf(frontier, fcntl.LOCK_UN)
 
 
-def _claim(file: int, floor: int, frontier: int):
+def _claim(file: int, frontier: int):
     """(start, stop) of the next piece below the frontier, which moves down to
-    its start; None when none is left above ``floor`` or a reader declined."""
+    its start; None when it would start at byte 0, the caller's, or a reader declined."""
     with _holding(frontier):
         stop = _FRONTIER.unpack(os.pread(frontier, _FRONTIER.size, 0))[0]
-        if stop <= floor:
+        start = _line_start(file, max(0, stop - PIECE_BYTES))
+        if start == 0:
             return None
-        start = _line_start(file, floor, max(floor, stop - PIECE_BYTES))
         os.pwrite(frontier, _FRONTIER.pack(start), 0)
     return start, stop
 
 
-def _line_start(file: int, floor: int, pos: int) -> int:
-    """The start of the line that holds byte ``pos``, or ``floor`` if lower."""
-    while pos > floor:
-        block = max(floor, pos - (1 << 16))
+def _line_start(file: int, pos: int) -> int:
+    """The start of the line that holds byte ``pos``."""
+    while pos > 0:
+        block = max(0, pos - (1 << 16))
         newline = os.pread(file, pos - block, block).rfind(b"\n")
         if newline >= 0:
             return block + newline + 1
         pos = block
-    return floor
+    return 0
 
 
 def _float_rows(data: bytes, values: "array", width: Optional[int]):

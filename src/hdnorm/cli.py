@@ -5,8 +5,8 @@ Exit codes: 0 the null hypothesis is not rejected, 3 it is rejected,
 
 This module owns the ``hdnorm`` process.  At import it loads only the
 standard library, so ``hdnorm --help`` and a usage error load no numpy.
-``main`` parses the command line and checks ``--out`` first; for ``test``
-and ``diagnose`` it then forks the CSV parser's readers
+``main`` parses the command line and checks ``--out`` and ``--seed`` first;
+for ``test`` and ``diagnose`` it then forks the CSV parser's readers
 (``_csvparse.EarlyReaders``), which parse the end of the file on the other
 CPUs while this process imports numpy, scipy's ufuncs and the rest of
 hdnorm, and then claims pieces too.
@@ -219,8 +219,6 @@ def _write_csv(path: Path, header: str, columns) -> None:
 
 
 def cmd_diagnose(args) -> int:
-    if args.seed < 0:  # before any file is read or written, on both distance paths
-        raise ValueError(f"seed must be non-negative, got {args.seed}")
     X = _load_matrix(args.file, args.header, args.early)
     args.out.mkdir(parents=True, exist_ok=True)
 
@@ -325,8 +323,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args.early = None
     try:
-        # An output that cannot be written fails before any reader or work starts.
+        # A bad --out or --seed fails before any reader or work starts.
         args.out = _writable(Path(args.out), folder=args.command != "test")
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"seed must be non-negative, got {args.seed}")
         # Before numpy loads, so that the other CPUs parse the file meanwhile.
         # Where it has loaded there are no imports to overlap: load_csv starts
         # them, so a refused start is not tried twice.

@@ -4,10 +4,12 @@ The byte floor is lowered so that files of a few hundred bytes get a reader
 on every patched CPU but one.
 """
 
+import errno
 import fcntl
 import gzip
 import io
 import json
+import marshal
 import os
 import signal
 import tempfile
@@ -92,9 +94,11 @@ def lock_is_free(frontier):
 
 
 def drained(early):
-    """Wait until the early readers have claimed every piece, or one declined."""
+    """Wait until the early readers have claimed every piece, or one declined:
+    until the next piece would start at byte 0, or the frontier is negative."""
     deadline = time.monotonic() + 60
-    while frontier_at(early._frontier) > early._floor:
+    while (at := frontier_at(early._frontier)) >= 0 and _csvparse._line_start(
+            early._file, max(0, at - _csvparse.PIECE_BYTES)):
         assert time.monotonic() < deadline, "the early readers claimed nothing for 60 s"
         time.sleep(0.001)
 
@@ -183,8 +187,9 @@ class TestBitwiseEqualToLoadtxt:
             assert len(forked) >= 1
 
     # The early readers, forked with numpy loaded here, claim pieces of a
-    # line or two; drained, they claim all but the first line before the
-    # parse starts, else this process claims the rest.  No case is declined.
+    # line or two; drained, they claim all but the first line and less than
+    # a piece below it before the parse starts, else this process claims the
+    # rest.  No case is declined.
     @pytest.mark.parametrize("drain", [True, False], ids=["drained", "raced"])
     @pytest.mark.parametrize("header", [False, True], ids=["no_header", "header"])
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -375,14 +380,14 @@ def test_parts_that_disagree_on_width(tmp_path, monkeypatch, forked, capsys, wid
     monkeypatch.setattr(_cpus, "fork_is_safe", lambda: threading.active_count() == 1)
     claim, parent, claimed = _csvparse._claim, os.getpid(), []
 
-    def the_reader_claims_once(file, floor, frontier):
+    def the_reader_claims_once(file, frontier):
         if os.getpid() != parent:
             if claimed:
                 return None
             claimed.append(True)
         while os.getpid() == parent and frontier_at(frontier) == size:
             time.sleep(0.001)  # until the reader holds [cut, size)
-        return claim(file, floor, frontier)
+        return claim(file, frontier)
 
     monkeypatch.setattr(_csvparse, "_claim", the_reader_claims_once)
     joins = record_joins(monkeypatch)
@@ -398,13 +403,13 @@ def test_parts_that_disagree_on_width(tmp_path, monkeypatch, forked, capsys, wid
 # The early readers: claims, the piece parser, and the process they run in.
 
 class TestClaims:
-    def claims(self, path, floor):
+    def claims(self, path):
         """Every piece ``_claim`` hands out, from a frontier at the file's end."""
         frontier = new_frontier(os.path.getsize(path))
         file = os.open(path, os.O_RDONLY)
         try:
             pieces = []
-            while claimed := _csvparse._claim(file, floor, frontier):
+            while claimed := _csvparse._claim(file, frontier):
                 pieces.append(claimed)
             assert lock_is_free(frontier)
             return pieces
@@ -417,26 +422,32 @@ class TestClaims:
         monkeypatch.setattr(_csvparse, "PIECE_BYTES", piece)
         path = write(tmp_path, "noisy.csv", HEADER + csv_text(data(30, 3), extra=NOISE))
         raw = Path(path).read_bytes()
-        floor = raw.index(b"\n") + 1
-        pieces = self.claims(path, floor)
-        # From the end down to the first line's end, each piece ending where
-        # the one claimed after it starts.
-        assert pieces[0][1] == len(raw) and pieces[-1][0] == floor
+        first_line_end = raw.index(b"\n") + 1
+        pieces = self.claims(path)
+        # From the end down, each piece ending where the one claimed after it
+        # starts; what is left from byte 0, the caller's, is the first line
+        # and less than PIECE_BYTES below it.
+        left = pieces[-1][0] if pieces else len(raw)
+        assert first_line_end <= left < first_line_end + piece
         assert all(low[1] == high[0] for high, low in zip(pieces, pieces[1:]))
+        assert not pieces or pieces[0][1] == len(raw)
         for start, stop in pieces:
-            # Each starts at the line that holds the byte PIECE_BYTES below its end.
-            assert raw[start - 1] == ord("\n") and raw[stop - 1] == ord("\n")
-            assert b"\n" not in raw[start: max(floor, stop - piece)]
+            # Each starts at the line that holds the byte PIECE_BYTES below its
+            # end, never at byte 0.
+            assert start > 0 and raw[start - 1] == ord("\n") and raw[stop - 1] == ord("\n")
+            assert b"\n" not in raw[start: max(0, stop - piece)]
 
     def test_pieces_that_start_on_blank_and_comment_lines(self, tmp_path, monkeypatch):
         # Both parsers read each piece as np.loadtxt reads those lines in the file.
+        # Before row 2 a blank line starts PIECE bytes below a row, so that
+        # the piece claimed below the row starts on it.
         monkeypatch.setattr(_csvparse, "PIECE_BYTES", PIECE)
-        path = write(tmp_path, "noisy.csv", csv_text(data(40, 5), extra=NOISE))
+        extra = {**NOISE, 2: ["", "# comment, 1.0"]}
+        path = write(tmp_path, "noisy.csv", csv_text(data(40, 5), extra=extra))
         raw = Path(path).read_bytes()
-        floor = raw.index(b"\n") + 1
-        pieces = self.claims(path, floor)[::-1]
+        pieces = self.claims(path)[::-1]
         assert {raw[start: start + 1] for start, _ in pieces} >= {b"\n", b"#"}
-        loaded = [_csvparse._parse(path, 0, 0, floor)]
+        loaded = [_csvparse._parse(path, 0, 0, pieces[0][0])]
         for start, stop in pieces:
             loaded.append(_csvparse._parse(path, 0, start, stop))
             values = array("d")
@@ -480,13 +491,14 @@ class TestClaims:
 
     def test_a_closed_frontier_hands_out_nothing(self, tmp_path):
         path = write(tmp_path, "plain.csv", CASES["plain"]())
-        frontier = new_frontier(0)  # 0: closed
         file = os.open(path, os.O_RDONLY)
         try:
-            assert _csvparse._claim(file, 1, frontier) is None
+            for at in (0, -1):  # closed, declined
+                frontier = new_frontier(at)
+                assert _csvparse._claim(file, frontier) is None and frontier_at(frontier) == at
+                os.close(frontier)
         finally:
             os.close(file)
-            os.close(frontier)
 
 
 # Fields written with repr, some with spaces around them.
@@ -621,6 +633,45 @@ def test_a_piece_left_unsent_falls_back_to_the_whole_file(tmp_path, monkeypatch,
     assert_reaped(forked)
 
 
+@pytest.mark.parametrize("inside", ["parts", "rows"])
+def test_a_message_cut_short_falls_back_to_the_whole_file(tmp_path, monkeypatch, forked,
+                                                          inside):
+    # The early reader exits halfway through its marshal list, or its rows.
+    monkeypatch.setattr(_csvparse, "PIECE_BYTES", PIECE)
+
+    def cut_short(fd, parts, values):
+        table = marshal.dumps(parts)
+        message = table + values.tobytes()
+        end = len(table) // 2 if inside == "parts" else (len(table) + len(message)) // 2
+        with open(fd, "wb") as pipe:
+            pipe.write(message[:end])
+
+    monkeypatch.setattr(_csvparse, "_send", cut_short)
+    path = write(tmp_path, "noisy.csv", csv_text(data(40, 5), extra=NOISE))
+    early = _csvparse.EarlyReaders(path, 1)
+    drained(early)
+    whole = record_parses(monkeypatch)
+    assert _csvparse.load_csv(path, 0, early).tobytes() == reference(path, False).tobytes()
+    assert whole.count(True) == 1 and whole[-1]
+    assert early.children == [] and len(forked) == 1
+    assert_reaped(forked)
+
+
+def test_after_a_decline_the_whole_file_is_the_one_parse(tmp_path, monkeypatch, forked):
+    # The early reader's first piece, the file's end, holds a lone carriage
+    # return, a line end to np.loadtxt alone, so it declines; the command then
+    # parses no piece of its own.
+    monkeypatch.setattr(_csvparse, "PIECE_BYTES", PIECE)
+    path = write(tmp_path, "lone_cr.csv", csv_text(data(40, 5)) + "# a lone\r# carriage return\n")
+    early = _csvparse.EarlyReaders(path, 1)
+    drained(early)
+    assert frontier_at(early._frontier) == -1
+    whole = record_parses(monkeypatch)
+    assert _csvparse.load_csv(path, 0, early).tobytes() == reference(path, False).tobytes()
+    assert whole == [True] and len(forked) == 1
+    assert_reaped(forked)
+
+
 @pytest.mark.parametrize("encoding, compatible", [
     ("utf-8", True), ("latin-1", True), ("cp1252", True), ("shift_jis", True),
     ("utf-16", False), ("cp037", False), ("no-such-codec", False)])
@@ -670,6 +721,21 @@ def test_early_readers_start_only_where_they_can_help(tmp_path):
     assert got == {"plain": True, "small": None, "packed": None, "missing": None,
                    "one_cpu": None, "thread": None, "numpy": True, "no_memfd": None,
                    "no_memfd_rows": [30, 6]}
+
+
+def test_a_start_that_fails_closes_what_it_opened(tmp_path, monkeypatch):
+    path = write(tmp_path, "plain.csv", CASES["plain"]())
+    monkeypatch.setattr(_csvparse, "MIN_SLICE_BYTES", FLOOR)
+    monkeypatch.setattr(_cpus, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(_cpus, "fork_is_safe", lambda: True)
+
+    def no_descriptor_left(name):
+        raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+    monkeypatch.setattr(os, "memfd_create", no_descriptor_left)
+    before = len(os.listdir("/proc/self/fd"))
+    assert _csvparse.EarlyReaders.start(path) is None
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 # ``hdnorm`` as its console script runs it, with early readers of files of
@@ -730,17 +796,19 @@ class TestEarlyReadersInTheCommand:
         for name in ("qq.csv", "radii.csv", "interpoint.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    @pytest.mark.parametrize("option, value, message", [
-        ("--stats", "bogus", "error: unknown method 'bogus'; choose from composite, squared,"
-                             " range, iqr or quasi:q\n"),
-        ("--out", "missing/r.json", "error: cannot write {tmp}/missing/r.json\n")])
-    def test_errors_before_the_read_reap_them(self, tmp_path, option, value, message):
-        # --out is checked before any reader starts; --stats needs numpy.
+    @pytest.mark.parametrize("command, option, value, message", [
+        ("test", "--stats", "bogus", "error: unknown method 'bogus'; choose from composite,"
+                                     " squared, range, iqr or quasi:q\n"),
+        ("test", "--out", "missing/r.json", "error: cannot write {tmp}/missing/r.json\n"),
+        ("test", "--seed", "-1", "error: seed must be non-negative, got -1\n"),
+        ("diagnose", "--seed", "-1", "error: seed must be non-negative, got -1\n")])
+    def test_errors_before_the_read_reap_them(self, tmp_path, command, option, value, message):
+        # --out and --seed are checked before any reader starts; --stats needs numpy.
         path = write(tmp_path, "plain.csv", CASES["plain"]())
-        value = value if option == "--stats" else str(tmp_path / value)
-        (code, started, reaped, _), err = run_early_main(
-            "test", path, option, value, *(["--out", str(tmp_path / "r.json")]
-                                           if option == "--stats" else []))
+        out = ["--out", str(tmp_path / "out")]
+        if option == "--out":
+            value, out = str(tmp_path / value), []
+        (code, started, reaped, _), err = run_early_main(command, path, option, value, *out)
         assert (code, started, reaped) == (1, [True] if option == "--stats" else [], True)
         assert err == message.format(tmp=tmp_path)
 
