@@ -69,10 +69,9 @@ def load_csv(path: str, skiprows: int, early: Optional[EarlyReaders] = None):
 
     Only the piece that starts at byte 0 is parsed with ``skiprows``, and it
     may end right after the first line, so ``skiprows`` must not reach past
-    that line; the header line of ``hdnorm`` never does.  ``early`` readers
-    of ``path`` are started here when not given, and stopped and reaped.
+    that line; the header line of ``hdnorm`` never does.  Joins, stops and reaps
+    ``early``, readers of ``path`` the caller started; without them, one ``np.loadtxt``.
     """
-    early = early or EarlyReaders.start(path)
     try:
         values = _join(path, skiprows, early) if early else None
     finally:

@@ -9,8 +9,8 @@ standard library, so ``hdnorm --help`` and a usage error load no numpy.
 for ``test`` and ``diagnose`` it then forks the CSV parser's readers
 (``_csvparse.EarlyReaders``), which parse the end of the file on the other
 CPUs while this process imports numpy, scipy's ufuncs and the rest of
-hdnorm, and then claims pieces too.
-In a process that loaded numpy before ``main``, ``load_csv`` forks them.
+hdnorm, and then claims pieces too.  Only ``main`` forks them, whether or
+not numpy was loaded before it.
 
 This module is the only one that calls ``gc.freeze``, once per process, in
 the first ``main`` call (or the first read of a name the commands import):
@@ -327,10 +327,8 @@ def main(argv=None) -> int:
         args.out = _writable(Path(args.out), folder=args.command != "test")
         if getattr(args, "seed", 0) < 0:
             raise ValueError(f"seed must be non-negative, got {args.seed}")
-        # Before numpy loads, so that the other CPUs parse the file meanwhile.
-        # Where it has loaded there are no imports to overlap: load_csv starts
-        # them, so a refused start is not tried twice.
-        if "file" in args and "numpy" not in sys.modules:
+        # Before the imports, if any are left, so the other CPUs parse meanwhile.
+        if "file" in args:
             args.early = EarlyReaders.start(args.file)
         _import_numeric_stack()
         return args.func(args)

@@ -43,14 +43,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from numbers import Integral, Real
+from numbers import Real
 from typing import Callable, Dict, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from . import rng
 from .errors import InvalidScenarioParams, NotPSD
-from .moments import DataMatrix
+from .moments import DataMatrix, _is_integer
 
 _PSD_TOL = 1e-8
 
@@ -63,11 +63,6 @@ COV_KINDS: Dict[str, Dict[str, Optional[float]]] = {
     "geom_decay": {"rate": 0.93},
 }
 COV_PARAMS = tuple(dict.fromkeys(name for takes in COV_KINDS.values() for name in takes))
-
-
-def _is_integer(value) -> bool:
-    """Whether ``value`` is an integer, a bool or float not counting as one."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def _real(value, *what: str) -> float:

@@ -40,8 +40,8 @@ import numpy as np
 
 from . import _cpus, rng
 from .errors import HdnormError, TooFewSamples
-from .generators import CovSpec, Scenario, _is_integer, sample_scenario
-from .moments import MIN_N
+from .generators import CovSpec, Scenario, sample_scenario
+from .moments import MIN_N, _is_integer
 from .montecarlo import McSettings, Rule, composite_from_summary, lookup_method
 from .radii import radial_summary
 from .teststats import contrast

@@ -11,6 +11,7 @@ the cost at O(n d (n ^ d)) instead of O(n d^2).
 from __future__ import annotations
 
 import math
+from numbers import Integral
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -19,6 +20,11 @@ from .errors import NonFiniteData, NonPositiveDispersion, TooFewSamples
 
 #: The fewest rows the moment estimators take: tr(Sigma^2)-hat divides by (n - 2)(n - 3).
 MIN_N = 4
+
+
+def _is_integer(value) -> bool:
+    """The one rule for every size, order, count and seed: an integer, not a bool or float."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 class DataMatrix(NamedTuple):

@@ -29,13 +29,13 @@ import threading
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from numbers import Integral, Real
+from numbers import Real
 from typing import Dict, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from . import _cpus, rng
-from .moments import DataMatrix, DispersionEstimate
+from .moments import DataMatrix, DispersionEstimate, _is_integer
 from .radii import RadialSummary, radial_summary
 from .rng import ndtri
 from .teststats import contrast, sigma_star, statistics
@@ -61,12 +61,12 @@ class McSettings:
     alpha: float = 0.05
 
     def __post_init__(self):
-        for name, label, kind in (("replications", "Monte-Carlo replications", Integral),
-                                  ("seed", "seed", Integral), ("alpha", "alpha", Real)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                what = "an integer" if kind is Integral else "a real number"
-                raise ValueError(f"{label} must be {what}, got {value!r}")
+        for label, value in (("Monte-Carlo replications", self.replications),
+                             ("seed", self.seed)):
+            if not _is_integer(value):
+                raise ValueError(f"{label} must be an integer, got {value!r}")
+        if isinstance(self.alpha, bool) or not isinstance(self.alpha, Real):
+            raise ValueError(f"alpha must be a real number, got {self.alpha!r}")
         if self.replications < 100:
             raise ValueError(f"need at least 100 Monte-Carlo replications, got {self.replications}")
         if not 0.0 < self.alpha < 1.0:
@@ -112,8 +112,8 @@ def null_quasi_range_draws(n: int, q: int, m: int, seed: int) -> np.ndarray:
     the interpreter lock), so the result does not depend on the thread count.
     """
     contrast(n, q)  # checks n and q
-    if m < 1:
-        raise ValueError(f"need at least one draw, got m={m}")
+    if not (_is_integer(m) and _is_integer(seed)) or m < 1 or seed < 0:
+        raise ValueError(f"need integers m >= 1 and seed >= 0, got m={m!r} and seed={seed!r}")
     chunks = -(-m // CHUNK)
     shares = min(chunks, _cpus.usable_cpus())
     draws = np.empty(m)
@@ -166,10 +166,11 @@ def mc_quantiles(n: int, q: int, settings: McSettings) -> Band:
             empirical_quantile(sample, 1.0 - settings.alpha / 2.0))
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=4, typed=True)
 def _sorted_null(n: int, q: int, m: int, seed: int) -> np.ndarray:
     """The sorted, read-only ``null_quasi_range_draws(n, q, m, seed)``, kept for
-    the next few bands, so that settings differing only in alpha share a draw."""
+    the next few bands, so that settings differing only in alpha share a draw;
+    typed, so that q = 1.0 or True is refused as the draw refuses it, not served q = 1's."""
     sample = null_quasi_range_draws(n, q, m, seed)
     sample.sort()
     sample.flags.writeable = False

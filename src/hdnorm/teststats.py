@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from numbers import Integral
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InvalidQuantileOrder, TooFewSamples
+from .moments import _is_integer
 from .radii import RadialSummary
 from .rng import ndtri
 
@@ -31,7 +31,7 @@ class NormConstants(NamedTuple):
 
 def norm_constants(n) -> NormConstants:
     """Evaluate the extreme-contrast normalizing constants at sample size n >= 3."""
-    if not isinstance(n, Integral):
+    if not _is_integer(n):
         raise TypeError(f"sample size must be an integer, got {n!r}")
     n = int(n)
     if n < 3:
@@ -70,7 +70,7 @@ class Contrast(NamedTuple):
         return self.a / sd * delta - 2.0 * self.a * self.b
 
 
-# Typed, so that n = 10.0 or q = True is checked, not served the entry of 10 or 1.
+# Typed, as the band memo is, so n = 10.0 or q = True is refused, not served 10's or 1's entry.
 @lru_cache(maxsize=1 << 12, typed=True)
 def contrast(n, q, squared: bool = False) -> Contrast:
     """The quasi-range of order q (the range for q = 1), or the IQR for q None,
@@ -81,7 +81,7 @@ def contrast(n, q, squared: bool = False) -> Contrast:
         if n < 4:
             raise TooFewSamples(f"the IQR statistic needs n >= 4, got n={n}")
         return Contrast(n // 4, 3 * n // 4, math.sqrt(n), float(ndtri(0.75)), True)
-    if not isinstance(q, Integral) or not 1 <= q <= n // 2:
+    if not _is_integer(q) or not 1 <= q <= n // 2:
         raise InvalidQuantileOrder(f"q={q!r} is not an integer in [1, {n // 2}] for n={n}")
     return Contrast(int(q), n - int(q) + 1, c.a_n, c.b_n, squared)
 

@@ -178,7 +178,7 @@ class TestBitwiseEqualToLoadtxt:
     def test_case(self, tmp_path, cpus, forked, case, header):
         text = (HEADER if header else "") + CASES[case]()
         path = write(tmp_path, f"{case}.csv", text)
-        got = _csvparse.load_csv(path, 1 if header else 0)
+        got = _csvparse.load_csv(path, 1 if header else 0, _csvparse.EarlyReaders.start(path))
         want = reference(path, header)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -217,7 +217,8 @@ class TestBitwiseEqualToLoadtxt:
             raise MemoryError("no memory in this child")
 
         monkeypatch.setattr(_csvparse, "_float_rows", children_fail)
-        assert _csvparse.load_csv(path, 0).tobytes() == reference(path, False).tobytes()
+        early = _csvparse.EarlyReaders.start(path)
+        assert _csvparse.load_csv(path, 0, early).tobytes() == reference(path, False).tobytes()
         assert_reaped(forked)
 
     def test_a_fork_that_fails_falls_back_to_the_whole_file(self, tmp_path, cpus, forked,
@@ -232,7 +233,8 @@ class TestBitwiseEqualToLoadtxt:
             return fork()
 
         monkeypatch.setattr(os, "fork", second_fork_fails)
-        assert _csvparse.load_csv(path, 0).tobytes() == reference(path, False).tobytes()
+        early = _csvparse.EarlyReaders.start(path)
+        assert _csvparse.load_csv(path, 0, early).tobytes() == reference(path, False).tobytes()
         assert len(calls) == max(0, cpus - 1)
         assert_reaped(forked)
 
@@ -251,7 +253,7 @@ class TestBitwiseEqualToLoadtxt:
         other = threading.Thread(target=release.wait, args=(60,))
         other.start()
         try:
-            got = _csvparse.load_csv(path, 0)
+            got = _csvparse.load_csv(path, 0, _csvparse.EarlyReaders.start(path))
         finally:
             release.set()
             other.join(60)
@@ -328,7 +330,7 @@ def test_no_child_outlives_a_call(tmp_path):
         "_cpus.usable_cpus = lambda: 4\n"
         "for path in sys.argv[1:]:\n"
         "    try:\n"
-        "        print(_csvparse.load_csv(path, 0).shape)\n"
+        "        print(_csvparse.load_csv(path, 0, _csvparse.EarlyReaders.start(path)).shape)\n"
         "    except ValueError:\n"
         "        print('ValueError')\n"
         "    try:\n"
@@ -714,7 +716,8 @@ def test_early_readers_start_only_where_they_can_help(tmp_path):
         "out['numpy'] = early is not None and len(early.children) == 1\n"
         "early.kill()\n"
         "del os.memfd_create\n"
-        "out.update(no_memfd=start(big), no_memfd_rows=_csvparse.load_csv(big, 0).shape)\n"
+        "out.update(no_memfd=start(big),\n"
+        "           no_memfd_rows=_csvparse.load_csv(big, 0, start(big)).shape)\n"
         "print(json.dumps(out))\n"
     )
     got = json.loads(fresh_python(code, big, small, str(packed)))
@@ -795,6 +798,15 @@ class TestEarlyReadersInTheCommand:
         assert main(["diagnose", path, "--out", str(tmp_path / "b")]) == 0
         for name in ("qq.csv", "radii.csv", "interpoint.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_a_refused_start_is_not_tried_again(self, tmp_path):
+        # The file is below MIN_SLICE_BYTES: main's one start is refused, and
+        # the parse forks nothing of its own.
+        path = write(tmp_path, "small.csv", "1,2\n3,5\n4,1\n2,8\n7,7\n")
+        assert os.path.getsize(path) < FLOOR
+        (code, started, reaped, _), err = run_early_main(
+            "test", path, "--mc", "500", "--out", str(tmp_path / "r.json"))
+        assert (code, started, reaped, err) == (0, [False], True, "")
 
     @pytest.mark.parametrize("command, option, value, message", [
         ("test", "--stats", "bogus", "error: unknown method 'bogus'; choose from composite,"

@@ -69,6 +69,13 @@ class TestNullSample:
         with pytest.raises(InvalidQuantileOrder):
             null_quasi_range_draws(50, 26, 200, seed=11)
 
+    # Neither a bool nor a float counts as a draw count or a seed.
+    @pytest.mark.parametrize("m, seed", [(50, True), (True, 1), (50.0, 1), (50, 1.0), (0, 1),
+                                         (50, -1)])
+    def test_draw_count_and_seed_are_integers(self, m, seed):
+        with pytest.raises(ValueError, match=re.escape(f"got m={m!r} and seed={seed!r}")):
+            null_quasi_range_draws(10, 1, m, seed)
+
     def test_partition_independence_across_chunks(self):
         # Draw j is a pure function of (seed, j): a longer request must extend
         # a shorter one without disturbing it, including across the chunk edge.
@@ -314,6 +321,19 @@ class TestQuantiles:
         clear_band_memos()
         assert mc_quantiles(30, 1, settings) == band
         assert len(drawn) == 2
+
+    def test_a_float_or_bool_size_or_order_is_refused_once_its_band_is_kept(self):
+        # The memo is typed: the kept q = 1 band of n = 10 answers for neither
+        # 1.0 nor True, and no float or bool reaches a band.
+        settings = McSettings(replications=1000, seed=8, alpha=0.05)
+        bad = [((10, 1.0), InvalidQuantileOrder), ((10.0, 1), TypeError),
+               ((10, True), InvalidQuantileOrder)]
+        clear_band_memos()
+        for kept in (False, True):
+            for args, error in bad:
+                with pytest.raises(error):
+                    mc_quantiles(*args, settings)
+            mc_quantiles(10, 1, settings)
 
     def test_quantile_error_decays_with_m(self):
         m = 1000

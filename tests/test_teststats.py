@@ -64,8 +64,9 @@ class TestNormConstants:
         assert c.b_n == pytest.approx(B100, abs=1e-12)
 
     def test_domain_guards(self):
-        with pytest.raises(TypeError):
-            norm_constants(math.e)
+        for bad in (math.e, 10.0, True):
+            with pytest.raises(TypeError):
+                norm_constants(bad)
         with pytest.raises(TooFewSamples):
             norm_constants(2)
         norm_constants(3)  # boundary allowed even though b_n < 0 there
@@ -235,9 +236,11 @@ class TestContrastRecord:
         contrast(10, 1)  # the memo must not answer for 10.0 with this entry
         with pytest.raises(TypeError):
             contrast(10.0, 1)
-        for bad in (0, 6, -1, 1.5, "1"):
+        for bad in (0, 6, -1, 1.5, "1", 1.0, True):
             with pytest.raises(InvalidQuantileOrder):
                 contrast(10, bad)
+        with pytest.raises(TypeError):
+            contrast(True, 1)
 
     def test_bitwise_equal_to_the_replaced_expressions(self):
         gen = np.random.default_rng(16)
