@@ -121,13 +121,13 @@ def _moments(X: DataMatrix, out: Optional[np.ndarray] = None) -> _Moments:
     """Centre the sample once, into ``out`` if given (``X.values`` when the
     caller owns the sample), and take every moment from the centred matrix;
     no field of the result refers to it."""
-    # The sum and division ``ndarray.mean`` does, without its Python wrapper.
-    Xc = np.subtract(X.values, np.add.reduce(X.values, axis=0) / X.n, out=out)
-    r2 = np.einsum("ij,ij->i", Xc, Xc)
     used_gramian = X.n <= X.d
-    M = Xc @ Xc.T if used_gramian else Xc.T @ Xc
-    # fsum rounds the exact sum of the squares once.  A square beyond the
-    # float range is inf, which the dispersion checks report; a Python float
-    # product overflows to inf without numpy's warning, which would only repeat it.
-    r4 = math.fsum([x * x for x in r2.tolist()])
+    # Beyond the float range a sum or product is inf or NaN, which the dispersion
+    # checks report; numpy's warnings would only repeat it, and Python floats give none.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # The sum and division ``ndarray.mean`` does, without its Python wrapper.
+        Xc = np.subtract(X.values, np.add.reduce(X.values, axis=0) / X.n, out=out)
+        r2 = np.einsum("ij,ij->i", Xc, Xc)
+        M = Xc @ Xc.T if used_gramian else Xc.T @ Xc
+    r4 = math.fsum([x * x for x in r2.tolist()])  # the exact sum of squares, rounded once
     return _Moments(r2, float(r2.sum()), float(np.einsum("ij,ij->", M, M)), r4, used_gramian)

@@ -210,15 +210,15 @@ class Method(NamedTuple):
     ``name`` is the method's name in ``METHODS`` or ``quasi:q``.  ``keys`` names
     the sub-tests in the report and ``orders`` their contrasts
     (``teststats.contrast``): the quasi-range of order q with its Monte-Carlo
-    band, or None for the IQR with its closed-form band.  ``squared`` reads the
-    squared radii.  With k sub-tests each runs at alpha/k (Bonferroni) and the
-    method rejects iff any sub-test does.
+    band, or None for the IQR with its closed-form band, of the powers R^{2 power}
+    of the radii R (1/2 the radii, 1 the squared radii).  With k sub-tests each
+    runs at alpha/k (Bonferroni) and the method rejects iff any sub-test does.
     """
 
     name: str
     keys: Tuple[str, ...]
     orders: Tuple[Optional[int], ...]
-    squared: bool = False
+    power: float = 0.5
 
     def at(self, n: int, settings: McSettings) -> Rule:
         """This method calibrated for samples of ``n`` rows: each sub-test's band at alpha/k."""
@@ -242,7 +242,7 @@ class Rule(NamedTuple):
 #: Every decision method by name; ``lookup_method`` adds ``quasi:q``.
 METHODS: Dict[str, Method] = {m.name: m for m in (
     Method("composite", ("range", "iqr"), (1, None)),
-    Method("squared", ("range", "iqr"), (1, None), squared=True),
+    Method("squared", ("range", "iqr"), (1, None), power=1),
     Method("range", ("range",), (1,)),
     Method("iqr", ("iqr",), (None,)),
 )}
@@ -261,12 +261,11 @@ def lookup_method(name) -> Method:
 
 
 class TestReport(NamedTuple):
-    """Outcome of one decision method on one dataset."""
+    """Outcome of one decision method on one dataset, with the ``Rule`` that decided it."""
 
-    method: Method
+    rule: Rule
     n: int
     d: int
-    settings: McSettings
     dispersion: DispersionEstimate
     decisions: Mapping[str, Decision]
     reject: bool
@@ -277,10 +276,10 @@ class TestReport(NamedTuple):
         doc = {
             "n": self.n,
             "d": self.d,
-            "alpha": self.settings.alpha,
-            "mc_replications": self.settings.replications,
-            "seed": self.settings.seed,
-            "squared": self.method.squared,
+            "alpha": self.rule.settings.alpha,
+            "mc_replications": self.rule.settings.replications,
+            "seed": self.rule.settings.seed,
+            "squared": self.rule.method.power == 1,
             **self.dispersion._asdict(),
             **{key: decision.to_dict() for key, decision in self.decisions.items()},
         }
@@ -295,17 +294,16 @@ def composite_from_summary(rs: RadialSummary, rule: Rule) -> TestReport:
     if rs.n != rule.n:
         raise ValueError(f"a rule calibrated for n={rule.n} cannot decide a sample of n={rs.n}")
     method, level = rule.method, rule.level
-    values = statistics(rs, method.orders, method.squared)
+    values = statistics(rs, method.orders, method.power)
     # A quasi-range reports its order; the range, its q = 1 case, does not.
     decisions = {key: Decision(value, q if key == "quasi_range" else None, level, lower, upper,
                                bool(value < lower or value > upper))
                  for key, q, value, (lower, upper) in zip(method.keys, method.orders, values,
                                                           rule.bands, strict=True)}
     return TestReport(
-        method=method,
+        rule=rule,
         n=rs.n,
         d=rs.d,
-        settings=rule.settings,
         dispersion=rs.dispersion,
         decisions=decisions,
         reject=any(decision.reject for decision in decisions.values()),

@@ -5,9 +5,10 @@ Every statistic, and every draw of the range-type null sample, is one
 a * (Y_(upper) - Y_(lower)) / sd - 2 a b.  The range (ranks 1, n) and the
 quasi-range of order q (ranks q, n - q + 1) take the Gumbel-type constants
 ``a_n``, ``b_n`` below; the IQR (ranks floor(n/4), floor(3n/4)) takes
-a = sqrt(n) and b = Phi^-1(3/4).  Y is the radius with sd = delta_hat^{1/2} / 2,
-the squared radius with sd = (2 tr(Sigma^2)-hat)^{1/2}, or, in the null draw,
-a standard normal with sd = 1.
+a = sqrt(n) and b = Phi^-1(3/4).  Y = R^{2h} is a power of the radius R with
+sd = h t1^{h-1} (2 t2)^{1/2}, for t1 the trace of the sample covariance and t2
+the tr(Sigma^2) estimate: h = 1/2 is R with sd = delta_hat^{1/2} / 2, h = 1 is
+R^2 with sd = (2 t2)^{1/2}.  In the null draw Y is a standard normal, sd = 1.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ class Contrast(NamedTuple):
     """a (Y_(upper) - Y_(lower)) / sd - 2ab, for the 1-based ranks ``lower`` < ``upper``.
 
     ``factored`` only picks the rounding: a (delta / sd - 2b) if set, else
-    a / sd * delta - 2ab.  The IQR and the squared radii were recorded with
-    the first, the other contrasts and the null draws with the second.
+    a / sd * delta - 2ab.  The IQR and the quasi-ranges of powers other than 1/2
+    take the first; the quasi-ranges of the radii and the null draws the second.
     """
 
     lower: int
@@ -72,9 +73,9 @@ class Contrast(NamedTuple):
 
 # Typed, as the band memo is, so n = 10.0 or q = True is refused, not served 10's or 1's entry.
 @lru_cache(maxsize=1 << 12, typed=True)
-def contrast(n, q, squared: bool = False) -> Contrast:
+def contrast(n, q, power: float = 0.5) -> Contrast:
     """The quasi-range of order q (the range for q = 1), or the IQR for q None,
-    of n radii, or of n squared radii if ``squared``."""
+    of the powers R^{2 power} of n radii R."""
     c = norm_constants(n)
     n = int(n)
     if q is None:
@@ -83,17 +84,18 @@ def contrast(n, q, squared: bool = False) -> Contrast:
         return Contrast(n // 4, 3 * n // 4, math.sqrt(n), float(ndtri(0.75)), True)
     if not _is_integer(q) or not 1 <= q <= n // 2:
         raise InvalidQuantileOrder(f"q={q!r} is not an integer in [1, {n // 2}] for n={n}")
-    return Contrast(int(q), n - int(q) + 1, c.a_n, c.b_n, squared)
+    return Contrast(int(q), n - int(q) + 1, c.a_n, c.b_n, power != 0.5)
 
 
 def statistics(rs: RadialSummary, orders: Sequence[Optional[int]],
-               squared: bool = False) -> Tuple[float, ...]:
-    """The contrast of each order in ``orders`` (see :func:`contrast`) of the
-    radii of ``rs``, or of its squared radii if ``squared``."""
-    y = rs.sorted_radii ** 2 if squared else rs.sorted_radii
+               power: float = 0.5) -> Tuple[float, ...]:
+    """Each order's contrast (:func:`contrast`) of Y = R^{2 power}, R the radii of ``rs``,
+    on Y's scale; ``power`` is an argument so that one estimated per sample can be passed."""
     disp = rs.dispersion
-    sd = math.sqrt(2.0 * disp.tr_sigma_sq_hat) if squared else math.sqrt(disp.delta_hat) / 2.0
-    contrasts = [contrast(rs.n, q, squared) for q in orders]
+    y = rs.sorted_radii if power == 0.5 else rs.sorted_radii ** (2.0 * power)
+    sd = (math.sqrt(disp.delta_hat) / 2.0 if power == 0.5 else
+          power * disp.tr_sigma_d ** (power - 1.0) * math.sqrt(2.0 * disp.tr_sigma_sq_hat))
+    contrasts = [contrast(rs.n, q, power) for q in orders]
     return tuple(float(c.value(y[c.lower - 1], y[c.upper - 1], sd)) for c in contrasts)
 
 
@@ -110,4 +112,4 @@ def iqr_statistic(rs: RadialSummary) -> float:
 def squared_radii_statistics(rs: RadialSummary) -> Tuple[float, float]:
     """Range and IQR statistics of the squared radii: a contrast with the
     square-root form, which has visibly better finite-sample size control."""
-    return statistics(rs, (1, None), squared=True)
+    return statistics(rs, (1, None), power=1)

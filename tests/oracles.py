@@ -122,10 +122,10 @@ def effective_ranks(cov: np.ndarray) -> EffectiveRanks:
 
 # The range-type statistics, the IQR statistic, the two squared-radii
 # statistics and the null draw, each written out as it was before all of them
-# became one ``teststats.Contrast``.  ``r_*`` are order statistics of the radii,
-# ``r2_*`` of the squared radii and ``s_*`` of standard normals (floats or
-# arrays); ``delta_hat`` and ``that`` are the dispersion index and the
-# tr(Sigma^2) estimate.
+# became one ``teststats.Contrast``, and the contrasts of any power of the
+# radii.  ``r_*`` are order statistics of the radii, ``r2_*`` of the squared
+# radii and ``s_*`` of standard normals (floats or arrays); ``delta_hat`` and
+# ``that`` are the dispersion index and the tr(Sigma^2) estimate.
 
 
 def extreme_value_oracle(n, delta_hat, r_lower, r_upper):
@@ -155,6 +155,19 @@ def squared_iqr_oracle(n, that, r2_lower, r2_upper):
     inv_scale = 1.0 / math.sqrt(2.0 * that)
     q34 = float(ndtri(0.75))
     return math.sqrt(n) * (inv_scale * (r2_upper - r2_lower) - 2.0 * q34)
+
+
+def power_oracle(n, q, h, t1, that, sorted_radii):
+    """The quasi-range of order q, or the IQR for q None, of the powers Y = R^{2h}
+    of the sorted radii, on the delta-method scale h t1^{h-1} (2 that)^{1/2} of Y,
+    rounded as the squared-radii statistics are."""
+    y = sorted_radii ** (2.0 * h)
+    inv_scale = 1.0 / (h * t1 ** (h - 1.0) * math.sqrt(2.0 * that))
+    if q is None:
+        contrast = y[3 * n // 4 - 1] - y[n // 4 - 1]
+        return math.sqrt(n) * (inv_scale * contrast - 2.0 * float(ndtri(0.75)))
+    constants = norm_constants(n)
+    return constants.a_n * (inv_scale * (y[n - q] - y[q - 1]) - 2.0 * constants.b_n)
 
 
 def null_draw_oracle(n, s_lower, s_upper):

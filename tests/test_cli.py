@@ -11,7 +11,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from conftest import fresh_python, gaussian_data
+from conftest import fresh_process, fresh_python, gaussian_data
 from oracles import pair_indices_oracle
 from hdnorm import generators
 from hdnorm import rng as hrng
@@ -244,6 +244,24 @@ class TestCmdTest:
             assert main(["test", str(null_csv), "--mc", "500", "--out", str(out)]) == 1
             assert capsys.readouterr().err == f"error: cannot write {out}\n"
         assert read == [] and not (tmp_path / "missing").exists()
+
+    # The Gramian or covariance product overflows, or at 1e307 the column sums.
+    @pytest.mark.parametrize("scale, shape", [(1e155, (30, 50)), (1e155, (50, 30)),
+                                              (1e307, (30, 50))],
+                             ids=["gramian", "covariance", "column_sums"])
+    @pytest.mark.parametrize("command", ["test", "diagnose"])
+    def test_data_too_large_prints_one_line_without_warnings(self, tmp_path, command, scale,
+                                                             shape):
+        # In a new process, so that a warning numpy prints reaches stderr.
+        values = scale * np.abs(gaussian_data(3, *shape).values)
+        path = write_csv(tmp_path / "huge.csv", values)
+        code = "import sys\nfrom hdnorm.cli import main\nsys.exit(main(sys.argv[1:]))"
+        done = fresh_process(code, command, str(path), "--out", str(tmp_path / "out"))
+        message = "tr of sample covariance is inf; data too large\n"
+        if command == "test":
+            assert (done.returncode, done.stderr) == (1, f"error: {message}")
+        else:
+            assert (done.returncode, done.stderr) == (0, f"skipping QQ data: {message}")
 
     def test_degenerate_data_exits_one(self, tmp_path, capsys):
         path = write_csv(tmp_path / "flat.csv", np.ones((10, 5)))
@@ -530,6 +548,13 @@ class TestCmdSimulate:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["simulate", str(path)]) == 1
+
+    def test_missing_spec_is_one_error_line(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert main(["simulate", str(missing), "--out", str(tmp_path / "res")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {missing}: ") and err.count("\n") == 1
+        assert not (tmp_path / "res").exists()
 
     def test_spec_that_is_not_an_object_errors(self, tmp_path, capsys):
         path = tmp_path / "list.json"
@@ -971,6 +996,15 @@ class TestLazyPackage:
         submodules = ["errors", "generators", "harness", "moments", "montecarlo", "radii",
                       "rng", "teststats"]
         assert got["public"] == sorted({*got["all"], *submodules})
+
+    def test_dir_lists_every_public_name_without_loading_numpy(self):
+        code = ("import json, sys, hdnorm\n"
+                "print(json.dumps([dir(hdnorm), hdnorm.__all__, 'numpy' in sys.modules]))")
+        names, public, numpy_loaded = json.loads(fresh_python(code))
+        submodules = ["errors", "generators", "harness", "moments", "montecarlo", "radii",
+                      "rng", "teststats"]
+        assert not numpy_loaded
+        assert [n for n in names if not n.startswith("_")] == sorted({*public, *submodules})
 
 
 class TestBlasThreads:

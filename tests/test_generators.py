@@ -262,13 +262,14 @@ class TestScenarioGuards:
     @pytest.mark.parametrize("family, cov, params", [
         ("cov_mixture", CovSpec("identity", 4), {"gap": 1.5}),
         ("elliptical_uniform_scale", CovSpec("identity", 4), {"sigma0": -1.0}),
+        ("elliptical_uniform_scale", CovSpec("identity", 4), {"delta": -0.5}),
         ("mixed_marginals", CovSpec("identity", 4), {"t_fraction": 0.01}),
         ("chisq_marginals", CovSpec("ar1", 4, rho=0.5), {}),
         ("mixed_marginals", CovSpec("ar1", 4, rho=0.5), {}),
         ("mixed_marginals", CovSpec("identity", 4), {"t_dof": 0.0}),
         ("mixed_marginals", CovSpec("identity", 4), {"t_dof": -1.0}),
-    ], ids=["cov_mixture", "elliptical_uniform_scale", "mixed_marginals",
-            "chisq_marginals", *["mixed_marginals"] * 3])
+    ], ids=["cov_mixture", "elliptical_uniform_scale", "elliptical_negative_delta",
+            "mixed_marginals", "chisq_marginals", *["mixed_marginals"] * 3])
     def test_population_covariance_rejects_what_the_sampler_rejects(self, family, cov, params):
         # Both read the parameters the scenario resolved when it was built, so
         # a scenario neither can use is refused there, before either runs.

@@ -508,6 +508,8 @@ class TestBinomialCi:
         assert lo == 0.0 and 0.0 < hi < 0.05
         lo, hi = binomial_ci(200, 200)
         assert 0.95 < lo < 1.0 and hi == 1.0
+        with pytest.raises(ValueError, match="at least one trial"):
+            binomial_ci(0, 0)
 
 
 class TestSummarize:

@@ -176,11 +176,24 @@ class TestDeltaHat:
             composite_test(X, McSettings(replications=1000, seed=1, alpha=0.05))
 
     def test_overflow_raises_without_a_warning(self):
-        X = dm(1e150 * gaussian_data(8, 50, 100).values)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NonPositiveDispersion):
-                radial_summary(X)
+        # At 1e150 the Gramian is finite and only its squared norm overflows; at
+        # 1e155 and 1e300 the Gramian or covariance product itself overflows to
+        # inf and NaN, and at 1e307 the column sums do.  The error is the
+        # dispersion check's, not numpy's warning.
+        wide, tall = gaussian_data(8, 30, 50).values, gaussian_data(8, 50, 30).values
+        for values in [1e150 * gaussian_data(8, 50, 100).values, 1e155 * wide, 1e155 * tall,
+                       1e300 * wide, 1e300 * tall, 1e307 * np.abs(wide)]:
+            X = dm(values)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonPositiveDispersion, match="data too large"):
+                    radial_summary(X)
+
+    def test_zero_tr_sigma_sq_estimate_raises(self):
+        # One coordinate, three equal values: tr1 > 0 but the U-statistic is 0.
+        with pytest.raises(NonPositiveDispersion,
+                           match=r"tr\(Sigma\^2\) estimate is 0.0; test cannot proceed"):
+            _moments(dm([[1.0], [2.0], [1.0], [1.0]])).dispersion()
 
     def test_records_path(self, rng_fixture):
         tall = dm(rng_fixture.normal(size=(12, 3)))

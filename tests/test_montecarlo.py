@@ -476,6 +476,15 @@ class TestComposite:
             composite_from_summary(rs, rule)
         assert composite_from_summary(rs, METHODS["composite"].at(100, settings)).n == 100
 
+    @pytest.mark.parametrize("name", sorted(METHODS))
+    def test_report_holds_the_rule_that_decided_it(self, name):
+        rule = METHODS[name].at(30, McSettings(replications=500, seed=4))
+        report = composite_from_summary(radial_summary(gaussian_data(6, 30, 40)), rule)
+        assert report.rule is rule
+        doc = report.to_dict()
+        assert (doc["alpha"], doc["mc_replications"], doc["seed"]) == (0.05, 500, 4)
+        assert doc["squared"] is (name == "squared")
+
     def test_needs_four_rows(self):
         from hdnorm import DataMatrix, TooFewSamples
 

@@ -28,6 +28,7 @@ from oracles import (
     extreme_value_oracle,
     iqr_oracle,
     null_draw_oracle,
+    power_oracle,
     squared_iqr_oracle,
     squared_range_oracle,
 )
@@ -256,7 +257,7 @@ class TestContrastRecord:
             for i, q in enumerate(range(1, m + 1)):
                 lo, hi, dh, th = low[i], high[i], float(delta_hat[i]), float(that[i])
                 radii_sd, squared_sd = math.sqrt(dh) / 2.0, math.sqrt(2.0 * th)
-                c, c2 = contrast(n, q), contrast(n, q, squared=True)
+                c, c2 = contrast(n, q), contrast(n, q, power=1)
                 assert (c.lower, c.upper) == (q, n - q + 1)
                 assert bits(c.value(lo, hi, radii_sd)) == bits(extreme_value_oracle(n, dh, lo, hi))
                 assert bits(c.value(lo, hi, 1.0)) == bits(null_draw_oracle(n, lo, hi))
@@ -269,7 +270,7 @@ class TestContrastRecord:
             # Arrays of order statistics, as the null draw passes them.
             dh, th = float(delta_hat[0]), float(that[0])
             radii_sd, squared_sd = math.sqrt(dh) / 2.0, math.sqrt(2.0 * th)
-            c, c2, iqr = contrast(n, 1), contrast(n, 1, squared=True), contrast(n, None)
+            c, c2, iqr = contrast(n, 1), contrast(n, 1, power=1), contrast(n, None)
             assert bits(c.value(low, high, 1.0)) == bits(null_draw_oracle(n, low, high))
             assert bits(c.value(low, high, radii_sd)) == \
                    bits(extreme_value_oracle(n, dh, low, high))
@@ -294,3 +295,23 @@ class TestContrastRecord:
                bits(squared_range_oracle(41, disp.tr_sigma_sq_hat, r2[0], r2[-1]))
         assert bits(t_iqr) == \
                bits(squared_iqr_oracle(41, disp.tr_sigma_sq_hat, r2[9], r2[29]))
+
+    @pytest.mark.parametrize("shape", [(41, 70), (120, 30)], ids=["wide", "tall"])
+    def test_power_one_is_the_squared_radii_statistics(self, rng_fixture, shape):
+        rs = radial_summary(DataMatrix.from_array(rng_fixture.normal(size=shape)))
+        n, r2, that = rs.n, rs.sorted_radii ** 2, rs.dispersion.tr_sigma_sq_hat
+        t_range, t_iqr = statistics(rs, (1, None), power=1)
+        assert bits(t_range) == bits(squared_range_oracle(n, that, r2[0], r2[-1]))
+        assert bits(t_iqr) == bits(squared_iqr_oracle(n, that, r2[n // 4 - 1], r2[3 * n // 4 - 1]))
+        assert bits(statistics(rs, (1, None), power=1.0)) == bits((t_range, t_iqr))
+
+    @pytest.mark.parametrize("shape", [(41, 70), (120, 30)], ids=["wide", "tall"])
+    def test_any_power_of_the_radii(self, rng_fixture, shape):
+        # Y = R^{2/3}, on the scale (1/3) t1^{-2/3} (2 t2)^{1/2}, with the IQR's rounding.
+        rs = radial_summary(DataMatrix.from_array(rng_fixture.normal(size=shape)))
+        disp, h = rs.dispersion, 1 / 3
+        values = statistics(rs, (1, 3, None), power=h)
+        assert bits(values) == bits([
+            power_oracle(rs.n, q, h, disp.tr_sigma_d, disp.tr_sigma_sq_hat, rs.sorted_radii)
+            for q in (1, 3, None)])
+        assert contrast(rs.n, 1, h).factored and not contrast(rs.n, 1).factored
