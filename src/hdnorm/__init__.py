@@ -26,7 +26,7 @@ _EXPORTS = {
     "harness": ("CellResult", "CellSpec", "Experiment", "experiment_from_json",
                 "run_experiment", "summarize"),
     "moments": ("DataMatrix", "DispersionEstimate"),
-    "montecarlo": ("Decision", "McSettings", "TestReport", "composite_test", "mc_quantiles",
+    "montecarlo": ("McSettings", "TestReport", "composite_test", "mc_quantiles",
                    "null_quasi_range_draws"),
     "radii": ("RadialSummary", "radial_summary"),
     "teststats": ("NormConstants", "norm_constants", "sigma_star"),

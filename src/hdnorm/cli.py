@@ -82,7 +82,6 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-SCHEMA_VERSION = 1
 DEFAULT_MAX_PAIRS = 1_000_000
 
 
@@ -161,7 +160,7 @@ def _writable(path: Path, folder: bool) -> Path:
 
 
 def cmd_test(args) -> int:
-    # A bad method name or Monte-Carlo setting fails before the file is read.
+    # A bad method or setting fails before any parse here; ``main`` reaps the readers.
     method = lookup_method(args.stats)
     # McSettings holds the defaults of the options left out.
     given = {"replications": args.mc, "seed": args.seed, "alpha": args.alpha}
@@ -169,13 +168,11 @@ def cmd_test(args) -> int:
     X = _load_matrix(args.file, args.header, args.early)
     report = composite_test(X, settings, method, out=X.values)  # centres X in place
 
-    # The report names a quasi-range method "quasi"; its order is in the decision.
-    doc = {"schema_version": SCHEMA_VERSION, "statistics": method.name.split(":")[0],
-           "input": str(args.file), **report.to_dict()}
-    args.out.write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n", encoding="utf-8")
+    doc = report.to_dict(str(args.file))
+    args.out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     verdict = "rejected" if report.reject else "not rejected"
-    detail = ", ".join(f"{key} {'reject' if decision.reject else 'accept'}"
-                       for key, decision in report.decisions.items())
+    detail = ", ".join(f"{key} {'reject' if reject else 'accept'}"
+                       for key, reject in zip(method.keys, report.rejects))
     print(f"H0 {verdict} at alpha={settings.alpha:g} ({detail}); report: {args.out}")
     return 3 if report.reject else 0
 

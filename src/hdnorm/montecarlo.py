@@ -19,7 +19,8 @@ Each decision method, the composite test and each of its contrasts, is one
 entry of ``METHODS``: the names ``hdnorm test --stats`` and ``simulate`` take.
 ``lookup_method`` resolves a name once, and ``Method.at(n, settings)``
 calibrates it once, into the ``Rule`` that holds its bands for samples of n
-rows: every decision reads only a rule, and refuses a sample of another n.
+rows: every decision reads only a rule, refuses a sample of another n, and
+gives a ``TestReport`` whose ``to_dict`` alone writes the report-v1 document.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Real
-from typing import Dict, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -177,27 +178,6 @@ def _sorted_null(n: int, q: int, m: int, seed: int) -> np.ndarray:
     return sample
 
 
-class Decision(NamedTuple):
-    """One sub-test outcome: the statistic's value, the order q of a
-    quasi-range (None for the others), its band, and the verdict.
-
-    The acceptance region is the closed interval [lower, upper]; a statistic
-    landing exactly on a band edge does not reject.
-    """
-
-    value: float
-    q: Optional[int]
-    level: float
-    lower: float
-    upper: float
-    reject: bool
-
-    def to_dict(self) -> dict:
-        q = {} if self.q is None else {"q": self.q}
-        return {"value": self.value, "level": self.level, "lower": self.lower,
-                "upper": self.upper, "reject": self.reject, **q}
-
-
 def _iqr_band(level: float) -> Band:
     """Closed-form (level/2, 1 - level/2) band of the IQR statistic."""
     s = sigma_star()
@@ -222,6 +202,8 @@ class Method(NamedTuple):
 
     def at(self, n: int, settings: McSettings) -> Rule:
         """This method calibrated for samples of ``n`` rows: each sub-test's band at alpha/k."""
+        for q in self.orders:
+            contrast(n, q, self.power)  # refuses an n (or q) no sub-test is defined at
         level = settings.alpha / len(self.orders)
         return Rule(self, n, settings, level, tuple(
             _iqr_band(level) if q is None else mc_quantiles(n, q, replace(settings, alpha=level))
@@ -261,53 +243,54 @@ def lookup_method(name) -> Method:
 
 
 class TestReport(NamedTuple):
-    """Outcome of one decision method on one dataset, with the ``Rule`` that decided it."""
+    """One method's outcome on one dataset: its ``Rule``, each sub-test's statistic and verdict."""
 
     rule: Rule
-    n: int
     d: int
     dispersion: DispersionEstimate
-    decisions: Mapping[str, Decision]
-    reject: bool
+    values: Tuple[float, ...]
+    rejects: Tuple[bool, ...]
 
-    def to_dict(self) -> dict:
-        """The report's fields: the sample shape, the Monte-Carlo settings, the
-        dispersion estimate, each sub-test's decision, then the verdict."""
-        doc = {
-            "n": self.n,
+    @property
+    def reject(self) -> bool:
+        return any(self.rejects)
+
+    def to_dict(self, input: Optional[str] = None) -> dict:
+        """The report-v1 document ``hdnorm test`` writes (``schemas/report-v1.schema.json``),
+        naming the CSV ``input`` if given; n, the level and the bands are the rule's."""
+        rule, method, settings = self.rule, self.rule.method, self.rule.settings
+        subtests = zip(method.keys, method.orders, self.values, rule.bands, self.rejects)
+        return {
+            "schema_version": 1,
+            # A quasi-range method is named "quasi"; its order is in its sub-test.
+            "statistics": method.name.split(":")[0],
+            **({} if input is None else {"input": input}),
+            "n": rule.n,
             "d": self.d,
-            "alpha": self.rule.settings.alpha,
-            "mc_replications": self.rule.settings.replications,
-            "seed": self.rule.settings.seed,
-            "squared": self.rule.method.power == 1,
+            "alpha": settings.alpha,
+            "mc_replications": settings.replications,
+            "seed": settings.seed,
+            "squared": method.power == 1,
             **self.dispersion._asdict(),
-            **{key: decision.to_dict() for key, decision in self.decisions.items()},
+            # A quasi-range reports its order; the range, its q = 1 case, does not.
+            **{key: {"value": value, "level": rule.level, "lower": lower, "upper": upper,
+                     "reject": reject, **({"q": q} if key == "quasi_range" else {})}
+               for key, q, value, (lower, upper), reject in subtests},
+            **({"composite": {"reject": self.reject}} if len(self.rejects) > 1 else {}),
+            "reject": self.reject,
         }
-        if len(self.decisions) > 1:
-            doc["composite"] = {"reject": self.reject}
-        return {**doc, "reject": self.reject}
 
 
 def composite_from_summary(rs: RadialSummary, rule: Rule) -> TestReport:
-    """Decide ``rule``'s method on a precomputed radial summary, against its bands;
-    ``ValueError`` if the rule was calibrated for another n."""
+    """Decide ``rule``'s method on a precomputed radial summary: a sub-test rejects when
+    its statistic lies outside its closed band; ``ValueError`` if the rule was
+    calibrated for another n, or does not hold one band per sub-test."""
     if rs.n != rule.n:
         raise ValueError(f"a rule calibrated for n={rule.n} cannot decide a sample of n={rs.n}")
-    method, level = rule.method, rule.level
-    values = statistics(rs, method.orders, method.power)
-    # A quasi-range reports its order; the range, its q = 1 case, does not.
-    decisions = {key: Decision(value, q if key == "quasi_range" else None, level, lower, upper,
-                               bool(value < lower or value > upper))
-                 for key, q, value, (lower, upper) in zip(method.keys, method.orders, values,
-                                                          rule.bands, strict=True)}
-    return TestReport(
-        rule=rule,
-        n=rs.n,
-        d=rs.d,
-        dispersion=rs.dispersion,
-        decisions=decisions,
-        reject=any(decision.reject for decision in decisions.values()),
-    )
+    values = statistics(rs, rule.method.orders, rule.method.power)
+    rejects = tuple(bool(value < lower or value > upper)
+                    for value, (lower, upper) in zip(values, rule.bands, strict=True))
+    return TestReport(rule, rs.d, rs.dispersion, values, rejects)
 
 
 def composite_test(X: DataMatrix, settings: McSettings, method: Method = METHODS["composite"],

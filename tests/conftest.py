@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+import json
 import os
 import subprocess
 import sys
@@ -21,6 +22,9 @@ from hdnorm import rng as hrng
 from hdnorm._cpus import BLAS_THREAD_VARS
 from hdnorm.montecarlo import composite_from_summary, lookup_method
 from hdnorm.radii import radial_summary
+
+SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "hdnorm" / "schemas"
+REPORT_SCHEMA = json.loads((SCHEMA_DIR / "report-v1.schema.json").read_text())
 
 
 def gaussian_data(seed: int, n: int, d: int) -> DataMatrix:

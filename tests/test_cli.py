@@ -11,7 +11,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from conftest import fresh_process, fresh_python, gaussian_data
+from conftest import REPORT_SCHEMA, SCHEMA_DIR, fresh_process, fresh_python, gaussian_data
 from oracles import pair_indices_oracle
 from hdnorm import generators
 from hdnorm import rng as hrng
@@ -19,10 +19,8 @@ from hdnorm import cli, harness, moments, radii
 from hdnorm._cpus import BLAS_THREAD_VARS, default_to_one_blas_thread
 from hdnorm.cli import main
 from hdnorm.harness import experiment_from_json
-from hdnorm.montecarlo import METHODS
+from hdnorm.montecarlo import METHODS, McSettings, composite_test, lookup_method
 
-SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "hdnorm" / "schemas"
-REPORT_SCHEMA = json.loads((SCHEMA_DIR / "report-v1.schema.json").read_text())
 EXPERIMENT_SCHEMA = json.loads((SCHEMA_DIR / "experiment-v1.schema.json").read_text())
 # A spec change that deletes its key rather than setting it.
 DELETE = object()
@@ -296,11 +294,15 @@ class TestCmdTest:
         # The report echoes the input path, so the file is named relative to
         # the working directory.
         n, d = REPORT_SHAPES[shape]
-        write_csv(tmp_path / "data.csv", gaussian_data(77, n, d).values)
+        X = gaussian_data(77, n, d)
+        write_csv(tmp_path / "data.csv", X.values)
         monkeypatch.chdir(tmp_path)
         main(["test", "data.csv", "--mc", "1000", "--stats", stats, "--out", "report.json"])
-        digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
-        assert digest == REPORT_SHA256[shape, stats]
+        written = (tmp_path / "report.json").read_bytes()
+        assert hashlib.sha256(written).hexdigest() == REPORT_SHA256[shape, stats]
+        # The library's report of the same sample is the same document.
+        report = composite_test(X, McSettings(replications=1000), lookup_method(stats))
+        assert (json.dumps(report.to_dict("data.csv"), indent=2) + "\n").encode() == written
 
 
 class TestCmdDiagnose:

@@ -6,12 +6,20 @@ import sys
 import threading
 import tracemalloc
 
+import jsonschema
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import ndtr
 
-from conftest import clear_band_memos, fresh_python, gaussian_data, null_scenario, rejection_rate
+from conftest import (
+    REPORT_SCHEMA,
+    clear_band_memos,
+    fresh_python,
+    gaussian_data,
+    null_scenario,
+    rejection_rate,
+)
 from oracles import null_chunk_oracle
 from hdnorm import (
     CovSpec,
@@ -23,7 +31,7 @@ from hdnorm import (
     null_quasi_range_draws,
     radial_summary,
 )
-from hdnorm import InvalidQuantileOrder
+from hdnorm import InvalidQuantileOrder, TooFewSamples
 from hdnorm import _cpus, montecarlo
 from hdnorm import rng as hrng
 from hdnorm.montecarlo import (
@@ -353,7 +361,7 @@ class TestDecisions:
 
         def rejects(lower, upper):
             report = composite_from_summary(rs, rule._replace(bands=((lower, upper),)))
-            assert report.decisions["range"].value == value
+            assert report.values == (value,)
             return report.reject
 
         below, above = math.nextafter(value, -math.inf), math.nextafter(value, math.inf)
@@ -367,10 +375,10 @@ class TestDecisions:
         settings = McSettings(replications=2000, seed=14, alpha=0.05)
         rs = radial_summary(gaussian_data(3, 60, 40))
         method = lookup_method("quasi:3")
-        decision = composite_from_summary(rs, method.at(60, settings)).decisions["quasi_range"]
-        assert (decision.value, decision.q) == (statistics(rs, (3,))[0], 3)
-        assert (decision.lower, decision.upper) == mc_quantiles(60, 3, settings)
-        assert (decision.lower, decision.upper) != mc_quantiles(60, 1, settings)
+        decision = composite_from_summary(rs, method.at(60, settings)).to_dict()["quasi_range"]
+        assert (decision["value"], decision["q"]) == (statistics(rs, (3,))[0], 3)
+        assert (decision["lower"], decision["upper"]) == mc_quantiles(60, 3, settings)
+        assert (decision["lower"], decision["upper"]) != mc_quantiles(60, 1, settings)
 
     def test_iqr_band_is_symmetric_sigma_star_scaled(self):
         settings = McSettings(replications=1000, seed=1, alpha=0.05)
@@ -385,9 +393,9 @@ class TestDecisions:
         reps = 10000
         for seed in range(reps):
             rs = radial_summary(gaussian_data(seed, 100, 20))
-            decision = composite_from_summary(rs, rule).decisions["range"]
-            assert decision.level == settings.alpha / 2
-            rejections += decision.reject
+            report = composite_from_summary(rs, rule)
+            assert report.rule.level == settings.alpha / 2
+            rejections += report.rejects[0]
         assert rejections / reps == pytest.approx(0.025, abs=0.008)
 
     def test_iqr_subtest_size_at_half_alpha(self):
@@ -397,9 +405,9 @@ class TestDecisions:
         reps = 10000
         for seed in range(reps):
             rs = radial_summary(gaussian_data(10_000_000 + seed, 150, 300))
-            decision = composite_from_summary(rs, rule).decisions["iqr"]
-            assert decision.level == settings.alpha / 2
-            rejections += decision.reject
+            report = composite_from_summary(rs, rule)
+            assert report.rule.level == settings.alpha / 2
+            rejections += report.rejects[1]
         assert rejections / reps == pytest.approx(0.025, abs=0.01)
 
 
@@ -410,10 +418,11 @@ class TestComposite:
         r1 = composite_test(X, settings)
         r2 = composite_test(X, settings)
         assert r1 == r2
-        assert list(r1.decisions) == ["range", "iqr"]
-        assert r1.reject == (r1.decisions["range"].reject or r1.decisions["iqr"].reject)
-        assert r1.decisions["range"].level == pytest.approx(0.025)
-        assert r1.decisions["iqr"].level == pytest.approx(0.025)
+        doc = r1.to_dict()
+        assert [key for key in doc if key in ("range", "iqr")] == ["range", "iqr"]
+        assert r1.reject == (doc["range"]["reject"] or doc["iqr"]["reject"])
+        assert doc["range"]["level"] == pytest.approx(0.025)
+        assert doc["iqr"]["level"] == pytest.approx(0.025)
 
     def test_null_size_ar1_covariance(self):
         scenario = Scenario(family="null_gaussian", n=100, d=100,
@@ -474,19 +483,33 @@ class TestComposite:
         rule = METHODS["composite"].at(60, settings)
         with pytest.raises(ValueError, match="calibrated for n=60 cannot decide a sample of n=100"):
             composite_from_summary(rs, rule)
-        assert composite_from_summary(rs, METHODS["composite"].at(100, settings)).n == 100
+        report = composite_from_summary(rs, METHODS["composite"].at(100, settings))
+        assert report.to_dict()["n"] == 100
 
-    @pytest.mark.parametrize("name", sorted(METHODS))
+    @pytest.mark.parametrize("name", [*sorted(METHODS), "quasi:2"])
     def test_report_holds_the_rule_that_decided_it(self, name):
-        rule = METHODS[name].at(30, McSettings(replications=500, seed=4))
+        rule = lookup_method(name).at(30, McSettings(replications=500, seed=4))
         report = composite_from_summary(radial_summary(gaussian_data(6, 30, 40)), rule)
         assert report.rule is rule
+        assert len(report.rejects) == len(report.values) == len(rule.method.orders)
+        assert report.reject == any(report.rejects)
         doc = report.to_dict()
+        jsonschema.validate(doc, REPORT_SCHEMA)
         assert (doc["alpha"], doc["mc_replications"], doc["seed"]) == (0.05, 500, 4)
         assert doc["squared"] is (name == "squared")
+        assert (doc["schema_version"], doc["statistics"]) == (1, name.split(":")[0])
+        assert [doc[key]["reject"] for key in rule.method.keys] == list(report.rejects)
+
+    # A bool or a float, even an integral one, is no sample size, for any method.
+    @pytest.mark.parametrize("n, error", [(True, TypeError), (10.0, TypeError),
+                                          ("x", TypeError), (-5, TooFewSamples)])
+    @pytest.mark.parametrize("name", [*sorted(METHODS), "quasi:1"])
+    def test_a_rule_refuses_an_n_that_is_no_sample_size(self, name, n, error):
+        with pytest.raises(error):
+            lookup_method(name).at(n, McSettings(replications=500, seed=4))
 
     def test_needs_four_rows(self):
-        from hdnorm import DataMatrix, TooFewSamples
+        from hdnorm import DataMatrix
 
         X = DataMatrix.from_array(np.eye(3))
         with pytest.raises(TooFewSamples):
@@ -494,7 +517,7 @@ class TestComposite:
 
 
 VALUE_RECORDS = ("DataMatrix", "DispersionEstimate", "_Moments", "RadialSummary",
-                 "NormConstants", "Contrast", "Decision", "Method", "Rule", "TestReport",
+                 "NormConstants", "Contrast", "Method", "Rule", "TestReport",
                  "CellResult")
 
 
@@ -510,7 +533,7 @@ def value_records():
     rs = radial_summary(X)
     report = composite_from_summary(rs, rule)
     records = [X, rs.dispersion, _moments(X), rs, norm_constants(30), contrast(30, 1),
-               report.decisions["range"], rule.method, rule, report,
+               rule.method, rule, report,
                CellResult(0, null_scenario(30, 40), "composite", 1, 0, 0, 0.0, 0.0, 1.0, 0.0)]
     return {type(record).__name__: record for record in records}
 
