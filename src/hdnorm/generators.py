@@ -50,7 +50,7 @@ import numpy as np
 
 from . import rng
 from .errors import InvalidScenarioParams, NotPSD
-from .moments import DataMatrix, _is_integer
+from .moments import DataMatrix, _integer
 
 _PSD_TOL = 1e-8
 
@@ -83,7 +83,7 @@ class CovSpec:
     """A covariance structure specification; hashable so factors can be cached.
 
     Parameters left as None take their kind's default from ``COV_KINDS``;
-    ``seed`` keys the stream of the stochastic kinds.
+    ``seed`` keys the stream of the stochastic kinds; ``d`` and ``seed`` are kept as ints.
     """
 
     kind: str
@@ -99,11 +99,13 @@ class CovSpec:
         if takes is None:
             raise InvalidScenarioParams(
                 f"unknown covariance kind {self.kind!r}; choose from {', '.join(COV_KINDS)}")
-        if not _is_integer(self.d) or self.d < 1:
+        if (d := _integer(self.d)) is None or d < 1:
             raise InvalidScenarioParams(f"covariance d must be a positive integer, got {self.d!r}")
-        if not _is_integer(self.seed) or self.seed < 0:
+        if (seed := _integer(self.seed)) is None or seed < 0:
             raise InvalidScenarioParams(
                 f"covariance seed must be a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "seed", seed)
         for name in COV_PARAMS:
             value = getattr(self, name)
             if value is not None and name not in takes:
@@ -225,8 +227,8 @@ class _ReadOnlyParams(dict):
 @dataclass(frozen=True)
 class Scenario:
     """A generative model: family name, sample shape, covariance, parameters; checked when
-    built, which stores its parameters with defaults filled in as ``resolved``, and a
-    read-only copy of ``params``, lists as tuples, so that what was checked is what runs."""
+    built, which keeps ``n`` and ``d`` as ints, its parameters with defaults filled in as
+    ``resolved``, and a read-only copy of ``params`` (``_echo``), so what was checked runs."""
 
     family: str
     n: int
@@ -236,9 +238,22 @@ class Scenario:
     resolved: Dict[str, object] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        n, d = _integer(self.n), _integer(self.d)
+        if n is None or d is None:
+            raise InvalidScenarioParams(
+                f"n and d must be integers, got n={self.n!r} and d={self.d!r}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "resolved", _params(self))
         object.__setattr__(self, "params", _ReadOnlyParams(
-            {k: tuple(v) if isinstance(v, list) else v for k, v in self.params.items()}))
+            {k: _echo(v) for k, v in self.params.items()}))
+
+
+def _echo(value):
+    """A checked parameter as a scenario keeps it: lists as tuples, numbers as ints or floats."""
+    if isinstance(value, (bool, list, tuple)):
+        return value if isinstance(value, bool) else tuple(map(_echo, value))
+    return float(value) if _integer(value) is None else _integer(value)
 
 
 class PowerOfD(NamedTuple):
@@ -391,8 +406,6 @@ def _params(s: Scenario) -> Dict[str, object]:
     reject the same scenarios.  Mixed marginals also get ``t_columns``.
     """
     fam, n, d = s.family, s.n, s.d
-    if not (_is_integer(n) and _is_integer(d)):
-        raise InvalidScenarioParams(f"n and d must be integers, got n={n!r} and d={d!r}")
     _real(n, "n"), _real(d, "d")  # each refused if too large for a float
     if not isinstance(s.cov, CovSpec):
         raise InvalidScenarioParams(f"scenario cov must be a CovSpec, got {s.cov!r}")

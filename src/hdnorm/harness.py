@@ -41,7 +41,7 @@ import numpy as np
 from . import _cpus, rng
 from .errors import HdnormError, TooFewSamples
 from .generators import CovSpec, Scenario, sample_scenario
-from .moments import MIN_N, _is_integer
+from .moments import MIN_N, _integer
 from .montecarlo import McSettings, Rule, composite_from_summary, lookup_method
 from .radii import radial_summary
 from .teststats import contrast
@@ -55,10 +55,6 @@ class CellSpec:
     replications: int
     methods: Tuple[str, ...] = ("composite",)
 
-    def __post_init__(self):
-        if isinstance(self.methods, list):  # a copy, so what was checked is what runs
-            object.__setattr__(self, "methods", tuple(self.methods))
-
 
 @dataclass(frozen=True)
 class Experiment:
@@ -71,32 +67,35 @@ class Experiment:
     def __post_init__(self):
         if not isinstance(self.cells, Iterable):
             raise ValueError(f"cells must be a list of CellSpec, got {self.cells!r}")
-        object.__setattr__(self, "cells", tuple(self.cells))  # a copy, checked once
         if not isinstance(self.name, str):
             raise ValueError(f"experiment name must be a string, got {self.name!r}")
-        for ci, cell in enumerate(self.cells):
-            _check_cell(ci, cell)
-        McSettings(self.mc_replications, self.seed, self.alpha)  # raises on bad settings
+        # Each cell and setting as it was checked: copies, so what was checked is what runs.
+        object.__setattr__(self, "cells", tuple(_check_cell(*c) for c in enumerate(self.cells)))
+        s = McSettings(self.mc_replications, self.seed, self.alpha)  # raises on bad settings
+        for k, v in (("mc_replications", s.replications), ("seed", s.seed), ("alpha", s.alpha)):
+            object.__setattr__(self, k, v)
 
 
-def _check_cell(ci: int, cell: CellSpec) -> None:
-    """Refuse cell ``ci`` unless it can run (its scenario judged itself when built):
-    it has a replication, and each method is known, listed once and defined at its n."""
+def _check_cell(ci: int, cell: CellSpec) -> CellSpec:
+    """Cell ``ci`` as checked, if it can run (its scenario judged itself when built): an int of
+    replications, at least 1, and a tuple of methods, each known, listed once and defined at n."""
     if not isinstance(cell, CellSpec) or not isinstance(cell.scenario, Scenario):
         raise ValueError(f"cell {ci} must be a CellSpec holding a Scenario, got {cell!r}")
-    if not _is_integer(cell.replications):
+    if (replications := _integer(cell.replications)) is None:
         raise ValueError(f"cell {ci} replications must be an integer, got {cell.replications!r}")
-    if cell.replications < 1:
+    if replications < 1:
         raise ValueError(f"cell {ci} replications must be at least 1, got {cell.replications!r}")
-    if not isinstance(cell.methods, tuple) or not cell.methods:
-        raise ValueError(f"cell {ci} methods must be a non-empty list, got {cell.methods!r}")
-    for i, name in enumerate(cell.methods):
+    methods = tuple(cell.methods) if isinstance(cell.methods, list) else cell.methods
+    if not isinstance(methods, tuple) or not methods:
+        raise ValueError(f"cell {ci} methods must be a non-empty list, got {methods!r}")
+    for i, name in enumerate(methods):
         for q in lookup_method(name).orders:
             contrast(cell.scenario.n, q)  # a quasi order too large for n fails here
-        if name in cell.methods[:i]:
+        if name in methods[:i]:
             raise ValueError(f"cell {ci} lists method {name!r} twice")
     if cell.scenario.n < MIN_N:  # after the methods, so that each names its own bound first
         raise TooFewSamples(f"cell {ci} needs n >= {MIN_N} for the moments, got {cell.scenario.n}")
+    return CellSpec(cell.scenario, replications, methods)
 
 
 class CellResult(NamedTuple):
@@ -169,7 +168,7 @@ def run_experiment(exp: Experiment, threads: Optional[int] = None) -> List[CellR
     cpus = _cpus.usable_cpus()
     if threads is None:
         threads = cpus
-    if not _is_integer(threads):
+    if _integer(threads) is None:
         raise ValueError(f"threads must be an integer, got {threads!r}")
     if threads < 1:
         raise ValueError(f"need at least one worker, got threads={threads}")
@@ -324,7 +323,7 @@ def experiment_from_json(doc: Mapping) -> Experiment:
         raise ValueError(f"empty grid: cells must be a non-empty list, got {cells_doc!r}")
     # The one bound read here: no object holds the default when every cell sets its own.
     default_reps = _read(doc, "replications", 1000)
-    if not _is_integer(default_reps):
+    if _integer(default_reps) is None:
         raise ValueError(f"replications must be an integer, got {default_reps!r}")
     if default_reps < 1:
         raise ValueError(f"replications must be at least 1, got {default_reps!r}")

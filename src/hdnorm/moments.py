@@ -22,9 +22,9 @@ from .errors import NonFiniteData, NonPositiveDispersion, TooFewSamples
 MIN_N = 4
 
 
-def _is_integer(value) -> bool:
-    """The one rule for every size, order, count and seed: an integer, not a bool or float."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
+def _integer(value) -> Optional[int]:
+    """The one rule for sizes, orders, counts, seeds: an integer, not a bool, as an int; or None."""
+    return None if isinstance(value, bool) or not isinstance(value, Integral) else int(value)
 
 
 class DataMatrix(NamedTuple):

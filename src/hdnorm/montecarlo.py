@@ -36,7 +36,7 @@ from typing import Dict, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import _cpus, rng
-from .moments import DataMatrix, DispersionEstimate, _is_integer
+from .moments import DataMatrix, DispersionEstimate, _integer
 from .radii import RadialSummary, radial_summary
 from .rng import ndtri
 from .teststats import contrast, sigma_star, statistics
@@ -55,17 +55,17 @@ _BATCH_ELEMENTS = 1 << 16
 
 @dataclass(frozen=True)
 class McSettings:
-    """Monte-Carlo configuration: replication count, stream seed, test level."""
+    """Monte-Carlo configuration, kept as plain ints and a float: replications, seed, alpha."""
 
     replications: int = 10000
     seed: int = 0
     alpha: float = 0.05
 
     def __post_init__(self):
-        for label, value in (("Monte-Carlo replications", self.replications),
-                             ("seed", self.seed)):
-            if not _is_integer(value):
-                raise ValueError(f"{label} must be an integer, got {value!r}")
+        for label, name in (("Monte-Carlo replications", "replications"), ("seed", "seed")):
+            if (value := _integer(getattr(self, name))) is None:
+                raise ValueError(f"{label} must be an integer, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, value)
         if isinstance(self.alpha, bool) or not isinstance(self.alpha, Real):
             raise ValueError(f"alpha must be a real number, got {self.alpha!r}")
         if self.replications < 100:
@@ -74,6 +74,7 @@ class McSettings:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        object.__setattr__(self, "alpha", float(self.alpha))
 
 
 def _null_chunk(n: int, q: int, seed: int, chunk_index: int, out: np.ndarray,
@@ -113,8 +114,9 @@ def null_quasi_range_draws(n: int, q: int, m: int, seed: int) -> np.ndarray:
     the interpreter lock), so the result does not depend on the thread count.
     """
     contrast(n, q)  # checks n and q
-    if not (_is_integer(m) and _is_integer(seed)) or m < 1 or seed < 0:
+    if None in (plain := (_integer(m), _integer(seed))) or plain[0] < 1 or plain[1] < 0:
         raise ValueError(f"need integers m >= 1 and seed >= 0, got m={m!r} and seed={seed!r}")
+    m, seed = plain
     chunks = -(-m // CHUNK)
     shares = min(chunks, _cpus.usable_cpus())
     draws = np.empty(m)
@@ -204,15 +206,15 @@ class Method(NamedTuple):
         """This method calibrated for samples of ``n`` rows: each sub-test's band at alpha/k."""
         for q in self.orders:
             contrast(n, q, self.power)  # refuses an n (or q) no sub-test is defined at
-        level = settings.alpha / len(self.orders)
+        n, level = _integer(n), settings.alpha / len(self.orders)
         return Rule(self, n, settings, level, tuple(
             _iqr_band(level) if q is None else mc_quantiles(n, q, replace(settings, alpha=level))
             for q in self.orders))
 
 
 class Rule(NamedTuple):
-    """A ``Method`` calibrated, by ``Method.at``, for samples of ``n`` rows under
-    ``settings``: ``bands`` holds each sub-test's band, drawn at ``level`` (alpha/k)."""
+    """A ``Method`` calibrated, by ``Method.at``, for samples of ``n`` rows (kept as an int)
+    under ``settings``: ``bands`` holds each sub-test's band, drawn at ``level`` (alpha/k)."""
 
     method: Method
     n: int

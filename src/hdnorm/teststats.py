@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InvalidQuantileOrder, TooFewSamples
-from .moments import _is_integer
+from .moments import _integer
 from .radii import RadialSummary
 from .rng import ndtri
 
@@ -32,13 +32,12 @@ class NormConstants(NamedTuple):
 
 def norm_constants(n) -> NormConstants:
     """Evaluate the extreme-contrast normalizing constants at sample size n >= 3."""
-    if not _is_integer(n):
+    if (size := _integer(n)) is None:
         raise TypeError(f"sample size must be an integer, got {n!r}")
-    n = int(n)
-    if n < 3:
-        raise TooFewSamples(f"normalizing constants need n >= 3, got n={n}")
-    a = math.sqrt(2.0 * math.log(n))
-    b = a - (math.log(math.log(n)) + math.log(4.0 * math.pi)) / (2.0 * a)
+    if size < 3:
+        raise TooFewSamples(f"normalizing constants need n >= 3, got n={size}")
+    a = math.sqrt(2.0 * math.log(size))
+    b = a - (math.log(math.log(size)) + math.log(4.0 * math.pi)) / (2.0 * a)
     return NormConstants(a_n=a, b_n=b)
 
 
@@ -76,15 +75,14 @@ class Contrast(NamedTuple):
 def contrast(n, q, power: float = 0.5) -> Contrast:
     """The quasi-range of order q (the range for q = 1), or the IQR for q None,
     of the powers R^{2 power} of n radii R."""
-    c = norm_constants(n)
-    n = int(n)
+    c, n = norm_constants(n), _integer(n)  # n is an integer once norm_constants takes it
     if q is None:
         if n < 4:
             raise TooFewSamples(f"the IQR statistic needs n >= 4, got n={n}")
         return Contrast(n // 4, 3 * n // 4, math.sqrt(n), float(ndtri(0.75)), True)
-    if not _is_integer(q) or not 1 <= q <= n // 2:
+    if (order := _integer(q)) is None or not 1 <= order <= n // 2:
         raise InvalidQuantileOrder(f"q={q!r} is not an integer in [1, {n // 2}] for n={n}")
-    return Contrast(int(q), n - int(q) + 1, c.a_n, c.b_n, power != 0.5)
+    return Contrast(order, n - order + 1, c.a_n, c.b_n, power != 0.5)
 
 
 def statistics(rs: RadialSummary, orders: Sequence[Optional[int]],

@@ -319,6 +319,12 @@ class TestScenarioGuards:
                      {"dof": 6, "standardize": True})
         assert s.resolved == {"dof": 6.0, "standardize": True}
         assert s.cov.rate == 0.5 and type(s.cov.rate) is float
+        # Sizes and the params echo are kept as the plain numbers they equal, as JSON writes them.
+        s = Scenario("loc_mixture", np.int64(10), np.uint8(4), CovSpec("ar1", np.int64(4), rho=0.5),
+                     {"shift": np.float32(0.25), "weights": [np.float32(0.25), 0.75]})
+        kept = (s.n, s.d, s.cov.d, s.params["shift"], *s.params["weights"])
+        assert kept == (10, 4, 4, 0.25, 0.25, 0.75)
+        assert list(map(type, kept)) == [int, int, int, float, float, float]
 
     @pytest.mark.parametrize("changes, message", [
         ({"params": 5}, "params must be an object, got 5"),

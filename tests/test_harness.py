@@ -40,16 +40,20 @@ from hdnorm.harness import (
 GOOD = Scenario("null_gaussian", 20, 10, CovSpec("identity", 10))
 
 
-def small_experiment(methods=("composite",), seed=42):
-    ident = CovSpec("identity", 30)
+def small_experiment(methods=("composite",), seed=42, integer=int, real=float):
+    """Two cells, with each size, seed and count made by ``integer`` and the mixture's
+    gap by ``real``."""
+    ident = CovSpec("identity", integer(30), seed=integer(0))
     return Experiment(
         name="unit",
-        seed=seed,
+        seed=integer(seed),
         alpha=0.05,
-        mc_replications=500,
+        mc_replications=integer(500),
         cells=(
-            CellSpec(Scenario("null_gaussian", 40, 30, ident), 60, methods),
-            CellSpec(Scenario("cov_mixture", 40, 30, ident, {"gap": 0.8}), 60, methods),
+            CellSpec(Scenario("null_gaussian", integer(40), integer(30), ident), integer(60),
+                     methods),
+            CellSpec(Scenario("cov_mixture", integer(40), integer(30), ident,
+                              {"gap": real(0.8)}), integer(60), methods),
         ),
     )
 
@@ -556,6 +560,17 @@ class TestSummarize:
         docs = [json.loads(line) for line in lines]
         assert docs[0]["scenario"]["family"] == "null_gaussian"
         assert "wall_time" in docs[0]
+
+    def test_numpy_numbers_give_the_plain_files(self):
+        # Such an experiment once ran its whole sweep, then raised a TypeError in
+        # results_jsonl on its first numpy integer.
+        plain = run_experiment(small_experiment(real=lambda x: float(np.float32(x))), threads=1)
+        numpy = run_experiment(small_experiment(integer=np.int64, real=np.float32), threads=1)
+        assert summarize(numpy) == summarize(plain)
+        # Each record as JSON writes it, but for its timing: an int is not written as a float.
+        records = [[json.dumps({**json.loads(line), "wall_time": None}, sort_keys=True)
+                    for line in results_jsonl(results).splitlines()] for results in (plain, numpy)]
+        assert records[1] == records[0]
 
 
 # A spec that reads, with a parameter of each kind (a power of d, a list, a

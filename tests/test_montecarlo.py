@@ -1,10 +1,12 @@
 import dataclasses
 import hashlib
+import json
 import math
 import re
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import jsonschema
 import numpy as np
@@ -461,13 +463,25 @@ class TestComposite:
             with pytest.raises(ValueError, match=re.escape(named)):
                 McSettings(**fields)
 
-    def test_numpy_numbers_are_settings(self):
-        settings = McSettings(np.int64(1000), np.uint32(3), np.float64(0.1))
-        assert settings == McSettings(1000, 3, 0.1)
+    # Each is kept as the plain numbers it equals.  The last three once raised a TypeError:
+    # json.dumps on a numpy integer or a Fraction, and Fraction() on the float32 alpha
+    # inside empirical_quantile, before any decision.
+    @pytest.mark.parametrize("settings, plain", [
+        (McSettings(np.int64(1000), np.uint32(3), np.float64(0.1)), McSettings(1000, 3, 0.1)),
+        (McSettings(np.int64(1000), np.int64(3)), McSettings(1000, 3)),
+        (McSettings(1000, 3, np.float32(0.05)), McSettings(1000, 3, float(np.float32(0.05)))),
+        (McSettings(1000, 3, Fraction(1, 20)), McSettings(1000, 3, 0.05)),
+    ], ids=["numpy_numbers", "int64_counts", "float32_alpha", "fraction_alpha"])
+    def test_numpy_numbers_are_settings(self, settings, plain):
+        assert settings == plain
+        assert list(map(type, dataclasses.astuple(settings))) == [int, int, float]
+        X = gaussian_data(3, 30, 40)
         clear_band_memos()
-        band = mc_quantiles(30, 1, settings)
-        clear_band_memos()
-        assert band == mc_quantiles(30, 1, McSettings(1000, 3, 0.1))
+        expected = json.dumps(composite_test(X, plain).to_dict())
+        misses = montecarlo._sorted_null.cache_info().misses
+        assert json.dumps(composite_test(X, settings).to_dict()) == expected
+        # The same plain memo key, so the kept draw serves both.
+        assert montecarlo._sorted_null.cache_info().misses == misses
 
     def test_composite_from_summary_needs_a_band_per_sub_test(self):
         settings = McSettings(replications=1000, seed=1, alpha=0.05)
@@ -489,7 +503,8 @@ class TestComposite:
     @pytest.mark.parametrize("name", [*sorted(METHODS), "quasi:2"])
     def test_report_holds_the_rule_that_decided_it(self, name):
         rule = lookup_method(name).at(30, McSettings(replications=500, seed=4))
-        report = composite_from_summary(radial_summary(gaussian_data(6, 30, 40)), rule)
+        rs = radial_summary(gaussian_data(6, 30, 40))
+        report = composite_from_summary(rs, rule)
         assert report.rule is rule
         assert len(report.rejects) == len(report.values) == len(rule.method.orders)
         assert report.reject == any(report.rejects)
@@ -499,6 +514,11 @@ class TestComposite:
         assert doc["squared"] is (name == "squared")
         assert (doc["schema_version"], doc["statistics"]) == (1, name.split(":")[0])
         assert [doc[key]["reject"] for key in rule.method.keys] == list(report.rejects)
+        # A numpy n and settings give the same rule, with n a plain int, and the same bytes.
+        numpy_rule = lookup_method(name).at(np.int64(30), McSettings(np.int64(500), np.int64(4)))
+        assert numpy_rule == rule and type(numpy_rule.n) is int
+        numpy_doc = composite_from_summary(rs, numpy_rule).to_dict()
+        assert json.dumps(numpy_doc) == json.dumps(doc)
 
     # A bool or a float, even an integral one, is no sample size, for any method.
     @pytest.mark.parametrize("n, error", [(True, TypeError), (10.0, TypeError),
