@@ -25,9 +25,9 @@ _EXPORTS = {
                    "scenario_covariance"),
     "harness": ("CellResult", "CellSpec", "Experiment", "experiment_from_json",
                 "run_experiment", "summarize"),
+    "methods": ("McSettings",),
     "moments": ("DataMatrix", "DispersionEstimate"),
-    "montecarlo": ("McSettings", "TestReport", "composite_test", "mc_quantiles",
-                   "null_quasi_range_draws"),
+    "montecarlo": ("TestReport", "composite_test", "mc_quantiles", "null_quasi_range_draws"),
     "radii": ("RadialSummary", "radial_summary"),
     "teststats": ("NormConstants", "norm_constants", "sigma_star"),
 }

@@ -5,12 +5,12 @@ Exit codes: 0 the null hypothesis is not rejected, 3 it is rejected,
 
 This module owns the ``hdnorm`` process.  At import it loads only the
 standard library, so ``hdnorm --help`` and a usage error load no numpy.
-``main`` parses the command line and checks ``--out`` and ``--seed`` first;
-for ``test`` and ``diagnose`` it then forks the CSV parser's readers
-(``_csvparse.EarlyReaders``), which parse the end of the file on the other
-CPUs while this process imports numpy, scipy's ufuncs and the rest of
-hdnorm, and then claims pieces too.  Only ``main`` forks them, whether or
-not numpy was loaded before it.
+``main`` checks ``--out`` and ``--seed``, then for ``test`` and ``diagnose``
+forks the CSV parser's readers (``_csvparse.EarlyReaders``), which parse the
+end of the file on the other CPUs while this process judges ``test``'s method
+and settings (``hdnorm.methods``, which loads no numpy), imports numpy, scipy's
+ufuncs and the rest of hdnorm, and then claims pieces too.  Only ``main``
+forks them, whether or not numpy was loaded before it.
 
 This module is the only one that calls ``gc.freeze``, once per process, in
 the first ``main`` call (or the first read of a name the commands import):
@@ -47,8 +47,7 @@ _cpus.default_to_one_blas_thread()
 def _import_numeric_stack() -> None:
     """Import what the commands compute with, once per process, and freeze
     the heap the imports made (see the module docstring)."""
-    global np, rng, ndtri, DataMatrix, _moments, McSettings, composite_test, lookup_method
-    global RadialSummary
+    global np, rng, ndtri, DataMatrix, _moments, composite_test, RadialSummary
     if "rng" in globals():
         return
     collecting = gc.isenabled()
@@ -58,7 +57,7 @@ def _import_numeric_stack() -> None:
         from . import rng
         import numpy as np
         from .moments import DataMatrix, _moments
-        from .montecarlo import McSettings, composite_test, lookup_method
+        from .montecarlo import composite_test
         from .radii import RadialSummary
         from .rng import ndtri
 
@@ -160,11 +159,14 @@ def _writable(path: Path, folder: bool) -> Path:
 
 
 def cmd_test(args) -> int:
-    # A bad method or setting fails before any parse here; ``main`` reaps the readers.
+    # ``methods`` loads no numpy: a bad method or setting fails before numpy loads.
+    from .methods import McSettings, lookup_method
+
     method = lookup_method(args.stats)
     # McSettings holds the defaults of the options left out.
     given = {"replications": args.mc, "seed": args.seed, "alpha": args.alpha}
     settings = McSettings(**{key: value for key, value in given.items() if value is not None})
+    _import_numeric_stack()
     X = _load_matrix(args.file, args.header, args.early)
     report = composite_test(X, settings, method, out=X.values)  # centres X in place
 
@@ -216,6 +218,7 @@ def _write_csv(path: Path, header: str, columns) -> None:
 
 
 def cmd_diagnose(args) -> int:
+    _import_numeric_stack()
     X = _load_matrix(args.file, args.header, args.early)
     args.out.mkdir(parents=True, exist_ok=True)
 
@@ -242,6 +245,7 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _import_numeric_stack()
     # Imported here: ``hdnorm test`` loads no simulation code.
     from .harness import experiment_from_json, results_jsonl, run_experiment, summarize
 
@@ -327,8 +331,7 @@ def main(argv=None) -> int:
         # Before the imports, if any are left, so the other CPUs parse meanwhile.
         if "file" in args:
             args.early = EarlyReaders.start(args.file)
-        _import_numeric_stack()
-        return args.func(args)
+        return args.func(args)  # each command imports the numeric stack itself
     except (HdnormError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

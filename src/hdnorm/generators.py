@@ -50,7 +50,8 @@ import numpy as np
 
 from . import rng
 from .errors import InvalidScenarioParams, NotPSD
-from .moments import DataMatrix, _integer
+from .methods import _integer
+from .moments import DataMatrix
 
 _PSD_TOL = 1e-8
 
@@ -250,9 +251,9 @@ class Scenario:
 
 
 def _echo(value):
-    """A checked parameter as a scenario keeps it: lists as tuples, numbers as ints or floats."""
-    if isinstance(value, (bool, list, tuple)):
-        return value if isinstance(value, bool) else tuple(map(_echo, value))
+    """A checked parameter as kept: lists as tuples, flags as bools, numbers as ints or floats."""
+    if isinstance(value, (bool, np.bool_, list, tuple)):
+        return tuple(map(_echo, value)) if isinstance(value, (list, tuple)) else bool(value)
     return float(value) if _integer(value) is None else _integer(value)
 
 
@@ -428,11 +429,11 @@ def _params(s: Scenario) -> Dict[str, object]:
                 raise InvalidScenarioParams(
                     f"{fam} {key} at d={d} is too large for a float") from None
         value = given.pop(key, default)
-        if isinstance(default, bool) and not isinstance(value, bool):
+        if isinstance(default, bool) and not isinstance(value, (bool, np.bool_)):
             raise InvalidScenarioParams(f"{fam} {key} must be true or false, got {value!r}")
         if isinstance(default, tuple) and not isinstance(value, (tuple, list)):
             raise InvalidScenarioParams(f"{fam} {key} must be a list of numbers, got {value!r}")
-        p[key] = (value if isinstance(default, bool)  # standardize, the weights, or a float
+        p[key] = (bool(value) if isinstance(default, bool)  # standardize, the weights, or a float
                   else tuple(_real(w, fam, key) for w in value) if isinstance(default, tuple)
                   else _real(value, fam, key))
     if given:

@@ -41,8 +41,9 @@ import numpy as np
 from . import _cpus, rng
 from .errors import HdnormError, TooFewSamples
 from .generators import CovSpec, Scenario, sample_scenario
-from .moments import MIN_N, _integer
-from .montecarlo import McSettings, Rule, composite_from_summary, lookup_method
+from .methods import McSettings, Rule, _integer, lookup_method
+from .moments import MIN_N
+from .montecarlo import composite_from_summary
 from .radii import radial_summary
 from .teststats import contrast
 

@@ -11,7 +11,6 @@ the cost at O(n d (n ^ d)) instead of O(n d^2).
 from __future__ import annotations
 
 import math
-from numbers import Integral
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -20,11 +19,6 @@ from .errors import NonFiniteData, NonPositiveDispersion, TooFewSamples
 
 #: The fewest rows the moment estimators take: tr(Sigma^2)-hat divides by (n - 2)(n - 3).
 MIN_N = 4
-
-
-def _integer(value) -> Optional[int]:
-    """The one rule for sizes, orders, counts, seeds: an integer, not a bool, as an int; or None."""
-    return None if isinstance(value, bool) or not isinstance(value, Integral) else int(value)
 
 
 class DataMatrix(NamedTuple):

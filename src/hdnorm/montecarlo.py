@@ -14,29 +14,20 @@ substream: draw j is a pure function of (seed, n, q, j), so any batching or
 parallel partition reproduces the same sample bitwise.  The last few sorted
 null samples are memoised per (n, q, m, seed), so the bands of one sample at
 several levels come from one draw; the memo never changes results.
-
-Each decision method, the composite test and each of its contrasts, is one
-entry of ``METHODS``: the names ``hdnorm test --stats`` and ``simulate`` take.
-``lookup_method`` resolves a name once, and ``Method.at(n, settings)``
-calibrates it once, into the ``Rule`` that holds its bands for samples of n
-rows: every decision reads only a rule, refuses a sample of another n, and
-gives a ``TestReport`` whose ``to_dict`` alone writes the report-v1 document.
 """
 
 from __future__ import annotations
 
-import re
 import threading
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from numbers import Real
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from . import _cpus, rng
-from .moments import DataMatrix, DispersionEstimate, _integer
+from .methods import METHODS, Band, McSettings, Method, Rule, _integer
+from .moments import DataMatrix, DispersionEstimate
 from .radii import RadialSummary, radial_summary
 from .rng import ndtri
 from .teststats import contrast, sigma_star, statistics
@@ -51,30 +42,6 @@ CHUNK = 4096
 # array (its work unit reuses its sample buffers), so how glibc places this
 # buffer no longer decides whether each replication's arrays are mapped afresh.
 _BATCH_ELEMENTS = 1 << 16
-
-
-@dataclass(frozen=True)
-class McSettings:
-    """Monte-Carlo configuration, kept as plain ints and a float: replications, seed, alpha."""
-
-    replications: int = 10000
-    seed: int = 0
-    alpha: float = 0.05
-
-    def __post_init__(self):
-        for label, name in (("Monte-Carlo replications", "replications"), ("seed", "seed")):
-            if (value := _integer(getattr(self, name))) is None:
-                raise ValueError(f"{label} must be an integer, got {getattr(self, name)!r}")
-            object.__setattr__(self, name, value)
-        if isinstance(self.alpha, bool) or not isinstance(self.alpha, Real):
-            raise ValueError(f"alpha must be a real number, got {self.alpha!r}")
-        if self.replications < 100:
-            raise ValueError(f"need at least 100 Monte-Carlo replications, got {self.replications}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        object.__setattr__(self, "alpha", float(self.alpha))
 
 
 def _null_chunk(n: int, q: int, seed: int, chunk_index: int, out: np.ndarray,
@@ -159,9 +126,6 @@ def empirical_quantile(sorted_values: np.ndarray, level: float) -> float:
     return float(sorted_values[k - 1])
 
 
-Band = Tuple[float, float]
-
-
 def mc_quantiles(n: int, q: int, settings: McSettings) -> Band:
     """Empirical (alpha/2, 1 - alpha/2) quantiles of the U_{n,q} null sample."""
     sample = _sorted_null(n, q, settings.replications, settings.seed)
@@ -184,64 +148,6 @@ def _iqr_band(level: float) -> Band:
     """Closed-form (level/2, 1 - level/2) band of the IQR statistic."""
     s = sigma_star()
     return s * float(ndtri(level / 2.0)), s * float(ndtri(1.0 - level / 2.0))
-
-
-class Method(NamedTuple):
-    """A decision method: one contrast per sub-test, each decided against a band.
-
-    ``name`` is the method's name in ``METHODS`` or ``quasi:q``.  ``keys`` names
-    the sub-tests in the report and ``orders`` their contrasts
-    (``teststats.contrast``): the quasi-range of order q with its Monte-Carlo
-    band, or None for the IQR with its closed-form band, of the powers R^{2 power}
-    of the radii R (1/2 the radii, 1 the squared radii).  With k sub-tests each
-    runs at alpha/k (Bonferroni) and the method rejects iff any sub-test does.
-    """
-
-    name: str
-    keys: Tuple[str, ...]
-    orders: Tuple[Optional[int], ...]
-    power: float = 0.5
-
-    def at(self, n: int, settings: McSettings) -> Rule:
-        """This method calibrated for samples of ``n`` rows: each sub-test's band at alpha/k."""
-        for q in self.orders:
-            contrast(n, q, self.power)  # refuses an n (or q) no sub-test is defined at
-        n, level = _integer(n), settings.alpha / len(self.orders)
-        return Rule(self, n, settings, level, tuple(
-            _iqr_band(level) if q is None else mc_quantiles(n, q, replace(settings, alpha=level))
-            for q in self.orders))
-
-
-class Rule(NamedTuple):
-    """A ``Method`` calibrated, by ``Method.at``, for samples of ``n`` rows (kept as an int)
-    under ``settings``: ``bands`` holds each sub-test's band, drawn at ``level`` (alpha/k)."""
-
-    method: Method
-    n: int
-    settings: McSettings
-    level: float
-    bands: Tuple[Band, ...]
-
-
-#: Every decision method by name; ``lookup_method`` adds ``quasi:q``.
-METHODS: Dict[str, Method] = {m.name: m for m in (
-    Method("composite", ("range", "iqr"), (1, None)),
-    Method("squared", ("range", "iqr"), (1, None), power=1),
-    Method("range", ("range",), (1,)),
-    Method("iqr", ("iqr",), (None,)),
-)}
-_QUASI = re.compile(r"quasi:([1-9][0-9]*)")
-
-
-def lookup_method(name) -> Method:
-    """The method named ``name``: a key of ``METHODS`` or ``quasi:q``, else ``ValueError``."""
-    if isinstance(name, str):
-        if name in METHODS:
-            return METHODS[name]
-        match = _QUASI.fullmatch(name)
-        if match:
-            return Method(name, ("quasi_range",), (int(match[1]),))
-    raise ValueError(f"unknown method {name!r}; choose from {', '.join(METHODS)} or quasi:q")
 
 
 class TestReport(NamedTuple):

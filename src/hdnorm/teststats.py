@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InvalidQuantileOrder, TooFewSamples
-from .moments import _integer
+from .methods import _integer
 from .radii import RadialSummary
 from .rng import ndtri
 

@@ -20,7 +20,8 @@ from hdnorm import (
 from hdnorm import montecarlo
 from hdnorm import rng as hrng
 from hdnorm._cpus import BLAS_THREAD_VARS
-from hdnorm.montecarlo import composite_from_summary, lookup_method
+from hdnorm.methods import lookup_method
+from hdnorm.montecarlo import composite_from_summary
 from hdnorm.radii import radial_summary
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "hdnorm" / "schemas"

@@ -19,7 +19,8 @@ from hdnorm import cli, harness, moments, radii
 from hdnorm._cpus import BLAS_THREAD_VARS, default_to_one_blas_thread
 from hdnorm.cli import main
 from hdnorm.harness import experiment_from_json
-from hdnorm.montecarlo import METHODS, McSettings, composite_test, lookup_method
+from hdnorm.methods import METHODS, McSettings, lookup_method
+from hdnorm.montecarlo import composite_test
 
 EXPERIMENT_SCHEMA = json.loads((SCHEMA_DIR / "experiment-v1.schema.json").read_text())
 # A spec change that deletes its key rather than setting it.
@@ -885,6 +886,12 @@ class TestLazyPackage:
     def test_import_loads_no_numpy(self):
         assert fresh_python("import sys, hdnorm; print('numpy' in sys.modules)") == "False"
 
+    def test_methods_import_loads_neither_numpy_nor_scipy(self):
+        # hdnorm test judges its method and settings with this module alone.
+        code = ("import sys\nfrom hdnorm.methods import METHODS, McSettings, lookup_method\n"
+                "print([m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')])")
+        assert fresh_python(code) == "[]"
+
     def test_test_command_loads_no_simulation_code(self, null_csv, tmp_path):
         code = ("import sys\nfrom hdnorm.cli import main\ncode = main(sys.argv[1:])\n"
                 "print(code, [m for m in ('hdnorm.harness', 'hdnorm.generators')"
@@ -995,16 +1002,16 @@ class TestLazyPackage:
                 "    'all': hdnorm.__all__}))")
         got = json.loads(fresh_python(code))
         assert got["modules"] == [] and got["radii"]
-        submodules = ["errors", "generators", "harness", "moments", "montecarlo", "radii",
-                      "rng", "teststats"]
+        submodules = ["errors", "generators", "harness", "methods", "moments", "montecarlo",
+                      "radii", "rng", "teststats"]
         assert got["public"] == sorted({*got["all"], *submodules})
 
     def test_dir_lists_every_public_name_without_loading_numpy(self):
         code = ("import json, sys, hdnorm\n"
                 "print(json.dumps([dir(hdnorm), hdnorm.__all__, 'numpy' in sys.modules]))")
         names, public, numpy_loaded = json.loads(fresh_python(code))
-        submodules = ["errors", "generators", "harness", "moments", "montecarlo", "radii",
-                      "rng", "teststats"]
+        submodules = ["errors", "generators", "harness", "methods", "moments", "montecarlo",
+                      "radii", "rng", "teststats"]
         assert not numpy_loaded
         assert [n for n in names if not n.startswith("_")] == sorted({*public, *submodules})
 

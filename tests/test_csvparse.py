@@ -811,17 +811,21 @@ class TestEarlyReadersInTheCommand:
     @pytest.mark.parametrize("command, option, value, message", [
         ("test", "--stats", "bogus", "error: unknown method 'bogus'; choose from composite,"
                                      " squared, range, iqr or quasi:q\n"),
+        ("test", "--mc", "50", "error: need at least 100 Monte-Carlo replications, got 50\n"),
+        ("test", "--alpha", "2", "error: alpha must lie in (0, 1), got 2.0\n"),
         ("test", "--out", "missing/r.json", "error: cannot write {tmp}/missing/r.json\n"),
         ("test", "--seed", "-1", "error: seed must be non-negative, got -1\n"),
         ("diagnose", "--seed", "-1", "error: seed must be non-negative, got -1\n")])
     def test_errors_before_the_read_reap_them(self, tmp_path, command, option, value, message):
-        # --out and --seed are checked before any reader starts; --stats needs numpy.
+        # --out and --seed are checked before any reader starts; --stats, --mc and
+        # --alpha once the readers are forked, and before numpy loads.
         path = write(tmp_path, "plain.csv", CASES["plain"]())
         out = ["--out", str(tmp_path / "out")]
         if option == "--out":
             value, out = str(tmp_path / value), []
-        (code, started, reaped, _), err = run_early_main(command, path, option, value, *out)
-        assert (code, started, reaped) == (1, [True] if option == "--stats" else [], True)
+        got, err = run_early_main(command, path, option, value, *out)
+        forked = option in ("--stats", "--mc", "--alpha")
+        assert got == (1, [True] if forked else [], True, False)
         assert err == message.format(tmp=tmp_path)
 
     @pytest.mark.parametrize("header", [False, True], ids=["no_header", "header"])
@@ -839,10 +843,12 @@ class TestEarlyReadersInTheCommand:
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("args, code", [(["--help"], 0), (["test", "--help"], 0),
-                                            (["test"], 2), (["test", "x.csv", "--mc", "x"], 2)])
+                                            (["test"], 2), (["test", "x.csv", "--mc", "x"], 2),
+                                            (["test", "x.csv", "--stats", "bogus"], 1)])
     def test_help_and_usage_errors_load_no_numpy(self, args, code):
-        (got, started, reaped, numpy_loaded), _ = run_early_main(*args)
-        assert (got, started, reaped, numpy_loaded) == (code, [], True, False)
+        # A bad --stats is judged after the readers' start, which the missing file refuses.
+        started = [False] if code == 1 else []
+        assert run_early_main(*args)[0] == (code, started, True, False)
 
     def test_readers_where_numpy_is_loaded(self, tmp_path, cpus, forked, monkeypatch):
         # This process has numpy loaded; main forks the readers all the same.

@@ -358,6 +358,17 @@ class TestScenarioGuards:
         weights = Scenario("loc_mixture", 10, 4, CovSpec("identity", 4), {"weights": [0.3, 0.7]})
         assert weights.params == {"weights": (0.3, 0.7)}
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_a_numpy_bool_is_the_flag_it_equals(self, flag):
+        # np.True_ was once refused as no flag, and echoed as 1.0.
+        plain, numpy = (Scenario("chisq_marginals", 10, 4, CovSpec("identity", 4),
+                                 {"standardize": value}) for value in (flag, np.bool_(flag)))
+        assert numpy == plain and type(numpy.params["standardize"]) is bool
+        assert type(numpy.resolved["standardize"]) is bool
+        assert scenario_to_json(numpy) == scenario_to_json(plain)
+        assert scenario_to_json(numpy)["params"] == {"standardize": flag}
+        assert np.array_equal(draw(numpy).values, draw(plain).values)
+
     def test_resolved_once_and_kept_through_pickle_not_through_replace(self, monkeypatch):
         s = Scenario("multivariate_t", 10, 4, CovSpec("identity", 4), {"dof_coeff": 2.0})
         assert s.resolved == {"dof": 8.0}

@@ -35,6 +35,7 @@ from hdnorm.harness import (
     summarize,
     _run_unit,
 )
+from hdnorm.methods import METHODS, McSettings, lookup_method
 
 
 GOOD = Scenario("null_gaussian", 20, 10, CovSpec("identity", 10))
@@ -477,7 +478,7 @@ class TestBandsBuiltOnce:
         # Each tally is the method's own decision summed over the cell's draws.
         for r in results:
             settings = cell_rules[r.cell_index][r.method].settings
-            rule = montecarlo.lookup_method(r.method).at(r.scenario.n, settings)
+            rule = lookup_method(r.method).at(r.scenario.n, settings)
             reports = [montecarlo.composite_from_summary(radial_summary(sample_scenario(
                 r.scenario, hrng.substream(exp.seed, hrng.DOMAIN_DATA, r.cell_index, i))),
                 rule) for i in range(r.replications)]
@@ -492,10 +493,10 @@ class TestBandsBuiltOnce:
         assert all(cell["composite"].bands[0] != cell["range"].bands[0] for cell in rules)
         for ci, cell in enumerate(rules):
             seed = hrng.derive_seed(exp.seed, hrng.DOMAIN_NULL_RANGE, ci)
-            settings = montecarlo.McSettings(500, seed, 0.05)
+            settings = McSettings(500, seed, 0.05)
             for m, rule in cell.items():
                 clear_band_memos()
-                assert (rule.method, rule.n, rule.settings) == (montecarlo.lookup_method(m), 40,
+                assert (rule.method, rule.n, rule.settings) == (lookup_method(m), 40,
                                                                 settings)
                 assert rule == rule.method.at(40, settings)
         assert len(drawn) == 6
@@ -684,8 +685,8 @@ class TestJsonSpecs:
     def test_cells_take_every_method_name(self):
         doc = {"cells": [{"scenario": {"family": "null_gaussian", "n": 20, "d": 10,
                                        "cov": {"kind": "identity", "d": 10}},
-                          "methods": [*montecarlo.METHODS, "quasi:3"]}]}
-        assert experiment_from_json(doc).cells[0].methods == (*montecarlo.METHODS, "quasi:3")
+                          "methods": [*METHODS, "quasi:3"]}]}
+        assert experiment_from_json(doc).cells[0].methods == (*METHODS, "quasi:3")
         for bad in ("quasi:0", "quasi:x", "quasi:02", "quasi"):
             doc["cells"][0]["methods"] = [bad]
             with pytest.raises(ValueError, match="unknown method"):

@@ -36,13 +36,8 @@ from hdnorm import (
 from hdnorm import InvalidQuantileOrder, TooFewSamples
 from hdnorm import _cpus, montecarlo
 from hdnorm import rng as hrng
-from hdnorm.montecarlo import (
-    CHUNK,
-    METHODS,
-    composite_from_summary,
-    empirical_quantile,
-    lookup_method,
-)
+from hdnorm.methods import METHODS, lookup_method
+from hdnorm.montecarlo import CHUNK, composite_from_summary, empirical_quantile
 from hdnorm.teststats import statistics
 
 EULER_GAMMA = 0.5772156649015329
