@@ -37,7 +37,7 @@ from typing import Optional
 
 from . import _cpus
 from ._csvparse import EarlyReaders, load_csv, open_text
-from .errors import HdnormError, NonFiniteData
+from .errors import HdnormError, NonFiniteData, _count
 
 # Before numpy loads, here or in a module imported before ``main`` runs: BLAS
 # reads its thread count only then.
@@ -326,8 +326,7 @@ def main(argv=None) -> int:
     try:
         # A bad --out or --seed fails before any reader or work starts.
         args.out = _writable(Path(args.out), folder=args.command != "test")
-        if getattr(args, "seed", 0) < 0:
-            raise ValueError(f"seed must be non-negative, got {args.seed}")
+        _count(getattr(args, "seed", 0), "seed", 0)
         # Before the imports, if any are left, so the other CPUs parse meanwhile.
         if "file" in args:
             args.early = EarlyReaders.start(args.file)

@@ -1,4 +1,23 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``_count``, the one rule for every size,
+count and seed a caller gives: an integer, not a bool, of at least its bound, kept as a plain
+int, else the caller's exception.  This module loads only the standard library."""
+
+from numbers import Integral
+from typing import Optional
+
+
+def _integer(value) -> Optional[int]:
+    """An integer, not a bool, as a plain int; or None."""
+    return None if isinstance(value, bool) or not isinstance(value, Integral) else int(value)
+
+
+def _count(value, what: str, least: int, error=ValueError) -> int:
+    """``value`` as a plain int if an integer, not a bool, of at least ``least``; else ``error``."""
+    if (count := _integer(value)) is None:
+        raise error(f"{what} must be an integer, got {value!r}")
+    if count < least:
+        raise error(f"{what} must be at least {least}, got {value!r}")
+    return count
 
 
 class HdnormError(Exception):

@@ -25,8 +25,8 @@ Scenario families
 Each family is one ``Family`` record in ``FAMILIES``: its parameters and
 their defaults, its sampler ``sample(s, p, gen)`` and its population
 covariance ``covariance(s, p, cov)``.  A ``Scenario`` judges itself when it is
-built: ``_params`` checks and fills in its parameters once, into ``resolved``,
-which ``sample_scenario`` and ``scenario_covariance`` only read.  Each covariance
+built: ``_params`` checks and fills in its parameters once, into the read-only
+``resolved`` that ``sample_scenario`` and ``scenario_covariance`` read.  Each covariance
 kind's parameters and their defaults are listed once, in ``COV_KINDS``.
 
 Samplers are pure functions of an explicit generator stream, and each names
@@ -49,8 +49,7 @@ from typing import Callable, Dict, Mapping, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import rng
-from .errors import InvalidScenarioParams, NotPSD
-from .methods import _integer
+from .errors import InvalidScenarioParams, NotPSD, _count, _integer
 from .moments import DataMatrix
 
 _PSD_TOL = 1e-8
@@ -100,13 +99,9 @@ class CovSpec:
         if takes is None:
             raise InvalidScenarioParams(
                 f"unknown covariance kind {self.kind!r}; choose from {', '.join(COV_KINDS)}")
-        if (d := _integer(self.d)) is None or d < 1:
-            raise InvalidScenarioParams(f"covariance d must be a positive integer, got {self.d!r}")
-        if (seed := _integer(self.seed)) is None or seed < 0:
-            raise InvalidScenarioParams(
-                f"covariance seed must be a non-negative integer, got {self.seed!r}")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "d", _count(self.d, "covariance d", 1, InvalidScenarioParams))
+        object.__setattr__(self, "seed",
+                           _count(self.seed, "covariance seed", 0, InvalidScenarioParams))
         for name in COV_PARAMS:
             value = getattr(self, name)
             if value is not None and name not in takes:
@@ -229,23 +224,19 @@ class _ReadOnlyParams(dict):
 class Scenario:
     """A generative model: family name, sample shape, covariance, parameters; checked when
     built, which keeps ``n`` and ``d`` as ints, its parameters with defaults filled in as
-    ``resolved``, and a read-only copy of ``params`` (``_echo``), so what was checked runs."""
+    ``resolved`` and a copy of ``params`` (``_echo``), both read-only, so what was checked runs."""
 
     family: str
     n: int
     d: int
     cov: CovSpec
     params: Mapping[str, object] = field(default_factory=dict)
-    resolved: Dict[str, object] = field(init=False, repr=False, compare=False)
+    resolved: Mapping[str, object] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n, d = _integer(self.n), _integer(self.d)
-        if n is None or d is None:
-            raise InvalidScenarioParams(
-                f"n and d must be integers, got n={self.n!r} and d={self.d!r}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "resolved", _params(self))
+        object.__setattr__(self, "n", _count(self.n, "n", 1, InvalidScenarioParams))
+        object.__setattr__(self, "d", _count(self.d, "d", 1, InvalidScenarioParams))
+        object.__setattr__(self, "resolved", _ReadOnlyParams(_params(self)))
         object.__setattr__(self, "params", _ReadOnlyParams(
             {k: _echo(v) for k, v in self.params.items()}))
 
@@ -410,9 +401,8 @@ def _params(s: Scenario) -> Dict[str, object]:
     _real(n, "n"), _real(d, "d")  # each refused if too large for a float
     if not isinstance(s.cov, CovSpec):
         raise InvalidScenarioParams(f"scenario cov must be a CovSpec, got {s.cov!r}")
-    if n < 1 or s.cov.d != d:
-        raise InvalidScenarioParams(f"need n >= 1 and a covariance of dimension d={d}, "
-                                    f"got n={n} and dimension {s.cov.d}")
+    if s.cov.d != d:
+        raise InvalidScenarioParams(f"need a covariance of dimension d={d}, got {s.cov.d}")
     if not isinstance(fam, str) or fam not in FAMILIES:
         raise InvalidScenarioParams(
             f"unknown scenario family {fam!r}; choose from {', '.join(FAMILIES)}")

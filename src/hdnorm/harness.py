@@ -2,7 +2,7 @@
 
 An experiment is a list of cells, each pairing a scenario with a replication
 count and one or more decision methods, named as in the one method table
-``montecarlo.METHODS`` ("composite" for the radii test; "squared", "range",
+``hdnorm.methods.METHODS`` ("composite" for the radii test; "squared", "range",
 "iqr" or "quasi:q" for its contrasts; all methods of a cell share the same
 data draws).  Replication r of cell c draws its data from the substream keyed
 by (master seed, c, r), and the Monte-Carlo bands of cell c are keyed by
@@ -39,9 +39,9 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _cpus, rng
-from .errors import HdnormError, TooFewSamples
+from .errors import HdnormError, TooFewSamples, _count
 from .generators import CovSpec, Scenario, sample_scenario
-from .methods import McSettings, Rule, _integer, lookup_method
+from .methods import McSettings, Rule, lookup_method
 from .moments import MIN_N
 from .montecarlo import composite_from_summary
 from .radii import radial_summary
@@ -82,10 +82,7 @@ def _check_cell(ci: int, cell: CellSpec) -> CellSpec:
     replications, at least 1, and a tuple of methods, each known, listed once and defined at n."""
     if not isinstance(cell, CellSpec) or not isinstance(cell.scenario, Scenario):
         raise ValueError(f"cell {ci} must be a CellSpec holding a Scenario, got {cell!r}")
-    if (replications := _integer(cell.replications)) is None:
-        raise ValueError(f"cell {ci} replications must be an integer, got {cell.replications!r}")
-    if replications < 1:
-        raise ValueError(f"cell {ci} replications must be at least 1, got {cell.replications!r}")
+    replications = _count(cell.replications, f"cell {ci} replications", 1)
     methods = tuple(cell.methods) if isinstance(cell.methods, list) else cell.methods
     if not isinstance(methods, tuple) or not methods:
         raise ValueError(f"cell {ci} methods must be a non-empty list, got {methods!r}")
@@ -169,10 +166,7 @@ def run_experiment(exp: Experiment, threads: Optional[int] = None) -> List[CellR
     cpus = _cpus.usable_cpus()
     if threads is None:
         threads = cpus
-    if _integer(threads) is None:
-        raise ValueError(f"threads must be an integer, got {threads!r}")
-    if threads < 1:
-        raise ValueError(f"need at least one worker, got threads={threads}")
+    threads = _count(threads, "threads", 1)
     # Units are made as they are run, so memory before the first draw does not
     # grow with the replication counts.
     chunks = [max(1, min(64, -(-cell.replications // (min(threads, cpus) * 4))))
@@ -323,11 +317,7 @@ def experiment_from_json(doc: Mapping) -> Experiment:
     if not isinstance(cells_doc, list) or not cells_doc:
         raise ValueError(f"empty grid: cells must be a non-empty list, got {cells_doc!r}")
     # The one bound read here: no object holds the default when every cell sets its own.
-    default_reps = _read(doc, "replications", 1000)
-    if _integer(default_reps) is None:
-        raise ValueError(f"replications must be an integer, got {default_reps!r}")
-    if default_reps < 1:
-        raise ValueError(f"replications must be at least 1, got {default_reps!r}")
+    default_reps = _count(_read(doc, "replications", 1000), "replications", 1)
     cells = [_build(CellSpec, cell_doc, "cell", f"cell {ci}", replications=default_reps)
              for ci, cell_doc in enumerate(cells_doc)]
     return Experiment(**{k: _read(doc, k) for k in doc if k not in ("cells", "replications")},

@@ -1,4 +1,4 @@
-"""Decision methods, their Monte-Carlo settings and the one integer rule, on the standard library.
+"""Decision methods and their Monte-Carlo settings, on the standard library.
 
 Only ``Method.at`` loads the band code (``montecarlo``), and numpy with it, so ``hdnorm test``
 judges its method and settings before numpy loads."""
@@ -7,15 +7,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from numbers import Integral, Real
+from numbers import Real
 from typing import Dict, NamedTuple, Optional, Tuple
 
+from .errors import _count, _integer
+
 Band = Tuple[float, float]
-
-
-def _integer(value) -> Optional[int]:
-    """The one rule for sizes, orders, counts, seeds: an integer, not a bool, as an int; or None."""
-    return None if isinstance(value, bool) or not isinstance(value, Integral) else int(value)
 
 
 @dataclass(frozen=True)
@@ -27,18 +24,13 @@ class McSettings:
     alpha: float = 0.05
 
     def __post_init__(self):
-        for label, name in (("Monte-Carlo replications", "replications"), ("seed", "seed")):
-            if (value := _integer(getattr(self, name))) is None:
-                raise ValueError(f"{label} must be an integer, got {getattr(self, name)!r}")
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "replications",
+                           _count(self.replications, "Monte-Carlo replications", 100))
+        object.__setattr__(self, "seed", _count(self.seed, "seed", 0))
         if isinstance(self.alpha, bool) or not isinstance(self.alpha, Real):
             raise ValueError(f"alpha must be a real number, got {self.alpha!r}")
-        if self.replications < 100:
-            raise ValueError(f"need at least 100 Monte-Carlo replications, got {self.replications}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
         object.__setattr__(self, "alpha", float(self.alpha))
 
 

@@ -26,7 +26,8 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import _cpus, rng
-from .methods import METHODS, Band, McSettings, Method, Rule, _integer
+from .errors import _count
+from .methods import METHODS, Band, McSettings, Method, Rule
 from .moments import DataMatrix, DispersionEstimate
 from .radii import RadialSummary, radial_summary
 from .rng import ndtri
@@ -81,9 +82,7 @@ def null_quasi_range_draws(n: int, q: int, m: int, seed: int) -> np.ndarray:
     the interpreter lock), so the result does not depend on the thread count.
     """
     contrast(n, q)  # checks n and q
-    if None in (plain := (_integer(m), _integer(seed))) or plain[0] < 1 or plain[1] < 0:
-        raise ValueError(f"need integers m >= 1 and seed >= 0, got m={m!r} and seed={seed!r}")
-    m, seed = plain
+    m, seed = _count(m, "m", 1), _count(seed, "seed", 0)
     chunks = -(-m // CHUNK)
     shares = min(chunks, _cpus.usable_cpus())
     draws = np.empty(m)

@@ -17,8 +17,7 @@ import math
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence, Tuple
 
-from .errors import InvalidQuantileOrder, TooFewSamples
-from .methods import _integer
+from .errors import InvalidQuantileOrder, TooFewSamples, _integer
 from .radii import RadialSummary
 from .rng import ndtri
 

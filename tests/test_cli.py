@@ -170,9 +170,9 @@ class TestCmdTest:
         assert "unknown method 'quasi:0'" in err and "absent.csv" not in err
 
     @pytest.mark.parametrize("option, value, named", [
-        ("--mc", "50", "at least 100 Monte-Carlo replications"),
+        ("--mc", "50", "Monte-Carlo replications must be at least 100"),
         ("--alpha", "1.5", "alpha must lie in (0, 1)"),
-        ("--seed", "-1", "seed must be non-negative"),
+        ("--seed", "-1", "seed must be at least 0"),
     ])
     def test_bad_settings_exit_one_before_reading(self, null_csv, tmp_path, capsys,
                                                   monkeypatch, option, value, named):
@@ -371,7 +371,7 @@ class TestCmdDiagnose:
         path = write_csv(tmp_path / "x.csv", gaussian_data(603, 40, 6).values)
         out = tmp_path / "d"
         assert main(["diagnose", str(path), "--seed", "-1", "--out", str(out), *options]) == 1
-        assert "seed must be non-negative" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: seed must be at least 0, got -1\n"
         assert not out.exists()
 
     def test_reservoir_values_are_true_distances(self, tmp_path):
@@ -636,7 +636,7 @@ class TestCmdSimulate:
         ("cell", "methods", [], "non-empty list"),
         ("cell", "methods", "composite", "non-empty list"),
         ("cell", "methods", ["quasi:0"], "unknown method 'quasi:0'"),
-        ("experiment", "seed", -1, "seed must be non-negative"),
+        ("experiment", "seed", -1, "spec: seed must be at least 0, got -1"),
         ("experiment", "mc_replications", 50, "at least 100"),
         ("experiment", "alpha", 1.5, "alpha must lie in (0, 1)"),
         ("experiment", "seed", 1.9, "seed must be an integer, got 1.9"),
@@ -645,11 +645,11 @@ class TestCmdSimulate:
         ("experiment", "replications", 0, "replications must be at least 1"),
         ("cell", "replications", 3.5, "cell 1 replications must be an integer"),
         ("cell", "replications", 0, "cell 1 replications must be at least 1"),
-        ("scenario", "n", 20.7, "n and d must be integers, got n=20.7"),
+        ("scenario", "n", 20.7, "spec: n must be an integer, got 20.7"),
         ("scenario", "n", 3, "IQR statistic needs n >= 4, got n=3"),
-        ("scenario", "d", "20", "n and d must be integers, got n=40 and d='20'"),
-        ("cov", "d", 20.5, "covariance d must be a positive integer, got 20.5"),
-        ("cov", "seed", -1, "covariance seed must be a non-negative integer, got -1"),
+        ("scenario", "d", "20", "spec: d must be an integer, got '20'"),
+        ("cov", "d", 20.5, "spec: covariance d must be an integer, got 20.5"),
+        ("cov", "seed", -1, "spec: covariance seed must be at least 0, got -1"),
         ("scenario", "cov", {"kind": "geom_decay", "d": 20, "rate": "0.9"},
          "geom_decay rate must be a number, got '0.9'"),
         ("experiment", "alpha", "0.05", "alpha must be a real number, got '0.05'"),

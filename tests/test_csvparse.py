@@ -811,11 +811,11 @@ class TestEarlyReadersInTheCommand:
     @pytest.mark.parametrize("command, option, value, message", [
         ("test", "--stats", "bogus", "error: unknown method 'bogus'; choose from composite,"
                                      " squared, range, iqr or quasi:q\n"),
-        ("test", "--mc", "50", "error: need at least 100 Monte-Carlo replications, got 50\n"),
+        ("test", "--mc", "50", "error: Monte-Carlo replications must be at least 100, got 50\n"),
         ("test", "--alpha", "2", "error: alpha must lie in (0, 1), got 2.0\n"),
         ("test", "--out", "missing/r.json", "error: cannot write {tmp}/missing/r.json\n"),
-        ("test", "--seed", "-1", "error: seed must be non-negative, got -1\n"),
-        ("diagnose", "--seed", "-1", "error: seed must be non-negative, got -1\n")])
+        ("test", "--seed", "-1", "error: seed must be at least 0, got -1\n"),
+        ("diagnose", "--seed", "-1", "error: seed must be at least 0, got -1\n")])
     def test_errors_before_the_read_reap_them(self, tmp_path, command, option, value, message):
         # --out and --seed are checked before any reader starts; --stats, --mc and
         # --alpha once the readers are forked, and before numpy loads.

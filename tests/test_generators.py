@@ -397,18 +397,23 @@ class TestScenarioGuards:
         lambda p: p.clear(),
     ], ids=["setitem", "del", "update", "pop", "setdefault", "clear"])
     def test_params_refuse_every_change(self, change):
+        # The echo and the resolved parameters the samplers read refuse alike.
         s = Scenario("multivariate_t", 10, 4, CovSpec("identity", 4), {"dof": 5.0})
-        with pytest.raises(TypeError, match="read-only"):
-            change(s.params)
+        for kept in (s.params, s.resolved):
+            with pytest.raises(TypeError, match="read-only"):
+                change(kept)
         assert s.params == {"dof": 5.0} and s.resolved == {"dof": 5.0}
+        fresh = Scenario("multivariate_t", 10, 4, CovSpec("identity", 4), {"dof": 5.0})
+        assert np.array_equal(draw(s).values, draw(fresh).values)
 
     def test_read_only_params_pickle_with_the_scenario(self):
         s = Scenario("loc_mixture", 10, 4, CovSpec("identity", 4), {"weights": [0.3, 0.7]})
         back = pickle.loads(pickle.dumps(s))
         assert back == s and back.params == {"weights": (0.3, 0.7)}
         assert back.resolved == s.resolved
-        with pytest.raises(TypeError, match="read-only"):
-            back.params["weights"] = (0.5, 0.5)
+        for kept in (back.params, back.resolved):
+            with pytest.raises(TypeError, match="read-only"):
+                kept["weights"] = (0.5, 0.5)
 
     def test_read_only_params_compare_echo_and_replace_as_a_dict(self):
         s = Scenario("multivariate_t", 10, 4, CovSpec("identity", 4), {"dof": 5.0})

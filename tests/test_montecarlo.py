@@ -75,10 +75,16 @@ class TestNullSample:
             null_quasi_range_draws(50, 26, 200, seed=11)
 
     # Neither a bool nor a float counts as a draw count or a seed.
-    @pytest.mark.parametrize("m, seed", [(50, True), (True, 1), (50.0, 1), (50, 1.0), (0, 1),
-                                         (50, -1)])
-    def test_draw_count_and_seed_are_integers(self, m, seed):
-        with pytest.raises(ValueError, match=re.escape(f"got m={m!r} and seed={seed!r}")):
+    @pytest.mark.parametrize("m, seed, message", [
+        (50, True, "seed must be an integer, got True"),
+        (True, 1, "m must be an integer, got True"),
+        (50.0, 1, "m must be an integer, got 50.0"),
+        (50, 1.0, "seed must be an integer, got 1.0"),
+        (0, 1, "m must be at least 1, got 0"),
+        (50, -1, "seed must be at least 0, got -1"),
+    ], ids=["50-True", "True-1", "50.0-1", "50-1.0", "0-1", "50--1"])
+    def test_draw_count_and_seed_are_integers(self, m, seed, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             null_quasi_range_draws(10, 1, m, seed)
 
     def test_partition_independence_across_chunks(self):
@@ -453,10 +459,13 @@ class TestComposite:
             ("alpha", True, "alpha must be a real number, got True"),
             ("alpha", "0.05", "alpha must be a real number, got '0.05'"),
             ("alpha", None, "alpha must be a real number, got None"),
+            ("replications", 99, "Monte-Carlo replications must be at least 100, got 99"),
+            ("seed", -1, "seed must be at least 0, got -1"),
         ]:
             fields = {"replications": 1000, "seed": 1, "alpha": 0.05, field: value}
             with pytest.raises(ValueError, match=re.escape(named)):
                 McSettings(**fields)
+        assert McSettings(replications=100, seed=0).replications == 100  # the bounds themselves pass
 
     # Each is kept as the plain numbers it equals.  The last three once raised a TypeError:
     # json.dumps on a numpy integer or a Fraction, and Fraction() on the float32 alpha
